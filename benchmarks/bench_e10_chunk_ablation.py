@@ -21,10 +21,8 @@ from benchmarks.bench_common import emit, run_experiment_cells
 from repro.analysis.records import RunRecord
 from repro.analysis.sweep import Cell
 from repro.analysis.tables import format_table
-from repro.core.det_luby import (
-    conditional_expectation_chooser,
-    det_luby_mis,
-)
+from repro.core.det_luby import conditional_expectation_chooser, luby_program
+from repro.core.program import run_program
 from repro.core.registry import DET_LUBY
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
@@ -41,11 +39,10 @@ def run_with_chunk(graph, chunk_bits):
     )
     with Simulator(cfg) as sim:
         dg = DistributedGraph.load(sim, graph)
-        counters = det_luby_mis(
-            dg,
+        counters = run_program(dg, luby_program(
             in_set_key="mis",
             chooser=conditional_expectation_chooser(chunk_bits=chunk_bits),
-        )
+        )).counters
         members = dg.collect_marked("mis")
     verify_ruling_set(graph, members, alpha=2, beta=1)
     return sim, counters

@@ -20,11 +20,12 @@ from repro.analysis.records import RunRecord
 from repro.analysis.sweep import Cell
 from repro.analysis.tables import format_table
 from repro.core.det_matching import (
-    det_maximal_matching,
     line_graph_words,
     matching_config,
+    matching_program,
     verify_maximal_matching,
 )
+from repro.core.program import run_program
 from repro.core.registry import DET_MATCHING
 from repro.graph import generators as gen
 from repro.mpc.graph_store import DistributedGraph
@@ -52,7 +53,8 @@ def greedy_matching_size(graph) -> int:
 def run_matching(graph):
     with Simulator(matching_config(graph)) as sim:
         dg = DistributedGraph.load(sim, graph)
-        matching, counters = det_maximal_matching(dg)
+        ctx = run_program(dg, matching_program())
+    matching, counters = ctx.matching, ctx.counters
     verify_maximal_matching(graph, matching)
     return matching, counters, sim
 

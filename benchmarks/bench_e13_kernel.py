@@ -51,7 +51,7 @@ def build_phase1_estimator(
 ) -> ThresholdEstimator:
     """The global phase-1 Luby estimator for ``graph``.
 
-    The union of every machine's terms in ``det_luby_mis``'s first
+    The union of every machine's terms in ``luby_program``'s first
     phase: vertex terms ``(v, p // 2d_v, d_v)`` and, for each neighbour
     ``u`` with ``(d_u, u) > (d_v, v)``, pair terms weighted ``-d_v`` —
     the exact shape the distributed seed search evaluates, in one local

@@ -27,7 +27,8 @@ from typing import Dict, List, Tuple
 
 from benchmarks.bench_common import emit
 from repro.analysis.tables import format_table
-from repro.core.alpha_ruling import det_alpha_ruling_set
+from repro.core.alpha_ruling import alpha_program
+from repro.core.program import run_program
 from repro.core.verify import verify_ruling_set
 from repro.errors import MPCViolationError
 from repro.graph import generators as gen
@@ -61,8 +62,8 @@ def run_alpha(
     power graph); returns ``(claimed_beta, members, model_metrics)``."""
     with Simulator(config, enforce=enforce) as sim:
         dg = DistributedGraph.load(sim, graph)
-        claimed, _ = det_alpha_ruling_set(
-            dg, alpha=ALPHA, beta=BETA, in_set_key=IN_SET_KEY
+        run_program(
+            dg, alpha_program(ALPHA, beta=BETA, in_set_key=IN_SET_KEY)
         )
         members = dg.collect_marked(IN_SET_KEY)
         metrics = {
@@ -71,7 +72,7 @@ def run_alpha(
         }
         wall = sim.metrics.wall_time_s
     metrics["wall_time_s"] = wall
-    return claimed, members, metrics
+    return BETA * (ALPHA - 1), members, metrics
 
 
 def ci_cell():

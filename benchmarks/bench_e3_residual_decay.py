@@ -19,7 +19,8 @@ from benchmarks.bench_common import emit, run_experiment_cells
 from repro.analysis.records import RunRecord
 from repro.analysis.sweep import Cell
 from repro.analysis.tables import format_series
-from repro.core.det_luby import det_luby_mis
+from repro.core.det_luby import luby_program
+from repro.core.program import run_program
 from repro.core.registry import DET_LUBY
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
@@ -35,7 +36,7 @@ def run_traced(graph):
     with Simulator(cfg) as sim:
         dg = DistributedGraph.load(sim, graph)
         trace = []
-        det_luby_mis(dg, in_set_key="mis", trace=trace)
+        run_program(dg, luby_program(in_set_key="mis", trace=trace))
         members = dg.collect_marked("mis")
     verify_ruling_set(graph, members, alpha=2, beta=1)
     return trace

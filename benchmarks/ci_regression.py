@@ -45,11 +45,9 @@ from typing import Dict, List, Tuple
 
 from repro.analysis.records import RunRecord
 from repro.analysis.sweep import Cell, failures, run_cells
-from repro.core.det_luby import (
-    conditional_expectation_chooser,
-    det_luby_mis,
-)
+from repro.core.det_luby import conditional_expectation_chooser, luby_program
 from repro.core.pipeline import solve_ruling_set
+from repro.core.program import run_program
 from repro.core.registry import DET_LUBY, DET_RULING
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
@@ -100,11 +98,10 @@ def run_e10_chunk(chunk_bits: int) -> Measurement:
     )
     with Simulator(cfg) as sim:
         dg = DistributedGraph.load(sim, graph)
-        det_luby_mis(
-            dg,
+        run_program(dg, luby_program(
             in_set_key="mis",
             chooser=conditional_expectation_chooser(chunk_bits=chunk_bits),
-        )
+        ))
         members = dg.collect_marked("mis")
     verify_ruling_set(graph, members, alpha=2, beta=1)
     exact = {

@@ -30,13 +30,9 @@ from repro.core import (
     SolverSession,
     algorithm_names,
     check_ruling_set,
-    det_luby_mis,
-    det_ruling_set,
     get_algorithm,
     greedy_mis,
     greedy_ruling_set,
-    rand_luby_mis,
-    rand_ruling_set,
     registry,
     solve_matching,
     solve_ruling_set,
@@ -67,10 +63,6 @@ __all__ = [
     "check_ruling_set",
     "greedy_mis",
     "greedy_ruling_set",
-    "det_luby_mis",
-    "det_ruling_set",
-    "rand_luby_mis",
-    "rand_ruling_set",
     "solve_matching",
     "verify_maximal_matching",
     "__version__",

@@ -4,7 +4,7 @@ Public surface:
 
 * :mod:`~repro.core.registry` — the algorithm registry: one
   :class:`~repro.core.registry.AlgorithmSpec` per algorithm (canonical
-  name, model family, problem, capability flags, runner).  The single
+  name, model family, problem, capability flags, dispatch).  The single
   source of algorithm names for the drivers, CLI, sweeps, and benches.
 * :class:`~repro.core.session.SolverSession` — the one MPC lifecycle
   (regime sizing, backend/trace wiring, simulator context, collection,
@@ -14,6 +14,9 @@ Public surface:
   thin registry lookups over the session, plus ground-truth
   verification, returning :class:`~repro.core.spec.RulingSetResult` /
   :class:`~repro.core.spec.MatchingResult` with full MPC metrics.
+* :mod:`~repro.core.program` — the phase-program framework every MPC
+  solver is written in; :func:`~repro.core.program.run_program` runs a
+  program on a distributed graph.
 * :mod:`~repro.core.det_ruling` — deterministic ``(2, β)``-ruling sets via
   derandomized sparsify-and-gather (the headline algorithm).
 * :mod:`~repro.core.det_luby` — deterministic MIS via the derandomized
@@ -29,15 +32,7 @@ from repro.core import registry
 from repro.core.spec import MatchingResult, RulingSetResult
 from repro.core.verify import verify_ruling_set, check_ruling_set
 from repro.core.greedy import greedy_mis, greedy_ruling_set
-from repro.core.det_luby import det_luby_mis
-from repro.core.det_ruling import det_ruling_set
-from repro.core.rand_baselines import rand_luby_mis, rand_ruling_set
-from repro.core.alpha_ruling import det_alpha_ruling_set
-from repro.core.det_matching import (
-    det_maximal_matching,
-    solve_matching,
-    verify_maximal_matching,
-)
+from repro.core.det_matching import solve_matching, verify_maximal_matching
 from repro.core.registry import AlgorithmSpec, algorithm_names, get_algorithm
 from repro.core.session import SolverSession
 from repro.core.pipeline import solve_ruling_set
@@ -54,12 +49,6 @@ __all__ = [
     "check_ruling_set",
     "greedy_mis",
     "greedy_ruling_set",
-    "det_luby_mis",
-    "det_ruling_set",
-    "rand_luby_mis",
-    "rand_ruling_set",
-    "det_alpha_ruling_set",
-    "det_maximal_matching",
     "solve_matching",
     "verify_maximal_matching",
     "solve_ruling_set",

@@ -34,7 +34,7 @@ from repro.core.program import (
     SuperstepProgram,
 )
 from repro.errors import AlgorithmError
-from repro.mpc.graph_store import ADJ, DistributedGraph
+from repro.mpc.graph_store import ADJ
 from repro.mpc.machine import Machine
 
 ORIGINAL_ADJ = "alpha_original_adj"
@@ -56,11 +56,22 @@ def alpha_program(
     unchanged; for α > 2 it is wrapped behind the
     ``alpha-exponentiation`` phase that swaps the power adjacency in
     under ``ADJ`` (preserving the original under ``ORIGINAL_ADJ``).
+    Members accumulate under ``store[in_set_key]`` and form an
+    ``(alpha, beta * (alpha - 1))``-ruling set of ``G``.
+
+    ``power_adjacency`` is the ``G^{α-1}`` adjacency when the caller has
+    already built it — :class:`~repro.core.session.SolverSession`
+    materialises it once for regime sizing and passes it here, so a
+    one-call solve does not derive the same graph twice.  It is
+    installed under the ``alpha-exponentiation`` phase in one
+    budget-charged local step (each machine's slice of the power graph
+    must fit its memory exactly as if exponentiation had produced it).
+    When ``None`` (direct engine callers), the in-model doubling
+    primitive builds it, pricing the ``O(log α)`` exponentiation rounds
+    — E9 measures that path explicitly.
     """
     if alpha < 2:
         raise AlgorithmError(f"alpha must be >= 2, got {alpha}")
-    if beta < 2:
-        raise AlgorithmError(f"beta must be >= 2, got {beta}")
     engine = ruling_program(
         beta=beta, in_set_key=in_set_key,
         chooser=chooser, luby_chooser=luby_chooser,
@@ -111,47 +122,3 @@ def alpha_program(
         ),
     )
 
-
-def det_alpha_ruling_set(
-    dg: DistributedGraph,
-    alpha: int,
-    beta: int = 2,
-    in_set_key: str = "alpha_rs_in_set",
-    chooser=None,
-    luby_chooser=None,
-    luby_allow_stalls: int = 0,
-    power_adjacency: Optional[Dict[int, Tuple[int, ...]]] = None,
-) -> Tuple[int, Dict[str, int]]:
-    """Compute an ``(alpha, beta * (alpha - 1))``-ruling set of ``G``.
-
-    Requires ``alpha >= 2`` and ``beta >= 2``.  Returns
-    ``(claimed_beta_in_G, counters)``; members accumulate under
-    ``store[in_set_key]`` as usual.  The original adjacency is preserved
-    under ``store[ORIGINAL_ADJ]`` for any post-processing the caller
-    wants to do (the engine consumes the power adjacency).
-
-    ``power_adjacency`` is the ``G^{α-1}`` adjacency when the caller has
-    already built it — :class:`~repro.core.session.SolverSession`
-    materialises it once for regime sizing and passes it here, so a
-    one-call solve does not derive the same graph twice.  It is
-    installed under the ``alpha-exponentiation`` phase in one
-    budget-charged local step (each machine's slice of the power graph
-    must fit its memory exactly as if exponentiation had produced it).
-    When ``None`` (direct engine callers), the in-model doubling
-    primitive builds it, pricing the ``O(log α)`` exponentiation rounds
-    — E9 measures that path explicitly.
-
-    This is a thin wrapper over :func:`alpha_program`.
-    """
-    program = alpha_program(
-        alpha,
-        beta=beta,
-        in_set_key=in_set_key,
-        chooser=chooser,
-        luby_chooser=luby_chooser,
-        luby_allow_stalls=luby_allow_stalls,
-        power_adjacency=power_adjacency,
-    )
-    counters = program.run(ProgramContext(dg))
-    claimed = beta if alpha == 2 else beta * (alpha - 1)
-    return claimed, counters

@@ -34,7 +34,7 @@ derandomization.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.program import (
     CONTINUE,
@@ -48,7 +48,7 @@ from repro.derand.estimator import ThresholdEstimator
 from repro.derand.family import Seed
 from repro.derand.seed_search import distributed_choose_seed
 from repro.errors import AlgorithmError
-from repro.mpc.graph_store import ADJ, DistributedGraph
+from repro.mpc.graph_store import ADJ
 from repro.mpc.machine import Machine
 from repro.mpc.state_layout import (
     KERNEL_NUMPY,
@@ -158,8 +158,16 @@ def luby_program(
     count, optional E3 trace, termination), ``luby-phase`` (isolated
     absorption + degree exchange), ``luby-seed-search`` (estimator terms
     + seed selection), and ``luby-commit`` (winner set + ``N[C]``
-    removal).  :func:`det_luby_mis` runs this program directly; the
-    session executes it via the registry's program factory.
+    removal).  The session executes it via the registry's program
+    factory; phase bodies nest it with
+    :func:`~repro.core.program.run_program`.
+
+    ``allow_stalls`` is the number of *consecutive* zero-progress phases
+    tolerated: 0 for the deterministic chooser (its estimator guarantee
+    makes a stall a bug), a small positive number for randomized seed
+    choosers (an unlucky draw is legal there).  Pass a list as ``trace``
+    to receive ``(phase, active_vertices, active_edges)`` tuples (the E3
+    decay series; tracing costs one extra reduction per phase).
     """
     choose = (
         chooser if chooser is not None else conditional_expectation_chooser()
@@ -341,40 +349,3 @@ def luby_program(
         ),
     )
 
-
-def det_luby_mis(
-    dg: DistributedGraph,
-    adj_key: str = ADJ,
-    in_set_key: str = IN_SET,
-    chooser: Optional[SeedChooser] = None,
-    max_phases: int = 10_000,
-    allow_stalls: int = 0,
-    trace: Optional[List[Tuple[int, int, int]]] = None,
-) -> Dict[str, int]:
-    """Run (de)randomized Luby MIS on the adjacency under ``adj_key``.
-
-    MIS members accumulate per machine in ``store[in_set_key]`` (a set of
-    owned member ids); collect them with ``dg.collect_marked(in_set_key)``.
-    Every vertex active under ``adj_key`` at entry is removed by exit.
-
-    ``allow_stalls`` is the number of *consecutive* zero-progress phases
-    tolerated: 0 for the deterministic chooser (its estimator guarantee
-    makes a stall a bug), a small positive number for randomized seed
-    choosers (an unlucky draw is legal there).  Pass a list as ``trace``
-    to receive ``(phase, active_vertices, active_edges)`` tuples (the E3
-    decay series; tracing costs one extra reduction per phase).  Returns
-    a counter dict.
-
-    This is a thin wrapper: the whole engine lives in
-    :func:`luby_program`, executed here against a fresh
-    :class:`~repro.core.program.ProgramContext`.
-    """
-    program = luby_program(
-        adj_key=adj_key,
-        in_set_key=in_set_key,
-        chooser=chooser,
-        max_phases=max_phases,
-        allow_stalls=allow_stalls,
-        trace=trace,
-    )
-    return program.run(ProgramContext(dg))

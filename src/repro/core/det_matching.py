@@ -28,8 +28,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.det_luby import det_luby_mis
-from repro.core.program import Phase, ProgramContext, SuperstepProgram
+from repro.core.det_luby import luby_program
+from repro.core.program import (
+    Phase,
+    ProgramContext,
+    SuperstepProgram,
+    run_program,
+)
 from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
 from repro.mpc.graph_store import ADJ, DistributedGraph
@@ -203,21 +208,25 @@ def matching_program(
     label of their own, exactly as before the framework; the embedded
     Luby engine emits its usual phase labels): build the distributed
     line graph, solve MIS on it, record the matched endpoint pairs.  The
-    matching lands in the context's ``matching`` payload slot.
+    matching lands in the context's ``matching`` payload slot; matched
+    endpoint pairs are also kept per machine under ``MATCHED``.
+    ``chooser`` / ``allow_stalls`` forward to the Luby engine (pass a
+    random chooser and positive stalls for the randomized baseline).
     """
 
     def build(ctx: ProgramContext) -> None:
         ctx.state["lg_graph"] = build_distributed_line_graph(ctx.dg)
 
     def solve(ctx: ProgramContext) -> None:
-        sub = det_luby_mis(
-            ctx.state["lg_graph"],
+        engine = luby_program(
             adj_key=LG_ADJ,
             in_set_key="lg_in_set",
             chooser=chooser,
             allow_stalls=allow_stalls,
         )
-        ctx.counters.update(sub)
+        ctx.counters.update(
+            run_program(ctx.state["lg_graph"], engine).counters
+        )
 
     def record(ctx: ProgramContext) -> None:
         def record_matches(machine: Machine) -> None:
@@ -240,26 +249,6 @@ def matching_program(
             Phase(record, keys=(MATCHED,)),
         ),
     )
-
-
-def det_maximal_matching(
-    dg: DistributedGraph,
-    chooser=None,
-    allow_stalls: int = 0,
-) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
-    """Compute a maximal matching of the active graph, deterministically.
-
-    Returns ``(matching_edges, counters)``; matched endpoint pairs are
-    also flagged per machine under ``MATCHED``.  ``chooser`` /
-    ``allow_stalls`` forward to the Luby engine (pass a random chooser
-    and positive stalls for the randomized baseline).
-
-    This is a thin wrapper over :func:`matching_program`.
-    """
-    program = matching_program(chooser=chooser, allow_stalls=allow_stalls)
-    ctx = ProgramContext(dg)
-    counters = program.run(ctx)
-    return ctx.matching, counters
 
 
 def solve_matching(

@@ -43,9 +43,9 @@ in :mod:`repro.core.engine_ops`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from repro.core.det_luby import det_luby_mis, modulus_for
+from repro.core.det_luby import luby_program, modulus_for
 from repro.core.engine_ops import (
     adjacency_words,
     deactivate_all,
@@ -61,6 +61,7 @@ from repro.core.program import (
     Phase,
     ProgramContext,
     SuperstepProgram,
+    run_program,
 )
 from repro.derand.family import Seed, threshold_for_rate
 from repro.derand.seed_search import distributed_scan_seeds
@@ -79,10 +80,6 @@ from repro.mpc.state_layout import (
 
 IN_SET = "rs_in_set"
 ITER_MEMBERS = "rs_iter_members"
-
-# Historical alias: the rate helper moved to engine_ops; tests and the
-# randomized baseline still import it from here.
-_sampling_rate = sampling_rate
 
 # A sampling chooser returns (seed, candidates_scanned) for one level.
 SamplingChooser = Callable[
@@ -182,13 +179,26 @@ def ruling_program(
     ``ruling-solve-level`` → ``ruling-removal-wave``).  Level adjacency
     layers register with :meth:`~repro.core.program.ProgramContext.
     push_level` and are torn down via ``release_levels`` on every exit
-    path.  :func:`det_ruling_set` runs this program directly.
+    path.
+
+    Members accumulate per machine under ``store[in_set_key]``.
+    ``chooser`` selects sampling seeds (default: the deterministic
+    batched scan); ``luby_chooser`` is forwarded to the Luby engine when
+    it is used as the level solver or endgame (default: deterministic
+    conditional expectations).
     """
     if beta < 2:
         raise AlgorithmError(
-            "det_ruling_set needs beta >= 2; use det_luby_mis for an MIS"
+            f"ruling_program needs beta >= 2, got {beta}; "
+            "use luby_program for an MIS"
         )
     choose = chooser if chooser is not None else scanning_chooser()
+
+    def level_luby(adj_key: str) -> SuperstepProgram:
+        return luby_program(
+            adj_key=adj_key, in_set_key=ITER_MEMBERS,
+            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
+        )
 
     def setup(ctx: ProgramContext) -> None:
         dg, sim = ctx.dg, ctx.sim
@@ -245,10 +255,7 @@ def ruling_program(
 
     def _residual_luby(ctx: ProgramContext) -> None:
         # Guaranteed-progress fallback: one full Luby MIS on the residual.
-        sub = det_luby_mis(
-            ctx.dg, adj_key=ADJ, in_set_key=ITER_MEMBERS,
-            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-        )
+        sub = run_program(ctx.dg, level_luby(ADJ)).counters
         ctx.counters["endgame_luby"] += 1
         ctx.counters["seed_candidates"] += sub["seed_candidates"]
         ctx.counters["members"] += merge_members(
@@ -330,10 +337,7 @@ def ruling_program(
             members = gather_and_greedy(dg, prev_key, ITER_MEMBERS)
             ctx.counters["level_gathers"] += 1
         else:
-            sub = det_luby_mis(
-                dg, adj_key=prev_key, in_set_key=ITER_MEMBERS,
-                chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-            )
+            sub = run_program(dg, level_luby(prev_key)).counters
             ctx.counters["level_luby_solves"] += 1
             ctx.counters["seed_candidates"] += sub["seed_candidates"]
             members = reduce_scalar(
@@ -404,37 +408,3 @@ def ruling_program(
         ),
     )
 
-
-def det_ruling_set(
-    dg: DistributedGraph,
-    beta: int = 2,
-    in_set_key: str = IN_SET,
-    chooser: Optional[SamplingChooser] = None,
-    luby_chooser=None,
-    luby_allow_stalls: int = 0,
-    endgame_degree: int = 4,
-    max_iterations: Optional[int] = None,
-) -> Dict[str, int]:
-    """Compute a ``(2, β)``-ruling set of the active graph; β >= 2.
-
-    Members accumulate per machine under ``store[in_set_key]``; collect
-    with ``dg.collect_marked(in_set_key)``.  Returns a counter dict
-    (iterations, sparsify levels, seed candidates, solver choices).
-
-    ``chooser`` selects sampling seeds (default: the deterministic
-    batched scan); ``luby_chooser`` is forwarded to the Luby engine when
-    it is used as the level solver or endgame (default: deterministic
-    conditional expectations).
-
-    This is a thin wrapper over :func:`ruling_program`.
-    """
-    program = ruling_program(
-        beta=beta,
-        in_set_key=in_set_key,
-        chooser=chooser,
-        luby_chooser=luby_chooser,
-        luby_allow_stalls=luby_allow_stalls,
-        endgame_degree=endgame_degree,
-        max_iterations=max_iterations,
-    )
-    return program.run(ProgramContext(dg))

@@ -52,9 +52,9 @@ refactor is visible here: this module contains only algorithm logic.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.det_luby import det_luby_mis, modulus_for
+from repro.core.det_luby import luby_program, modulus_for
 from repro.core.engine_ops import (
     adjacency_words,
     deactivate_all,
@@ -69,11 +69,12 @@ from repro.core.program import (
     Phase,
     ProgramContext,
     SuperstepProgram,
+    run_program,
 )
 from repro.derand.family import Seed, threshold_for_rate
 from repro.derand.seed_search import distributed_scan_seeds
 from repro.errors import AlgorithmError
-from repro.mpc.graph_store import ADJ, DistributedGraph
+from repro.mpc.graph_store import ADJ
 from repro.mpc.machine import Machine
 from repro.mpc.primitives.aggregate import reduce_scalar
 
@@ -118,9 +119,15 @@ def gp_program(
     branch: ``gp-gather-finish`` (whole residual fits one machine),
     ``gp-endgame-luby`` (residual degree ≤ 8), or the three-phase class
     chain ``gp-sparsify`` → ``gp-solve-sample`` → ``gp-removal-wave``.
-    :func:`gp_2ruling_set` runs this program directly; the session
-    executes it via the registry's program factory.
+    The session executes it via the registry's program factory.
+    Members accumulate per machine under ``store[in_set_key]``.
     """
+
+    def sample_luby(adj_key: str) -> SuperstepProgram:
+        return luby_program(
+            adj_key=adj_key, in_set_key=GP_ITER,
+            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
+        )
 
     def setup(ctx: ProgramContext) -> None:
         dg, sim = ctx.dg, ctx.sim
@@ -166,10 +173,7 @@ def gp_program(
         return EXIT
 
     def endgame(ctx: ProgramContext):
-        sub = det_luby_mis(
-            ctx.dg, adj_key=ADJ, in_set_key=GP_ITER,
-            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-        )
+        sub = run_program(ctx.dg, sample_luby(ADJ)).counters
         ctx.counters["endgame_luby"] += 1
         ctx.counters["seed_candidates"] += sub["seed_candidates"]
         ctx.counters["members"] += merge_members(ctx.sim, in_set_key, GP_ITER)
@@ -276,10 +280,7 @@ def gp_program(
             members = gather_and_greedy(dg, SAMPLE_ADJ, GP_ITER)
             ctx.counters["class_gathers"] += 1
         else:
-            sub = det_luby_mis(
-                dg, adj_key=SAMPLE_ADJ, in_set_key=GP_ITER,
-                chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-            )
+            sub = run_program(dg, sample_luby(SAMPLE_ADJ)).counters
             ctx.counters["class_luby_solves"] += 1
             ctx.counters["seed_candidates"] += sub["seed_candidates"]
             members = reduce_scalar(
@@ -346,26 +347,3 @@ def gp_program(
         ),
     )
 
-
-def gp_2ruling_set(
-    dg: DistributedGraph,
-    in_set_key: str = GP_IN_SET,
-    luby_chooser=None,
-    luby_allow_stalls: int = 0,
-    max_iterations: Optional[int] = None,
-) -> Dict[str, int]:
-    """Compute a (2, 2)-ruling set of the active graph.
-
-    Members accumulate per machine under ``store[in_set_key]``; collect
-    with ``dg.collect_marked(in_set_key)``.  Returns the counter dict
-    (classes, scans, seed candidates, solver choices, members).
-
-    This is a thin wrapper over :func:`gp_program`.
-    """
-    program = gp_program(
-        in_set_key=in_set_key,
-        luby_chooser=luby_chooser,
-        luby_allow_stalls=luby_allow_stalls,
-        max_iterations=max_iterations,
-    )
-    return program.run(ProgramContext(dg))

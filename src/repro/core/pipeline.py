@@ -8,27 +8,19 @@ collection, metrics assembly), and verifies the output against the
 sequential ground truth.  This is the function the examples and
 benchmarks call; using it guarantees that every number a benchmark
 reports comes from a budget-enforced, verified run.
-
-The name tuples below (``MPC_ALGORITHMS`` …) are *views* of the registry
-kept for backward compatibility — the registry is the single source of
-truth, and adding an algorithm there makes it appear here (and in the
-CLI, sweeps, and benches) automatically.
+:func:`solve_ruling_set_stream` is the same call with an edge-list file
+as the session's source.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core import registry
-from repro.core.registry import (
-    LOCAL_FAMILY,
-    MPC_FAMILY,
-    RULING_SET,
-    SEQUENTIAL_FAMILY,
-)
+from repro.core.registry import LOCAL_FAMILY, MPC_FAMILY, RULING_SET
 from repro.core.session import (
+    EdgeListSource,
     SessionFactory,
-    SessionStats,
     SolverSession,
     make_config,
     make_config_from_stats,
@@ -40,24 +32,12 @@ from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
 
 __all__ = [
-    "MPC_ALGORITHMS",
-    "SEQUENTIAL_ALGORITHMS",
-    "LOCAL_ALGORITHMS",
     "make_config",
+    "make_config_from_stats",
+    "verify_ruling_set",
     "solve_ruling_set",
     "solve_ruling_set_stream",
 ]
-
-MPC_ALGORITHMS = registry.algorithm_names(
-    family=MPC_FAMILY, problem=RULING_SET
-)
-SEQUENTIAL_ALGORITHMS = registry.algorithm_names(
-    family=SEQUENTIAL_FAMILY, problem=RULING_SET
-)
-LOCAL_ALGORITHMS = registry.algorithm_names(
-    family=LOCAL_FAMILY, problem=RULING_SET
-)
-
 
 def solve_ruling_set(
     graph: Graph,
@@ -141,11 +121,6 @@ def solve_ruling_set(
     """
     if algorithm is None:
         algorithm = registry.DET_RULING
-    if graph.num_vertices == 0:
-        registry.get_algorithm(algorithm)  # typos fail loudly on any input
-        return RulingSetResult(
-            members=[], alpha=alpha, beta=beta, algorithm=algorithm
-        )
     if alpha < 2:
         raise AlgorithmError(f"alpha must be >= 2, got {alpha}")
     spec = registry.get_algorithm(algorithm)
@@ -201,15 +176,14 @@ def solve_ruling_set_stream(
     spill_dir: Optional[str] = None,
     kernel: Optional[str] = None,
     governed: bool = False,
-    in_set_key: str = "result_set",
 ) -> RulingSetResult:
     """Solve a ruling set on an edge-list *file*, out-of-core end to end.
 
-    The full shard pipeline: a pass-1 scan sizes the regime from
-    ``(n, m, Δ)`` alone (:func:`~repro.core.session.make_config_from_stats`),
-    pass-2 ingest shards the edges per machine while reading
-    (:func:`~repro.graph.stream.shard_edge_list`), and the run executes on
-    the :class:`~repro.mpc.shard.ShardBackend`, so *no process ever holds
+    Runs a :class:`~repro.core.session.SolverSession` in stream mode
+    (:class:`~repro.core.session.EdgeListSource`): a pass-1 scan sizes
+    the regime from ``(n, m, Δ)`` alone, pass-2 ingest shards the edges
+    per machine while reading, and the run executes on the
+    :class:`~repro.mpc.shard.ShardBackend`, so *no process ever holds
     the whole graph*: peak driver memory is O(one machine shard + spool
     chunk).  Members and all model metrics are bit-identical to
     :func:`solve_ruling_set` on the materialized graph under the same
@@ -233,14 +207,6 @@ def solve_ruling_set_stream(
     the backend's residency stats (``shard_max_resident_words`` …) land
     in ``result.metrics``.
     """
-    from repro.core.registry import RunContext
-    from repro.graph.io import read_edge_list
-    from repro.graph.stream import scan_edge_list_stats, shard_edge_list
-    from repro.mpc.graph_store import DistributedGraph
-    from repro.mpc.ownermap import ModOwnerMap
-    from repro.mpc.shard import ShardBackend
-    from repro.mpc.simulator import Simulator
-
     if algorithm is None:
         algorithm = registry.DET_RULING
     spec = registry.get_algorithm(algorithm)
@@ -249,81 +215,31 @@ def solve_ruling_set_stream(
             f"streaming solve requires an MPC ruling-set algorithm, "
             f"got {algorithm!r}; choose one of: "
             + ", ".join(
-                registry.algorithm_names(
-                    family=MPC_FAMILY, problem=RULING_SET
-                )
+                registry.algorithm_names(family=MPC_FAMILY, problem=RULING_SET)
             )
         )
 
-    stats = scan_edge_list_stats(path)
-    if stats.num_vertices == 0:
-        return RulingSetResult(
-            members=[], alpha=2, beta=beta, algorithm=algorithm
-        )
-    cfg = make_config_from_stats(
-        stats.num_vertices,
-        stats.declared_edges,
-        stats.max_degree,
-        regime,
-        alpha_mem,
-    )
-    if kernel is not None:
-        cfg = cfg.with_kernel(kernel)
-    cfg = cfg.with_backend("shard")
-    if governed:
-        cfg = cfg.with_governor()
-    cfg.validate_input_size(
-        MPCConfig.input_words(stats.num_vertices, stats.declared_edges)
-    )
-
-    owner_map = ModOwnerMap(stats.num_vertices, cfg.num_machines)
-    backend = ShardBackend(
+    source = EdgeListSource(
+        path,
         num_shards=num_shards,
         chunk_messages=chunk_messages,
         spill_dir=spill_dir,
     )
-    with shard_edge_list(path, owner_map, spill_dir=spill_dir) as sharded:
-        with Simulator(cfg, backend=backend) as sim:
-            dg = DistributedGraph.load_sharded(sim, sharded)
-            ctx = RunContext(
-                graph=None, alpha=2, beta=beta, seed=seed, dg=dg, sim=sim,
-                in_set_key=in_set_key,
-            )
-            payload = spec.runner(ctx)
-            if payload.members is None:
-                payload.members = dg.collect_marked(in_set_key)
-            backend_stats = dict(backend.stats())
-        metrics: Dict[str, object] = dict(sim.metrics.summary())
-        metrics.update(
-            {f"alg_{key}": value for key, value in payload.counters.items()}
-        )
-        metrics["num_machines"] = cfg.num_machines
-        metrics["memory_words"] = cfg.memory_words
-        metrics["ingest_edges"] = sharded.num_edges
-        metrics["ingest_max_degree"] = sharded.max_degree
-        metrics["ingest_checksum"] = sharded.checksum
-        metrics.update(
-            {f"shard_{key}": value for key, value in backend_stats.items()}
-        )
-        metrics.update(payload.extra_metrics)
-    run_stats = SessionStats(
-        rounds=sim.metrics.rounds,
-        metrics=metrics,
-        phase_rounds=sim.metrics.phase_rounds(),
-        wall_time_s=round(sim.metrics.wall_time_s, 6),
-        time_per_phase={
-            phase: round(seconds, 6)
-            for phase, seconds in sim.metrics.time_per_phase.items()
-        },
+    session = SolverSession(
+        source, spec, beta=beta, regime=regime, alpha_mem=alpha_mem,
+        seed=seed, kernel=kernel, governed=governed,
     )
+    run = session.run()
     result = RulingSetResult(
-        members=payload.members,
+        members=run.payload.members,
         alpha=2,
         beta=spec.claimed_beta(None, 2, beta),
         algorithm=algorithm,
-        **run_stats.result_kwargs(),
+        **run.stats.result_kwargs(),
     )
     if verify:
+        from repro.graph.io import read_edge_list
+
         # Debug aid only: materializes the graph, defeating O(shard).
         verify_ruling_set(
             read_edge_list(path), result.members,

@@ -26,6 +26,8 @@ This module owns that lifecycle once:
   counters, driver-side scratch, the result payload slots, and the
   *level bookkeeping* (dynamically allocated adjacency layers released
   in one teardown step).
+* :func:`run_program` — run a program on a distributed graph in a fresh
+  context; the only entry point, for the session and nested engines.
 
 Phase bodies communicate control flow by returning a signal: ``EXIT``
 ends the program (normal completion), ``BREAK`` leaves the innermost
@@ -93,10 +95,10 @@ class ProgramContext:
     words_of`, so renaming them would not be bit-identical.
     """
 
-    def __init__(self, dg, counters: Optional[Dict[str, int]] = None):
+    def __init__(self, dg):
         self.dg = dg
         self.sim = dg.sim
-        self.counters: Dict[str, int] = counters if counters is not None else {}
+        self.counters: Dict[str, int] = {}
         self.state: Dict[str, object] = {}
         self.namespace = ""
         self.members: Optional[List[int]] = None
@@ -254,7 +256,7 @@ class Subprogram:
     program: "SuperstepProgram"
 
     def run(self, ctx: ProgramContext) -> Optional[ProgramSignal]:
-        for counter in self.program.counter_names:
+        for counter in self.program.counters:
             ctx.counters.setdefault(counter, 0)
         signal = run_steps(self.program.steps, ctx)
         if signal is EXIT:
@@ -303,10 +305,6 @@ class SuperstepProgram:
     steps: Tuple[Step, ...]
     counters: Tuple[str, ...] = ()
     namespace: str = ""
-
-    @property
-    def counter_names(self) -> Tuple[str, ...]:
-        return self.counters
 
     def run(self, ctx: ProgramContext) -> Dict[str, int]:
         """Execute against ``ctx``; returns the counter dictionary."""
@@ -366,3 +364,18 @@ class SuperstepProgram:
             priced = " [priced]" if phase.price is not None else ""
             lines.append(f"  {label}: keys={keys}{priced}")
         return "\n".join(lines)
+
+
+def run_program(dg, program: SuperstepProgram) -> ProgramContext:
+    """Run ``program`` on ``dg`` in a fresh context and return it.
+
+    The one way to execute a phase program: the session uses it for
+    every MPC solve, and phase bodies use it for nested engine runs (a
+    Luby MIS on a sample level).  A fresh context keeps the child's
+    counters separate from the caller's; read them from
+    ``ctx.counters``, the payload from ``ctx.members`` /
+    ``ctx.matching`` / ``ctx.extra_metrics``.
+    """
+    ctx = ProgramContext(dg)
+    program.run(ctx)
+    return ctx

@@ -1,8 +1,8 @@
 """Randomized baselines sharing the deterministic engines' code paths.
 
-The randomized MIS and ruling-set baselines are the *same* algorithms as
-:func:`repro.core.det_luby.det_luby_mis` and
-:func:`repro.core.det_ruling.det_ruling_set` with one substitution: the
+The randomized MIS and ruling-set baselines are the *same* programs as
+:func:`repro.core.det_luby.luby_program` and
+:func:`repro.core.det_ruling.ruling_program` with one substitution: the
 seed chooser **draws** a hash seed from the pairwise-independent family
 instead of *searching* for one.  Pairwise independence already yields the
 expected per-phase progress (Luby's analysis; Chebyshev coverage), so the
@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.core.det_luby import det_luby_mis
-from repro.core.det_ruling import det_ruling_set
 from repro.derand.family import Seed
-from repro.mpc.graph_store import ADJ, DistributedGraph
+from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.primitives.broadcast import broadcast_value
 from repro.util.rng import SplitMix64
 
@@ -39,101 +37,47 @@ def random_luby_chooser(rng: SplitMix64):
 
 
 def random_sampling_chooser(rng: SplitMix64):
-    """Sampling chooser that draws a seed per level, no scanning."""
+    """Sampling chooser that draws a seed per level, no scanning.
 
-    def choose(
-        dg: DistributedGraph,
-        p: int,
-        adj_key: str,
-        threshold: int,
-        high_degree: int,
-        n_level: int,
-        n_high: int,
-    ) -> Tuple[Seed, int]:
-        seed = Seed(a=rng.next_below(p), b=rng.next_below(p), p=p)
-        broadcast_value(dg.sim, (seed.a, seed.b), "_rand_seed")
-        return seed, 1
+    The level statistics a scanning chooser scores against are ignored.
+    """
+    draw = random_luby_chooser(rng)
+
+    def choose(dg: DistributedGraph, p: int, *level_stats) -> Tuple[Seed, int]:
+        return draw(dg.sim, p)
 
     return choose
 
 
-def rand_luby_program(
-    adj_key: str = ADJ,
-    in_set_key: str = "luby_in_set",
-    seed: int = 0,
-    max_phases: int = 10_000,
-):
-    """The randomized Luby baseline as a phase program (drawn seeds)."""
-    from repro.core.det_luby import luby_program
 
-    rng = SplitMix64(seed=seed)
-    return luby_program(
-        adj_key=adj_key,
-        in_set_key=in_set_key,
-        chooser=random_luby_chooser(rng),
-        max_phases=max_phases,
-        allow_stalls=64,
-    )
+#: Consecutive zero-progress Luby phases a drawn seed may cause: an
+#: unlucky draw is legal for a randomized chooser (with pairwise
+#: independent marking it is rare), unlike for the deterministic one.
+ALLOW_STALLS = 64
 
 
-def rand_luby_mis(
-    dg: DistributedGraph,
-    adj_key: str = ADJ,
-    in_set_key: str = "luby_in_set",
-    seed: int = 0,
-    max_phases: int = 10_000,
-) -> Dict[str, int]:
-    """Randomized Luby MIS in MPC (the E1/E8 baseline).
+def luby_options(seed: int) -> Dict[str, object]:
+    """Keyword arguments that turn a Luby engine into the baseline.
 
-    Tolerates a bounded number of consecutive unlucky (zero-progress)
-    phases; with pairwise-independent marking those are rare.
+    For :func:`~repro.core.det_luby.luby_program` and
+    :func:`~repro.core.det_matching.matching_program`.
+    """
+    return {
+        "chooser": random_luby_chooser(SplitMix64(seed=seed)),
+        "allow_stalls": ALLOW_STALLS,
+    }
+
+
+def ruling_options(seed: int) -> Dict[str, object]:
+    """Keyword arguments that turn the ruling engine into the baseline.
+
+    For :func:`~repro.core.det_ruling.ruling_program` and
+    :func:`~repro.core.alpha_ruling.alpha_program`: sampling seeds and
+    the nested Luby engine's seeds come from two forks of one stream.
     """
     rng = SplitMix64(seed=seed)
-    return det_luby_mis(
-        dg,
-        adj_key=adj_key,
-        in_set_key=in_set_key,
-        chooser=random_luby_chooser(rng),
-        max_phases=max_phases,
-        allow_stalls=64,
-    )
-
-
-def rand_ruling_program(
-    beta: int = 2,
-    in_set_key: str = "rs_in_set",
-    seed: int = 0,
-    endgame_degree: int = 4,
-):
-    """The randomized ruling-set baseline as a phase program."""
-    from repro.core.det_ruling import ruling_program
-
-    rng = SplitMix64(seed=seed)
-    return ruling_program(
-        beta=beta,
-        in_set_key=in_set_key,
-        chooser=random_sampling_chooser(rng.fork(1)),
-        luby_chooser=random_luby_chooser(rng.fork(2)),
-        luby_allow_stalls=64,
-        endgame_degree=endgame_degree,
-    )
-
-
-def rand_ruling_set(
-    dg: DistributedGraph,
-    beta: int = 2,
-    in_set_key: str = "rs_in_set",
-    seed: int = 0,
-    endgame_degree: int = 4,
-) -> Dict[str, int]:
-    """Randomized sparsify-and-gather ``(2, β)``-ruling set baseline."""
-    rng = SplitMix64(seed=seed)
-    return det_ruling_set(
-        dg,
-        beta=beta,
-        in_set_key=in_set_key,
-        chooser=random_sampling_chooser(rng.fork(1)),
-        luby_chooser=random_luby_chooser(rng.fork(2)),
-        luby_allow_stalls=64,
-        endgame_degree=endgame_degree,
-    )
+    return {
+        "chooser": random_sampling_chooser(rng.fork(1)),
+        "luby_chooser": random_luby_chooser(rng.fork(2)),
+        "luby_allow_stalls": ALLOW_STALLS,
+    }

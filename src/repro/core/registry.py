@@ -17,7 +17,7 @@ Adding an algorithm is a one-registration change::
         family=MPC_FAMILY,                  # mpc | local | sequential
         problem=RULING_SET,                 # ruling-set | matching
         description="what it computes",
-        runner=_run_my_alg,                 # see runner contract below
+        program_factory=_program_my_alg,    # see dispatch contract below
         claimed_beta=lambda graph, alpha, beta: beta,
         supports_alpha_gt2=False,
         uses_seed=False,
@@ -27,23 +27,26 @@ and it appears everywhere automatically: ``solve_ruling_set`` dispatches
 to it, the CLI ``--algorithm`` help lists it, sweeps validate it, and the
 drift guard starts protecting its name.
 
-Runner contract
----------------
-A runner is a module-level callable ``runner(ctx) -> RunPayload`` where
-``ctx`` is a :class:`RunContext`.  For ``mpc``-family algorithms the
-context carries the live simulator objects (``ctx.dg`` / ``ctx.sim``)
-plus the regime artifacts the session built once (notably
-``ctx.power_adjacency`` for α > 2); ruling-set runners mark members
-under ``ctx.in_set_key`` and return counters, matching runners return
-the matching edges directly.  ``local`` / ``sequential`` runners consume
-only ``ctx.graph`` / ``ctx.alpha`` / ``ctx.beta`` / ``ctx.seed`` and
-return members (plus LOCAL rounds) in the payload.  Runners import
-their algorithm modules lazily so the registry stays import-cycle-free.
+Dispatch contract
+-----------------
+Each family has exactly one dispatch, and :func:`register` enforces it:
 
-The MPC *lifecycle* (regime sizing, backend/trace wiring, simulator
-entry/exit, collection, metrics assembly) is owned by
-:class:`repro.core.session.SolverSession` — runners only run the
-algorithm.
+* ``mpc`` specs carry a ``program_factory(ctx) -> SuperstepProgram`` and
+  no ``runner``.  ``ctx`` is a :class:`RunContext` with the run
+  parameters plus the regime artifacts the session built once (notably
+  ``ctx.power_adjacency`` for α > 2).  The session runs the program on
+  the loaded distributed graph with
+  :func:`~repro.core.program.run_program`; ruling-set programs mark
+  members under ``ctx.in_set_key``, matching programs fill the context's
+  ``matching`` slot.
+* ``local`` / ``sequential`` specs carry a ``runner(ctx) -> RunPayload``
+  that consumes only ``ctx.graph`` / ``ctx.alpha`` / ``ctx.beta`` /
+  ``ctx.seed`` and returns members (plus LOCAL rounds) in the payload.
+
+Factories and runners import their algorithm modules lazily so the
+registry stays import-cycle-free.  The *lifecycle* (regime sizing,
+backend/trace wiring, simulator entry/exit, collection, metrics
+assembly) is owned by :class:`repro.core.session.SolverSession`.
 """
 
 from __future__ import annotations
@@ -65,8 +68,6 @@ if TYPE_CHECKING:  # type-only: the registry imports no heavy modules
     from repro.core.program import SuperstepProgram
     from repro.graph.graph import Graph
     from repro.mpc.config import MPCConfig
-    from repro.mpc.graph_store import DistributedGraph
-    from repro.mpc.simulator import Simulator
 
 # ---------------------------------------------------------------------------
 # Canonical names — the ONLY place these strings are spelled in src/ or
@@ -99,36 +100,34 @@ PROBLEMS = (RULING_SET, MATCHING)
 
 
 # ---------------------------------------------------------------------------
-# Runner plumbing types
+# Dispatch plumbing types
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class RunContext:
-    """Everything a runner may consume, prepared once by the session.
+    """Everything a factory or runner may consume, prepared by the session.
 
-    ``dg`` / ``sim`` are populated only for ``mpc``-family runs (inside
-    the session's simulator context).  ``power_adjacency`` is the
-    ``G^{α-1}`` adjacency the session materialised **once** for α > 2 —
-    regime sizing and execution share the same build instead of each
+    ``graph`` is ``None`` for a streamed MPC run (the graph exists only
+    as machine shards).  ``power_adjacency`` is the ``G^{α-1}``
+    adjacency the session materialised **once** for α > 2 — regime
+    sizing and execution share the same build instead of each
     recomputing it.
     """
 
-    graph: "Graph"
+    graph: Optional["Graph"]
     alpha: int = 2
     beta: int = 2
     seed: int = 0
-    dg: Optional["DistributedGraph"] = None
-    sim: Optional["Simulator"] = None
     power_adjacency: Optional[Dict[int, Tuple[int, ...]]] = None
     in_set_key: str = "result_set"
 
 
 @dataclass
 class RunPayload:
-    """What a runner hands back to the session.
+    """What one run hands back to the session.
 
-    ``members`` is left ``None`` by MPC ruling-set runners — the session
+    ``members`` is left ``None`` by MPC ruling-set programs — the session
     collects marked vertices from the distributed graph itself, so every
     algorithm shares one collection path.
     """
@@ -152,10 +151,7 @@ ClaimedBeta = Callable[["Graph", int, int], int]
 ConfigFactory = Callable[["Graph", str, Tuple[int, int]], "MPCConfig"]
 
 #: ``program_factory(run_context) -> SuperstepProgram`` — how an
-#: MPC-family algorithm builds its phase program for one run.  The
-#: session prefers this over ``runner`` (it executes the program itself
-#: and assembles the payload from the program context); ``runner`` stays
-#: as the uniform fallback and the streaming path's entry point.
+#: MPC-family algorithm builds its phase program for one run.
 ProgramFactory = Callable[[RunContext], "SuperstepProgram"]
 
 #: ``claimed_rounds(graph, alpha, beta) -> int`` — a concrete ceiling on
@@ -182,7 +178,8 @@ class AlgorithmSpec:
     description:
         One line for generated help / docs tables.
     runner:
-        The runner callable (see the module docstring contract).
+        The ``local`` / ``sequential`` dispatch (see the module docstring
+        contract); ``None`` for ``mpc`` specs.
     claimed_beta:
         Claimed domination radius as a function of the run parameters
         (``None`` for problems where β is meaningless, e.g. matching).
@@ -198,9 +195,8 @@ class AlgorithmSpec:
         the session's default (:func:`repro.core.session.make_config`
         over the sizing graph).
     program_factory:
-        Phase-program construction for ``mpc``-family algorithms; when
-        present the session executes the program directly (``runner``
-        remains the streaming path's entry point and the fallback).
+        The ``mpc`` dispatch: phase-program construction, executed by
+        the session; ``None`` for ``local`` / ``sequential`` specs.
     round_complexity:
         Asymptotic MPC round complexity as a display string for the
         generated help / README table (``—`` when not meaningful, e.g.
@@ -214,7 +210,7 @@ class AlgorithmSpec:
     family: str
     problem: str
     description: str
-    runner: Callable[[RunContext], RunPayload]
+    runner: Optional[Callable[[RunContext], RunPayload]] = None
     claimed_beta: Optional[ClaimedBeta] = None
     supports_alpha_gt2: bool = False
     uses_seed: bool = False
@@ -232,7 +228,12 @@ _REGISTRY: Dict[str, AlgorithmSpec] = {}
 
 
 def register(spec: AlgorithmSpec) -> AlgorithmSpec:
-    """Add ``spec`` to the registry (rejecting duplicates and bad enums)."""
+    """Add ``spec`` to the registry.
+
+    Rejects bad enums, duplicates, and a dispatch that does not match
+    the family: one ``program_factory`` for ``mpc``, one ``runner`` for
+    ``local`` / ``sequential``.
+    """
     if spec.family not in FAMILIES:
         raise AlgorithmError(
             f"unknown family {spec.family!r} for {spec.name!r}; "
@@ -242,6 +243,17 @@ def register(spec: AlgorithmSpec) -> AlgorithmSpec:
         raise AlgorithmError(
             f"unknown problem {spec.problem!r} for {spec.name!r}; "
             f"expected one of {PROBLEMS}"
+        )
+    if spec.family == MPC_FAMILY:
+        if spec.program_factory is None or spec.runner is not None:
+            raise AlgorithmError(
+                f"MPC algorithm {spec.name!r} must dispatch through a "
+                "program_factory and carry no runner"
+            )
+    elif spec.runner is None or spec.program_factory is not None:
+        raise AlgorithmError(
+            f"{spec.family} algorithm {spec.name!r} must dispatch through "
+            "a runner and carry no program_factory"
         )
     if spec.name in _REGISTRY:
         raise AlgorithmError(f"algorithm {spec.name!r} already registered")
@@ -376,75 +388,65 @@ def markdown_table(problem: Optional[str] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Runners — lazy imports keep the registry cycle-free and cheap to load.
+# Program factories — the only MPC dispatch.  Lazy imports keep the
+# registry cycle-free and cheap to load.
 # ---------------------------------------------------------------------------
 
 
-def _run_det_ruling(ctx: RunContext) -> RunPayload:
-    from repro.core.det_ruling import det_ruling_set
+def _program_det_ruling(ctx: RunContext) -> "SuperstepProgram":
+    from repro.core.alpha_ruling import alpha_program
 
-    if ctx.alpha > 2:
-        from repro.core.alpha_ruling import det_alpha_ruling_set
-
-        _, counters = det_alpha_ruling_set(
-            ctx.dg, alpha=ctx.alpha, beta=ctx.beta,
-            in_set_key=ctx.in_set_key,
-            power_adjacency=ctx.power_adjacency,
-        )
-        return RunPayload(counters=counters)
-    counters = det_ruling_set(ctx.dg, beta=ctx.beta, in_set_key=ctx.in_set_key)
-    return RunPayload(counters=counters)
-
-
-def _run_rand_ruling(ctx: RunContext) -> RunPayload:
-    from repro.core.rand_baselines import rand_ruling_set
-
-    if ctx.alpha > 2:
-        from repro.core.alpha_ruling import det_alpha_ruling_set
-        from repro.core.rand_baselines import (
-            random_luby_chooser,
-            random_sampling_chooser,
-        )
-        from repro.util.rng import SplitMix64
-
-        rng = SplitMix64(seed=ctx.seed)
-        _, counters = det_alpha_ruling_set(
-            ctx.dg, alpha=ctx.alpha, beta=ctx.beta,
-            in_set_key=ctx.in_set_key,
-            chooser=random_sampling_chooser(rng.fork(1)),
-            luby_chooser=random_luby_chooser(rng.fork(2)),
-            luby_allow_stalls=64,
-            power_adjacency=ctx.power_adjacency,
-        )
-        return RunPayload(counters=counters)
-    counters = rand_ruling_set(
-        ctx.dg, beta=ctx.beta, in_set_key=ctx.in_set_key, seed=ctx.seed
-    )
-    return RunPayload(counters=counters)
-
-
-def _run_det_luby(ctx: RunContext) -> RunPayload:
-    from repro.core.det_luby import det_luby_mis
-
-    return RunPayload(
-        counters=det_luby_mis(ctx.dg, in_set_key=ctx.in_set_key)
+    return alpha_program(
+        ctx.alpha, beta=ctx.beta, in_set_key=ctx.in_set_key,
+        power_adjacency=ctx.power_adjacency,
     )
 
 
-def _run_gp_ruling(ctx: RunContext) -> RunPayload:
-    from repro.core.gp_ruling import gp_2ruling_set
+def _program_rand_ruling(ctx: RunContext) -> "SuperstepProgram":
+    from repro.core.alpha_ruling import alpha_program
+    from repro.core.rand_baselines import ruling_options
 
-    return RunPayload(
-        counters=gp_2ruling_set(ctx.dg, in_set_key=ctx.in_set_key)
+    return alpha_program(
+        ctx.alpha, beta=ctx.beta, in_set_key=ctx.in_set_key,
+        power_adjacency=ctx.power_adjacency, **ruling_options(ctx.seed),
     )
 
 
-def _run_rand_luby(ctx: RunContext) -> RunPayload:
-    from repro.core.rand_baselines import rand_luby_mis
+def _program_det_luby(ctx: RunContext) -> "SuperstepProgram":
+    from repro.core.det_luby import luby_program
 
-    return RunPayload(
-        counters=rand_luby_mis(ctx.dg, in_set_key=ctx.in_set_key, seed=ctx.seed)
-    )
+    return luby_program(in_set_key=ctx.in_set_key)
+
+
+def _program_rand_luby(ctx: RunContext) -> "SuperstepProgram":
+    from repro.core.det_luby import luby_program
+    from repro.core.rand_baselines import luby_options
+
+    return luby_program(in_set_key=ctx.in_set_key, **luby_options(ctx.seed))
+
+
+def _program_gp_ruling(ctx: RunContext) -> "SuperstepProgram":
+    from repro.core.gp_ruling import gp_program
+
+    return gp_program(in_set_key=ctx.in_set_key)
+
+
+def _program_det_matching(ctx: RunContext) -> "SuperstepProgram":
+    from repro.core.det_matching import matching_program
+
+    return matching_program()
+
+
+def _program_rand_matching(ctx: RunContext) -> "SuperstepProgram":
+    from repro.core.det_matching import matching_program
+    from repro.core.rand_baselines import luby_options
+
+    return matching_program(**luby_options(ctx.seed))
+
+
+# ---------------------------------------------------------------------------
+# Runners — LOCAL / sequential algorithms, which never touch the simulator.
+# ---------------------------------------------------------------------------
 
 
 def _run_greedy_mis(ctx: RunContext) -> RunPayload:
@@ -480,107 +482,6 @@ def _run_local_coloring_mis(ctx: RunContext) -> RunPayload:
     return RunPayload(
         members=members, local_rounds=rounds,
         extra_metrics={"palette": palette},
-    )
-
-
-def _run_det_matching(ctx: RunContext) -> RunPayload:
-    from repro.core.det_matching import det_maximal_matching
-
-    matching, counters = det_maximal_matching(ctx.dg)
-    return RunPayload(matching=matching, counters=counters)
-
-
-def _run_rand_matching(ctx: RunContext) -> RunPayload:
-    from repro.core.det_matching import det_maximal_matching
-    from repro.core.rand_baselines import random_luby_chooser
-    from repro.util.rng import SplitMix64
-
-    matching, counters = det_maximal_matching(
-        ctx.dg,
-        chooser=random_luby_chooser(SplitMix64(seed=ctx.seed)),
-        allow_stalls=64,
-    )
-    return RunPayload(matching=matching, counters=counters)
-
-
-# ---------------------------------------------------------------------------
-# Program factories — MPC-family algorithms as phase programs.  Each
-# mirrors its runner's dispatch exactly; the session executes the
-# program when the factory is present, so runner and factory must stay
-# bit-identical by construction (the runner is a thin wrapper over the
-# same program).
-# ---------------------------------------------------------------------------
-
-
-def _program_det_ruling(ctx: RunContext) -> "SuperstepProgram":
-    if ctx.alpha > 2:
-        from repro.core.alpha_ruling import alpha_program
-
-        return alpha_program(
-            ctx.alpha, beta=ctx.beta, in_set_key=ctx.in_set_key,
-            power_adjacency=ctx.power_adjacency,
-        )
-    from repro.core.det_ruling import ruling_program
-
-    return ruling_program(beta=ctx.beta, in_set_key=ctx.in_set_key)
-
-
-def _program_rand_ruling(ctx: RunContext) -> "SuperstepProgram":
-    if ctx.alpha > 2:
-        from repro.core.alpha_ruling import alpha_program
-        from repro.core.rand_baselines import (
-            random_luby_chooser,
-            random_sampling_chooser,
-        )
-        from repro.util.rng import SplitMix64
-
-        rng = SplitMix64(seed=ctx.seed)
-        return alpha_program(
-            ctx.alpha, beta=ctx.beta, in_set_key=ctx.in_set_key,
-            chooser=random_sampling_chooser(rng.fork(1)),
-            luby_chooser=random_luby_chooser(rng.fork(2)),
-            luby_allow_stalls=64,
-            power_adjacency=ctx.power_adjacency,
-        )
-    from repro.core.rand_baselines import rand_ruling_program
-
-    return rand_ruling_program(
-        beta=ctx.beta, in_set_key=ctx.in_set_key, seed=ctx.seed
-    )
-
-
-def _program_det_luby(ctx: RunContext) -> "SuperstepProgram":
-    from repro.core.det_luby import luby_program
-
-    return luby_program(in_set_key=ctx.in_set_key)
-
-
-def _program_rand_luby(ctx: RunContext) -> "SuperstepProgram":
-    from repro.core.rand_baselines import rand_luby_program
-
-    return rand_luby_program(in_set_key=ctx.in_set_key, seed=ctx.seed)
-
-
-def _program_gp_ruling(ctx: RunContext) -> "SuperstepProgram":
-    from repro.core.gp_ruling import gp_program
-
-    return gp_program(in_set_key=ctx.in_set_key)
-
-
-def _program_det_matching(ctx: RunContext) -> "SuperstepProgram":
-    from repro.core.det_matching import matching_program
-
-    return matching_program()
-
-
-def _program_rand_matching(ctx: RunContext) -> "SuperstepProgram":
-    from repro.core.det_matching import matching_program
-    from repro.core.rand_baselines import random_luby_chooser
-    from repro.util.rng import SplitMix64
-
-    return matching_program(
-        chooser=random_luby_chooser(SplitMix64(seed=ctx.seed)),
-        allow_stalls=64,
     )
 
 
@@ -638,7 +539,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="deterministic (2, β)-ruling set (derandomized "
     "sparsify-and-gather; the paper's headline)",
-    runner=_run_det_ruling,
     claimed_beta=_ruling_beta,
     supports_alpha_gt2=True,
     program_factory=_program_det_ruling,
@@ -651,7 +551,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="randomized (2, β)-ruling set baseline (same engine, "
     "sampled seeds)",
-    runner=_run_rand_ruling,
     claimed_beta=_ruling_beta,
     supports_alpha_gt2=True,
     uses_seed=True,
@@ -665,7 +564,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="deterministic MIS (derandomized Luby via conditional "
     "expectations)",
-    runner=_run_det_luby,
     claimed_beta=_mis_beta,
     program_factory=_program_det_luby,
     round_complexity="O(log n)",
@@ -676,7 +574,6 @@ register(AlgorithmSpec(
     family=MPC_FAMILY,
     problem=RULING_SET,
     description="randomized Luby MIS baseline",
-    runner=_run_rand_luby,
     claimed_beta=_mis_beta,
     uses_seed=True,
     program_factory=_program_rand_luby,
@@ -689,7 +586,6 @@ register(AlgorithmSpec(
     problem=RULING_SET,
     description="deterministic (2, 2)-ruling set via degree-class "
     "decomposition (the follow-up paper's O(log log Δ) route)",
-    runner=_run_gp_ruling,
     claimed_beta=_gp_beta,
     program_factory=_program_gp_ruling,
     round_complexity="O(log log Δ)",
@@ -752,7 +648,6 @@ register(AlgorithmSpec(
     problem=MATCHING,
     description="deterministic maximal matching (Luby engine on the "
     "distributed line graph)",
-    runner=_run_det_matching,
     config_factory=_matching_config_factory,
     program_factory=_program_det_matching,
     round_complexity="O(log m)",
@@ -764,7 +659,6 @@ register(AlgorithmSpec(
     problem=MATCHING,
     description="randomized maximal matching baseline (sampled Luby "
     "on the line graph)",
-    runner=_run_rand_matching,
     config_factory=_matching_config_factory,
     uses_seed=True,
     program_factory=_program_rand_matching,

@@ -11,10 +11,9 @@ owns that lifecycle once, for every registered algorithm and problem:
    regime (or take the caller's explicit config), via the spec's
    ``config_factory`` when it has one.  For α > 2 the power graph
    ``G^{α-1}`` that the machines must hold is built **once** here, used
-   for sizing, and handed to the runner through the
+   for sizing, and handed to the program factory through the
    :class:`~repro.core.registry.RunContext` — execution does not
-   rebuild it (previously ``_solve_mpc`` sized on one sequential build
-   and ``det_alpha_ruling_set`` re-derived the same graph in-model).
+   rebuild it.
 2. **Backend / trace wiring** — ``backend`` / ``backend_workers`` and
    ``trace`` / ``trace_warn_utilization`` are applied uniformly, so
    every algorithm (matching included) gets execution backends and the
@@ -22,12 +21,22 @@ owns that lifecycle once, for every registered algorithm and problem:
 3. **Simulator lifecycle** — the simulator is always entered as a
    context manager: a solve that raises still releases backend worker
    pools (the contract ``tests/core/test_pipeline.py`` pins).
-4. **Collection & assembly** — members are collected from the
+4. **Execution** — the spec's ``program_factory`` builds the phase
+   program, run by :func:`~repro.core.program.run_program` (the only
+   MPC dispatch).
+5. **Collection & assembly** — members are collected from the
    distributed graph under one key, and rounds / metrics / phase
    attribution / wall-clock / trace are assembled into one shared
    :class:`SessionStats`, which the problem-specific result types
    (:class:`~repro.core.spec.RulingSetResult`,
    :class:`~repro.core.spec.MatchingResult`) embed verbatim.
+
+The input is a *source*: an in-memory :class:`Graph`, or an
+:class:`EdgeListSource` naming an edge-list file.  Stream mode differs
+only in how the input reaches the machines — sized from a pass-1 scan,
+sharded by a pass-2 ingest, run on the out-of-core shard backend — and
+adds ``ingest_*`` / ``shard_*`` metrics; members and model metrics are
+bit-identical to an in-memory run under the same ``ModOwnerMap``.
 
 ``local`` / ``sequential`` algorithms never touch the simulator: the
 session runs their runner directly and returns empty MPC stats (0
@@ -37,9 +46,11 @@ exactly as the hand-written drivers did.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple, Union
 
+from repro.core.program import run_program
 from repro.core.registry import (
     AlgorithmSpec,
     LOCAL_FAMILY,
@@ -65,10 +76,10 @@ def make_config_from_stats(
     """Build the :class:`MPCConfig` for a named regime from counts alone.
 
     Sizing needs only ``(n, m, Δ)``, never the adjacency itself — which
-    is what lets the streaming path (:func:`repro.core.pipeline.
-    solve_ruling_set_stream`) size a run from a pass-1 file scan without
-    materializing the graph.  ``regime`` is ``"sublinear"``
-    (``S ≈ n^alpha``), ``"near-linear"``, or ``"single"``.
+    is what lets a session in stream mode (:class:`EdgeListSource`) size
+    a run from a pass-1 file scan without materializing the graph.
+    ``regime`` is ``"sublinear"`` (``S ≈ n^alpha``), ``"near-linear"``,
+    or ``"single"``.
     """
     if regime == "sublinear":
         return MPCConfig.sublinear(
@@ -84,22 +95,21 @@ def make_config_from_stats(
 
 
 def make_config(
-    graph: Graph, regime: str = "sublinear", alpha: Tuple[int, int] = (2, 3)
+    graph, regime: str = "sublinear", alpha: Tuple[int, int] = (2, 3)
 ) -> MPCConfig:
     """Build the :class:`MPCConfig` for a named regime.
 
-    Thin wrapper over :func:`make_config_from_stats` for callers holding
-    an in-memory :class:`Graph`; pass an explicit :class:`MPCConfig` to
-    the session (or to :func:`repro.core.pipeline.solve_ruling_set`) for
-    anything else.
+    ``graph`` is an in-memory :class:`Graph` or a streamed file's pass-1
+    :class:`~repro.graph.stream.EdgeListStats`; either way only its
+    ``(n, m, Δ)`` reaches :func:`make_config_from_stats`.  Pass an
+    explicit :class:`MPCConfig` to the session (or to
+    :func:`repro.core.pipeline.solve_ruling_set`) for anything else.
     """
-    return make_config_from_stats(
-        graph.num_vertices,
-        graph.num_edges,
-        graph.max_degree(),
-        regime,
-        alpha,
-    )
+    if isinstance(graph, Graph):
+        counts = (graph.num_vertices, graph.num_edges, graph.max_degree())
+    else:
+        counts = (graph.num_vertices, graph.declared_edges, graph.max_degree)
+    return make_config_from_stats(*counts, regime, alpha)
 
 
 @dataclass
@@ -132,23 +142,46 @@ class SessionStats:
 
 @dataclass
 class SessionRun:
-    """One completed session: the runner's payload plus shared stats."""
+    """One completed session: the run's payload plus shared stats."""
 
     payload: RunPayload
     stats: SessionStats
     config: Optional[MPCConfig] = None
 
 
+@dataclass(frozen=True)
+class EdgeListSource:
+    """An edge-list file to solve out of core: the session's stream mode.
+
+    A session over this source never materializes the graph.  Pass 1
+    (:func:`~repro.graph.stream.scan_edge_list_stats`) yields the
+    ``(n, m, Δ)`` that size the regime; pass 2
+    (:func:`~repro.graph.stream.shard_edge_list`) shards the edges per
+    machine under a :class:`~repro.mpc.ownermap.ModOwnerMap`, and the
+    run executes on the :class:`~repro.mpc.shard.ShardBackend`.
+    ``num_shards`` / ``chunk_messages`` / ``spill_dir`` are that
+    backend's knobs (``spill_dir`` also hosts the ingest shards).
+    """
+
+    path: object
+    num_shards: int = 0
+    chunk_messages: int = 0
+    spill_dir: Optional[str] = None
+
+
 class SolverSession:
     """One solver run, lifecycle included, for any registered algorithm.
 
-    Construct with the graph, the :class:`AlgorithmSpec`, and the run
-    parameters, then call :meth:`run`.  The session is single-use.
+    Construct with the input, the :class:`AlgorithmSpec`, and the run
+    parameters, then call :meth:`run`.  The input is an in-memory
+    :class:`Graph` or, for MPC algorithms at α = 2, an
+    :class:`EdgeListSource` (out-of-core stream mode).  The session is
+    single-use.
     """
 
     def __init__(
         self,
-        graph: Graph,
+        source: Union[Graph, EdgeListSource],
         spec: AlgorithmSpec,
         *,
         beta: int = 2,
@@ -166,7 +199,6 @@ class SolverSession:
         in_set_key: str = "result_set",
         power_graph: Optional[Graph] = None,
     ) -> None:
-        self.graph = graph
         self.spec = spec
         self.beta = beta
         self.alpha = alpha
@@ -181,26 +213,45 @@ class SolverSession:
         self.trace_warn_utilization = trace_warn_utilization
         self.governed = governed
         self.in_set_key = in_set_key
+        if isinstance(source, EdgeListSource):
+            # Resolved at call time, like the pass-2 ingest below, so
+            # wrappers installed on the stream module see both passes.
+            from repro.graph.stream import scan_edge_list_stats
+
+            self.graph: Optional[Graph] = None
+            self.stream: Optional[EdgeListSource] = source
+            self.stream_stats = scan_edge_list_stats(source.path)
+            self.backend = "shard"
+            self.num_vertices = self.stream_stats.num_vertices
+        else:
+            self.graph = source
+            self.stream = None
+            self.stream_stats = None
+            self.num_vertices = source.num_vertices
         # The α > 2 power graph, built exactly once per session: it
-        # sizes the regime AND is handed to the runner for execution.
+        # sizes the regime AND is handed to the program for execution.
         # A warm caller (SessionFactory) may pass the build from an
         # earlier session on the same graph; power_graph is a pure
         # function of (graph, alpha), so reuse cannot change results.
         self._power: Optional[Graph] = power_graph
         if (
             self._power is None
+            and self.graph is not None
             and spec.family == MPC_FAMILY
             and alpha > 2
         ):
             from repro.graph.ops import power_graph as build_power
 
-            self._power = build_power(graph, alpha - 1)
+            self._power = build_power(self.graph, alpha - 1)
 
     # -- regime sizing ---------------------------------------------------
 
     @property
-    def sizing_graph(self) -> Graph:
-        """The graph the machines must hold (``G^{α-1}`` when α > 2)."""
+    def sizing_graph(self) -> Optional[Graph]:
+        """The graph the machines must hold (``G^{α-1}`` when α > 2).
+
+        ``None`` in stream mode, which sizes from the pass-1 counts.
+        """
         return self._power if self._power is not None else self.graph
 
     def power_adjacency(self) -> Optional[Dict[int, Tuple[int, ...]]]:
@@ -212,23 +263,32 @@ class SolverSession:
             for v in self._power.vertices()
         }
 
+    def base_config(self) -> MPCConfig:
+        """The regime config before backend / kernel / trace wiring.
+
+        The spec's ``config_factory`` (when present) owns
+        problem-specific sizing (e.g. the matching line-graph
+        footprint); otherwise :func:`make_config` sizes the graph the
+        machines must hold, or the stream's pass-1 counts.
+        """
+        if self.spec.config_factory is not None:
+            return self.spec.config_factory(
+                self.sizing_graph, self.regime, self.alpha_mem
+            )
+        sized = self.sizing_graph if self.stream is None else self.stream_stats
+        return make_config(sized, self.regime, self.alpha_mem)
+
     def resolve_config(self) -> MPCConfig:
         """The fully wired :class:`MPCConfig` for this run.
 
-        Explicit config wins over the named regime; the spec's
-        ``config_factory`` (when present) owns problem-specific sizing
-        (e.g. the matching line-graph footprint).  Backend, kernel, and
-        trace settings are applied here so every MPC algorithm shares
-        them.
+        Explicit config wins over the named regime.  Backend, kernel,
+        and trace settings are applied here so every MPC algorithm
+        shares them; stream mode always runs on the shard backend.
         """
         if self.explicit_config is not None:
             cfg = self.explicit_config
-        elif self.spec.config_factory is not None:
-            cfg = self.spec.config_factory(
-                self.sizing_graph, self.regime, self.alpha_mem
-            )
         else:
-            cfg = make_config(self.sizing_graph, self.regime, self.alpha_mem)
+            cfg = self.base_config()
         if self.backend is not None:
             cfg = cfg.with_backend(self.backend, self.backend_workers)
         if self.kernel is not None:
@@ -239,71 +299,104 @@ class SolverSession:
             )
         if self.governed and not cfg.governed:
             cfg = cfg.with_governor()
-        cfg.validate_input_size(
-            MPCConfig.input_words(
-                self.sizing_graph.num_vertices, self.sizing_graph.num_edges
-            )
-        )
+        if self.stream is None:
+            sized = self.sizing_graph
+            counts = (sized.num_vertices, sized.num_edges)
+        else:
+            counts = (self.num_vertices, self.stream_stats.declared_edges)
+        cfg.validate_input_size(MPCConfig.input_words(*counts))
         return cfg
 
     # -- execution -------------------------------------------------------
 
     def run(self) -> SessionRun:
-        """Execute the algorithm and assemble the shared stats."""
+        """Execute the algorithm and assemble the shared stats.
+
+        An empty input yields an empty run (no members, 0 rounds)
+        without sizing a regime or touching the simulator.
+        """
+        if self.num_vertices == 0:
+            return SessionRun(
+                payload=RunPayload(members=[], matching=[]),
+                stats=SessionStats(),
+            )
         if self.spec.family != MPC_FAMILY:
             return self._run_direct()
         return self._run_mpc()
 
+    def _context(self) -> RunContext:
+        return RunContext(
+            graph=self.graph, alpha=self.alpha, beta=self.beta,
+            seed=self.seed, power_adjacency=self.power_adjacency(),
+            in_set_key=self.in_set_key,
+        )
+
     def _run_direct(self) -> SessionRun:
         """LOCAL / sequential run: no simulator, 0 MPC rounds."""
-        ctx = RunContext(
-            graph=self.graph, alpha=self.alpha, beta=self.beta,
-            seed=self.seed,
-        )
-        payload = self.spec.runner(ctx)
+        payload = self.spec.runner(self._context())
         metrics: Dict[str, object] = {}
         if self.spec.family == LOCAL_FAMILY:
             metrics["local_rounds"] = payload.local_rounds
         metrics.update(payload.extra_metrics)
         return SessionRun(payload=payload, stats=SessionStats(metrics=metrics))
 
-    def _execute(self, ctx: RunContext) -> RunPayload:
-        """Run the spec — as a phase program when it declares one.
+    @contextmanager
+    def _loaded(
+        self, cfg: MPCConfig
+    ) -> Iterator[Tuple[Simulator, DistributedGraph, Dict[str, object]]]:
+        """Enter the simulator with the input loaded onto the machines.
 
-        Specs with a ``program_factory`` are executed through
-        :class:`~repro.core.program.SuperstepProgram` so the session owns
-        phase sequencing, key teardown, and counter bookkeeping; the
-        legacy ``runner`` stays as the streaming/direct entry point and
-        as the fallback for specs that have not been ported.
+        Yields ``(sim, dg, source_metrics)``; stream mode fills
+        ``source_metrics`` with its ingest and shard-residency stats
+        once the run body completes.  The simulator is a context
+        manager, not a trailing ``shutdown()`` call: a solve that raises
+        (e.g. ``MPCViolationError``) must still release the backend's
+        worker pools, or every failed run leaks processes.
         """
-        if self.spec.program_factory is None:
-            return self.spec.runner(ctx)
-        from repro.core.program import ProgramContext
+        if self.stream is None:
+            with Simulator(cfg) as sim:
+                yield sim, DistributedGraph.load(sim, self.graph), {}
+            return
+        from repro.graph.stream import shard_edge_list
+        from repro.mpc.ownermap import ModOwnerMap
+        from repro.mpc.shard import ShardBackend
 
-        program = self.spec.program_factory(ctx)
-        pctx = ProgramContext(ctx.dg)
-        counters = program.run(pctx)
-        return RunPayload(
-            counters=counters,
-            members=pctx.members,
-            matching=pctx.matching,
-            extra_metrics=pctx.extra_metrics,
+        source = self.stream
+        backend = ShardBackend(
+            num_shards=source.num_shards,
+            chunk_messages=source.chunk_messages,
+            spill_dir=source.spill_dir,
         )
+        owner_map = ModOwnerMap(self.num_vertices, cfg.num_machines)
+        with shard_edge_list(
+            source.path, owner_map, spill_dir=source.spill_dir
+        ) as sharded:
+            with Simulator(cfg, backend=backend) as sim:
+                source_metrics: Dict[str, object] = {}
+                yield (
+                    sim, DistributedGraph.load_sharded(sim, sharded),
+                    source_metrics,
+                )
+                source_metrics["ingest_edges"] = sharded.num_edges
+                source_metrics["ingest_max_degree"] = sharded.max_degree
+                source_metrics["ingest_checksum"] = sharded.checksum
+                source_metrics.update(
+                    {
+                        f"shard_{key}": value
+                        for key, value in backend.stats().items()
+                    }
+                )
 
     def _run_mpc(self) -> SessionRun:
         cfg = self.resolve_config()
-        # Context manager, not a trailing shutdown() call: a solve that
-        # raises (e.g. MPCViolationError) must still release the
-        # backend's worker pools, or every failed run leaks processes.
-        with Simulator(cfg) as sim:
-            dg = DistributedGraph.load(sim, self.graph)
-            ctx = RunContext(
-                graph=self.graph, alpha=self.alpha, beta=self.beta,
-                seed=self.seed, dg=dg, sim=sim,
-                power_adjacency=self.power_adjacency(),
-                in_set_key=self.in_set_key,
+        with self._loaded(cfg) as (sim, dg, source_metrics):
+            pctx = run_program(dg, self.spec.program_factory(self._context()))
+            payload = RunPayload(
+                counters=pctx.counters,
+                members=pctx.members,
+                matching=pctx.matching,
+                extra_metrics=pctx.extra_metrics,
             )
-            payload = self._execute(ctx)
             if payload.members is None and self.spec.problem == RULING_SET:
                 payload.members = dg.collect_marked(self.in_set_key)
         metrics: Dict[str, object] = dict(sim.metrics.summary())
@@ -312,6 +405,7 @@ class SolverSession:
         )
         metrics["num_machines"] = cfg.num_machines
         metrics["memory_words"] = cfg.memory_words
+        metrics.update(source_metrics)
         if self._power is not None:
             # Price the α > 2 densification without rebuilding G^{α-1}
             # downstream (E9 reads this instead of its own power_graph).
@@ -396,13 +490,5 @@ class SessionFactory:
             session.alpha_mem,
         )
         if key not in self._config_cache:
-            if session.spec.config_factory is not None:
-                cfg = session.spec.config_factory(
-                    session.sizing_graph, session.regime, session.alpha_mem
-                )
-            else:
-                cfg = make_config(
-                    session.sizing_graph, session.regime, session.alpha_mem
-                )
-            self._config_cache[key] = cfg
+            self._config_cache[key] = session.base_config()
         return self._config_cache[key]

@@ -39,16 +39,13 @@ make that composable:
 
 The governor is **fed by the simulator**, not by the trace: the
 simulator reports the identical quantities to both, so tracing stays a
-pure observer.  :meth:`LoadGovernor.feed_trace` additionally lets a
-governor be primed offline from a recorded :class:`TraceRecorder` —
-e.g. to warm a serve daemon from a previous run's trace — without ever
-closing a feedback loop through a live recorder.
+pure observer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import MPCConfigError
 
@@ -56,14 +53,11 @@ __all__ = ["GovernorPolicy", "LoadGovernor", "PeakHold"]
 
 
 class PeakHold:
-    """Peak-hold of a non-negative word signal, with optional decay.
+    """Strict peak-hold of a non-negative word signal.
 
-    The estimator only moves up instantly: any observation at least as
-    large as the held peak replaces it.  Between such observations the
-    peak decays multiplicatively by ``decay_num / decay_den`` per
-    observation (default 1/1 = strict peak hold, the related repo's
-    ball-size estimator).  Integer arithmetic throughout: the held value
-    is a deterministic function of the observation sequence on every
+    The held value is the largest observation so far (the related
+    repo's ball-size estimator); integer arithmetic throughout, so it is
+    a deterministic function of the observation sequence on every
     platform.
 
     >>> ph = PeakHold()
@@ -73,24 +67,15 @@ class PeakHold:
     80
     """
 
-    __slots__ = ("peak", "observations", "decay_num", "decay_den")
+    __slots__ = ("peak", "observations")
 
-    def __init__(self, decay_num: int = 1, decay_den: int = 1):
-        if decay_den <= 0 or not 0 < decay_num <= decay_den:
-            raise MPCConfigError(
-                "peak-hold decay must satisfy 0 < num <= den, got "
-                f"{decay_num}/{decay_den}"
-            )
+    def __init__(self) -> None:
         self.peak = 0
         self.observations = 0
-        self.decay_num = decay_num
-        self.decay_den = decay_den
 
     def observe(self, value: int) -> None:
         """Fold one observation (negative values clamp to zero)."""
-        value = max(0, int(value))
-        decayed = self.peak * self.decay_num // self.decay_den
-        self.peak = max(value, decayed)
+        self.peak = max(self.peak, int(value))
         self.observations += 1
 
 
@@ -103,16 +88,13 @@ class GovernorPolicy:
     conservative bound cannot see (request-round overhead, skewed
     responder fan-out).  ``chunk_floor`` and ``window_floor`` are the
     hard minimums throttling may reach; past them the model-honest
-    behaviour is to fault, not to subdivide further.  ``decay_num /
-    decay_den`` is the per-observation peak decay (1/1 = strict hold).
+    behaviour is to fault, not to subdivide further.
     """
 
     target_num: int = 1
     target_den: int = 2
     chunk_floor: int = 32
     window_floor: int = 1
-    decay_num: int = 1
-    decay_den: int = 1
 
     def __post_init__(self) -> None:
         if self.target_den <= 0 or not 0 < self.target_num <= self.target_den:
@@ -127,11 +109,6 @@ class GovernorPolicy:
         if self.window_floor < 1:
             raise MPCConfigError(
                 f"window_floor must be >= 1, got {self.window_floor}"
-            )
-        if self.decay_den <= 0 or not 0 < self.decay_num <= self.decay_den:
-            raise MPCConfigError(
-                "governor decay must satisfy 0 < num <= den, got "
-                f"{self.decay_num}/{self.decay_den}"
             )
 
 
@@ -155,12 +132,8 @@ class LoadGovernor:
             )
         self.budget_words = budget_words
         self.policy = policy if policy is not None else GovernorPolicy()
-        self._round_peak = PeakHold(
-            self.policy.decay_num, self.policy.decay_den
-        )
-        self._memory_peak = PeakHold(
-            self.policy.decay_num, self.policy.decay_den
-        )
+        self._round_peak = PeakHold()
+        self._memory_peak = PeakHold()
         self._chunk_scalings = 0
         self._batched_steps = 0
         self._planned_steps = 0
@@ -176,24 +149,6 @@ class LoadGovernor:
     def observe_memory(self, words: int) -> None:
         """Fold one machine's post-superstep residency."""
         self._memory_peak.observe(words)
-
-    def feed_trace(self, recorder: Any) -> None:
-        """Prime the estimator from a recorded trace (offline feeding).
-
-        Replays a :class:`~repro.mpc.trace.TraceRecorder`'s round events
-        and machine memory peaks into the peak-hold state.  This is the
-        sanctioned trace/governor coupling: the trace stays a pure
-        observer during a run; a *finished* trace may seed the next
-        run's governor.
-        """
-        for event in recorder.round_events():
-            self.observe_round(
-                words=event["words"],
-                max_sent=event["max_sent"],
-                max_received=event["max_received"],
-            )
-        for words in recorder.machine_peak_words.values():
-            self.observe_memory(words)
 
     # -- queries --------------------------------------------------------
     @property

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.alpha_ruling import det_alpha_ruling_set
+from repro.core import registry
+from repro.core.alpha_ruling import alpha_program
 from repro.core.pipeline import solve_ruling_set
+from repro.core.program import run_program
 from repro.core.verify import check_ruling_set, verify_ruling_set
 from repro.errors import AlgorithmError
 from repro.graph import generators as gen
@@ -22,6 +24,10 @@ def load_for_alpha(graph, alpha):
     return DistributedGraph.load(sim, graph), sim
 
 
+def run_alpha(dg, alpha, beta=2):
+    return run_program(dg, alpha_program(alpha, beta=beta)).counters
+
+
 class TestEngine:
     @pytest.mark.parametrize("alpha", [2, 3, 4])
     def test_verified_alpha_ruling(self, alpha):
@@ -29,9 +35,9 @@ class TestEngine:
         # base would legitimately fault the simulator at alpha = 4).
         graph = gen.random_tree(70, seed=alpha)
         dg, _ = load_for_alpha(graph, alpha)
-        claimed_beta, counters = det_alpha_ruling_set(dg, alpha=alpha)
+        counters = run_alpha(dg, alpha)
         members = dg.collect_marked("alpha_rs_in_set")
-        verify_ruling_set(graph, members, alpha=alpha, beta=claimed_beta)
+        verify_ruling_set(graph, members, alpha=alpha, beta=2 * (alpha - 1))
         assert counters["iterations"] >= 1
 
     def test_dense_base_faults_honestly_at_large_alpha(self):
@@ -47,18 +53,22 @@ class TestEngine:
         sim = Simulator(cfg)
         dg = DistributedGraph.load(sim, graph)
         with pytest.raises(MPCViolationError):
-            det_alpha_ruling_set(dg, alpha=4)
+            run_alpha(dg, 4)
 
     def test_claimed_beta_formula(self):
         graph = gen.cycle_graph(30)
+        spec = registry.get_algorithm(registry.DET_RULING)
+        assert spec.claimed_beta(graph, 3, 2) == 4  # beta * (alpha - 1)
         dg, _ = load_for_alpha(graph, 3)
-        claimed_beta, _ = det_alpha_ruling_set(dg, alpha=3, beta=2)
-        assert claimed_beta == 4  # beta * (alpha - 1)
+        run_alpha(dg, 3)
+        verify_ruling_set(
+            graph, dg.collect_marked("alpha_rs_in_set"), alpha=3, beta=4
+        )
 
     def test_original_adjacency_preserved(self):
         graph = gen.cycle_graph(20)
         dg, sim = load_for_alpha(graph, 3)
-        det_alpha_ruling_set(dg, alpha=3)
+        run_alpha(dg, 3)
         preserved = {}
         for machine in sim.machines:
             preserved.update(machine.store["alpha_original_adj"])
@@ -68,9 +78,9 @@ class TestEngine:
     def test_rejects_bad_parameters(self, small_er):
         dg, _ = load_for_alpha(small_er, 2)
         with pytest.raises(AlgorithmError):
-            det_alpha_ruling_set(dg, alpha=1)
+            run_alpha(dg, 1)
         with pytest.raises(AlgorithmError):
-            det_alpha_ruling_set(dg, alpha=3, beta=1)
+            run_alpha(dg, 3, beta=1)
 
 
 class TestPipelineAlpha:

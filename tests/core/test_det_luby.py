@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.det_luby import det_luby_mis, modulus_for
+from repro.core.det_luby import luby_program, modulus_for
+from repro.core.program import run_program
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
@@ -23,7 +24,7 @@ def run_det_luby(graph, k=None, s=None):
         )
     sim = Simulator(cfg)
     dg = DistributedGraph.load(sim, graph)
-    counters = det_luby_mis(dg, in_set_key="mis")
+    counters = run_program(dg, luby_program(in_set_key="mis")).counters
     return dg.collect_marked("mis"), counters, sim
 
 

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.det_matching import (
     build_distributed_line_graph,
-    det_maximal_matching,
     matching_config,
+    matching_program,
     verify_maximal_matching,
 )
+from repro.core.program import run_program
 from repro.core.rand_baselines import random_luby_chooser
 from repro.errors import AlgorithmError
 from repro.graph import generators as gen
@@ -22,6 +23,11 @@ def load_for_matching(graph):
     cfg = matching_config(graph)
     sim = Simulator(cfg)
     return DistributedGraph.load(sim, graph), sim
+
+
+def run_matching(dg, **options):
+    ctx = run_program(dg, matching_program(**options))
+    return ctx.matching, ctx.counters
 
 
 class TestLineGraph:
@@ -70,7 +76,7 @@ class TestMatching:
     def test_maximal_matching_everywhere(self, make):
         graph = make()
         dg, _ = load_for_matching(graph)
-        matching, counters = det_maximal_matching(dg)
+        matching, counters = run_matching(dg)
         verify_maximal_matching(graph, matching)
         assert counters["phases"] >= 1
 
@@ -78,13 +84,13 @@ class TestMatching:
         runs = []
         for _ in range(2):
             dg, _ = load_for_matching(small_er)
-            matching, _ = det_maximal_matching(dg)
+            matching, _ = run_matching(dg)
             runs.append(matching)
         assert runs[0] == runs[1]
 
     def test_randomized_chooser_works(self, small_er):
         dg, _ = load_for_matching(small_er)
-        matching, _ = det_maximal_matching(
+        matching, _ = run_matching(
             dg,
             chooser=random_luby_chooser(SplitMix64(seed=3)),
             allow_stalls=64,
@@ -94,13 +100,13 @@ class TestMatching:
     def test_star_matches_one_edge(self):
         graph = gen.star_graph(12)
         dg, _ = load_for_matching(graph)
-        matching, _ = det_maximal_matching(dg)
+        matching, _ = run_matching(dg)
         assert len(matching) == 1
 
     def test_edgeless(self):
         graph = Graph.empty(5)
         dg, _ = load_for_matching(graph)
-        matching, _ = det_maximal_matching(dg)
+        matching, _ = run_matching(dg)
         assert matching == []
 
 

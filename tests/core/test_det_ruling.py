@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.det_ruling import _sampling_rate, det_ruling_set
+from repro.core.det_ruling import ruling_program
+from repro.core.engine_ops import sampling_rate as _sampling_rate
+from repro.core.program import run_program
 from repro.core.verify import check_ruling_set, verify_ruling_set
 from repro.errors import AlgorithmError
 from repro.graph import generators as gen
@@ -25,7 +27,9 @@ def run_det_ruling(graph, beta=2, regime="sublinear"):
         )
     sim = Simulator(cfg)
     dg = DistributedGraph.load(sim, graph)
-    counters = det_ruling_set(dg, beta=beta, in_set_key="rs")
+    counters = run_program(
+        dg, ruling_program(beta=beta, in_set_key="rs")
+    ).counters
     return dg.collect_marked("rs"), counters, sim
 
 
@@ -64,14 +68,8 @@ class TestDetRuling:
         verify_ruling_set(graph, members, alpha=2, beta=beta)
 
     def test_rejects_beta_one(self, small_er):
-        cfg = MPCConfig.near_linear(
-            small_er.num_vertices, small_er.num_edges,
-            max_degree=small_er.max_degree(),
-        )
-        sim = Simulator(cfg)
-        dg = DistributedGraph.load(sim, small_er)
-        with pytest.raises(AlgorithmError):
-            det_ruling_set(dg, beta=1)
+        with pytest.raises(AlgorithmError, match="got 1; use luby_program"):
+            ruling_program(beta=1)
 
     def test_deterministic_across_runs(self, medium_er):
         a, _, _ = run_det_ruling(medium_er)
@@ -101,7 +99,7 @@ class TestDetRuling:
             cfg = MPCConfig.near_linear(max(1, graph.num_vertices), 1)
             sim = Simulator(cfg)
             dg = DistributedGraph.load(sim, graph)
-            det_ruling_set(dg, beta=2, in_set_key="rs")
+            run_program(dg, ruling_program(beta=2, in_set_key="rs"))
             members = dg.collect_marked("rs")
             if graph.num_vertices:
                 assert members == list(graph.vertices())

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.core.gp_ruling import claimed_round_bound, gp_2ruling_set
+from repro.core.gp_ruling import claimed_round_bound, gp_program
 from repro.core.pipeline import solve_ruling_set
+from repro.core.program import run_program
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
@@ -27,7 +28,7 @@ def run_gp(graph, regime="sublinear"):
         )
     sim = Simulator(cfg)
     dg = DistributedGraph.load(sim, graph)
-    counters = gp_2ruling_set(dg, in_set_key="gp")
+    counters = run_program(dg, gp_program(in_set_key="gp")).counters
     return dg.collect_marked("gp"), counters, sim
 
 

@@ -46,6 +46,24 @@ class TestSolve:
         result = solve_ruling_set(Graph.empty(0))
         assert result.members == []
 
+    @pytest.mark.parametrize("kwargs", [
+        {"algorithm": "det-matching"},
+        {"alpha": 1},
+        {"alpha": 3, "algorithm": "det-luby"},
+    ])
+    def test_empty_graph_still_validates(self, kwargs):
+        # Regression: the empty-graph early return used to skip every
+        # parameter check, so these calls returned a result.
+        with pytest.raises(AlgorithmError):
+            solve_ruling_set(Graph.from_edges(0, []), **kwargs)
+
+    def test_empty_graph_reports_claimed_beta(self, small_er):
+        empty = solve_ruling_set(
+            Graph.from_edges(0, []), algorithm="det-luby", beta=5
+        )
+        full = solve_ruling_set(small_er, algorithm="det-luby", beta=5)
+        assert empty.beta == full.beta == 1
+
     def test_mpc_metrics_present(self, small_er):
         result = solve_ruling_set(
             small_er, algorithm="det-ruling", regime="near-linear"

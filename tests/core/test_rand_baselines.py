@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core.rand_baselines import rand_luby_mis, rand_ruling_set
+from repro.core.det_luby import luby_program
+from repro.core.det_ruling import ruling_program
+from repro.core.program import run_program
+from repro.core.rand_baselines import luby_options, ruling_options
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
@@ -18,11 +21,21 @@ def load(graph):
     return DistributedGraph.load(sim, graph), sim
 
 
+def run_rand_luby(dg, seed):
+    program = luby_program(in_set_key="mis", **luby_options(seed))
+    return run_program(dg, program).counters
+
+
+def run_rand_ruling(dg, beta, seed):
+    program = ruling_program(beta=beta, in_set_key="rs", **ruling_options(seed))
+    return run_program(dg, program).counters
+
+
 class TestRandLuby:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_verified_mis(self, small_er, seed):
         dg, _ = load(small_er)
-        rand_luby_mis(dg, in_set_key="mis", seed=seed)
+        run_rand_luby(dg, seed=seed)
         members = dg.collect_marked("mis")
         verify_ruling_set(small_er, members, alpha=2, beta=1)
 
@@ -30,7 +43,7 @@ class TestRandLuby:
         results = []
         for _ in range(2):
             dg, _ = load(small_er)
-            rand_luby_mis(dg, in_set_key="mis", seed=7)
+            run_rand_luby(dg, seed=7)
             results.append(dg.collect_marked("mis"))
         assert results[0] == results[1]
 
@@ -38,14 +51,14 @@ class TestRandLuby:
         outs = []
         for seed in (1, 2):
             dg, _ = load(medium_er)
-            rand_luby_mis(dg, in_set_key="mis", seed=seed)
+            run_rand_luby(dg, seed=seed)
             outs.append(dg.collect_marked("mis"))
         assert outs[0] != outs[1]
 
     def test_star(self):
         g = gen.star_graph(30)
         dg, _ = load(g)
-        rand_luby_mis(dg, in_set_key="mis", seed=0)
+        run_rand_luby(dg, seed=0)
         verify_ruling_set(g, dg.collect_marked("mis"), alpha=2, beta=1)
 
 
@@ -53,13 +66,13 @@ class TestRandRuling:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_verified_two_ruling(self, medium_er, seed):
         dg, _ = load(medium_er)
-        rand_ruling_set(dg, beta=2, in_set_key="rs", seed=seed)
+        run_rand_ruling(dg, beta=2, seed=seed)
         members = dg.collect_marked("rs")
         verify_ruling_set(medium_er, members, alpha=2, beta=2)
 
     def test_beta_three(self, medium_er):
         dg, _ = load(medium_er)
-        rand_ruling_set(dg, beta=3, in_set_key="rs", seed=3)
+        run_rand_ruling(dg, beta=3, seed=3)
         verify_ruling_set(
             medium_er, dg.collect_marked("rs"), alpha=2, beta=3
         )
@@ -67,14 +80,12 @@ class TestRandRuling:
     def test_fewer_seed_candidates_than_det(self, medium_er):
         # The randomized chooser draws instead of scanning: its candidate
         # count equals the number of choices made, far below the scan's.
-        from repro.core.det_ruling import det_ruling_set
-
         dg_rand, _ = load(medium_er)
-        rand_counters = rand_ruling_set(
-            dg_rand, beta=2, in_set_key="rs", seed=1
-        )
+        rand_counters = run_rand_ruling(dg_rand, beta=2, seed=1)
         dg_det, _ = load(medium_er)
-        det_counters = det_ruling_set(dg_det, beta=2, in_set_key="rs")
+        det_counters = run_program(
+            dg_det, ruling_program(beta=2, in_set_key="rs")
+        ).counters
         assert (
             rand_counters["seed_candidates"]
             <= det_counters["seed_candidates"]

@@ -9,6 +9,8 @@ describe what the algorithms actually do — a flag that drifts from
 behavior is a registry bug even if every solver still works.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import registry
@@ -152,11 +154,37 @@ class TestRegistration:
             ))
         assert not registry.is_registered("bogus-family-alg")
 
+    def test_mpc_spec_with_runner_rejected(self):
+        spec = registry.get_algorithm(registry.DET_RULING)
+        with pytest.raises(AlgorithmError, match="program_factory"):
+            registry.register(dataclasses.replace(
+                spec, name="bogus-mpc-runner", runner=lambda ctx: None,
+            ))
+        assert not registry.is_registered("bogus-mpc-runner")
+
+    def test_mpc_spec_without_program_factory_rejected(self):
+        spec = registry.get_algorithm(registry.DET_RULING)
+        with pytest.raises(AlgorithmError, match="program_factory"):
+            registry.register(dataclasses.replace(
+                spec, name="bogus-mpc-bare", program_factory=None,
+            ))
+        assert not registry.is_registered("bogus-mpc-bare")
+
+    @pytest.mark.parametrize("family", [LOCAL_FAMILY, SEQUENTIAL_FAMILY])
+    def test_direct_spec_without_runner_rejected(self, family):
+        with pytest.raises(AlgorithmError, match="runner"):
+            registry.register(AlgorithmSpec(
+                name="bogus-direct-alg", family=family,
+                problem=RULING_SET, description="",
+            ))
+        assert not registry.is_registered("bogus-direct-alg")
+
     def test_bad_problem_rejected(self):
         with pytest.raises(AlgorithmError, match="problem"):
             registry.register(AlgorithmSpec(
                 name="bogus-problem-alg", family=MPC_FAMILY,
-                problem="sorting", description="", runner=lambda ctx: None,
+                problem="sorting", description="",
+                program_factory=lambda ctx: None,
             ))
         assert not registry.is_registered("bogus-problem-alg")
 
@@ -165,7 +193,12 @@ class TestRegistration:
             assert spec.family in FAMILIES
             assert spec.problem in PROBLEMS
             assert spec.description
-            assert callable(spec.runner)
+            if spec.family == MPC_FAMILY:
+                assert callable(spec.program_factory)
+                assert spec.runner is None
+            else:
+                assert callable(spec.runner)
+                assert spec.program_factory is None
 
     def test_family_filters_partition_registry(self):
         by_family = [

@@ -8,8 +8,9 @@ owner map.
 
 import pytest
 
-from repro.core.det_luby import det_luby_mis
-from repro.core.det_ruling import det_ruling_set
+from repro.core.det_luby import luby_program
+from repro.core.det_ruling import ruling_program
+from repro.core.program import run_program
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
@@ -40,12 +41,12 @@ def make_owner_map(name, graph, k):
     return HashOwnerMap(graph.num_vertices, k, seed=17)
 
 
-def run_with_map(graph, map_name, engine):
+def run_with_map(graph, map_name, make_program):
     cfg = config_for(graph)
     sim = Simulator(cfg)
     owner_map = make_owner_map(map_name, graph, cfg.num_machines)
     dg = DistributedGraph.load(sim, graph, owner_map=owner_map)
-    engine(dg)
+    run_program(dg, make_program())
     return dg.collect_marked("out")
 
 
@@ -53,7 +54,7 @@ def run_with_map(graph, map_name, engine):
 def test_det_luby_valid_under_any_partition(map_name):
     graph = graph_under_test()
     members = run_with_map(
-        graph, map_name, lambda dg: det_luby_mis(dg, in_set_key="out")
+        graph, map_name, lambda: luby_program(in_set_key="out")
     )
     verify_ruling_set(graph, members, alpha=2, beta=1)
 
@@ -63,7 +64,7 @@ def test_det_ruling_valid_under_any_partition(map_name):
     graph = graph_under_test()
     members = run_with_map(
         graph, map_name,
-        lambda dg: det_ruling_set(dg, beta=2, in_set_key="out"),
+        lambda: ruling_program(beta=2, in_set_key="out"),
     )
     verify_ruling_set(graph, members, alpha=2, beta=2)
 
@@ -72,9 +73,9 @@ def test_reproducible_per_owner_map():
     graph = graph_under_test()
     for name in ("range", "mod", "hash"):
         first = run_with_map(
-            graph, name, lambda dg: det_luby_mis(dg, in_set_key="out")
+            graph, name, lambda: luby_program(in_set_key="out")
         )
         second = run_with_map(
-            graph, name, lambda dg: det_luby_mis(dg, in_set_key="out")
+            graph, name, lambda: luby_program(in_set_key="out")
         )
         assert first == second, name

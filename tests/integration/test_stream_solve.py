@@ -10,7 +10,8 @@ runs of the same algorithm under the same owner map.
 import pytest
 
 from repro.core import registry
-from repro.core.pipeline import solve_ruling_set, solve_ruling_set_stream
+from repro.core.pipeline import solve_ruling_set_stream
+from repro.core.program import run_program
 from repro.core.registry import RunContext
 from repro.core.session import make_config, make_config_from_stats
 from repro.core.verify import verify_ruling_set
@@ -22,7 +23,12 @@ from repro.mpc.ownermap import ModOwnerMap
 from repro.mpc.simulator import Simulator
 
 
-def _serial_reference(graph, algorithm, beta=2):
+STREAMABLE = registry.algorithm_names(
+    family=registry.MPC_FAMILY, problem=registry.RULING_SET
+)
+
+
+def _serial_reference(graph, algorithm, seed, beta=2):
     """The in-memory run under the stream path's owner map (ModOwnerMap)."""
     cfg = make_config(graph)
     spec = registry.get_algorithm(algorithm)
@@ -30,26 +36,23 @@ def _serial_reference(graph, algorithm, beta=2):
         dg = DistributedGraph.load(
             sim, graph, ModOwnerMap(graph.num_vertices, cfg.num_machines)
         )
-        spec.runner(
-            RunContext(graph=graph, beta=beta, dg=dg, sim=sim)
-        )
-        members = dg.collect_marked("result_set")
+        context = RunContext(graph=graph, beta=beta, seed=seed)
+        run_program(dg, spec.program_factory(context))
+        members = dg.collect_marked(context.in_set_key)
         rounds = sim.metrics.rounds
         metrics = dict(sim.metrics.summary())
     return members, rounds, metrics
 
 
 class TestStreamSolveParity:
-    @pytest.mark.parametrize(
-        "algorithm", [registry.DET_RULING, registry.DET_LUBY]
-    )
+    @pytest.mark.parametrize("algorithm", STREAMABLE)
     def test_bit_identical_to_serial_in_memory(self, tmp_path, algorithm):
         graph = gen.gnp_random_graph(72, 5, 72, seed=17)
         path = tmp_path / "g.txt"
         write_edge_list(graph, path)
 
-        result = solve_ruling_set_stream(path, algorithm=algorithm)
-        members, rounds, metrics = _serial_reference(graph, algorithm)
+        result = solve_ruling_set_stream(path, algorithm=algorithm, seed=5)
+        members, rounds, metrics = _serial_reference(graph, algorithm, seed=5)
 
         assert result.members == members
         assert result.rounds == rounds
@@ -92,6 +95,22 @@ class TestStreamSolveParity:
         path.write_text("0 0\n", encoding="ascii")
         result = solve_ruling_set_stream(path)
         assert result.members == []
+
+    def test_empty_graph_reports_claimed_beta(self, tmp_path):
+        # Regression: the empty-file branch echoed the requested beta
+        # instead of the algorithm's claim (an MIS claims beta = 1).
+        path = tmp_path / "g.txt"
+        path.write_text("0 0\n", encoding="ascii")
+        result = solve_ruling_set_stream(
+            path, algorithm=registry.DET_LUBY, beta=5
+        )
+        assert result.beta == 1
+
+    def test_empty_graph_still_validates(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 0\n", encoding="ascii")
+        with pytest.raises(AlgorithmError, match="MPC ruling-set"):
+            solve_ruling_set_stream(path, algorithm=registry.DET_MATCHING)
 
     def test_non_mpc_algorithm_rejected(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -5,10 +5,8 @@ import signal
 
 import pytest
 
-from repro.core.det_luby import (
-    conditional_expectation_chooser,
-    det_luby_mis,
-)
+from repro.core.det_luby import conditional_expectation_chooser, luby_program
+from repro.core.program import run_program
 from repro.errors import MPCConfigError
 from repro.graph import generators as gen
 from repro.mpc.backends import (
@@ -61,11 +59,10 @@ def run_det_luby(backend_name, workers=0):
     ).with_backend(backend_name, workers)
     with Simulator(cfg) as sim:
         dg = DistributedGraph.load(sim, graph)
-        det_luby_mis(
-            dg,
+        run_program(dg, luby_program(
             in_set_key="mis",
             chooser=conditional_expectation_chooser(chunk_bits=3),
-        )
+        ))
         members = dg.collect_marked("mis")
         return members, sim.metrics.summary(), sim.backend.stats()
 

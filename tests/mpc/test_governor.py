@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from repro.core.alpha_ruling import det_alpha_ruling_set
+from repro.core.alpha_ruling import alpha_program
 from repro.core.exponentiation import BALLS, grow_balls
+from repro.core.program import run_program
 from repro.errors import MPCConfigError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
@@ -27,22 +28,6 @@ class TestPeakHold:
         ph.observe(-5)
         assert ph.peak == 0
 
-    def test_decay_lowers_the_peak_between_highs(self):
-        ph = PeakHold(decay_num=1, decay_den=2)
-        ph.observe(100)
-        ph.observe(0)
-        assert ph.peak == 50  # decayed once
-        ph.observe(60)
-        assert ph.peak == 60  # new high wins over 25
-
-    def test_invalid_decay_rejected(self):
-        with pytest.raises(MPCConfigError):
-            PeakHold(decay_num=0, decay_den=1)
-        with pytest.raises(MPCConfigError):
-            PeakHold(decay_num=3, decay_den=2)
-        with pytest.raises(MPCConfigError):
-            PeakHold(decay_num=1, decay_den=0)
-
 
 class TestGovernorPolicy:
     def test_defaults_are_valid(self):
@@ -57,7 +42,6 @@ class TestGovernorPolicy:
             {"target_den": 0},
             {"chunk_floor": 0},
             {"window_floor": 0},
-            {"decay_num": 0},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
@@ -105,22 +89,6 @@ class TestLoadGovernorQueries:
     def test_scale_chunk_rejects_bad_base(self):
         with pytest.raises(MPCConfigError):
             LoadGovernor(100).scale_chunk(0)
-
-    def test_feed_trace_primes_the_estimator(self):
-        from repro.mpc.trace import TraceRecorder
-
-        cfg = MPCConfig(num_machines=2, memory_words=64)
-        recorder = TraceRecorder(cfg)
-        recorder.record_round(
-            round_index=1, phase="p", elapsed_s=0.0, messages=2, words=10,
-            max_sent=10, max_received=10, sent_per_machine=[10, 0],
-            received_per_machine=[0, 10], backend_stats={},
-        )
-        recorder.record_memory(0, 33, round_index=1)
-        gov = LoadGovernor(64)
-        gov.feed_trace(recorder)
-        assert gov.peak_round_words() == 10
-        assert gov.peak_memory_words() == 33
 
 
 class TestPlanBatch:
@@ -258,7 +226,7 @@ class TestGovernedExponentiation:
         def run(config, enforce=True):
             with Simulator(config, enforce=enforce) as sim:
                 dg = DistributedGraph.load(sim, graph)
-                det_alpha_ruling_set(dg, alpha=3, beta=2)
+                run_program(dg, alpha_program(3, beta=2))
                 return dg.collect_marked("alpha_rs_in_set")
 
         with pytest.raises(MPCViolationError):

@@ -10,8 +10,9 @@ import os
 
 import pytest
 
-from repro.core.det_luby import det_luby_mis
-from repro.core.det_ruling import det_ruling_set
+from repro.core.det_luby import luby_program
+from repro.core.det_ruling import ruling_program
+from repro.core.program import run_program
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.backends import resolve_backend
@@ -24,7 +25,7 @@ from repro.mpc.shard import ShardBackend
 from repro.mpc.simulator import BACKEND_ENV, Simulator
 
 
-def _run(graph, backend=None, solver=det_luby_mis):
+def _run(graph, backend=None, program=luby_program):
     cfg = MPCConfig.sublinear(
         graph.num_vertices, graph.num_edges, max_degree=graph.max_degree()
     )
@@ -32,7 +33,7 @@ def _run(graph, backend=None, solver=det_luby_mis):
         dg = DistributedGraph.load(
             sim, graph, ModOwnerMap(graph.num_vertices, cfg.num_machines)
         )
-        solver(dg)
+        run_program(dg, program())
         members = dg.collect_marked("result_set")
         metrics = dict(sim.metrics.summary())
         rounds = sim.metrics.rounds
@@ -49,9 +50,9 @@ class TestParity:
 
     def test_det_ruling_parity(self):
         graph = gen.gnp_random_graph(64, 5, 64, seed=5)
-        serial = _run(graph, solver=det_ruling_set)
+        serial = _run(graph, program=ruling_program)
         sharded = _run(
-            graph, backend=ShardBackend(num_shards=3), solver=det_ruling_set
+            graph, backend=ShardBackend(num_shards=3), program=ruling_program
         )
         assert sharded == serial
 
@@ -89,7 +90,7 @@ class TestResidency:
                     graph,
                     ModOwnerMap(graph.num_vertices, cfg.num_machines),
                 )
-                det_luby_mis(dg)
+                run_program(dg, luby_program())
                 stats = backend.stats()
                 largest = max(len(rng) for rng in backend._shards)
                 assert stats["max_resident_machines"] == largest

@@ -4,10 +4,8 @@ import json
 
 import pytest
 
-from repro.core.det_luby import (
-    conditional_expectation_chooser,
-    det_luby_mis,
-)
+from repro.core.det_luby import conditional_expectation_chooser, luby_program
+from repro.core.program import run_program
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
@@ -25,11 +23,10 @@ def run_det_luby(backend_name="serial", trace=False, workers=2):
         cfg = cfg.with_trace()
     with Simulator(cfg) as sim:
         dg = DistributedGraph.load(sim, graph)
-        det_luby_mis(
-            dg,
+        run_program(dg, luby_program(
             in_set_key="mis",
             chooser=conditional_expectation_chooser(chunk_bits=3),
-        )
+        ))
         members = dg.collect_marked("mis")
     return members, sim.metrics, sim.trace
 
