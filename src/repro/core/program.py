@@ -12,16 +12,15 @@ management.
 This module owns that lifecycle once:
 
 * :class:`Phase` — one named unit: a body callable, the machine-store
-  keys it may install (teardown bookkeeping and auditability), an
-  optional budget *pricing hook* estimating the words the phase adds to
-  a machine, and the trace label the framework emits on entry.
+  keys it may install (teardown bookkeeping and auditability), and the
+  trace label the framework emits on entry.
 * :class:`Loop` / :class:`Branch` / :class:`Subprogram` — composition:
   bounded iteration (with the exhaustion error raised in one place),
   routing between phase arms, and embedding one program inside another.
 * :class:`SuperstepProgram` — the ordered composition a
   :class:`~repro.core.session.SolverSession` executes directly: counter
-  initialisation, phase-label emission, control-signal propagation, and
-  key-namespace handling happen here, not in solver modules.
+  initialisation, phase-label emission, and control-signal propagation
+  happen here, not in solver modules.
 * :class:`ProgramContext` — the per-run state: the distributed graph,
   counters, driver-side scratch, the result payload slots, and the
   *level bookkeeping* (dynamically allocated adjacency layers released
@@ -87,12 +86,6 @@ class ProgramContext:
     sizes, committed seeds), the result payload slots the session reads
     back (``members`` / ``matching`` / ``extra_metrics``), and the
     level bookkeeping for dynamically allocated machine-store layers.
-
-    ``namespace`` prefixes :meth:`key`, so a program's store keys cannot
-    collide with another program's when both are composed into one run.
-    The pre-framework solvers keep their historical (un-namespaced) key
-    literals — store keys are priced by :func:`~repro.mpc.machine.
-    words_of`, so renaming them would not be bit-identical.
     """
 
     def __init__(self, dg):
@@ -100,21 +93,10 @@ class ProgramContext:
         self.sim = dg.sim
         self.counters: Dict[str, int] = {}
         self.state: Dict[str, object] = {}
-        self.namespace = ""
         self.members: Optional[List[int]] = None
         self.matching: Optional[List[Tuple[int, int]]] = None
         self.extra_metrics: Dict[str, object] = {}
         self._levels: List[str] = []
-
-    # -- key management --------------------------------------------------
-
-    def key(self, name: str) -> str:
-        """``name`` under the active program's namespace prefix."""
-        return self.namespace + name if self.namespace else name
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment a counter (created at 0 if the program didn't)."""
-        self.counters[counter] = self.counters.get(counter, 0) + amount
 
     # -- level bookkeeping -----------------------------------------------
 
@@ -156,9 +138,6 @@ class ProgramContext:
 #: A phase body: consumes the context, returns a signal or ``None``.
 PhaseBody = Callable[[ProgramContext], Optional[ProgramSignal]]
 
-#: A pricing hook: estimated machine-store words the phase installs.
-PriceHook = Callable[[ProgramContext], int]
-
 
 @dataclass(frozen=True)
 class Phase:
@@ -174,16 +153,11 @@ class Phase:
     ``keys`` declares the machine-store keys the phase may install —
     documentation plus teardown bookkeeping (:meth:`SuperstepProgram.
     declared_keys` is how tests audit a program's store footprint).
-
-    ``price`` is the budget pricing hook: an estimate of the words this
-    phase adds to a machine's store, used by :meth:`SuperstepProgram.
-    price` for admission-style sizing without running the program.
     """
 
     body: PhaseBody
     name: Optional[str] = None
     keys: Tuple[str, ...] = ()
-    price: Optional[PriceHook] = None
 
     def run(self, ctx: ProgramContext) -> Optional[ProgramSignal]:
         if self.name is not None:
@@ -304,22 +278,15 @@ class SuperstepProgram:
     name: str
     steps: Tuple[Step, ...]
     counters: Tuple[str, ...] = ()
-    namespace: str = ""
 
     def run(self, ctx: ProgramContext) -> Dict[str, int]:
         """Execute against ``ctx``; returns the counter dictionary."""
         for counter in self.counters:
             ctx.counters.setdefault(counter, 0)
-        previous_namespace = ctx.namespace
-        if self.namespace:
-            ctx.namespace = self.namespace
-        try:
-            run_steps(self.steps, ctx)
-        finally:
-            ctx.namespace = previous_namespace
+        run_steps(self.steps, ctx)
         return ctx.counters
 
-    # -- static introspection (tests, docs, sizing) ----------------------
+    # -- static introspection (tests, docs) ------------------------------
 
     def phases(self) -> Tuple[Phase, ...]:
         """Every phase in the program, in program order."""
@@ -342,27 +309,13 @@ class SuperstepProgram:
                     seen[key] = None
         return tuple(seen)
 
-    def price(self, ctx: ProgramContext) -> int:
-        """Peak priced words across phases with a pricing hook.
-
-        Phases release their scratch layers before the next allocation
-        (the teardown guarantee), so the program's footprint estimate is
-        the *maximum* single-phase price, not the sum.
-        """
-        best = 0
-        for phase in self.phases():
-            if phase.price is not None:
-                best = max(best, int(phase.price(ctx)))
-        return best
-
     def describe(self) -> str:
-        """One line per phase: label, declared keys, priced flag."""
+        """One line per phase: label and declared keys."""
         lines = [f"program {self.name}:"]
         for phase in self.phases():
             label = phase.name if phase.name is not None else "(unlabelled)"
             keys = ", ".join(phase.keys) if phase.keys else "-"
-            priced = " [priced]" if phase.price is not None else ""
-            lines.append(f"  {label}: keys={keys}{priced}")
+            lines.append(f"  {label}: keys={keys}")
         return "\n".join(lines)
 
 

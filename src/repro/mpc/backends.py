@@ -148,8 +148,9 @@ class SuperstepBackend:
         """Per-machine word counts as of the last superstep, or None.
 
         State-owning backends return the words each machine held when its
-        shard was spilled (priced by the same :func:`~repro.mpc.machine.words_of`
-        contract); ``None`` means "measure the live machines directly".
+        shard was spilled (priced by the same
+        :meth:`~repro.mpc.machine.Machine.memory_words` audit); ``None``
+        means "measure the live machines directly".
         """
         return None
 
@@ -220,8 +221,10 @@ def _run_chunk(fn_blob: bytes, step: str, state_blob: bytes) -> bytes:
     """Worker entry point: run one callback over one machine chunk.
 
     Receives the callback (cloudpickle) and the chunk's machine states
-    (plain pickle: stores are flat integer containers), returns the
-    mutated states plus — for communication steps — the outbox payloads.
+    (plain pickle: stores are flat integer containers, and a
+    :class:`~repro.mpc.machine.Store` carries its cached prices both
+    ways), returns the mutated states plus — for communication steps —
+    the outbox payloads.
     """
     fn = _fn_pickle.loads(fn_blob)
     machines: List[Machine] = pickle.loads(state_blob)

@@ -46,7 +46,18 @@ from repro.mpc.backends import (
     SuperstepBackend,
     _chunk_ranges,
 )
-from repro.mpc.machine import Machine, words_of
+from repro.mpc.machine import Machine, Store, words_of
+
+# ``words_of`` stays importable from here: the end-to-end benchmark's
+# tracer wraps ``repro.mpc.shard.words_of`` to attribute audit time.
+__all__ = [
+    "CHUNK_ENV",
+    "DEFAULT_CHUNK_MESSAGES",
+    "DEFAULT_NUM_SHARDS",
+    "SPILL_DIR_ENV",
+    "ShardBackend",
+    "words_of",
+]
 
 DEFAULT_NUM_SHARDS = 4
 DEFAULT_CHUNK_MESSAGES = 4096
@@ -160,7 +171,7 @@ class ShardBackend(SuperstepBackend):
 
     def _load(self, machines: Sequence[Machine], sid: int) -> None:
         with open(self._state_path(sid), "rb") as handle:
-            states: List[Tuple[dict, list]] = pickle.load(handle)
+            states: List[Tuple[Store, list]] = pickle.load(handle)
         for offset, mid in enumerate(self._shards[sid]):
             store, inbox = states[offset]
             machines[mid].store = store
@@ -173,14 +184,16 @@ class ShardBackend(SuperstepBackend):
         resident = 0
         for mid in rng:
             machine = machines[mid]
+            # Priced before the dump, so the store's cached prices ride
+            # along in the spill file and survive the next load.
+            words = machine.memory_words()
             states.append((machine.store, machine.inbox))
-            words = words_of(machine.store) + words_of(machine.inbox)
             self._words[mid] = words
             resident += words
         with open(self._state_path(sid), "wb") as handle:
             pickle.dump(states, handle, protocol=pickle.HIGHEST_PROTOCOL)
         for mid in rng:
-            machines[mid].store = {}
+            machines[mid].store = Store()
             machines[mid].inbox = []
         self._stats["shard_spills"] += 1
         if resident > self._stats["max_resident_words"]:

@@ -20,9 +20,10 @@ Determinism: machines are processed in id order and each inbox is sorted by
 :class:`~repro.mpc.backends.SuperstepBackend` (serial by default; an
 opt-in process pool fans callbacks across workers).  Backends change
 wall-clock only: results are merged in machine-id order before routing,
-so every backend yields the identical run.  Each superstep's wall-clock
-is recorded into :class:`~repro.mpc.metrics.RunMetrics` (per round and
-per phase) so simulator performance is measured, never asserted.
+so every backend yields the identical run.  Each superstep's wall-clock,
+memory audit included, is recorded into
+:class:`~repro.mpc.metrics.RunMetrics` (per round and per phase) so
+simulator performance is measured, never asserted.
 
 Budget enforcement is strict by default: a machine exceeding its memory
 budget, or sending/receiving more than ``S`` words in one superstep, aborts
@@ -138,6 +139,7 @@ class Simulator:
         """Apply a local computation to every machine (no round cost)."""
         started = time.perf_counter()
         self.backend.run_local(self.machines, fn)
+        memory = self._price_memory()
         elapsed = time.perf_counter() - started
         self.metrics.record_elapsed(elapsed)
         if self.trace is not None:
@@ -147,7 +149,7 @@ class Simulator:
                 elapsed_s=elapsed,
                 backend_stats=self.backend.stats(),
             )
-        self._check_memory()
+        self._check_memory(memory)
 
     def communicate(self, fn: MachineFn) -> None:
         """One communication superstep.
@@ -184,6 +186,7 @@ class Simulator:
                     max_sent=stats.max_sent,
                     max_received=stats.max_received,
                 )
+            memory = self._price_memory()
             elapsed = time.perf_counter() - started
             self.metrics.record_elapsed(elapsed, is_round=True)
             if self.trace is not None:
@@ -199,7 +202,7 @@ class Simulator:
                     received_per_machine=stats.received_per_machine,
                     backend_stats=self.backend.stats(),
                 )
-            self._check_memory()
+            self._check_memory(memory)
             return
         outboxes = self.backend.run_communicate(self.machines, fn)
 
@@ -260,6 +263,7 @@ class Simulator:
                 max_sent=max_sent,
                 max_received=max_received,
             )
+        memory = self._price_memory()
         elapsed = time.perf_counter() - started
         self.metrics.record_elapsed(elapsed, is_round=True)
         if self.trace is not None:
@@ -275,7 +279,7 @@ class Simulator:
                 received_per_machine=received_words,
                 backend_stats=self.backend.stats(),
             )
-        self._check_memory()
+        self._check_memory(memory)
 
     # ------------------------------------------------------------------
     # Conveniences
@@ -330,34 +334,29 @@ class Simulator:
     # ------------------------------------------------------------------
     # Internal
     # ------------------------------------------------------------------
-    def _check_memory(self) -> None:
+    def _price_memory(self) -> List[int]:
+        """Every machine's words after a superstep, in id order.
+
+        Runs inside the superstep's clock, so ``wall_time_s`` and the
+        trace's ``elapsed_s`` include the audit; :meth:`_check_memory`
+        records and enforces the result after the superstep is logged.
+        """
         snapshot = self.backend.memory_snapshot()
         if snapshot is not None:
-            # State-owning backend: audit the words it priced at spill
-            # time (same words_of contract, same id order, same fault).
-            for mid, words in enumerate(snapshot):
-                self.metrics.record_memory(words)
-                if self.trace is not None:
-                    self.trace.record_memory(mid, words, self.metrics.rounds)
-                if self.governor is not None:
-                    self.governor.observe_memory(words)
-                if self.enforce and words > self.config.memory_words:
-                    raise MPCViolationError(
-                        f"machine {mid} holds {words} words, budget "
-                        f"S={self.config.memory_words}"
-                    )
-            return
-        for machine in self.machines:
-            words = machine.memory_words()
+            # State-owning backend: the words it priced at spill time
+            # (same words_of contract, same id order, same fault).
+            return snapshot
+        return [machine.memory_words() for machine in self.machines]
+
+    def _check_memory(self, memory: List[int]) -> None:
+        for mid, words in enumerate(memory):
             self.metrics.record_memory(words)
             if self.trace is not None:
-                self.trace.record_memory(
-                    machine.mid, words, self.metrics.rounds
-                )
+                self.trace.record_memory(mid, words, self.metrics.rounds)
             if self.governor is not None:
                 self.governor.observe_memory(words)
             if self.enforce and words > self.config.memory_words:
                 raise MPCViolationError(
-                    f"machine {machine.mid} holds {words} words, budget "
+                    f"machine {mid} holds {words} words, budget "
                     f"S={self.config.memory_words}"
                 )

@@ -1,4 +1,5 @@
-"""Shared fixtures: canonical small graphs and MPC configurations."""
+"""Shared fixtures: canonical small graphs, MPC configurations, and the
+memory-audit oracle every test runs under."""
 
 from __future__ import annotations
 
@@ -7,7 +8,30 @@ import pytest
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
+from repro.mpc.machine import Machine, words_of
 from repro.mpc.simulator import Simulator
+
+
+@pytest.fixture(autouse=True)
+def audit_oracle(monkeypatch):
+    """Check the incremental memory audit against the full walk.
+
+    Every ``Machine.memory_words`` call in every test — each superstep's
+    audit and each shard spill — must equal pricing the whole store and
+    inbox from scratch.  A stale cached price fails the test that made it.
+    """
+    incremental = Machine.memory_words
+
+    def checked(machine: Machine) -> int:
+        words = incremental(machine)
+        full = words_of(dict(machine.store)) + words_of(machine.inbox)
+        assert words == full, (
+            f"machine {machine.mid}: incremental audit {words} words, "
+            f"full walk {full}"
+        )
+        return words
+
+    monkeypatch.setattr(Machine, "memory_words", checked)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ Two layers of coverage:
 * ``TestSignals`` .. ``TestIntrospection`` exercise the framework
   against a stub context (no simulator): signal propagation, loop
   exhaustion, branch routing, subprogram absorption, counter schema,
-  namespacing, level teardown, pricing.
+  level teardown, introspection.
 * ``TestPhaseNameFlow`` runs real solver programs through the session
   and asserts the programs' declared phase names are exactly what
   arrives in ``RunMetrics`` (``phase_rounds`` / ``time_per_phase``) and
@@ -105,7 +105,7 @@ class TestLoop:
 
         def body(ctx):
             hits.append(ctx.counters.get("i", 0))
-            ctx.bump("i")
+            ctx.counters["i"] = ctx.counters.get("i", 0) + 1
             if ctx.counters["i"] == 2:
                 return CONTINUE
             if ctx.counters["i"] >= 4:
@@ -215,18 +215,6 @@ class TestSubprogram:
         assert order == ["parent-continues"]
         assert counters["child_hits"] == 0
 
-    def test_namespace_restored_after_run(self):
-        inner_keys = []
-        prog = SuperstepProgram(
-            name="ns",
-            namespace="ns1_",
-            steps=(Phase(lambda ctx: inner_keys.append(ctx.key("adj"))),),
-        )
-        ctx = make_ctx()
-        prog.run(ctx)
-        assert inner_keys == ["ns1_adj"]
-        assert ctx.key("adj") == "adj"
-
 
 class TestLevels:
     def test_release_levels_is_one_local_step(self):
@@ -255,16 +243,13 @@ class TestIntrospection:
                     (
                         Phase(
                             lambda ctx: None, name="work",
-                            keys=("k2", "k1"), price=lambda ctx: 7,
+                            keys=("k2", "k1"),
                         ),
                         Branch(
                             pick=lambda ctx: "a",
                             arms={
                                 "a": (
-                                    Phase(
-                                        lambda ctx: None, name="arm-a",
-                                        price=lambda ctx: 3,
-                                    ),
+                                    Phase(lambda ctx: None, name="arm-a"),
                                 ),
                                 "b": (Phase(lambda ctx: None, name="work"),),
                             },
@@ -281,14 +266,12 @@ class TestIntrospection:
     def test_declared_keys_deduplicated(self):
         assert self.make_program().declared_keys() == ("k1", "k2")
 
-    def test_price_is_max_not_sum(self):
-        assert self.make_program().price(make_ctx()) == 7
-
     def test_describe_lists_every_phase(self):
         text = self.make_program().describe()
         assert "program intro:" in text
         assert "setup: keys=k1" in text
-        assert "[priced]" in text
+        assert "work: keys=k2, k1" in text
+        assert "arm-a: keys=-" in text
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Wall-clock timing metrics: per-phase and per-round attribution."""
 
+import time
+
 from repro.core.pipeline import solve_ruling_set
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
+from repro.mpc.machine import Machine
 from repro.mpc.metrics import RunMetrics
 from repro.mpc.simulator import Simulator
 
@@ -60,6 +63,31 @@ class TestSimulatorTiming:
         sim.communicate(lambda m: [])
         assert len(sim.metrics.time_per_round) == sim.metrics.rounds == 2
         assert sim.metrics.wall_time_s >= sum(sim.metrics.time_per_round)
+
+    def test_clock_covers_the_memory_audit(self, monkeypatch):
+        # Regression: the superstep clock used to stop before the audit,
+        # so wall_time_s and the trace left out every memory_words call.
+        audit = Machine.memory_words
+        pause = 0.01
+
+        def slow_audit(machine):
+            time.sleep(pause)
+            return audit(machine)
+
+        monkeypatch.setattr(Machine, "memory_words", slow_audit)
+        cfg = MPCConfig(num_machines=3, memory_words=256).with_trace()
+        sim = Simulator(cfg)
+        sim.local(lambda m: None)
+        sim.communicate(lambda m: [])
+        # Two supersteps, three machines audited after each.
+        assert sim.metrics.wall_time_s >= 6 * pause
+        assert sim.metrics.time_per_round[0] >= 3 * pause
+        durations = [
+            ev["dur_us"] for ev in sim.trace.events
+            if ev["type"] in ("local", "round")
+        ]
+        assert len(durations) == 2
+        assert all(dur >= 3 * pause * 1e6 for dur in durations)
 
     def test_phase_attribution_follows_begin_phase(self):
         sim = Simulator(MPCConfig(num_machines=2, memory_words=256))
