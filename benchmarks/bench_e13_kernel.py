@@ -122,8 +122,8 @@ def measure_speedup(
     est = build_phase1_estimator(graph, p, KERNEL_PYTHON)
     fields = {
         "modulus": p,
-        "vertex_terms": len(est.vertex_terms),
-        "pair_terms": len(est.pair_terms),
+        "vertex_terms": est.num_vertex_terms,
+        "pair_terms": est.num_pair_terms,
         "seed_a": py_seed.a,
         "seed_b": py_seed.b,
         "a_candidates_scanned": py_stats.a_candidates_scanned,

@@ -8,9 +8,10 @@ the **affine pairwise-independent family** ``h_{a,b}(x) = (a x + b) mod p``
     The *method of conditional expectations*, computed **exactly**: for a
     linear estimator built from per-vertex threshold events
     (``h(x) < T``) and per-edge joint events, conditional expectations
-    under partial seeds reduce to cyclic-interval measures in ``Z_p``
-    (:mod:`repro.util.intervals`).  The chosen seed provably scores at
-    least the family average.  Used by the derandomized Luby MIS step.
+    under partial seeds reduce to cyclic-interval measures in ``Z_p``,
+    each a closed form of O(1) integer operations per term.  The chosen
+    seed provably scores at least the family average.  Used by the
+    derandomized Luby MIS step.
 
 :mod:`~repro.derand.seed_search`
     *Batched distributed seed scanning* for statistics that are not linear
@@ -27,7 +28,7 @@ the **affine pairwise-independent family** ``h_{a,b}(x) = (a x + b) mod p``
 """
 
 from repro.derand.family import AffineFamily, Seed
-from repro.derand.estimator import PairTerm, ThresholdEstimator, VertexTerm
+from repro.derand.estimator import ThresholdEstimator
 from repro.derand.conditional import SelectionStats, choose_seed
 from repro.derand.seed_search import (
     SeedScanStats,
@@ -38,8 +39,6 @@ from repro.derand.seed_search import (
 __all__ = [
     "AffineFamily",
     "Seed",
-    "VertexTerm",
-    "PairTerm",
     "ThresholdEstimator",
     "SelectionStats",
     "choose_seed",

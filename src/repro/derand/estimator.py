@@ -28,40 +28,57 @@ conditional expectations needs are *exact integer computations*:
 The estimator is also evaluated pointwise (``value``) to certify that the
 seed finally committed meets its guaranteed bound.
 
-Hot-path caching (terms are immutable once a selection starts, so all of
-this is invisible to callers):
+**The closed form.**  Shift both intervals of a pair term by
+``(a x1) mod p``: the first becomes ``[0, T1)`` and the second starts at
+``d = (a (x1 - x2)) mod p``, so with ``e = d + T2``
+
+    ``|I_{x1} ∩ I_{x2}| = max(0, min(T1, e) - d) + max(0, min(T1, e - p))``
+
+— a clamped head segment plus a clamped wrap-around segment, O(1) per
+term with no interval objects.  The same two pieces, shifted back, are
+the (at most two) cyclic arcs of ``b`` on which the pair event holds.
+
+**Hot-path caching** (terms are immutable once a selection starts, so
+all of this is invisible to callers):
 
 * ``expectation_x_p2`` and the vertex part of ``cond_a_x_p`` are running
   sums maintained at term insertion — O(1) per query instead of a full
   term scan;
-* the per-term cyclic-interval segments (and pair-term intersections)
-  for one multiplier ``a`` are derived once and reused across every
-  ``cond_ab_range`` query for that ``a`` — the offset-fixing stage asks
-  about ~``2^c · ceil(log2(p)/c)`` ranges under a single multiplier, and
-  previously re-derived every interval per range.  Adding a term
-  invalidates the cache, so caching can never change a result.  The
-  cache keys include the modulus alongside the multiplier: ``p`` is
-  immutable per instance, so the extra key component is pure defence —
-  no future refactor can make a cache entry derived in one field answer
-  a query in another.
+* for one multiplier ``a`` the reference kernel builds a sorted
+  breakpoint index of the piecewise-linear ``G(x) = Σ w·|I_term ∩ [0,
+  x)|`` (each linear piece ``[lo, hi)`` of a term's arcs adds slope
+  ``+w`` at ``lo`` and ``-w`` at ``hi``), so every ``cond_ab_range`` is
+  ``G(b_hi) - G(b_lo)``: two bisections instead of a walk over every
+  term.  The offset-fixing stage asks about ~``2^c · ceil(log2(p)/c)``
+  ranges under a single multiplier.  Adding a term invalidates the
+  index, so caching can never change a result.  The cache key includes
+  the modulus alongside the multiplier: ``p`` is immutable per
+  instance, so the extra key component is pure defence — no future
+  refactor can make an index built in one field answer a query in
+  another.
 
-**Kernels.**  ``kernel="numpy"`` stores the terms a second time as flat
-int64 arrays and evaluates every query (and the batched ``*_many``
-variants the seed search uses) with array expressions instead of
-per-term Python loops.  The array path is *exact by construction*: the
-modulus must satisfy :func:`repro.mpc.state_layout.supports_modulus`
-(int64 hash products cannot wrap), weighted sums are int64 only when a
-precomputed magnitude bound proves no overflow and fall back to
-arbitrary-precision Python summation otherwise, and every result is
-converted back to a plain ``int``.  Any condition the array path cannot
-prove exact silently routes the call through the reference kernel — the
-two kernels are bit-identical by contract (CI replays the refactor
-parity oracle under both and fails on any record diff).
+**Kernels.**  Every term is stored once, as eight append-only integer
+columns.  ``kernel="python"`` (the reference) evaluates the closed form
+above in scalar Python over those columns.  ``kernel="numpy"`` converts
+the columns to int64 arrays (hashed ids reduced mod ``p`` first — ``h``
+depends only on ``x mod p``, and the reduction keeps every product
+below ``2^62``) and evaluates every query, including the batched
+``*_many`` variants the seed search uses, with array expressions.  The
+array path is *exact by construction*: the modulus must satisfy
+:func:`repro.mpc.state_layout.supports_modulus` (int64 hash products
+cannot wrap), weighted sums are int64 only when a precomputed magnitude
+bound proves no overflow and fall back to arbitrary-precision Python
+summation otherwise, and every result is converted back to a plain
+``int``.  Any condition the array path cannot prove exact silently
+routes the call through the reference kernel.  The two kernels share
+the closed form, so the independent oracle for both is brute force over
+the family (``tests/derand/test_estimator.py``); CI also replays the
+refactor parity oracle under each kernel and fails on any record diff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.derand.family import Seed
@@ -72,34 +89,11 @@ from repro.mpc.state_layout import (
     numpy_or_none,
     supports_modulus,
 )
-from repro.util.intervals import (
-    intersect_segments,
-    interval_to_segments,
-    segments_length,
-    segments_overlap_range,
-)
 
 _INT64_MAX = (1 << 63) - 1
 
-
-@dataclass(frozen=True)
-class VertexTerm:
-    """``weight * [h(x) < threshold]``."""
-
-    x: int
-    threshold: int
-    weight: int
-
-
-@dataclass(frozen=True)
-class PairTerm:
-    """``weight * [h(x1) < t1 and h(x2) < t2]`` with ``x1 != x2``."""
-
-    x1: int
-    t1: int
-    x2: int
-    t2: int
-    weight: int
+# ``(breakpoints, G at each breakpoint, slope after each breakpoint)``.
+_PrefixIndex = Tuple[List[int], List[int], List[int]]
 
 
 class ThresholdEstimator:
@@ -115,20 +109,16 @@ class ThresholdEstimator:
         if p < 2:
             raise DerandomizationError(f"modulus must be >= 2, got {p}")
         self.p = p
-        self.vertex_terms: List[VertexTerm] = []
-        self.pair_terms: List[PairTerm] = []
-        # Running sums maintained at insertion (term lists are append-only).
+        # The terms, one column per field: vertex (x, T, w) then pair
+        # (x1, T1, x2, T2, w).  Append-only; ids are kept as given.
+        self._cols: Tuple[List[int], ...] = tuple([] for _ in range(8))
+        # Running sums maintained at insertion.
         self._vertex_weighted_thresholds = 0  # Σ w·T   (cond_a_x_p vertex part)
         self._expectation_x_p2 = 0            # Σ w·T·p + Σ w·T1·T2
         self._max_abs_weight = 0              # array-path overflow bound
-        # Columnar copies of the term fields, appended at insertion:
-        # ``np.array(list_of_ints)`` converts at C speed, where iterating
-        # dataclass attributes per element would dominate the array
-        # path's setup cost on small estimators.
-        self._cols: Tuple[List[int], ...] = tuple([] for _ in range(8))
-        # Per-multiplier segment cache: ((p, a), [(weight, segments), ...]).
-        self._a_cache_key: Optional[Tuple[int, int]] = None
-        self._a_cache_terms: Optional[List[Tuple[int, List[Tuple[int, int]]]]] = None
+        # Per-multiplier prefix index of G (reference kernel).
+        self._index_key: Optional[Tuple[int, int]] = None
+        self._index: Optional[_PrefixIndex] = None
         # Array backend: flat int64 term arrays + per-multiplier arcs.
         self._np = numpy_or_none() if kernel == KERNEL_NUMPY else None
         if self._np is not None and not supports_modulus(p):
@@ -144,9 +134,6 @@ class ThresholdEstimator:
     def add_vertex_term(self, x: int, threshold: int, weight: int) -> None:
         """Add ``weight * [h(x) < threshold]``."""
         self._check_threshold(threshold)
-        self.vertex_terms.append(
-            VertexTerm(x=x, threshold=threshold, weight=weight)
-        )
         vx, vt, vw = self._cols[0], self._cols[1], self._cols[2]
         vx.append(x)
         vt.append(threshold)
@@ -170,9 +157,6 @@ class ThresholdEstimator:
             )
         self._check_threshold(t1)
         self._check_threshold(t2)
-        self.pair_terms.append(
-            PairTerm(x1=x1, t1=t1, x2=x2, t2=t2, weight=weight)
-        )
         px1, pt1, px2, pt2, pw = self._cols[3:]
         px1.append(x1)
         pt1.append(t1)
@@ -185,7 +169,7 @@ class ThresholdEstimator:
 
     def _invalidate_caches(self) -> None:
         """Terms changed: every derived structure is stale."""
-        self._a_cache_key = self._a_cache_terms = None
+        self._index_key = self._index = None
         self._flat = None
         self._arc_cache_key = self._arc_cache = None
 
@@ -196,9 +180,19 @@ class ThresholdEstimator:
             )
 
     @property
+    def num_vertex_terms(self) -> int:
+        """Vertex-term count."""
+        return len(self._cols[0])
+
+    @property
+    def num_pair_terms(self) -> int:
+        """Pair-term count."""
+        return len(self._cols[3])
+
+    @property
     def num_terms(self) -> int:
         """Total term count."""
-        return len(self.vertex_terms) + len(self.pair_terms)
+        return self.num_vertex_terms + self.num_pair_terms
 
     # ------------------------------------------------------------------
     # Array backend plumbing
@@ -206,11 +200,12 @@ class ThresholdEstimator:
     def _flat_terms_arrays(self) -> Optional[dict]:
         """Flat int64 term arrays, or None when the array path can't run.
 
-        Built lazily once per term-set (the term lists are append-only
-        and every append invalidates).  A term value outside int64 —
-        ids and thresholds are bounded by ``p`` so only a pathological
-        weight can get there — disables the array path for this
-        instance rather than risking a wrapped product.
+        Built lazily once per term-set (the columns are append-only and
+        every append invalidates).  Id columns are reduced mod ``p``, so
+        hash products stay below ``2^62`` whatever the ids.  A term
+        value outside int64 (an id or weight of 64 bits or more)
+        disables the array path for this instance rather than risking a
+        wrapped product.
         """
         if self._np is None:
             return None
@@ -225,6 +220,8 @@ class ThresholdEstimator:
                 self.kernel = KERNEL_PYTHON
                 return None
             vx, vt, vw, px1, pt1, px2, pt2, pw = arrays
+            p = self.p
+            vx, px1, px2 = vx % p, px1 % p, px2 % p
             self._flat = {
                 "vx": vx, "vt": vt, "vw": vw,
                 "px1": px1, "pt1": pt1, "px2": px2, "pt2": pt2, "pw": pw,
@@ -265,11 +262,9 @@ class ThresholdEstimator:
     def _pair_overlap_matrix(self, flat: dict, a_column):
         """``|I_{x1} ∩ I_{x2}|`` for every (multiplier row, pair term).
 
-        With ``d = (a·(x1 − x2)) mod p`` the two intervals, shifted so
-        the first starts at 0, are ``[0, t1)`` and ``[d, d+t2) mod p``;
-        the overlap is the clamped head segment plus the clamped
-        wrap-around segment.  Every quantity is below ``2^62`` for a
-        supported modulus, so int64 is exact.
+        The module docstring's closed form, one array expression.  Every
+        quantity is below ``2^62`` for a supported modulus, so int64 is
+        exact.
         """
         np = self._np
         p = self.p
@@ -284,9 +279,9 @@ class ThresholdEstimator:
         """Every term's b-interval(s) under ``a`` as flat arc arrays.
 
         Returns ``(starts, lengths, weights)`` — one arc per vertex term
-        and two (possibly empty) arcs per pair term, the array analogue
-        of :meth:`_prepared_terms`.  Cached per ``(p, a)`` exactly like
-        the segment cache; term addition invalidates.
+        and two (possibly empty) arcs per pair term, the same arcs
+        :meth:`_prefix_index` accumulates.  Cached per ``(p, a)`` like
+        the prefix index; term addition invalidates.
         """
         key = (self.p, a)
         if self._arc_cache_key != key:
@@ -308,6 +303,67 @@ class ThresholdEstimator:
         return self._arc_cache
 
     # ------------------------------------------------------------------
+    # Reference kernel plumbing
+    # ------------------------------------------------------------------
+    def _prefix_index(self, a: int) -> _PrefixIndex:
+        """Breakpoint index of ``G(x) = Σ w·|I_term ∩ [0, x)|`` under ``a``.
+
+        ``G`` is piecewise linear: every term's cyclic arcs split into
+        linear pieces ``[lo, hi)``, each adding slope ``+w`` at ``lo``
+        and ``-w`` at ``hi``.  Summing the slope changes per breakpoint
+        and sweeping them in order gives ``G`` and its slope at every
+        breakpoint, so ``G(x)`` is one bisection away (:func:`_g_at`).
+        Cached for one ``(p, a)`` — the offset-fixing stage only ever
+        asks about the chosen multiplier — so memory stays O(terms).
+        """
+        key = (self.p, a)
+        if self._index_key == key:
+            return self._index
+        p = self.p
+        slope_change = {0: 0}
+        get = slope_change.get
+
+        def add_arc(start: int, length: int, weight: int) -> None:
+            # Cyclic arc [start, start + length) mod p, 0 <= start < p.
+            end = start + length
+            slope_change[start] = get(start, 0) + weight
+            if end > p:
+                slope_change[0] += weight
+                end -= p
+            slope_change[end] = get(end, 0) - weight
+
+        vx, vt, vw, px1, pt1, px2, pt2, pw = self._cols
+        for x, t, w in zip(vx, vt, vw):
+            if w:
+                add_arc(-a * x % p, t, w)
+        for x1, t1, x2, t2, w in zip(px1, pt1, px2, pt2, pw):
+            if not w:
+                continue
+            # The pair's head and wrap pieces, as in ``cond_a_x_p``,
+            # shifted back by ``s1``.
+            s1 = -a * x1 % p
+            d = a * (x1 - x2) % p
+            e = d + t2
+            if d < t1:
+                add_arc((s1 + d) % p, (t1 if t1 < e else e) - d, w)
+            if e > p:
+                e -= p
+                add_arc(s1, t1 if t1 < e else e, w)
+        xs = sorted(slope_change)
+        gs: List[int] = []
+        slopes: List[int] = []
+        g = slope = prev = 0
+        for x in xs:
+            g += slope * (x - prev)
+            slope += slope_change[x]
+            gs.append(g)
+            slopes.append(slope)
+            prev = x
+        self._index_key = key
+        self._index = (xs, gs, slopes)
+        return self._index
+
+    # ------------------------------------------------------------------
     # Exact analysis
     # ------------------------------------------------------------------
     def value(self, seed: Seed) -> int:
@@ -318,11 +374,10 @@ class ThresholdEstimator:
         >>> est.value(Seed(1, 0, 7))   # h(3) = 3 < 4
         5
         """
+        p = self.p
+        a, b = seed.a, seed.b
         flat = self._flat_terms_arrays()
         if flat is not None:
-            np = self._np
-            p = self.p
-            a, b = seed.a, seed.b
             v_hit = ((a * flat["vx"] + b) % p) < flat["vt"]
             p_hit = (((a * flat["px1"] + b) % p) < flat["pt1"]) & (
                 ((a * flat["px2"] + b) % p) < flat["pt2"]
@@ -336,60 +391,19 @@ class ThresholdEstimator:
             return sum(flat["vw"][v_hit].tolist()) + sum(
                 flat["pw"][p_hit].tolist()
             )
+        vx, vt, vw, px1, pt1, px2, pt2, pw = self._cols
         total = 0
-        for term in self.vertex_terms:
-            if seed.hash(term.x) < term.threshold:
-                total += term.weight
-        for term in self.pair_terms:
-            if (
-                seed.hash(term.x1) < term.t1
-                and seed.hash(term.x2) < term.t2
-            ):
-                total += term.weight
+        for x, t, w in zip(vx, vt, vw):
+            if (a * x + b) % p < t:
+                total += w
+        for x1, t1, x2, t2, w in zip(px1, pt1, px2, pt2, pw):
+            if (a * x1 + b) % p < t1 and (a * x2 + b) % p < t2:
+                total += w
         return total
 
     def expectation_x_p2(self) -> int:
         """Return the integer ``p^2 * E[Phi]`` over the full family."""
         return self._expectation_x_p2
-
-    def _interval(self, x: int, threshold: int, a: int):
-        """Segments of ``{b : (a x + b) mod p < threshold}``."""
-        start = (-a * x) % self.p
-        return interval_to_segments(start, threshold, self.p)
-
-    def _prepared_terms(
-        self, a: int
-    ) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        """All terms as ``(weight, b-segments)`` under multiplier ``a``.
-
-        Derived once per ``a`` and cached; every range query under the
-        same multiplier reuses the list.  The cache holds one multiplier
-        (the offset-fixing stage only ever asks about the chosen one), so
-        memory stays O(terms).
-        """
-        key = (self.p, a)
-        if self._a_cache_key != key:
-            terms: List[Tuple[int, List[Tuple[int, int]]]] = []
-            for term in self.vertex_terms:
-                terms.append(
-                    (
-                        term.weight,
-                        self._interval(term.x, term.threshold, a),
-                    )
-                )
-            for term in self.pair_terms:
-                terms.append(
-                    (
-                        term.weight,
-                        intersect_segments(
-                            self._interval(term.x1, term.t1, a),
-                            self._interval(term.x2, term.t2, a),
-                        ),
-                    )
-                )
-            self._a_cache_key = key
-            self._a_cache_terms = terms
-        return self._a_cache_terms
 
     def cond_a_x_p(self, a: int) -> int:
         """Return the integer ``p * E[Phi | a]`` (``b`` uniform on Z_p).
@@ -402,17 +416,19 @@ class ThresholdEstimator:
         if flat is not None:
             overlap = self._pair_overlap_matrix(flat, a)
             return self._vertex_weighted_thresholds + self._sum_exact(
-                flat["pw"], overlap, len(self.pair_terms)
+                flat["pw"], overlap, self.num_pair_terms
             )
+        p = self.p
         total = self._vertex_weighted_thresholds
-        for term in self.pair_terms:
-            overlap = segments_length(
-                intersect_segments(
-                    self._interval(term.x1, term.t1, a),
-                    self._interval(term.x2, term.t2, a),
-                )
-            )
-            total += term.weight * overlap
+        # The closed form with its two max(0, ·) clamps as branches.
+        for x1, t1, x2, t2, w in zip(*self._cols[3:]):
+            d = a * (x1 - x2) % p
+            e = d + t2
+            if d < t1:
+                total += w * ((t1 if t1 < e else e) - d)
+            if e > p:
+                e -= p
+                total += w * (t1 if t1 < e else e)
         return total
 
     def cond_a_x_p_many(self, multipliers: Sequence[int]) -> List[int]:
@@ -431,7 +447,7 @@ class ThresholdEstimator:
             ).reshape(-1, 1)
             overlap = self._pair_overlap_matrix(flat, a_col)
             pair_sums = self._sum_exact_rows(
-                flat["pw"], overlap, len(self.pair_terms)
+                flat["pw"], overlap, self.num_pair_terms
             )
             base = self._vertex_weighted_thresholds
             return [base + s for s in pair_sums]
@@ -443,16 +459,7 @@ class ThresholdEstimator:
         Dividing by ``b_hi - b_lo`` (the caller clips the range to
         ``[0, p)`` first) gives ``E[Phi | a, b in range]`` exactly.
         """
-        if not 0 <= b_lo <= b_hi <= self.p:
-            raise DerandomizationError(
-                f"range [{b_lo}, {b_hi}) must lie within [0, {self.p}]"
-            )
-        if self._flat_terms_arrays() is not None:
-            return self.cond_ab_range_many(a, [(b_lo, b_hi)])[0]
-        total = 0
-        for weight, segments in self._prepared_terms(a):
-            total += weight * segments_overlap_range(segments, b_lo, b_hi)
-        return total
+        return self.cond_ab_range_many(a, [(b_lo, b_hi)])[0]
 
     def cond_ab_range_many(
         self, a: int, ranges: Sequence[Tuple[int, int]]
@@ -461,9 +468,10 @@ class ThresholdEstimator:
 
         This is the offset-fixing stage's shape: ``2^c`` candidate
         ranges per chunk, all under the already-committed ``a``.  The
-        numpy kernel reuses the per-multiplier arc arrays across every
-        range (mirroring the reference kernel's segment cache) and
-        clamps all (ranges × arcs) overlaps in one expression.
+        reference kernel fetches the per-multiplier prefix index once
+        and answers each range as ``G(b_hi) - G(b_lo)``; the numpy
+        kernel reuses the per-multiplier arc arrays across every range
+        and clamps all (ranges × arcs) overlaps in one expression.
         """
         for b_lo, b_hi in ranges:
             if not 0 <= b_lo <= b_hi <= self.p:
@@ -471,10 +479,10 @@ class ThresholdEstimator:
                     f"range [{b_lo}, {b_hi}) must lie within [0, {self.p}]"
                 )
         flat = self._flat_terms_arrays()
-        if flat is None or not ranges:
-            # Degenerate ranges are 0 by definition; skip the term scan.
+        if flat is None:
+            index = self._prefix_index(a)
             return [
-                self.cond_ab_range(a, b_lo, b_hi) if b_lo < b_hi else 0
+                _g_at(index, b_hi) - _g_at(index, b_lo)
                 for b_lo, b_hi in ranges
             ]
         np = self._np
@@ -506,10 +514,8 @@ class ThresholdEstimator:
         self,
     ) -> Tuple[List[Tuple[int, int, int]], List[Tuple[int, int, int, int, int]]]:
         """Return terms as plain integer tuples (machine-storable)."""
-        return (
-            [(t.x, t.threshold, t.weight) for t in self.vertex_terms],
-            [(t.x1, t.t1, t.x2, t.t2, t.weight) for t in self.pair_terms],
-        )
+        cols = self._cols
+        return list(zip(*cols[:3])), list(zip(*cols[3:]))
 
     @classmethod
     def from_flat_terms(
@@ -526,3 +532,10 @@ class ThresholdEstimator:
         for x1, t1, x2, t2, weight in pair_terms:
             est.add_pair_term(x1, t1, x2, t2, weight)
         return est
+
+
+def _g_at(index: _PrefixIndex, x: int) -> int:
+    """``G(x)`` from a prefix index, for ``0 <= x <= p``."""
+    xs, gs, slopes = index
+    i = bisect_right(xs, x) - 1
+    return gs[i] + slopes[i] * (x - xs[i])

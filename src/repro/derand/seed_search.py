@@ -84,8 +84,8 @@ class MemoizedEstimatorBuilder:
     certificate) — each of which used to rebuild every machine's
     estimator from its flat terms.  This wrapper memoizes by machine id,
     turning ~``2 + scan_batches + ceil(log2(p)/c)`` rebuilds per machine
-    into one, and letting the estimator's own per-multiplier segment
-    cache survive across reductions.
+    into one, and letting the estimator's own per-multiplier prefix
+    index survive across reductions.
 
     ``capacity`` bounds the cache to the backend's resident-machine
     count: under an out-of-core backend only one shard of machines is in

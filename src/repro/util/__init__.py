@@ -10,21 +10,11 @@ Submodules
 ``rng``
     SplitMix64, a counter-based deterministic PRG used by the *randomized*
     baselines (the deterministic algorithms use no randomness at all).
-``intervals``
-    Exact cyclic-interval arithmetic in ``Z_p``; the basis of the
-    conditional-expectation computations in :mod:`repro.derand`.
 """
 
 from repro.util.mathx import ceil_div, ilog2_ceil, ilog2_floor, next_pow2
 from repro.util.prime import is_prime, next_prime
 from repro.util.rng import SplitMix64
-from repro.util.intervals import (
-    CyclicInterval,
-    interval_to_segments,
-    intersect_segments,
-    segments_length,
-    segments_overlap_range,
-)
 
 __all__ = [
     "ceil_div",
@@ -34,9 +24,4 @@ __all__ = [
     "is_prime",
     "next_prime",
     "SplitMix64",
-    "CyclicInterval",
-    "interval_to_segments",
-    "intersect_segments",
-    "segments_length",
-    "segments_overlap_range",
 ]

@@ -1,4 +1,11 @@
-"""Estimator expectations vs brute force over the whole family."""
+"""Estimator queries vs brute force over the whole family, both kernels.
+
+Both kernels evaluate the same closed-form pair overlap, so comparing
+them with each other cannot catch a wrong formula.  The reference here
+is brute force: the estimator's terms (read back through
+``to_flat_terms``) are hashed at every seed with :meth:`Seed.hash` and
+summed over the offsets each query ranges over.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,31 +13,74 @@ from hypothesis import given, settings, strategies as st
 from repro.derand.estimator import ThresholdEstimator
 from repro.derand.family import Seed
 from repro.errors import DerandomizationError
+from repro.mpc.state_layout import KERNEL_NUMPY, KERNEL_PYTHON, numpy_available
 
-PRIMES = [5, 7, 11, 13]
+PRIMES = [2, 5, 7, 11, 13]
+
+def available_kernels():
+    return [KERNEL_PYTHON] + ([KERNEL_NUMPY] if numpy_available() else [])
 
 
-def random_estimator(draw, p):
-    est = ThresholdEstimator(p)
-    n_vertex = draw(st.integers(0, 4))
-    for _ in range(n_vertex):
-        est.add_vertex_term(
-            draw(st.integers(0, p - 1)),
+def brute_value(est, a, b):
+    """``Phi(h_{a,b})`` from the raw terms, independent of ``value``."""
+    seed = Seed(a, b, est.p)
+    vterms, pterms = est.to_flat_terms()
+    total = 0
+    for x, t, w in vterms:
+        if seed.hash(x) < t:
+            total += w
+    for x1, t1, x2, t2, w in pterms:
+        if seed.hash(x1) < t1 and seed.hash(x2) < t2:
+            total += w
+    return total
+
+
+def brute_row(est, a):
+    """``brute_value`` at every offset ``b`` under multiplier ``a``."""
+    return [brute_value(est, a, b) for b in range(est.p)]
+
+
+def random_terms(draw, p, id_range=None):
+    """Flat ``(vertex_terms, pair_terms)`` with ids drawn from ``id_range``."""
+    lo, hi = id_range if id_range is not None else (0, p - 1)
+    vterms = [
+        (
+            draw(st.integers(lo, hi)),
             draw(st.integers(0, p)),
             draw(st.integers(-5, 5)),
         )
-    n_pair = draw(st.integers(0, 4))
-    for _ in range(n_pair):
-        x1 = draw(st.integers(0, p - 1))
-        x2 = draw(st.integers(0, p - 1).filter(lambda x: x != x1))
-        est.add_pair_term(
-            x1,
-            draw(st.integers(0, p)),
-            x2,
-            draw(st.integers(0, p)),
-            draw(st.integers(-5, 5)),
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    pterms = []
+    for _ in range(draw(st.integers(0 if p > 2 else 1, 4))):
+        x1 = draw(st.integers(lo, hi))
+        x2 = draw(st.integers(lo, hi).filter(lambda x: (x - x1) % p))
+        pterms.append(
+            (
+                x1,
+                draw(st.integers(0, p)),
+                x2,
+                draw(st.integers(0, p)),
+                draw(st.integers(-5, 5)),
+            )
         )
-    return est
+    return vterms, pterms
+
+
+def random_estimators(draw, p, id_range=None):
+    """The same random terms as one estimator per available kernel."""
+    vterms, pterms = random_terms(draw, p, id_range)
+    kernels = available_kernels()
+    ests = [
+        ThresholdEstimator.from_flat_terms(p, vterms, pterms, kernel=k)
+        for k in kernels
+    ]
+    assert [est.kernel for est in ests] == kernels
+    return ests
+
+
+def all_ranges(p):
+    return [(lo, hi) for lo in range(p + 1) for hi in range(lo, p + 1)]
 
 
 class TestConstruction:
@@ -48,6 +98,8 @@ class TestConstruction:
         est = ThresholdEstimator(7)
         with pytest.raises(DerandomizationError):
             est.add_vertex_term(0, 8, 1)
+        with pytest.raises(DerandomizationError):
+            est.add_pair_term(0, 3, 1, -1, 1)
 
     def test_rejects_tiny_modulus(self):
         with pytest.raises(DerandomizationError):
@@ -64,39 +116,154 @@ class TestConstruction:
                 seed = Seed(a, b, 11)
                 assert rebuilt.value(seed) == est.value(seed)
 
+    def test_flat_terms_keep_raw_ids(self):
+        est = ThresholdEstimator(7)
+        est.add_vertex_term(-3, 2, 1)
+        est.add_pair_term(40, 1, 2, 6, -4)
+        assert est.to_flat_terms() == ([(-3, 2, 1)], [(40, 1, 2, 6, -4)])
+        assert est.num_vertex_terms == 1
+        assert est.num_pair_terms == 1
+        assert est.num_terms == 2
+
 
 class TestExactness:
+    """Each query against brute force, on every available kernel."""
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(PRIMES), st.data())
     def test_expectation_matches_brute(self, p, data):
-        est = random_estimator(data.draw, p)
-        brute = sum(
-            est.value(Seed(a, b, p)) for a in range(p) for b in range(p)
-        )
-        assert est.expectation_x_p2() == brute
+        for est in random_estimators(data.draw, p):
+            brute = sum(sum(brute_row(est, a)) for a in range(p))
+            assert est.expectation_x_p2() == brute
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_value_matches_brute(self, p, data):
+        for est in random_estimators(data.draw, p):
+            for a in range(p):
+                for b in range(p):
+                    assert est.value(Seed(a, b, p)) == brute_value(est, a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(PRIMES), st.data())
     def test_cond_a_matches_brute(self, p, data):
-        est = random_estimator(data.draw, p)
-        for a in range(p):
-            brute = sum(est.value(Seed(a, b, p)) for b in range(p))
-            assert est.cond_a_x_p(a) == brute
+        for est in random_estimators(data.draw, p):
+            rows = [sum(brute_row(est, a)) for a in range(p)]
+            for a in range(p):
+                assert est.cond_a_x_p(a) == rows[a]
+            assert est.cond_a_x_p_many(range(p)) == rows
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(PRIMES), st.data())
     def test_cond_range_matches_brute(self, p, data):
-        est = random_estimator(data.draw, p)
         a = data.draw(st.integers(0, p - 1))
         lo = data.draw(st.integers(0, p))
         hi = data.draw(st.integers(lo, p))
-        brute = sum(est.value(Seed(a, b, p)) for b in range(lo, hi))
-        assert est.cond_ab_range(a, lo, hi) == brute
+        for est in random_estimators(data.draw, p):
+            brute = sum(brute_row(est, a)[lo:hi])
+            assert est.cond_ab_range(a, lo, hi) == brute
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_cond_range_many_matches_brute(self, p, data):
+        # Every range of Z_p in one batch: degenerate ones ([b, b)),
+        # ones clipped at p (the offset stage's last chunk) and the
+        # whole field, in an order unrelated to the breakpoints.
+        a = data.draw(st.integers(0, p - 1))
+        ranges = data.draw(st.permutations(all_ranges(p)))
+        for est in random_estimators(data.draw, p):
+            row = brute_row(est, a)
+            got = est.cond_ab_range_many(a, ranges)
+            assert got == [sum(row[lo:hi]) for lo, hi in ranges]
+            assert all(type(v) is int for v in got)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_ids_outside_field(self, p, data):
+        # h depends only on x mod p: ids >= p and negative ids answer
+        # like their residues.
+        for est in random_estimators(data.draw, p, id_range=(-5 * p, 5 * p)):
+            for a in range(p):
+                row = brute_row(est, a)
+                assert est.cond_a_x_p(a) == sum(row)
+                got = est.cond_ab_range_many(a, all_ranges(p))
+                assert got == [sum(row[lo:hi]) for lo, hi in all_ranges(p)]
+                for b in range(p):
+                    assert est.value(Seed(a, b, p)) == row[b]
 
     def test_cond_range_rejects_bad_range(self):
-        est = ThresholdEstimator(7)
-        est.add_vertex_term(0, 3, 1)
-        with pytest.raises(DerandomizationError):
-            est.cond_ab_range(1, 5, 3)
-        with pytest.raises(DerandomizationError):
-            est.cond_ab_range(1, 0, 9)
+        for kernel in available_kernels():
+            est = ThresholdEstimator(7, kernel=kernel)
+            est.add_vertex_term(0, 3, 1)
+            with pytest.raises(DerandomizationError):
+                est.cond_ab_range(1, 5, 3)
+            with pytest.raises(DerandomizationError):
+                est.cond_ab_range(1, 0, 9)
+            with pytest.raises(DerandomizationError):
+                est.cond_ab_range_many(1, [(0, 3), (-1, 2)])
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+class TestQueryCaching:
+    def build(self, kernel, p=13):
+        est = ThresholdEstimator(p, kernel=kernel)
+        est.add_vertex_term(3, 5, 2)
+        est.add_vertex_term(20, p, -1)
+        est.add_pair_term(1, 7, 4, 9, 3)
+        est.add_pair_term(-2, p, 6, 4, -2)
+        est.add_pair_term(8, 0, 9, 5, 4)
+        return est
+
+    def test_switching_multipliers(self, kernel):
+        # The per-multiplier index is keyed on (p, a): leaving a
+        # multiplier and returning to it must not answer from the wrong
+        # one.
+        est = self.build(kernel)
+        ranges = all_ranges(est.p)
+        for a in (3, 7, 3, 0, 12, 7, 3):
+            row = brute_row(est, a)
+            assert est.cond_ab_range_many(a, ranges) == [
+                sum(row[lo:hi]) for lo, hi in ranges
+            ]
+            assert est.cond_ab_range(a, 2, 11) == sum(row[2:11])
+
+    def test_term_added_after_query(self, kernel):
+        est = self.build(kernel)
+        a = 5
+        before = est.cond_ab_range_many(a, [(0, 13), (4, 9)])
+        assert est.cond_a_x_p(a) == before[0]
+        est.add_vertex_term(11, 6, 7)
+        est.add_pair_term(2, 10, 5, 8, -3)
+        row = brute_row(est, a)
+        assert est.cond_ab_range_many(a, [(0, 13), (4, 9)]) == [
+            sum(row), sum(row[4:9])
+        ]
+        assert est.cond_a_x_p(a) == sum(row)
+        assert est.value(Seed(a, 4, 13)) == row[4]
+
+    def test_modulus_two_and_extreme_thresholds(self, kernel):
+        # Thresholds 0 (never) and p (always) on the smallest field.
+        est = ThresholdEstimator(2, kernel=kernel)
+        est.add_vertex_term(0, 0, 5)
+        est.add_vertex_term(1, 2, 3)
+        est.add_pair_term(0, 2, 1, 2, -1)
+        est.add_pair_term(2, 0, 3, 2, 4)
+        est.add_pair_term(5, 1, 4, 2, 6)
+        for a in range(2):
+            row = brute_row(est, a)
+            assert est.cond_a_x_p(a) == sum(row)
+            assert est.cond_ab_range_many(a, all_ranges(2)) == [
+                sum(row[lo:hi]) for lo, hi in all_ranges(2)
+            ]
+        assert est.expectation_x_p2() == sum(
+            sum(brute_row(est, a)) for a in range(2)
+        )
+
+    def test_empty_estimator(self, kernel):
+        est = ThresholdEstimator(7, kernel=kernel)
+        assert est.cond_a_x_p(3) == 0
+        assert est.cond_a_x_p_many([0, 1, 2]) == [0, 0, 0]
+        assert est.cond_ab_range_many(3, [(0, 7), (2, 2)]) == [0, 0]
+        assert est.cond_ab_range_many(3, []) == []
+        assert est.value(Seed(3, 4, 7)) == 0
+

@@ -112,6 +112,43 @@ class TestEstimatorParity:
         a = P_ABOVE_BOUND - 2
         assert est.cond_a_x_p(a) == ref.cond_a_x_p(a)
 
+    @pytest.mark.parametrize(
+        "big_id", [2**40 + 3, 2**55 + 11, 2**62 + 5, -(2**50)]
+    )
+    def test_ids_beyond_int32_at_bound(self, big_id):
+        # ``a * x`` wraps int64 once |x| >= 2^32 at p = 2^31 - 1; the
+        # array path must hash ``x mod p`` instead of the raw id.
+        p = P_AT_BOUND
+        ests = {}
+        for kernel in (KERNEL_PYTHON, KERNEL_NUMPY):
+            est = ThresholdEstimator(p, kernel=kernel)
+            est.add_vertex_term(x=big_id, threshold=p // 3, weight=5)
+            est.add_pair_term(
+                x1=big_id, t1=p // 2, x2=17, t2=p // 3, weight=-3
+            )
+            est.add_pair_term(
+                x1=99, t1=p // 4, x2=big_id, t2=p // 5, weight=2
+            )
+            ests[kernel] = est
+        py, vec = ests[KERNEL_PYTHON], ests[KERNEL_NUMPY]
+        assert vec.kernel == KERNEL_NUMPY
+        a = p - 5
+        ranges = [(0, p // 2), (p // 3, p), (0, p)]
+        assert py.cond_a_x_p(a) == vec.cond_a_x_p(a)
+        assert py.cond_a_x_p_many([a, 3, 1]) == vec.cond_a_x_p_many(
+            [a, 3, 1]
+        )
+        assert py.cond_ab_range(a, 0, p // 2) == vec.cond_ab_range(
+            a, 0, p // 2
+        )
+        assert py.cond_ab_range_many(a, ranges) == vec.cond_ab_range_many(
+            a, ranges
+        )
+        for b in (0, 12345, p - 1):
+            seed = Seed(a, b, p)
+            assert py.value(seed) == vec.value(seed)
+        assert vec.to_flat_terms() == py.to_flat_terms()
+
     def test_kernel_survives_flat_roundtrip(self):
         src = build_random_estimator(101, KERNEL_PYTHON, rng_seed=9)
         vflat, pflat = src.to_flat_terms()
@@ -140,7 +177,7 @@ class TestScanOrderRegression:
         assert by_index == [(i + 1) % p for i in range(p)]
 
     def test_interleaved_estimators_different_p(self):
-        # The prepared-term / arc caches are keyed on (p, a); two live
+        # The prefix-index / arc caches are keyed on (p, a); two live
         # estimators with different moduli queried in lockstep must not
         # cross-contaminate (a alone is an ambiguous key: a=3 means a
         # different affine map in Z_13 than in Z_101).
