@@ -40,6 +40,12 @@ from repro.errors import ReproError
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, write_edge_list
+from repro.mpc.backends import BACKENDS
+
+WORKERS_HELP = (
+    "shard count for the shard backend and --stream (0 = default); "
+    "an error on any other backend"
+)
 
 FAMILIES = (
     "gnp", "powerlaw", "tree", "grid", "regular", "star", "cycle",
@@ -107,9 +113,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _check_workers(args) -> None:
+    """Refuse ``--workers`` where no shard backend would read it."""
+    if args.workers and args.backend != "shard":
+        raise ReproError(
+            f"--workers {args.workers} sets the shard count and needs "
+            f"--backend shard (got --backend {args.backend or 'serial'})"
+        )
+
+
 def cmd_solve(args) -> int:
     if getattr(args, "stream", False):
         return _cmd_solve_stream(args)
+    _check_workers(args)
     graph = _load_or_build(args)
     trace_out = getattr(args, "trace_out", None)
     result = solve_ruling_set(
@@ -170,6 +186,11 @@ def _cmd_solve_stream(args) -> int:
             "--stream fixes alpha at 2 (alpha > 2 sizes on a "
             "driver-materialized power graph, which contradicts streaming)"
         )
+    if args.backend not in (None, "shard"):
+        raise ReproError(
+            f"--stream runs on the shard backend; --backend {args.backend} "
+            "cannot apply (drop it or pass --backend shard)"
+        )
     result = solve_ruling_set_stream(
         args.input,
         algorithm=args.algorithm,
@@ -204,6 +225,7 @@ def _cmd_solve_stream(args) -> int:
 
 def cmd_trace(args) -> int:
     """Solve with the superstep trace enabled; write JSONL (+ Chrome)."""
+    _check_workers(args)
     graph = _load_or_build(args)
     result = solve_ruling_set(
         graph,
@@ -266,6 +288,7 @@ def cmd_trace(args) -> int:
 def cmd_match(args) -> int:
     from repro.core.det_matching import solve_matching
 
+    _check_workers(args)
     graph = _load_or_build(args)
     trace_out = getattr(args, "trace_out", None)
     result = solve_matching(
@@ -579,17 +602,13 @@ def make_parser() -> argparse.ArgumentParser:
             choices=("sublinear", "near-linear", "single"),
         )
         parser.add_argument(
-            "--backend", default=None,
-            choices=("serial", "process", "shard"),
+            "--backend", default=None, choices=sorted(BACKENDS),
             help="superstep execution backend (results are bit-identical; "
-            "'process' fans machine callbacks across worker processes; "
             "'shard' spills machine state to disk and keeps one shard "
             "resident — graphs bigger than RAM)",
         )
         parser.add_argument(
-            "--workers", type=int, default=0,
-            help="process-pool size for --backend process (0 = one per "
-            "CPU); shard count for --backend shard (0 = default)",
+            "--workers", type=int, default=0, help=WORKERS_HELP,
         )
         parser.add_argument(
             "--kernel", default=None, choices=("python", "numpy"),
@@ -660,14 +679,11 @@ def make_parser() -> argparse.ArgumentParser:
         + " (default: picked from --randomized)",
     )
     p_match.add_argument(
-        "--backend", default=None,
-        choices=("serial", "process", "shard"),
+        "--backend", default=None, choices=sorted(BACKENDS),
         help="superstep execution backend (results are bit-identical)",
     )
     p_match.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool size for --backend process (0 = one per "
-        "CPU); shard count for --backend shard (0 = default)",
+        "--workers", type=int, default=0, help=WORKERS_HELP,
     )
     p_match.add_argument(
         "--kernel", default=None, choices=("python", "numpy"),

@@ -273,9 +273,10 @@ def solve_matching(
     A thin registry lookup over :class:`~repro.core.session.SolverSession`
     — the same dispatch and lifecycle as ``solve_ruling_set``, which is
     what gives matching the full driver surface: named ``regime`` /
-    explicit ``config``, ``backend`` / ``backend_workers`` fan-out, the
-    ``kernel`` compute backend, and the superstep ``trace`` (all with
-    the usual bit-identity contracts).
+    explicit ``config``, the ``backend`` (``"serial"`` or ``"shard"``)
+    with its ``backend_workers`` shard count, the ``kernel`` compute
+    backend, and the superstep ``trace`` (all with the usual
+    bit-identity contracts).
 
     ``algorithm`` is any registered matching algorithm name; when
     ``None`` it is picked from the ``deterministic`` flag

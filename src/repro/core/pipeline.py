@@ -85,9 +85,10 @@ def solve_ruling_set(
         benchmarks keep it on).
     backend / backend_workers:
         Superstep execution backend override (``"serial"`` or
-        ``"process"``; see :mod:`repro.mpc.backends`).  Execution
-        strategy only: every backend produces bit-identical members,
-        rounds, and communication metrics.
+        ``"shard"``; see :mod:`repro.mpc.backends`) and, for the shard
+        backend, its shard count (0 = default).  Execution strategy
+        only: every backend produces bit-identical members, rounds, and
+        communication metrics.
     kernel:
         Machine-local compute kernel override (``"python"`` reference or
         ``"numpy"`` vectorized; see :mod:`repro.mpc.state_layout`).

@@ -14,13 +14,15 @@ owns that lifecycle once, for every registered algorithm and problem:
    for sizing, and handed to the program factory through the
    :class:`~repro.core.registry.RunContext` — execution does not
    rebuild it.
-2. **Backend / trace wiring** — ``backend`` / ``backend_workers`` and
+2. **Backend / trace wiring** — ``backend`` / ``backend_workers``
+   (``"serial"`` or ``"shard"``; the worker count is the shard count) and
    ``trace`` / ``trace_warn_utilization`` are applied uniformly, so
    every algorithm (matching included) gets execution backends and the
    superstep trace for free.
 3. **Simulator lifecycle** — the simulator is always entered as a
-   context manager: a solve that raises still releases backend worker
-   pools (the contract ``tests/core/test_pipeline.py`` pins).
+   context manager: a solve that raises still releases backend
+   resources such as shard spill directories (the contract
+   ``tests/core/test_pipeline.py`` pins).
 4. **Execution** — the spec's ``program_factory`` builds the phase
    program, run by :func:`~repro.core.program.run_program` (the only
    MPC dispatch).
@@ -177,6 +179,11 @@ class SolverSession:
     :class:`Graph` or, for MPC algorithms at α = 2, an
     :class:`EdgeListSource` (out-of-core stream mode).  The session is
     single-use.
+
+    ``backend`` is ``"serial"`` or ``"shard"`` (``None`` keeps the
+    config's), and ``backend_workers`` is the shard count.  Stream mode
+    always runs on the shard backend, configured by its
+    :class:`EdgeListSource`.
     """
 
     def __init__(
@@ -351,7 +358,7 @@ class SolverSession:
         once the run body completes.  The simulator is a context
         manager, not a trailing ``shutdown()`` call: a solve that raises
         (e.g. ``MPCViolationError``) must still release the backend's
-        worker pools, or every failed run leaks processes.
+        resources, or every failed shard run leaks its spill directory.
         """
         if self.stream is None:
             with Simulator(cfg) as sim:

@@ -14,21 +14,16 @@ a single-process, cycle-accurate simulator of the MPC model.
   memory — the paper's quantities — plus per-round / per-phase
   wall-clock so simulator performance work is measurable.
 * :mod:`repro.mpc.backends` supplies pluggable superstep execution:
-  :class:`SerialBackend` (default, bit-identical to the historical
-  engine) and :class:`ProcessPoolBackend` (opt-in worker-process
-  fan-out with the same deterministic results).
+  :class:`SerialBackend` (default, in-memory) and the out-of-core
+  :class:`~repro.mpc.shard.ShardBackend` (one shard of machines
+  resident at a time), with bit-identical results.
 * :class:`TraceRecorder` (opt-in via ``MPCConfig.trace``) captures
   per-superstep, per-machine observability events — words, memory
   high-water, budget headroom vs ``S`` — with JSONL and Chrome-trace
   export plus a budget auditor that warns before the hard fault.
 """
 
-from repro.mpc.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SuperstepBackend,
-    resolve_backend,
-)
+from repro.mpc.backends import SerialBackend, SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.machine import Machine, words_of
@@ -48,6 +43,5 @@ __all__ = [
     "DistributedGraph",
     "SuperstepBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "resolve_backend",
 ]

@@ -1,66 +1,45 @@
 """Pluggable execution backends for the MPC superstep engine.
 
-The :class:`~repro.mpc.simulator.Simulator` delegates the *execution* of
-machine callbacks to a backend; routing, budget enforcement, and metrics
-stay in the simulator.  Two backends ship:
+The :class:`~repro.mpc.simulator.Simulator` delegates *how* a superstep
+runs to a backend; round accounting, the memory audit, the governor and
+the trace stay in the simulator.  Two backends ship:
 
 ``SerialBackend``
-    Runs every callback in machine-id order in the calling process —
-    bit-identical to the historical simulator behaviour and the default.
+    Runs every callback in machine-id order in the calling process and
+    routes the round's messages in memory — the default.
 
-``ProcessPoolBackend``
-    Fans machine callbacks across a pool of worker processes.  Machines
-    are partitioned into contiguous id-ordered chunks; each worker runs
-    the callback on its chunk and ships the mutated stores (and, for
-    communication steps, the outboxes) back.  Results are merged in
-    machine-id order, so message routing sees exactly the sequence the
-    serial backend produces — **determinism is preserved by
-    construction**, only wall-clock changes.
-
-    Callbacks are serialized with ``cloudpickle`` when available (which
-    handles the closures the algorithms use); with plain ``pickle`` only
-    module-level functions survive.  A callback that cannot be
-    serialized falls back to in-process serial execution for that call
-    (counted in :meth:`ProcessPoolBackend.stats`), so the backend is
-    always safe to enable.
+``ShardBackend`` (:mod:`repro.mpc.shard`)
+    Out-of-core: machine state is spilled to disk with one shard
+    resident at a time, and messages travel through a chunked spool.
 
 Backend contract: a callback may read and mutate *only the machine it is
-given*.  Every callback in this repository honours that (machine state is
-the sole side channel), which is what makes process isolation sound.
+given* (machine state is the sole side channel).  A backend implements
+:meth:`~SuperstepBackend.run_local` and
+:meth:`~SuperstepBackend.run_exchange`, visiting machines in id order,
+and every backend yields the identical run — members, metrics and error
+texts; only wall-clock and the backend's own counters differ.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import MPCConfigError
+from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
 
-try:  # cloudpickle serializes closures; optional, never required.
-    import cloudpickle as _fn_pickle
-except ImportError:  # pragma: no cover - environment without cloudpickle
-    _fn_pickle = pickle
-
 MachineFn = Callable[[Machine], object]
-
-LOCAL_STEP = "local"
-COMMUNICATE_STEP = "communicate"
 
 
 @dataclass
 class ExchangeStats:
     """What the simulator needs to know about a routed exchange.
 
-    A state-owning backend (``routes_messages = True``) performs the
-    whole route-validate-deliver cycle itself, because the driver process
-    never holds all machines at once.  It reports back exactly the
-    aggregates the simulator's own routing loop would have produced, so
-    metrics and traces are bit-identical across backends.
+    Every backend performs the whole route-validate-deliver cycle itself
+    (an out-of-core backend never holds all machines at once) and
+    reports back these aggregates, so metrics and traces are
+    bit-identical across backends.
     """
 
     total_messages: int = 0
@@ -76,36 +55,18 @@ class ExchangeStats:
 class SuperstepBackend:
     """How one superstep's machine callbacks get executed.
 
-    Subclasses implement :meth:`run_local` and :meth:`run_communicate`;
-    both must process machines in id order (or merge results as if they
-    had), because routing determinism depends on it.
-
-    Two capability flags extend the contract for out-of-core backends:
-
-    ``owns_state``
-        The backend spills machine state out of the driver process
-        between supersteps; driver-side code must read machine stores
-        through :meth:`run_harvest` (never ``machines[i].store``
-        directly) and memory audits come from :meth:`memory_snapshot`.
-
-    ``routes_messages``
-        The backend performs the inter-machine exchange itself via
-        :meth:`run_exchange` (validation, budget enforcement, delivery),
-        instead of returning outboxes for the simulator to route.
+    Subclasses implement :meth:`run_local` and :meth:`run_exchange`;
+    both visit machines in id order, because routing determinism depends
+    on it.  Driver-side code reads machine stores through
+    :meth:`run_harvest`, and the simulator's memory audit asks
+    :meth:`memory_snapshot` first, so a backend may keep machine state
+    outside the driver between supersteps.
     """
 
     name = "abstract"
-    owns_state = False
-    routes_messages = False
 
     def run_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:
         """Apply ``fn`` to every machine, mutating stores in place."""
-        raise NotImplementedError
-
-    def run_communicate(
-        self, machines: Sequence[Machine], fn: MachineFn
-    ) -> List[List[Message]]:
-        """Apply ``fn`` to every machine; return outboxes in id order."""
         raise NotImplementedError
 
     def run_exchange(
@@ -117,16 +78,18 @@ class SuperstepBackend:
         enforce: bool = True,
         want_sent_per_machine: bool = False,
     ) -> ExchangeStats:
-        """Route one full exchange (``routes_messages`` backends only).
+        """Run ``fn`` on every machine, then route, check and deliver.
 
-        Must raise exactly the errors the simulator's serial routing loop
-        raises — same types, same messages, same machine-id order — and
-        deliver payloads in arrival order (sender id ascending, then send
-        order within a sender).
+        ``fn`` returns the messages a machine sends (or None).  Budget
+        faults are enforced against ``memory_words`` when ``enforce``.
+        Errors are :class:`~repro.errors.MPCRoutingError` for a
+        nonexistent destination and
+        :class:`~repro.errors.MPCViolationError` for a send or receive
+        budget overflow, with :class:`SerialBackend`'s texts, raised in
+        the same machine-id order.  Payloads are delivered in arrival
+        order: sender id ascending, then send order within a sender.
         """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not route messages"
-        )
+        raise NotImplementedError
 
     def run_harvest(
         self,
@@ -165,20 +128,20 @@ class SuperstepBackend:
         return None
 
     def shutdown(self) -> None:
-        """Release any worker resources (idempotent)."""
+        """Release backend resources such as spill files (idempotent)."""
 
     def stats(self) -> Dict[str, int]:
         """Execution counters (integer-valued, cheap to snapshot).
 
         The trace layer (:mod:`repro.mpc.trace`) snapshots this dict on
-        every superstep for backend/worker attribution, so implementations
-        must keep it small and allocation-light.
+        every superstep for backend attribution, so implementations must
+        keep it small and allocation-light.
         """
         return {}
 
 
 class SerialBackend(SuperstepBackend):
-    """In-process execution in machine-id order (the historical path)."""
+    """In-process execution and routing in machine-id order."""
 
     name = "serial"
 
@@ -193,6 +156,7 @@ class SerialBackend(SuperstepBackend):
     def run_communicate(
         self, machines: Sequence[Machine], fn: MachineFn
     ) -> List[List[Message]]:
+        """Apply ``fn`` to every machine; return outboxes in id order."""
         self._stats["communicate_steps"] += 1
         outboxes: List[List[Message]] = []
         for machine in machines:
@@ -200,183 +164,73 @@ class SerialBackend(SuperstepBackend):
             outboxes.append(list(sent) if sent is not None else [])
         return outboxes
 
+    def run_exchange(
+        self,
+        machines: Sequence[Machine],
+        fn: MachineFn,
+        *,
+        memory_words: int,
+        enforce: bool = True,
+        want_sent_per_machine: bool = False,
+    ) -> ExchangeStats:
+        outboxes = self.run_communicate(machines, fn)
+
+        inboxes: List[List[Tuple[int, ...]]] = [[] for _ in machines]
+        received_words = [0] * len(machines)
+        sent_per_machine = (
+            [0] * len(machines) if want_sent_per_machine else None
+        )
+        total_messages = 0
+        total_words = 0
+        max_sent = 0
+
+        for sender, outbox in enumerate(outboxes):
+            sent_words = 0
+            for message in outbox:
+                # Both bounds matter: a negative dst would silently wrap
+                # via Python list indexing and deliver to machine k+dst.
+                if not 0 <= message.dst < len(machines):
+                    raise MPCRoutingError(
+                        f"machine {sender} sent to nonexistent machine "
+                        f"{message.dst} (k={len(machines)})"
+                    )
+                sent_words += message.words
+                received_words[message.dst] += message.words
+                inboxes[message.dst].append(message.payload)
+                total_messages += 1
+            total_words += sent_words
+            max_sent = max(max_sent, sent_words)
+            if sent_per_machine is not None:
+                sent_per_machine[sender] = sent_words
+            if enforce and sent_words > memory_words:
+                raise MPCViolationError(
+                    f"machine {sender} sent {sent_words} words in one round, "
+                    f"budget S={memory_words}"
+                )
+
+        max_received = max(received_words, default=0)
+        if enforce:
+            for mid, words in enumerate(received_words):
+                if words > memory_words:
+                    raise MPCViolationError(
+                        f"machine {mid} received {words} words in one "
+                        f"round, budget S={memory_words}"
+                    )
+
+        for machine, inbox in zip(machines, inboxes):
+            machine.inbox = inbox  # arrival order: sender id, then send order
+
+        return ExchangeStats(
+            total_messages=total_messages,
+            total_words=total_words,
+            max_sent=max_sent,
+            max_received=max_received,
+            received_per_machine=received_words,
+            sent_per_machine=sent_per_machine,
+        )
+
     def stats(self) -> Dict[str, int]:
         return dict(self._stats)
-
-
-def _chunk_ranges(count: int, parts: int) -> List[range]:
-    """Split ``range(count)`` into ``parts`` contiguous, balanced ranges."""
-    parts = max(1, min(parts, count))
-    base, extra = divmod(count, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append(range(lo, hi))
-        lo = hi
-    return ranges
-
-
-def _run_chunk(fn_blob: bytes, step: str, state_blob: bytes) -> bytes:
-    """Worker entry point: run one callback over one machine chunk.
-
-    Receives the callback (cloudpickle) and the chunk's machine states
-    (plain pickle: stores are flat integer containers, and a
-    :class:`~repro.mpc.machine.Store` carries its cached prices both
-    ways), returns the mutated states plus — for communication steps —
-    the outbox payloads.
-    """
-    fn = _fn_pickle.loads(fn_blob)
-    machines: List[Machine] = pickle.loads(state_blob)
-    if step == LOCAL_STEP:
-        for machine in machines:
-            fn(machine)
-        outboxes: Optional[List[List[Message]]] = None
-    else:
-        outboxes = []
-        for machine in machines:
-            sent = fn(machine)
-            outboxes.append(list(sent) if sent is not None else [])
-    states = [(m.store, m.inbox) for m in machines]
-    return pickle.dumps((states, outboxes))
-
-
-class ProcessPoolBackend(SuperstepBackend):
-    """Fan machine callbacks across worker processes, deterministically.
-
-    ``workers=0`` means one worker per CPU.  ``min_machines`` gates the
-    fan-out: chunks smaller than it are not worth the serialization
-    round-trip and run serially.  The pool is created lazily on first
-    use and torn down by :meth:`shutdown` (the simulator calls it when
-    the run ends, and it is safe to call repeatedly).
-
-    **Broken-pool recovery.**  A worker that dies mid-superstep (OOM
-    kill, stray signal) poisons the whole ``ProcessPoolExecutor``: every
-    in-flight and future submission raises ``BrokenProcessPool``, and the
-    executor never recovers on its own.  The backend treats that as a
-    transient fault, not a fatal one: the dead pool is torn down, the
-    superstep re-runs on the in-process serial path, and the *next*
-    parallel step lazily builds a fresh pool.  Recovery is sound because
-    worker results are only applied to the machines after **every** chunk
-    has come back — a step that fails anywhere leaves the machines
-    untouched, so the serial re-run applies the callback exactly once.
-    Occurrences are counted in :meth:`stats` as ``broken_pool_recoveries``.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 0, min_machines: int = 2):
-        if workers < 0:
-            raise MPCConfigError(f"workers must be >= 0, got {workers}")
-        self.workers = workers or (os.cpu_count() or 1)
-        self.min_machines = max(1, min_machines)
-        self._executor = None
-        self._serial = SerialBackend()
-        self._stats = {
-            "parallel_steps": 0,
-            "serial_fallbacks": 0,
-            "unpicklable_fallbacks": 0,
-            "broken_pool_recoveries": 0,
-            "chunks_dispatched": 0,
-            "machines_shipped": 0,
-        }
-
-    # -- lifecycle ------------------------------------------------------
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return self._executor
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def stats(self) -> Dict[str, int]:
-        out = dict(self._stats)
-        out["workers"] = self.workers
-        # Fold in the fallback path's counters so serial execution of
-        # unpicklable or tiny steps stays attributed in traces.
-        for key, value in self._serial.stats().items():
-            out[f"fallback_{key}"] = value
-        return out
-
-    # -- execution ------------------------------------------------------
-    def _serialize_fn(self, fn: MachineFn) -> Optional[bytes]:
-        try:
-            return _fn_pickle.dumps(fn)
-        except Exception:
-            return None
-
-    def _dispatch(
-        self, machines: Sequence[Machine], fn: MachineFn, step: str
-    ) -> Optional[List[Optional[List[Message]]]]:
-        """Run a superstep on the pool; None means "caller must go serial"."""
-        if len(machines) < self.min_machines or self.workers < 2:
-            self._stats["serial_fallbacks"] += 1
-            return None
-        fn_blob = self._serialize_fn(fn)
-        if fn_blob is None:
-            self._stats["unpicklable_fallbacks"] += 1
-            return None
-        chunks = _chunk_ranges(len(machines), self.workers)
-        try:
-            blobs = [
-                pickle.dumps([machines[i] for i in chunk]) for chunk in chunks
-            ]
-        except Exception:
-            self._stats["unpicklable_fallbacks"] += 1
-            return None
-        try:
-            futures = [
-                self._pool().submit(_run_chunk, fn_blob, step, blob)
-                for blob in blobs
-            ]
-            # Collect *every* chunk before touching any machine: a pool
-            # that breaks after some chunks returned must not leave a
-            # half-applied superstep behind, or the serial re-run would
-            # apply the callback twice to the already-mutated machines.
-            payloads = [pickle.loads(future.result()) for future in futures]
-        except BrokenProcessPool:
-            self._recover_broken_pool()
-            return None
-        merged: List[Optional[List[Message]]] = [None] * len(machines)
-        # Apply in submission (= id) order: completion order is
-        # irrelevant to the result, so scheduling jitter cannot leak in.
-        for chunk, (states, outboxes) in zip(chunks, payloads):
-            for offset, mid in enumerate(chunk):
-                store, inbox = states[offset]
-                machines[mid].store = store
-                machines[mid].inbox = inbox
-                if outboxes is not None:
-                    merged[mid] = outboxes[offset]
-        self._stats["parallel_steps"] += 1
-        self._stats["chunks_dispatched"] += len(chunks)
-        self._stats["machines_shipped"] += len(machines)
-        return merged
-
-    def _recover_broken_pool(self) -> None:
-        """Discard a poisoned executor; the next step rebuilds it lazily."""
-        self._stats["broken_pool_recoveries"] += 1
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            # The pool is already dead; don't block on its corpse.
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def run_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:
-        if self._dispatch(machines, fn, LOCAL_STEP) is None:
-            self._serial.run_local(machines, fn)
-
-    def run_communicate(
-        self, machines: Sequence[Machine], fn: MachineFn
-    ) -> List[List[Message]]:
-        merged = self._dispatch(machines, fn, COMMUNICATE_STEP)
-        if merged is None:
-            return self._serial.run_communicate(machines, fn)
-        return [outbox if outbox is not None else [] for outbox in merged]
 
 
 def _make_shard_backend(workers: int) -> SuperstepBackend:
@@ -386,16 +240,11 @@ def _make_shard_backend(workers: int) -> SuperstepBackend:
     return ShardBackend(num_shards=workers)
 
 
-SHARD_BACKEND_NAME = "shard"
-
-#: name → factory(workers).  ``workers`` means pool size for ``process``
-#: and shard count for ``shard`` (0 → each backend's default).
+#: name → factory(workers).  ``workers`` is the shard count for
+#: ``shard`` (0 → its default); the serial backend takes none.
 BACKENDS = {
     SerialBackend.name: lambda workers: SerialBackend(),
-    ProcessPoolBackend.name: lambda workers: ProcessPoolBackend(
-        workers=workers
-    ),
-    SHARD_BACKEND_NAME: _make_shard_backend,
+    "shard": _make_shard_backend,
 }
 
 

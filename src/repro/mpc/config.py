@@ -59,11 +59,11 @@ class MPCConfig:
     information-theoretic minimum when the config was derived (kept for
     reporting); ``label`` names the regime in benchmark output.
 
-    ``backend`` selects how the simulator *executes* superstep callbacks
-    (``"serial"`` or ``"process"``; see :mod:`repro.mpc.backends`) —
+    ``backend`` selects how the simulator *executes* supersteps
+    (``"serial"`` or ``"shard"``; see :mod:`repro.mpc.backends`) —
     execution strategy only, never semantics: every backend produces
-    bit-identical runs.  ``backend_workers`` sizes the process pool
-    (0 = one worker per CPU); ignored by the serial backend.
+    bit-identical runs.  ``backend_workers`` is the shard count for the
+    shard backend (0 = its default); the serial backend takes none.
 
     ``trace`` enables the structured observability layer
     (:mod:`repro.mpc.trace`): per-superstep events, per-machine budget

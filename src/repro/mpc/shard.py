@@ -1,6 +1,6 @@
 """Sharded, out-of-core superstep execution — graphs bigger than RAM.
 
-Every other backend keeps all ``k`` simulated machines resident in the
+The serial backend keeps all ``k`` simulated machines resident in the
 driver process, so the "low-space" MPC regimes are simulated with O(full
 graph) real memory.  :class:`ShardBackend` honours the memory constraint
 at the *simulator* level: machines are grouped into contiguous id-ordered
@@ -19,8 +19,8 @@ Determinism is preserved by construction, not by luck:
   buffers flush every ``chunk_messages`` messages.
 * Budget violations and routing errors are raised with the identical
   type, message text, and machine-id order as the serial routing loop in
-  :meth:`~repro.mpc.simulator.Simulator.communicate` — the shard-parity
-  CI gate pins this.
+  :meth:`~repro.mpc.backends.SerialBackend.run_exchange` — the
+  shard-parity CI gate pins this.
 
 Driver-side code must not touch ``machines[i].store`` directly while this
 backend owns state (the resident copy is usually a cleared husk); reads
@@ -40,12 +40,7 @@ import tempfile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
-from repro.mpc.backends import (
-    ExchangeStats,
-    MachineFn,
-    SuperstepBackend,
-    _chunk_ranges,
-)
+from repro.mpc.backends import ExchangeStats, MachineFn, SuperstepBackend
 from repro.mpc.machine import Machine, Store, words_of
 
 # ``words_of`` stays importable from here: the end-to-end benchmark's
@@ -66,6 +61,19 @@ SPILL_DIR_ENV = "REPRO_SHARD_DIR"
 CHUNK_ENV = "REPRO_SHARD_CHUNK"
 
 
+def _chunk_ranges(count: int, parts: int) -> List[range]:
+    """Split ``range(count)`` into ``parts`` contiguous, balanced ranges."""
+    parts = max(1, min(parts, count))
+    base, extra = divmod(count, parts)
+    ranges = []
+    lo = 0
+    for i in range(parts):
+        hi = lo + base + (1 if i < extra else 0)
+        ranges.append(range(lo, hi))
+        lo = hi
+    return ranges
+
+
 class ShardBackend(SuperstepBackend):
     """Out-of-core execution: one machine shard resident at a time.
 
@@ -78,8 +86,6 @@ class ShardBackend(SuperstepBackend):
     """
 
     name = "shard"
-    owns_state = True
-    routes_messages = True
 
     def __init__(
         self,

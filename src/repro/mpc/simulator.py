@@ -16,14 +16,18 @@ Determinism: machines are processed in id order and each inbox is sorted by
 ``(sender id, arrival index)``, so a simulated run is a pure function of
 (algorithm, input, config).
 
-*Execution* of the machine callbacks is delegated to a pluggable
-:class:`~repro.mpc.backends.SuperstepBackend` (serial by default; an
-opt-in process pool fans callbacks across workers).  Backends change
-wall-clock only: results are merged in machine-id order before routing,
-so every backend yields the identical run.  Each superstep's wall-clock,
-memory audit included, is recorded into
-:class:`~repro.mpc.metrics.RunMetrics` (per round and per phase) so
-simulator performance is measured, never asserted.
+*Execution* of a superstep is delegated to a pluggable
+:class:`~repro.mpc.backends.SuperstepBackend`: ``run_local`` for a local
+step, ``run_exchange`` (callbacks, routing, budget checks, delivery) for
+a communicate step.  Serial is the default; the out-of-core shard
+backend keeps one shard of machines resident.  Backends change
+wall-clock only: machines are visited and messages delivered in the
+same order, so every backend yields the identical run.  The simulator
+keeps one superstep tail for all of them — round metrics, governor,
+memory audit, trace.  Each superstep's wall-clock, memory audit
+included, is recorded into :class:`~repro.mpc.metrics.RunMetrics` (per
+round and per phase) so simulator performance is measured, never
+asserted.
 
 Budget enforcement is strict by default: a machine exceeding its memory
 budget, or sending/receiving more than ``S`` words in one superstep, aborts
@@ -46,9 +50,9 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.errors import MPCRoutingError, MPCViolationError
+from repro.errors import MPCViolationError
 from repro.mpc.backends import SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.governor import GovernorPolicy, LoadGovernor
@@ -155,113 +159,31 @@ class Simulator:
         """One communication superstep.
 
         ``fn`` runs on each machine and returns the messages it sends this
-        round (or None).  All messages are then routed simultaneously —
+        round (or None).  The backend routes all messages simultaneously —
         synchronous semantics: nothing sent this round is visible until the
-        round completes.
+        round completes — and reports the round's aggregates.
         """
         started = time.perf_counter()
-        if self.backend.routes_messages:
-            # A state-owning backend performs the whole route-validate-
-            # deliver cycle itself (it cannot hand us all outboxes at
-            # once without materializing the round's traffic) and reports
-            # back the aggregates this loop would have produced.
-            stats = self.backend.run_exchange(
-                self.machines,
-                fn,
-                memory_words=self.config.memory_words,
-                enforce=self.enforce,
-                want_sent_per_machine=self.trace is not None,
-            )
-            self.metrics.record_round(
-                messages=stats.total_messages,
+        stats = self.backend.run_exchange(
+            self.machines,
+            fn,
+            memory_words=self.config.memory_words,
+            enforce=self.enforce,
+            want_sent_per_machine=self.trace is not None,
+        )
+        self.metrics.record_round(
+            messages=stats.total_messages,
+            words=stats.total_words,
+            max_sent=stats.max_sent,
+            max_received=stats.max_received,
+        )
+        if self.governor is not None:
+            # Same model quantities the trace records — wall clock
+            # never reaches the governor.
+            self.governor.observe_round(
                 words=stats.total_words,
                 max_sent=stats.max_sent,
                 max_received=stats.max_received,
-            )
-            if self.governor is not None:
-                # Same model quantities the trace records — wall clock
-                # never reaches the governor.
-                self.governor.observe_round(
-                    words=stats.total_words,
-                    max_sent=stats.max_sent,
-                    max_received=stats.max_received,
-                )
-            memory = self._price_memory()
-            elapsed = time.perf_counter() - started
-            self.metrics.record_elapsed(elapsed, is_round=True)
-            if self.trace is not None:
-                self.trace.record_round(
-                    round_index=self.metrics.rounds,
-                    phase=self.metrics.current_phase(),
-                    elapsed_s=elapsed,
-                    messages=stats.total_messages,
-                    words=stats.total_words,
-                    max_sent=stats.max_sent,
-                    max_received=stats.max_received,
-                    sent_per_machine=stats.sent_per_machine,
-                    received_per_machine=stats.received_per_machine,
-                    backend_stats=self.backend.stats(),
-                )
-            self._check_memory(memory)
-            return
-        outboxes = self.backend.run_communicate(self.machines, fn)
-
-        inboxes: List[List[Tuple[int, ...]]] = [
-            [] for _ in self.machines
-        ]
-        received_words = [0] * len(self.machines)
-        sent_per_machine = [0] * len(self.machines) if self.trace else None
-        total_messages = 0
-        total_words = 0
-        max_sent = 0
-
-        for sender, outbox in enumerate(outboxes):
-            sent_words = 0
-            for message in outbox:
-                # Both bounds matter: a negative dst would silently wrap
-                # via Python list indexing and deliver to machine k+dst.
-                if not 0 <= message.dst < len(self.machines):
-                    raise MPCRoutingError(
-                        f"machine {sender} sent to nonexistent machine "
-                        f"{message.dst} (k={len(self.machines)})"
-                    )
-                sent_words += message.words
-                received_words[message.dst] += message.words
-                inboxes[message.dst].append(message.payload)
-                total_messages += 1
-            total_words += sent_words
-            max_sent = max(max_sent, sent_words)
-            if sent_per_machine is not None:
-                sent_per_machine[sender] = sent_words
-            if self.enforce and sent_words > self.config.memory_words:
-                raise MPCViolationError(
-                    f"machine {sender} sent {sent_words} words in one round, "
-                    f"budget S={self.config.memory_words}"
-                )
-
-        max_received = max(received_words, default=0)
-        if self.enforce:
-            for mid, words in enumerate(received_words):
-                if words > self.config.memory_words:
-                    raise MPCViolationError(
-                        f"machine {mid} received {words} words in one "
-                        f"round, budget S={self.config.memory_words}"
-                    )
-
-        for machine, inbox in zip(self.machines, inboxes):
-            machine.inbox = inbox  # arrival order: sender id, then send order
-
-        self.metrics.record_round(
-            messages=total_messages,
-            words=total_words,
-            max_sent=max_sent,
-            max_received=max_received,
-        )
-        if self.governor is not None:
-            self.governor.observe_round(
-                words=total_words,
-                max_sent=max_sent,
-                max_received=max_received,
             )
         memory = self._price_memory()
         elapsed = time.perf_counter() - started
@@ -271,12 +193,12 @@ class Simulator:
                 round_index=self.metrics.rounds,
                 phase=self.metrics.current_phase(),
                 elapsed_s=elapsed,
-                messages=total_messages,
-                words=total_words,
-                max_sent=max_sent,
-                max_received=max_received,
-                sent_per_machine=sent_per_machine,
-                received_per_machine=received_words,
+                messages=stats.total_messages,
+                words=stats.total_words,
+                max_sent=stats.max_sent,
+                max_received=stats.max_received,
+                sent_per_machine=stats.sent_per_machine,
+                received_per_machine=stats.received_per_machine,
                 backend_stats=self.backend.stats(),
             )
         self._check_memory(memory)
@@ -317,7 +239,7 @@ class Simulator:
         return self.backend.run_harvest(self.machines, fn, only)
 
     def shutdown(self) -> None:
-        """Release backend resources (worker pools); safe to call twice."""
+        """Release backend resources (spill files); safe to call twice."""
         self.backend.shutdown()
 
     def __enter__(self) -> "Simulator":

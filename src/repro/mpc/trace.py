@@ -6,7 +6,7 @@ reports end-of-run aggregates.  :class:`TraceRecorder` captures *where
 inside a run* the budget pressure and wall-clock go: one structured
 event per superstep (local and communication), per-machine send/receive
 words, per-machine memory high-water marks, and the execution backend's
-chunk/fallback counters, all labelled with the active phase.
+step/shard counters, all labelled with the active phase.
 
 Two exports ship:
 

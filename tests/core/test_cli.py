@@ -131,3 +131,61 @@ class TestTraceCommand:
         assert summary["total_words"] == sum(
             r["words"] for r in records if r["type"] == "round"
         )
+
+
+class TestBackendFlags:
+    """Backend flags a run cannot honour are errors, never dropped."""
+
+    GRAPH = ["--family", "gnp", "--n", "40", "--param", "6"]
+
+    @pytest.mark.parametrize("backend", [[], ["--backend", "serial"]])
+    def test_solve_workers_needs_shard_backend(self, backend, capsys):
+        assert main(
+            ["solve", *self.GRAPH, "--workers", "7", *backend]
+        ) == 2
+        assert "--workers 7" in capsys.readouterr().err
+
+    def test_match_workers_needs_shard_backend(self, capsys):
+        assert main(["match", *self.GRAPH, "--workers", "7"]) == 2
+        assert "--workers 7" in capsys.readouterr().err
+
+    def test_trace_workers_needs_shard_backend(self, tmp_path, capsys):
+        assert main([
+            "trace", *self.GRAPH, "--workers", "7",
+            "--out", str(tmp_path / "t.jsonl"),
+        ]) == 2
+        assert "--workers 7" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_shard_backend_takes_workers(self, capsys):
+        assert main([
+            "solve", *self.GRAPH, "--algorithm", "det-luby",
+            "--backend", "shard", "--workers", "2", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["size"] >= 1
+
+    def test_stream_rejects_other_backend(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        main(["generate", *self.GRAPH, "--out", str(path)])
+        capsys.readouterr()
+        assert main([
+            "solve", "--stream", "--input", str(path),
+            "--backend", "serial",
+        ]) == 2
+        assert "--backend serial" in capsys.readouterr().err
+        assert main([
+            "solve", "--stream", "--input", str(path),
+            "--backend", "shard", "--workers", "2",
+        ]) == 0
+
+    def test_backend_choices_follow_registry(self):
+        from repro.cli import make_parser
+        from repro.mpc.backends import BACKENDS
+
+        commands = make_parser()._subparsers._group_actions[0].choices
+        for name in ("solve", "trace", "match"):
+            (action,) = [
+                a for a in commands[name]._actions if a.dest == "backend"
+            ]
+            assert list(action.choices) == sorted(BACKENDS)

@@ -155,7 +155,7 @@ class TestSolveMatchingParity:
     """Backend and trace wiring must be pure observers for matching too.
 
     ``solve_matching`` now runs through the same solver session as
-    ``solve_ruling_set``; a process-pool backend or an attached trace
+    ``solve_ruling_set``; the out-of-core shard backend or an attached trace
     must leave the matching and every model quantity bit-identical to
     the serial/untraced run.
     """
@@ -171,14 +171,14 @@ class TestSolveMatchingParity:
         assert other.metrics == reference.metrics
         assert other.phase_rounds == reference.phase_rounds
 
-    def test_process_backend_bit_identical(self, small_er):
+    def test_shard_backend_bit_identical(self, small_er):
         from repro.core.det_matching import solve_matching
 
         reference = self._reference(small_er)
-        parallel = solve_matching(
-            small_er, backend="process", backend_workers=2
+        sharded = solve_matching(
+            small_er, backend="shard", backend_workers=2
         )
-        self._assert_model_identical(reference, parallel)
+        self._assert_model_identical(reference, sharded)
 
     def test_trace_bit_identical_and_populated(self, small_er):
         from repro.core.det_matching import solve_matching
@@ -195,7 +195,7 @@ class TestSolveMatchingParity:
         reference = solve_matching(small_er, deterministic=False, seed=7)
         combined = solve_matching(
             small_er, deterministic=False, seed=7,
-            backend="process", backend_workers=2, trace=True,
+            backend="shard", backend_workers=2, trace=True,
         )
         self._assert_model_identical(reference, combined)
 

@@ -128,7 +128,7 @@ class TestSimulatorLifecycle:
 
     def test_shutdown_when_solve_raises(self, small_er, monkeypatch):
         # Regression: a raising solve (e.g. MPCViolationError) used to
-        # skip the trailing shutdown() and leak process-pool workers.
+        # skip the trailing shutdown() and leak backend resources.
         # The registry program factory imports luby_program lazily, so
         # patching the algorithm module's attribute intercepts the call.
         import repro.core.det_luby as det_luby_mod

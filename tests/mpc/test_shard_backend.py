@@ -234,14 +234,13 @@ class TestWiring:
             sim.shutdown()
 
     def test_env_override_loses_to_explicit_config(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "shard")
+        monkeypatch.setenv(BACKEND_ENV, "serial")
         cfg = MPCConfig(num_machines=2, memory_words=1024).with_backend(
-            "process", 1
+            "shard", 1
         )
         sim = Simulator(cfg)
         try:
-            assert not isinstance(sim.backend, ShardBackend)
-            assert sim.backend.name == "process"
+            assert isinstance(sim.backend, ShardBackend)
         finally:
             sim.shutdown()
 

@@ -84,9 +84,9 @@ class TestCommunicate:
     def test_negative_destination_rejected_by_router(self):
         # Regression: a negative dst used to wrap via Python list
         # indexing and silently deliver to machine k+dst.  Message
-        # validates at construction, but pickle reconstruction (the
-        # process backend's transport) bypasses __post_init__ — the
-        # router must reject out-of-range ids on its own.
+        # validates at construction, but pickle reconstruction bypasses
+        # __post_init__ — the router must reject out-of-range ids on
+        # its own.
         sim = small_sim()
         evil = Message.__new__(Message)
         object.__setattr__(evil, "dst", -1)

@@ -59,10 +59,10 @@ class TestObserverPurity:
         assert traced_members == plain_members
         assert traced_metrics.summary() == plain_metrics.summary()
 
-    def test_identical_summary_and_members_process(self):
+    def test_identical_summary_and_members_shard(self):
         plain_members, plain_metrics, _ = run_det_luby("serial", trace=False)
         traced_members, traced_metrics, trace = run_det_luby(
-            "process", trace=True
+            "shard", trace=True
         )
         assert traced_members == plain_members
         assert traced_metrics.summary() == plain_metrics.summary()

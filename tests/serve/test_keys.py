@@ -20,7 +20,7 @@ class TestCanonicalParams:
         base = MPCConfig(num_machines=8, memory_words=4096)
         noisy = MPCConfig(
             num_machines=8, memory_words=4096, label="noisy",
-            backend="process", backend_workers=4,
+            backend="shard", backend_workers=4,
             trace=True, trace_warn_utilization=0.5,
         )
         assert canonical_cache_params(
