@@ -613,9 +613,8 @@ def make_parser() -> argparse.ArgumentParser:
         parser.add_argument(
             "--kernel", default=None, choices=("python", "numpy"),
             help="machine-local compute kernel (results are bit-identical; "
-            "'numpy' vectorizes the hot loops and falls back to 'python' "
-            "when NumPy is not installed; default: $REPRO_KERNEL or "
-            "'python')",
+            "'numpy' vectorizes the hot loops and is an error when NumPy "
+            "is not installed; default: $REPRO_KERNEL or 'python')",
         )
         parser.add_argument(
             "--governed", action="store_true",

@@ -16,7 +16,7 @@ The modulus must exceed every hashed id; the deterministic algorithms use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from repro.errors import DerandomizationError
 from repro.util.prime import is_prime, next_prime
@@ -121,90 +121,6 @@ class AffineFamily:
         a = 1 + splitmix64(2 * index) % max(1, self.p - 1)
         b = splitmix64(2 * index + 1) % self.p
         return Seed(a=a % self.p, b=b, p=self.p)
-
-
-@dataclass(frozen=True)
-class PolynomialSeed:
-    """One member of the degree-``k-1`` polynomial (k-wise) family.
-
-    ``h(x) = (c_0 + c_1 x + ... + c_{k-1} x^{k-1}) mod p`` — evaluated by
-    Horner's rule.  ``coefficients`` are ``(c_0, ..., c_{k-1})``.
-    """
-
-    coefficients: Tuple[int, ...]
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise DerandomizationError(f"modulus {self.p} is not prime")
-        if not self.coefficients:
-            raise DerandomizationError("need at least one coefficient")
-        for c in self.coefficients:
-            if not 0 <= c < self.p:
-                raise DerandomizationError(
-                    f"coefficient {c} out of range for p={self.p}"
-                )
-
-    @property
-    def independence(self) -> int:
-        """The k for which this family member's family is k-wise uniform."""
-        return len(self.coefficients)
-
-    def hash(self, x: int) -> int:
-        """Evaluate the polynomial at ``x`` (Horner).
-
-        >>> PolynomialSeed((3, 2, 1), 7).hash(2)   # 3 + 2*2 + 1*4 = 11
-        4
-        """
-        value = 0
-        for c in reversed(self.coefficients):
-            value = (value * x + c) % self.p
-        return value
-
-
-@dataclass(frozen=True)
-class PolynomialFamily:
-    """The degree-``(k-1)`` polynomial family: exactly k-wise independent.
-
-    For ``k`` distinct points, the evaluation map from coefficient
-    vectors to value vectors is a bijection (polynomial interpolation),
-    so ``(h(x_1), ..., h(x_k))`` is uniform on ``Z_p^k``.  ``k = 2``
-    coincides with :class:`AffineFamily`.  Provided as a toolkit
-    extension: estimators needing higher moments (variance of sample
-    sizes, fourth-moment concentration) can draw from here.
-    """
-
-    p: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise DerandomizationError(f"modulus {self.p} is not prime")
-        if self.k < 1:
-            raise DerandomizationError(f"k must be >= 1, got {self.k}")
-
-    @property
-    def size(self) -> int:
-        """Number of members, ``p^k``."""
-        return self.p**self.k
-
-    def seed_by_index(self, index: int) -> PolynomialSeed:
-        """The ``index``-th member: coefficients are base-``p`` digits."""
-        index %= self.size
-        coefficients = []
-        for _ in range(self.k):
-            index, digit = divmod(index, self.p)
-            coefficients.append(digit)
-        return PolynomialSeed(tuple(coefficients), self.p)
-
-    def scan_seed(self, index: int) -> PolynomialSeed:
-        """Well-spread deterministic scan order (cf. AffineFamily)."""
-        from repro.util.rng import splitmix64
-
-        coefficients = tuple(
-            splitmix64(index * self.k + j) % self.p for j in range(self.k)
-        )
-        return PolynomialSeed(coefficients, self.p)
 
 
 def threshold_for_rate(p: int, rate_num: int, rate_den: int) -> int:

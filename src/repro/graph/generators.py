@@ -4,7 +4,7 @@ Every generator is a pure function of its arguments (including an explicit
 ``seed`` for the randomized families), so benchmark workloads are
 reproducible bit-for-bit.  The suite spans the axes that ruling-set round
 complexity depends on: size ``n``, maximum degree Δ, degree *skew*
-(power-law vs regular), and structure (trees, grids, bipartite, planted).
+(power-law vs regular), and structure (trees, grids, planted).
 """
 
 from __future__ import annotations
@@ -171,31 +171,6 @@ def gnp_random_graph(n: int, p_num: int, p_den: int, seed: int = 0) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
-    """Uniform random graph with exactly ``m`` edges.
-
-    Uses rejection sampling over vertex pairs; requires
-    ``0 <= m <= n*(n-1)/2``.
-    """
-    if n < 0:
-        raise GraphError(f"n must be >= 0, got n={n}")
-    if m < 0:
-        raise GraphError(f"m must be >= 0, got m={m}")
-    max_edges = n * (n - 1) // 2
-    if m > max_edges:
-        raise GraphError(
-            f"m={m} exceeds the simple-graph maximum {max_edges} for n={n}"
-        )
-    rng = SplitMix64(seed=seed)
-    builder = GraphBuilder(n)
-    while builder.num_edges < m:
-        u = rng.next_below(n)
-        v = rng.next_below(n)
-        if u != v:
-            builder.add_edge(u, v)
-    return builder.build()
-
-
 def random_tree(n: int, seed: int = 0) -> Graph:
     """Uniform-ish random tree: each vertex attaches to a random earlier one.
 
@@ -256,19 +231,6 @@ def _int_nth_root(x: int, n: int) -> int:
     from repro.util.mathx import int_nth_root_floor
 
     return int_nth_root_floor(x, n)
-
-
-def random_bipartite(
-    left: int, right: int, p_num: int, p_den: int, seed: int = 0
-) -> Graph:
-    """Random bipartite graph: left ids ``0..left-1``, right ids follow."""
-    rng = SplitMix64(seed=seed)
-    edges = []
-    for u in range(left):
-        for v in range(right):
-            if rng.bernoulli(p_num, p_den):
-                edges.append((u, left + v))
-    return Graph.from_edges(left + right, edges)
 
 
 def rmat_graph(

@@ -1,70 +1,15 @@
-"""Graph transformations: subgraphs, removals, powers, unions, relabelling.
+"""Graph transformations: the power graph.
 
-These are the structural operations the ruling-set pipeline needs:
-*residual* graphs after removing dominated vertices, *power graphs* for
-graph exponentiation, and dense relabelling so recursive calls always see
-vertex ids ``0..n'-1``.
+Graph exponentiation runs the ruling-set pipeline on ``G^k``, whose
+edges join every pair of vertices at distance at most ``k`` in ``G``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.errors import GraphError, VertexError
+from repro.errors import GraphError
 from repro.graph.graph import Graph
-
-
-def induced_subgraph(
-    graph: Graph, keep: Iterable[int]
-) -> Tuple[Graph, List[int]]:
-    """Return the subgraph induced by ``keep`` plus the old-id map.
-
-    Vertices are relabelled densely in increasing old-id order; element
-    ``i`` of the returned list is the original id of new vertex ``i``.
-
-    >>> g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    >>> sub, old_ids = induced_subgraph(g, [1, 2, 3])
-    >>> sub.num_vertices, sub.num_edges, old_ids
-    (3, 2, [1, 2, 3])
-    """
-    keep_sorted = sorted(set(keep))
-    for v in keep_sorted:
-        if not 0 <= v < graph.num_vertices:
-            raise VertexError(f"vertex {v} out of range")
-    new_id: Dict[int, int] = {old: new for new, old in enumerate(keep_sorted)}
-    edges = []
-    for u in keep_sorted:
-        for v in graph.neighbors(u):
-            if u < v and v in new_id:
-                edges.append((new_id[u], new_id[v]))
-    return Graph.from_edges(len(keep_sorted), edges), keep_sorted
-
-
-def remove_vertices(
-    graph: Graph, removed: Iterable[int]
-) -> Tuple[Graph, List[int]]:
-    """Return the graph minus ``removed`` plus the old-id map."""
-    removed_set = set(removed)
-    keep = [v for v in graph.vertices() if v not in removed_set]
-    return induced_subgraph(graph, keep)
-
-
-def relabel_dense(
-    num_vertices: int, edges: Sequence[Tuple[int, int]]
-) -> Tuple[Graph, List[int]]:
-    """Build a graph from edges over sparse ids, relabelled densely.
-
-    Isolated vertices are dropped (only ids that appear in an edge
-    survive); returns ``(graph, old_ids)``.
-    """
-    ids = sorted({u for e in edges for u in e})
-    for v in ids:
-        if not 0 <= v < num_vertices:
-            raise VertexError(f"vertex {v} out of range")
-    new_id = {old: new for new, old in enumerate(ids)}
-    relabelled = [(new_id[u], new_id[v]) for u, v in edges]
-    return Graph.from_edges(len(ids), relabelled), ids
 
 
 def power_graph(graph: Graph, k: int) -> Graph:
@@ -96,31 +41,3 @@ def power_graph(graph: Graph, k: int) -> Graph:
             if src < v:
                 edges.append((src, v))
     return Graph.from_edges(graph.num_vertices, edges)
-
-
-def union_disjoint(graphs: Sequence[Graph]) -> Graph:
-    """Disjoint union; vertex ids of graph ``i`` are shifted past graph ``i-1``.
-
-    >>> g = union_disjoint([Graph.from_edges(2, [(0, 1)])] * 2)
-    >>> g.num_vertices, g.num_edges
-    (4, 2)
-    """
-    edges = []
-    offset = 0
-    for graph in graphs:
-        for u, v in graph.edges():
-            edges.append((u + offset, v + offset))
-        offset += graph.num_vertices
-    return Graph.from_edges(offset, edges)
-
-
-def complement_graph(graph: Graph) -> Graph:
-    """Return the complement (use only on small graphs: O(n^2) edges)."""
-    n = graph.num_vertices
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if not graph.has_edge(u, v)
-    ]
-    return Graph.from_edges(n, edges)

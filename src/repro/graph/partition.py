@@ -1,16 +1,17 @@
 """Assigning vertices to MPC machines.
 
 The MPC simulator needs a *partition plan*: which machine owns each vertex
-(and with it that vertex's adjacency list).  Two strategies are provided:
+(and with it that vertex's adjacency list).  A plan comes from one of two
+places:
 
 ``balanced_edge_partition``
     Contiguous vertex ranges chosen so each machine's total adjacency size
-    is as even as a greedy sweep can make it — the default, because
-    per-machine memory in the model is charged for adjacency storage.
+    is as even as a greedy sweep can make it — per-machine memory in the
+    model is charged for adjacency storage.
 
-``hash_partition``
-    Multiplicative-hash assignment — adversarial-input resistant, used by
-    tests to confirm algorithms are partition-agnostic.
+``plan_from_owner_map``
+    The explicit form of a compact :mod:`~repro.mpc.ownermap` map, for
+    balance reporting and for cross-checking the two representations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import List
 
 from repro.errors import MPCConfigError
 from repro.graph.graph import Graph
-from repro.util.rng import splitmix64
 
 
 @dataclass(frozen=True)
@@ -80,19 +80,6 @@ def balanced_edge_partition(graph: Graph, num_machines: int) -> PartitionPlan:
     return PartitionPlan(owner=owner, num_machines=num_machines)
 
 
-def hash_partition(
-    graph: Graph, num_machines: int, seed: int = 0
-) -> PartitionPlan:
-    """Pseudo-random vertex assignment via SplitMix64 of the vertex id."""
-    if num_machines < 1:
-        raise MPCConfigError("need at least one machine")
-    owner = [
-        splitmix64(v ^ (seed * 0x9E3779B97F4A7C15)) % num_machines
-        for v in range(graph.num_vertices)
-    ]
-    return PartitionPlan(owner=owner, num_machines=num_machines)
-
-
 def plan_from_owner_map(owner_map) -> PartitionPlan:
     """Materialize a compact :mod:`~repro.mpc.ownermap` map into a plan.
 
@@ -104,14 +91,5 @@ def plan_from_owner_map(owner_map) -> PartitionPlan:
     owner = [
         owner_map.owner_of(v) for v in range(owner_map.num_vertices)
     ]
-    if not owner:
-        return PartitionPlan(owner=[], num_machines=owner_map.num_machines)
     return PartitionPlan(owner=owner, num_machines=owner_map.num_machines)
 
-
-def round_robin_partition(num_vertices: int, num_machines: int) -> PartitionPlan:
-    """Vertex ``v`` to machine ``v mod k`` — simplest deterministic plan."""
-    if num_machines < 1:
-        raise MPCConfigError("need at least one machine")
-    owner = [v % num_machines for v in range(num_vertices)]
-    return PartitionPlan(owner=owner, num_machines=num_machines)

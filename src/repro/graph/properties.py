@@ -9,7 +9,7 @@ whether a claimed ``(2, β)``-ruling set is genuine.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from repro.errors import GraphError, VertexError
 from repro.graph.graph import Graph
@@ -112,78 +112,3 @@ def connected_components(graph: Graph) -> List[List[int]]:
         components.append(sorted(component))
     return components
 
-
-def eccentricity(graph: Graph, v: int) -> int:
-    """Max distance from ``v`` to any vertex in its component."""
-    dist = multi_source_distances(graph, [v])
-    return max((d for d in dist if d != UNREACHED), default=0)
-
-
-def degree_histogram(graph: Graph) -> Dict[int, int]:
-    """Map degree -> number of vertices with that degree.
-
-    >>> degree_histogram(Graph.from_edges(3, [(0, 1)]))
-    {0: 1, 1: 2}
-    """
-    hist: Dict[int, int] = {}
-    for v in graph.vertices():
-        d = graph.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))
-
-
-def degeneracy_ordering(graph: Graph) -> List[int]:
-    """Return a degeneracy (smallest-last) ordering of the vertices.
-
-    Repeatedly removes a minimum-degree vertex; ties break by smallest id
-    so the ordering is canonical.  The *degeneracy* itself is the maximum
-    degree seen at removal time; see :func:`degeneracy`.
-    """
-    n = graph.num_vertices
-    degree = graph.degrees()
-    removed = [False] * n
-    buckets: Dict[int, set] = {}
-    for v in range(n):
-        buckets.setdefault(degree[v], set()).add(v)
-    order = []
-    for _ in range(n):
-        d = 0
-        while d not in buckets or not buckets[d]:
-            d += 1
-        v = min(buckets[d])
-        buckets[d].remove(v)
-        removed[v] = True
-        order.append(v)
-        for u in graph.neighbors(v):
-            if not removed[u]:
-                buckets[degree[u]].remove(u)
-                degree[u] -= 1
-                buckets.setdefault(degree[u], set()).add(u)
-    return order
-
-
-def degeneracy(graph: Graph) -> int:
-    """Return the degeneracy (max min-degree over subgraphs)."""
-    n = graph.num_vertices
-    if n == 0:
-        return 0
-    degree = graph.degrees()
-    removed = [False] * n
-    buckets: Dict[int, set] = {}
-    for v in range(n):
-        buckets.setdefault(degree[v], set()).add(v)
-    best = 0
-    for _ in range(n):
-        d = 0
-        while d not in buckets or not buckets[d]:
-            d += 1
-        best = max(best, d)
-        v = min(buckets[d])
-        buckets[d].remove(v)
-        removed[v] = True
-        for u in graph.neighbors(v):
-            if not removed[u]:
-                buckets[degree[u]].remove(u)
-                degree[u] -= 1
-                buckets.setdefault(degree[u], set()).add(u)
-    return best

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Tuple
 
-from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
 from repro.local.network import LocalNetwork, VertexAlgorithm, require_completed
 from repro.util.rng import SplitMix64

@@ -104,15 +104,8 @@ class DistributedGraph:
         return cls(sim, owner_map, sharded.num_vertices)
 
     # ------------------------------------------------------------------
-    # Local accessors (used inside machine callbacks)
+    # Accessors
     # ------------------------------------------------------------------
-    @staticmethod
-    def local_adj(
-        machine: Machine, adj_key: str = ADJ
-    ) -> Dict[int, Tuple[int, ...]]:
-        """The machine's adjacency map under ``adj_key``."""
-        return machine.store[adj_key]
-
     def owner_of(self, v: int) -> int:
         """Machine owning vertex ``v`` (O(1) from compact metadata)."""
         return self.owner_map.owner_of(v)

@@ -5,33 +5,18 @@ and costs the round count its docstring states.  They are the vocabulary
 the ruling-set algorithms are written in:
 
 * ``aggregate`` — converge-cast reduction trees (scalar and fixed-width
-  vector), plus all-reduce;
+  vector);
 * ``broadcast`` — fanout-tree broadcast from machine 0;
-* ``shuffle`` — one-round keyed redistribution (the MapReduce shuffle);
-* ``prefix`` — exclusive prefix sums over per-machine item counts;
-* ``sort`` — deterministic sample sort (regular sampling), the classic
-  O(1)-round MPC sorting primitive;
-* ``dedup`` — duplicate elimination via shuffle-by-value.
+* ``prefix`` — exclusive prefix sums over per-machine item counts.
 """
 
-from repro.mpc.primitives.aggregate import (
-    all_reduce_scalar,
-    reduce_scalar,
-    reduce_vector,
-)
+from repro.mpc.primitives.aggregate import reduce_scalar, reduce_vector
 from repro.mpc.primitives.broadcast import broadcast_value
-from repro.mpc.primitives.shuffle import shuffle
 from repro.mpc.primitives.prefix import exclusive_prefix_counts
-from repro.mpc.primitives.sort import sample_sort
-from repro.mpc.primitives.dedup import dedup_items
 
 __all__ = [
-    "all_reduce_scalar",
     "reduce_scalar",
     "reduce_vector",
     "broadcast_value",
-    "shuffle",
     "exclusive_prefix_counts",
-    "sample_sort",
-    "dedup_items",
 ]

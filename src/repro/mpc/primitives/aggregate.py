@@ -106,25 +106,3 @@ def reduce_scalar(
 
     return reduce_vector(sim, extract_tuple, combine_tuple, width=1)[0]
 
-
-def all_reduce_scalar(
-    sim: Simulator,
-    extract: Callable,
-    combine: Callable[[int, int], int],
-    store_key: str,
-) -> int:
-    """Reduce to machine 0, then broadcast the result to every machine.
-
-    Afterwards every machine holds the value under ``store[store_key]``.
-    Returns the value.  Costs one reduction plus one broadcast.
-    """
-    from repro.mpc.primitives.broadcast import broadcast_value
-
-    total = reduce_scalar(sim, extract, combine)
-    broadcast_value(sim, (total,), store_key)
-
-    def unwrap(machine) -> None:
-        machine.store[store_key] = machine.store[store_key][0]
-
-    sim.local(unwrap)
-    return total

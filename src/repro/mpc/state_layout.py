@@ -13,10 +13,11 @@ This module is that bridge, plus the kernel-selection contract:
     Map a requested kernel name to the one that will actually run.
     Resolution order: explicit value (``MPCConfig.kernel``, CLI
     ``--kernel``) > the ``REPRO_KERNEL`` environment variable > the
-    pure-Python reference kernel.  Requesting ``numpy`` where NumPy is
-    not importable silently falls back to ``python`` — NumPy is an
-    optional dependency and the fallback is a first-class path (CI runs
-    the whole tier-1 suite without it).
+    pure-Python reference kernel.  NumPy is an optional dependency: the
+    python kernel runs without it (CI runs the whole tier-1 suite that
+    way), but requesting ``numpy`` where NumPy is not importable raises
+    :class:`~repro.errors.MPCConfigError` instead of running another
+    kernel.
 
 ``MachineCSR``
     One machine's adjacency layer as flat arrays: ``ids`` (row order =
@@ -58,8 +59,8 @@ KERNELS = (KERNEL_PYTHON, KERNEL_NUMPY)
 
 # Environment override consumed when a config leaves the kernel unset.
 KERNEL_ENV = "REPRO_KERNEL"
-# Test hook: pretend NumPy is not installed (exercises the fallback
-# without uninstalling anything).
+# Test hook: pretend NumPy is not installed (exercises the missing-NumPy
+# error without uninstalling anything).
 NO_NUMPY_ENV = "REPRO_NO_NUMPY"
 
 # Largest modulus the int64 hash product is exact for (see module doc).
@@ -96,8 +97,8 @@ def resolve_kernel(requested: Optional[str] = None) -> str:
     ``requested`` is an explicit choice (``MPCConfig.kernel``, CLI
     ``--kernel``) and wins when set; otherwise the ``REPRO_KERNEL``
     environment variable is consulted; otherwise the pure-Python
-    reference kernel runs.  ``numpy`` degrades to ``python``
-    automatically when NumPy is not importable.
+    reference kernel runs.  Requesting ``numpy`` when NumPy is not
+    importable raises :class:`~repro.errors.MPCConfigError`.
 
     >>> resolve_kernel("python")
     'python'
@@ -110,7 +111,10 @@ def resolve_kernel(requested: Optional[str] = None) -> str:
             f"unknown kernel {name!r}; expected one of {KERNELS}"
         )
     if name == KERNEL_NUMPY and not numpy_available():
-        return KERNEL_PYTHON
+        raise MPCConfigError(
+            "kernel 'numpy' requested but NumPy is not importable; "
+            "install numpy or use the 'python' kernel"
+        )
     return name
 
 

@@ -3,7 +3,7 @@
 Submodules
 ----------
 ``mathx``
-    Integer helpers (ceil-div, integer logs, powers of two).
+    Exact integer helpers (ceil-div, ceil log2, integer roots and powers).
 ``prime``
     Deterministic Miller–Rabin primality and ``next_prime`` for building
     hash-family moduli.
@@ -12,15 +12,13 @@ Submodules
     baselines (the deterministic algorithms use no randomness at all).
 """
 
-from repro.util.mathx import ceil_div, ilog2_ceil, ilog2_floor, next_pow2
+from repro.util.mathx import ceil_div, ilog2_ceil
 from repro.util.prime import is_prime, next_prime
 from repro.util.rng import SplitMix64
 
 __all__ = [
     "ceil_div",
     "ilog2_ceil",
-    "ilog2_floor",
-    "next_pow2",
     "is_prime",
     "next_prime",
     "SplitMix64",

@@ -23,21 +23,6 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def ilog2_floor(x: int) -> int:
-    """Return ``floor(log2(x))`` for ``x >= 1``.
-
-    >>> ilog2_floor(1)
-    0
-    >>> ilog2_floor(8)
-    3
-    >>> ilog2_floor(9)
-    3
-    """
-    if x < 1:
-        raise ValueError(f"ilog2_floor requires x >= 1, got {x}")
-    return x.bit_length() - 1
-
-
 def ilog2_ceil(x: int) -> int:
     """Return ``ceil(log2(x))`` for ``x >= 1``.
 
@@ -51,21 +36,6 @@ def ilog2_ceil(x: int) -> int:
     if x < 1:
         raise ValueError(f"ilog2_ceil requires x >= 1, got {x}")
     return (x - 1).bit_length()
-
-
-def next_pow2(x: int) -> int:
-    """Return the smallest power of two that is ``>= x`` (and ``>= 1``).
-
-    >>> next_pow2(0)
-    1
-    >>> next_pow2(5)
-    8
-    >>> next_pow2(8)
-    8
-    """
-    if x <= 1:
-        return 1
-    return 1 << ilog2_ceil(x)
 
 
 def int_nth_root_floor(x: int, n: int) -> int:

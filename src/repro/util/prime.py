@@ -80,20 +80,3 @@ def next_prime(n: int) -> int:
     while not is_prime(candidate):
         candidate += 2
     return candidate
-
-
-def prime_field_for(max_value: int) -> int:
-    """Return a prime strictly greater than ``max_value``.
-
-    This is the modulus used by the affine hash family: for a vertex set
-    ``{0, ..., n-1}`` the field must contain every id as a distinct element,
-    hence ``p > max_value``.
-
-    >>> prime_field_for(10)
-    11
-    >>> prime_field_for(0)
-    2
-    """
-    if max_value < 0:
-        raise ValueError("max_value must be non-negative")
-    return next_prime(max_value + 1)

@@ -75,10 +75,6 @@ class SplitMix64:
             if draw < limit:
                 return draw % bound
 
-    def next_unit(self) -> float:
-        """Return a float uniform on ``[0, 1)`` with 53 bits of precision."""
-        return (self.next_u64() >> 11) / float(1 << 53)
-
     def bernoulli(self, num: int, den: int) -> bool:
         """Return True with probability exactly ``num/den`` (integers).
 

@@ -157,6 +157,14 @@ class TestBackendFlags:
         assert "--workers 7" in capsys.readouterr().err
         assert not (tmp_path / "t.jsonl").exists()
 
+    def test_numpy_kernel_without_numpy(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        assert main([
+            "solve", *self.GRAPH, "--algorithm", "det-luby",
+            "--kernel", "numpy",
+        ]) == 2
+        assert "NumPy is not importable" in capsys.readouterr().err
+
     def test_shard_backend_takes_workers(self, capsys):
         assert main([
             "solve", *self.GRAPH, "--algorithm", "det-luby",

@@ -13,6 +13,7 @@ from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.simulator import Simulator
+from repro.mpc.state_layout import numpy_available
 
 
 def run_gp(graph, regime="sublinear"):
@@ -98,6 +99,9 @@ class TestDeterminism:
         assert first[1] == second[1]
         assert first[2].metrics.rounds == second[2].metrics.rounds
 
+    @pytest.mark.skipif(
+        not numpy_available(), reason="numpy kernel unavailable"
+    )
     def test_identical_across_kernels(self):
         graph = gen.gnp_random_graph(80, 1, 7, seed=23)
         results = {}

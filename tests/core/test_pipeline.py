@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.pipeline import make_config, solve_ruling_set
 from repro.errors import AlgorithmError
-from repro.graph import generators as gen
 from repro.graph.graph import Graph
 
 

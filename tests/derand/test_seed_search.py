@@ -4,7 +4,6 @@ import pytest
 
 from repro.derand.conditional import choose_seed
 from repro.derand.estimator import ThresholdEstimator
-from repro.derand.family import Seed
 from repro.derand.seed_search import (
     distributed_choose_seed,
     distributed_scan_seeds,

@@ -92,23 +92,6 @@ class TestSeededFamilies:
         expected = 100 * 99 / 2 / 10
         assert 0.6 * expected <= g.num_edges <= 1.4 * expected
 
-    def test_gnm_exact_edges(self):
-        g = gen.gnm_random_graph(40, 100, seed=2)
-        assert g.num_edges == 100
-
-    def test_gnm_too_many_edges(self):
-        with pytest.raises(GraphError):
-            gen.gnm_random_graph(4, 7)
-
-    def test_gnm_error_names_the_bad_value(self):
-        with pytest.raises(
-            GraphError,
-            match=r"m=100 exceeds the simple-graph maximum 10 for n=5",
-        ):
-            gen.gnm_random_graph(5, 100)
-        with pytest.raises(GraphError, match=r"m must be >= 0, got m=-3"):
-            gen.gnm_random_graph(5, -3)
-
     def test_gnp_zero_denominator_names_the_bad_value(self):
         with pytest.raises(GraphError, match=r"got p_den=0"):
             gen.gnp_random_graph(10, 1, 0)
@@ -144,12 +127,6 @@ class TestSeededFamilies:
     def test_power_law_rejects_flat_exponent(self):
         with pytest.raises(GraphError):
             gen.chung_lu_power_law(10, exponent_tenths=10)
-
-    def test_bipartite_structure(self):
-        g = gen.random_bipartite(10, 12, 1, 3, seed=4)
-        assert g.num_vertices == 22
-        for u, v in g.edges():
-            assert (u < 10) != (v < 10)
 
 
 class TestPlanted:

@@ -8,16 +8,11 @@ out correlated bugs between our algorithms and our own oracles.
 
 import networkx as nx
 import pytest
-from hypothesis import strategies as st
 
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
 from repro.graph.ops import power_graph
-from repro.graph.properties import (
-    connected_components,
-    degeneracy,
-    multi_source_distances,
-)
+from repro.graph.properties import connected_components, multi_source_distances
 
 
 def to_nx(graph: Graph) -> nx.Graph:
@@ -52,13 +47,6 @@ class TestCrossChecks:
         for v in graph.vertices():
             expected = theirs.get(v, -1)
             assert ours[v] == expected
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_degeneracy_matches_core_number(self, seed):
-        graph = random_graph(seed)
-        ours = degeneracy(graph)
-        theirs = max(nx.core_number(to_nx(graph)).values(), default=0)
-        assert ours == theirs
 
     @pytest.mark.parametrize("seed", range(3))
     def test_power_graph_matches(self, seed):

@@ -1,56 +1,12 @@
-"""Tests for graph transformations (subgraphs, powers, unions)."""
+"""Tests for graph transformations (the power graph)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import GraphError, VertexError
+from repro.errors import GraphError
 from repro.graph import generators as gen
-from repro.graph.graph import Graph
-from repro.graph.ops import (
-    complement_graph,
-    induced_subgraph,
-    power_graph,
-    relabel_dense,
-    remove_vertices,
-    union_disjoint,
-)
+from repro.graph.ops import power_graph
 from repro.graph.properties import multi_source_distances
-
-
-class TestInducedSubgraph:
-    def test_basic(self, path4):
-        sub, old = induced_subgraph(path4, [1, 2, 3])
-        assert old == [1, 2, 3]
-        assert set(sub.edges()) == {(0, 1), (1, 2)}
-
-    def test_empty_selection(self, path4):
-        sub, old = induced_subgraph(path4, [])
-        assert sub.num_vertices == 0
-        assert old == []
-
-    def test_duplicates_collapsed(self, path4):
-        sub, old = induced_subgraph(path4, [2, 2, 1])
-        assert old == [1, 2]
-
-    def test_out_of_range(self, path4):
-        with pytest.raises(VertexError):
-            induced_subgraph(path4, [9])
-
-    def test_remove_vertices(self, path4):
-        sub, old = remove_vertices(path4, [0])
-        assert old == [1, 2, 3]
-        assert sub.num_edges == 2
-
-
-class TestRelabelDense:
-    def test_basic(self):
-        g, old = relabel_dense(100, [(10, 50), (50, 99)])
-        assert old == [10, 50, 99]
-        assert set(g.edges()) == {(0, 1), (1, 2)}
-
-    def test_out_of_range(self):
-        with pytest.raises(VertexError):
-            relabel_dense(5, [(0, 7)])
 
 
 class TestPowerGraph:
@@ -75,21 +31,3 @@ class TestPowerGraph:
             dist = multi_source_distances(g, [v])
             expected = {u for u in g.vertices() if u != v and 0 < dist[u] <= k}
             assert set(gk.neighbors(v)) == expected
-
-
-class TestUnionAndComplement:
-    def test_union_disjoint(self, path4, triangle):
-        g = union_disjoint([path4, triangle])
-        assert g.num_vertices == 7
-        assert g.num_edges == 6
-        assert g.has_edge(4, 5)  # triangle shifted by 4
-
-    def test_union_empty_list(self):
-        assert union_disjoint([]).num_vertices == 0
-
-    def test_complement_of_complete(self):
-        g = complement_graph(gen.complete_graph(5))
-        assert g.num_edges == 0
-
-    def test_complement_involution(self, small_er):
-        assert complement_graph(complement_graph(small_er)) == small_er

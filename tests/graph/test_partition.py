@@ -5,12 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import MPCConfigError
 from repro.graph import generators as gen
-from repro.graph.partition import (
-    PartitionPlan,
-    balanced_edge_partition,
-    hash_partition,
-    round_robin_partition,
-)
+from repro.graph.partition import PartitionPlan, balanced_edge_partition
 from repro.mpc.ownermap import (
     HashOwnerMap,
     ModOwnerMap,
@@ -106,18 +101,3 @@ class TestOwnerMaps:
         with pytest.raises(MPCConfigError):
             owner_map.owner_of(4)
 
-
-class TestOtherPartitions:
-    def test_round_robin(self):
-        plan = round_robin_partition(5, 2)
-        assert plan.owner == [0, 1, 0, 1, 0]
-
-    def test_hash_partition_valid(self, small_er):
-        plan = hash_partition(small_er, 3, seed=2)
-        assert len(plan.owner) == small_er.num_vertices
-        assert all(0 <= m < 3 for m in plan.owner)
-
-    def test_hash_partition_seed_sensitivity(self, small_er):
-        a = hash_partition(small_er, 3, seed=1)
-        b = hash_partition(small_er, 3, seed=2)
-        assert a.owner != b.owner

@@ -9,11 +9,7 @@ from repro.graph.graph import Graph
 from repro.graph.properties import (
     UNREACHED,
     connected_components,
-    degeneracy,
-    degeneracy_ordering,
-    degree_histogram,
     domination_radius,
-    eccentricity,
     is_independent_set,
     multi_source_distances,
 )
@@ -84,44 +80,3 @@ class TestComponents:
         flattened = sorted(v for comp in comps for v in comp)
         assert flattened == list(range(n))
 
-
-class TestEccentricityAndHistogram:
-    def test_eccentricity_path(self, path4):
-        assert eccentricity(path4, 0) == 3
-        assert eccentricity(path4, 1) == 2
-
-    def test_histogram(self, path4):
-        assert degree_histogram(path4) == {1: 2, 2: 2}
-
-    def test_histogram_total(self, small_er):
-        assert sum(degree_histogram(small_er).values()) == small_er.num_vertices
-
-
-class TestDegeneracy:
-    def test_tree_is_1_degenerate(self):
-        assert degeneracy(gen.random_tree(40, seed=1)) == 1
-
-    def test_clique(self):
-        assert degeneracy(gen.complete_graph(6)) == 5
-
-    def test_cycle(self):
-        assert degeneracy(gen.cycle_graph(9)) == 2
-
-    def test_empty(self):
-        assert degeneracy(Graph.empty(0)) == 0
-        assert degeneracy(Graph.empty(4)) == 0
-
-    def test_ordering_is_permutation(self, small_er):
-        order = degeneracy_ordering(small_er)
-        assert sorted(order) == list(small_er.vertices())
-
-    def test_ordering_witnesses_degeneracy(self, small_er):
-        # Each vertex's later-neighbours count is bounded by the degeneracy.
-        order = degeneracy_ordering(small_er)
-        position = {v: i for i, v in enumerate(order)}
-        d = degeneracy(small_er)
-        for v in small_er.vertices():
-            later = sum(
-                1 for u in small_er.neighbors(v) if position[u] > position[v]
-            )
-            assert later <= d

@@ -6,7 +6,6 @@ example fails CI, not a reader.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"

@@ -6,26 +6,9 @@ from repro.errors import AlgorithmError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import ADJ, DistributedGraph
-from repro.mpc.machine import Costed, words_of
 from repro.mpc.metrics import RunMetrics
 from repro.mpc.primitives.broadcast import broadcast_value
-from repro.mpc.primitives.sort import sample_sort
 from repro.mpc.simulator import Simulator
-
-
-class TestCosted:
-    def test_declared_cost(self):
-        assert words_of(Costed(object(), words=9)) == 9
-
-    def test_zero_cost_allowed(self):
-        assert words_of(Costed("x", words=0)) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Costed("x", words=-1)
-
-    def test_nested_in_store(self):
-        assert words_of({"k": Costed([1] * 100, words=3)}) == 4
 
 
 class TestGraphStoreFaults:
@@ -69,31 +52,6 @@ class TestPrimitiveEdges:
         broadcast_value(sim, (5,), "x")
         assert sim.machine(0).store["x"] == (5,)
         assert sim.metrics.rounds == 0  # nobody to send to
-
-    def test_sort_all_duplicates(self):
-        sim = Simulator(MPCConfig(num_machines=4, memory_words=4096))
-        sim.local(
-            lambda m: m.store.__setitem__("items", [(7, 7)] * 20)
-        )
-        sample_sort(sim, "items", width=2)
-        collected = [
-            item for m in sim.machines for item in m.store["items"]
-        ]
-        assert collected == [(7, 7)] * 80
-
-    def test_sort_single_item(self):
-        sim = Simulator(MPCConfig(num_machines=3, memory_words=4096))
-        sim.local(
-            lambda m: m.store.__setitem__(
-                "items", [(1, 2)] if m.mid == 2 else []
-            )
-        )
-        sample_sort(sim, "items", width=2)
-        collected = [
-            item for m in sim.machines for item in m.store["items"]
-        ]
-        assert collected == [(1, 2)]
-
 
 class TestMetricsEdges:
     def test_empty_phase_rounds(self):

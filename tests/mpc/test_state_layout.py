@@ -52,11 +52,16 @@ class TestResolution:
         with pytest.raises(MPCConfigError, match="unknown kernel"):
             resolve_kernel(None)
 
-    def test_numpy_falls_back_without_numpy(self, monkeypatch):
+    def test_numpy_without_numpy_raises(self, monkeypatch):
         monkeypatch.setenv(NO_NUMPY_ENV, "1")
         assert not numpy_available()
         assert numpy_or_none() is None
-        assert resolve_kernel(KERNEL_NUMPY) == KERNEL_PYTHON
+        with pytest.raises(MPCConfigError, match="NumPy is not importable"):
+            resolve_kernel(KERNEL_NUMPY)
+        monkeypatch.setenv(KERNEL_ENV, KERNEL_NUMPY)
+        with pytest.raises(MPCConfigError, match="NumPy is not importable"):
+            resolve_kernel(None)
+        assert resolve_kernel(KERNEL_PYTHON) == KERNEL_PYTHON
 
     def test_kernel_of_reads_config(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)

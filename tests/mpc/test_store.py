@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from repro.mpc.config import MPCConfig
-from repro.mpc.machine import Costed, Machine, Store, words_of
+from repro.mpc.machine import Machine, Store, words_of
 from repro.mpc.simulator import Simulator
 
 
@@ -123,7 +123,6 @@ class TestReadBarrier:
             (((1, (2, (3,))), "y"), True),
             ((1, [2]), False),
             (((1,), {2}), False),
-            (Costed("opaque", words=3), False),
         ],
     )
     def test_immutability_is_decided_when_priced(self, value, frozen):

@@ -5,14 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.mathx import (
-    ceil_div,
-    ilog2_ceil,
-    ilog2_floor,
-    int_nth_root_floor,
-    ipow_ceil,
-    next_pow2,
-)
+from repro.util.mathx import ceil_div, ilog2_ceil, int_nth_root_floor, ipow_ceil
 
 
 class TestCeilDiv:
@@ -43,45 +36,22 @@ class TestCeilDiv:
 
 
 class TestIntegerLogs:
-    def test_floor_powers(self):
-        for k in range(20):
-            assert ilog2_floor(1 << k) == k
-
     def test_ceil_powers(self):
         for k in range(20):
             assert ilog2_ceil(1 << k) == k
-
-    def test_floor_between_powers(self):
-        assert ilog2_floor(9) == 3
 
     def test_ceil_between_powers(self):
         assert ilog2_ceil(9) == 4
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            ilog2_floor(0)
-        with pytest.raises(ValueError):
             ilog2_ceil(0)
 
     @given(st.integers(1, 10**12))
     def test_floor_ceil_sandwich(self, x):
-        f, c = ilog2_floor(x), ilog2_ceil(x)
-        assert 2**f <= x <= 2**c
-        assert c - f in (0, 1)
-
-
-class TestNextPow2:
-    def test_small_values(self):
-        assert next_pow2(0) == 1
-        assert next_pow2(1) == 1
-        assert next_pow2(2) == 2
-        assert next_pow2(3) == 4
-
-    @given(st.integers(1, 10**9))
-    def test_is_smallest(self, x):
-        p = next_pow2(x)
-        assert p >= x and p & (p - 1) == 0
-        assert p == 1 or p // 2 < x
+        c = ilog2_ceil(x)
+        assert x <= 2**c
+        assert c == 0 or 2 ** (c - 1) < x
 
 
 class TestNthRoot:

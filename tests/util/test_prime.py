@@ -1,9 +1,8 @@
 """Unit and property tests for repro.util.prime."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.prime import is_prime, next_prime, prime_field_for
+from repro.util.prime import is_prime, next_prime
 
 
 def _trial_division(n: int) -> bool:
@@ -57,19 +56,3 @@ class TestNextPrime:
         for candidate in range(max(2, n), p):
             assert not is_prime(candidate)
 
-
-class TestPrimeFieldFor:
-    def test_strictly_larger(self):
-        assert prime_field_for(10) == 11
-        assert prime_field_for(11) == 13
-
-    def test_zero(self):
-        assert prime_field_for(0) == 2
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            prime_field_for(-1)
-
-    @given(st.integers(0, 100_000))
-    def test_exceeds_every_id(self, max_id):
-        assert prime_field_for(max_id) > max_id

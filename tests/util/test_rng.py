@@ -61,11 +61,6 @@ class TestStream:
         rng = SplitMix64(seed=9)
         assert 0 <= rng.next_below(2**64) < 2**64
 
-    def test_next_unit_in_range(self):
-        rng = SplitMix64(seed=11)
-        for _ in range(100):
-            assert 0.0 <= rng.next_unit() < 1.0
-
     def test_uniformity_rough(self):
         rng = SplitMix64(seed=5)
         buckets = [0] * 10
