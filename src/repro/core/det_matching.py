@@ -144,10 +144,11 @@ def build_distributed_line_graph(dg: DistributedGraph) -> DistributedGraph:
 
     # --- endpoints learn their incident edges (1 round) ----------------
     def announce(machine: Machine) -> List[Message]:
+        owner_of = dg.owner_map.owner_of
         out = []
         for edge_id, (u, v) in machine.store[EDGE_TABLE].items():
-            out.append(Message(dg.owner_of(u), (u, edge_id)))
-            out.append(Message(dg.owner_of(v), (v, edge_id)))
+            out.append(Message(owner_of(u), (u, edge_id)))
+            out.append(Message(owner_of(v), (v, edge_id)))
         return out
 
     sim.communicate(announce)
@@ -158,15 +159,13 @@ def build_distributed_line_graph(dg: DistributedGraph) -> DistributedGraph:
         for vertex, edge_id in machine.inbox:
             incident.setdefault(vertex, []).append(edge_id)
         machine.clear_inbox()
+        line_owner_of = line_owner.owner_of
         out = []
         for vertex, edge_ids in incident.items():
             edge_ids.sort()
             for edge_id in edge_ids:
                 out.append(
-                    Message(
-                        line_owner.owner_of(edge_id),
-                        (edge_id,) + tuple(edge_ids),
-                    )
+                    Message(line_owner_of(edge_id), (edge_id,) + tuple(edge_ids))
                 )
         return out
 

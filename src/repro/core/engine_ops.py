@@ -78,7 +78,8 @@ def gather_and_greedy(
         vertices = machine.store.pop("_rs_gv")
         edges = machine.store.pop("_rs_ge")
         members = greedy_mis_on_edges(vertices, edges)
-        return [Message(dg.owner_of(v), (v,)) for v in members]
+        owner_of = dg.owner_map.owner_of
+        return [Message(owner_of(v), (v,)) for v in members]
 
     sim.communicate(solve_and_scatter)
 

@@ -246,13 +246,14 @@ def _double(
     # Round 1: each (windowed) vertex requests the ball of every member.
     def request(machine: Machine) -> List[Message]:
         balls = machine.store[source_key]
+        owner_of = dg.owner_map.owner_of
         out = []
         for v, ball in balls.items():
             if not _in_window(v, window):
                 continue
             for u in ball:
                 if u != v:
-                    out.append(Message(dg.owner_of(u), (u, v)))
+                    out.append(Message(owner_of(u), (u, v)))
         return out
 
     sim.communicate(request)
@@ -264,11 +265,12 @@ def _double(
         for u, v in machine.inbox:
             requests.setdefault(u, []).append(v)
         machine.clear_inbox()
+        owner_of = dg.owner_map.owner_of
         out = []
         for u, requesters in requests.items():
             ball = balls[u]
             for v in requesters:
-                out.append(Message(dg.owner_of(v), (v,) + ball))
+                out.append(Message(owner_of(v), (v,) + ball))
         return out
 
     sim.communicate(respond)
@@ -308,12 +310,13 @@ def _expand_one(
     def send(machine: Machine) -> List[Message]:
         adj = machine.store[adj_key]
         balls = machine.store[source_key]
+        owner_of = dg.owner_map.owner_of
         out = []
         for v, ball in balls.items():
             if not _in_window(v, window):
                 continue
             for u in adj[v]:
-                out.append(Message(dg.owner_of(u), (u,) + ball))
+                out.append(Message(owner_of(u), (u,) + ball))
         return out
 
     sim.communicate(send)

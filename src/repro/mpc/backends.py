@@ -175,11 +175,10 @@ class SerialBackend(SuperstepBackend):
     ) -> ExchangeStats:
         outboxes = self.run_communicate(machines, fn)
 
+        k = len(machines)
         inboxes: List[List[Tuple[int, ...]]] = [[] for _ in machines]
-        received_words = [0] * len(machines)
-        sent_per_machine = (
-            [0] * len(machines) if want_sent_per_machine else None
-        )
+        received_words = [0] * k
+        sent_per_machine = [0] * k if want_sent_per_machine else None
         total_messages = 0
         total_words = 0
         max_sent = 0
@@ -187,19 +186,23 @@ class SerialBackend(SuperstepBackend):
         for sender, outbox in enumerate(outboxes):
             sent_words = 0
             for message in outbox:
+                dst = message.dst
+                payload = message.payload
                 # Both bounds matter: a negative dst would silently wrap
                 # via Python list indexing and deliver to machine k+dst.
-                if not 0 <= message.dst < len(machines):
+                if not 0 <= dst < k:
                     raise MPCRoutingError(
                         f"machine {sender} sent to nonexistent machine "
-                        f"{message.dst} (k={len(machines)})"
+                        f"{dst} (k={k})"
                     )
-                sent_words += message.words
-                received_words[message.dst] += message.words
-                inboxes[message.dst].append(message.payload)
-                total_messages += 1
+                w = len(payload)
+                sent_words += w
+                received_words[dst] += w
+                inboxes[dst].append(payload)
+            total_messages += len(outbox)
             total_words += sent_words
-            max_sent = max(max_sent, sent_words)
+            if sent_words > max_sent:
+                max_sent = sent_words
             if sent_per_machine is not None:
                 sent_per_machine[sender] = sent_words
             if enforce and sent_words > memory_words:
@@ -217,8 +220,10 @@ class SerialBackend(SuperstepBackend):
                         f"round, budget S={memory_words}"
                     )
 
-        for machine, inbox in zip(machines, inboxes):
-            machine.inbox = inbox  # arrival order: sender id, then send order
+        # Arrival order: sender id, then send order.  Each inbox's price
+        # is its received count, so the audit never walks it.
+        for machine, inbox, words in zip(machines, inboxes, received_words):
+            machine.deliver(inbox, words)
 
         return ExchangeStats(
             total_messages=total_messages,

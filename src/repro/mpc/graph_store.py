@@ -130,6 +130,7 @@ class DistributedGraph:
         def send(machine: Machine) -> List[Message]:
             adj = machine.store[adj_key]
             values = machine.store[values_key]
+            owner_of = self.owner_map.owner_of
             out = []
             for v, neighbors in adj.items():
                 value = values[v]
@@ -137,9 +138,7 @@ class DistributedGraph:
                     tuple(value) if isinstance(value, tuple) else (int(value),)
                 )
                 for u in neighbors:
-                    out.append(
-                        Message(self.owner_of(u), (u, v) + payload_tail)
-                    )
+                    out.append(Message(owner_of(u), (u, v) + payload_tail))
             return out
 
         self.sim.communicate(send)
@@ -173,10 +172,11 @@ class DistributedGraph:
 
         def send(machine: Machine) -> List[Message]:
             adj = machine.store[adj_key]
+            owner_of = self.owner_map.owner_of
             out = []
             for v in machine.store.get(flag_key, ()):
                 for u in adj.get(v, ()):
-                    out.append(Message(self.owner_of(u), (u,)))
+                    out.append(Message(owner_of(u), (u,)))
             return out
 
         self.sim.communicate(send)
@@ -203,12 +203,13 @@ class DistributedGraph:
         def announce(machine: Machine) -> List[Message]:
             adj = machine.store[adj_key]
             removed: Set[int] = set(machine.store.pop(removed_key, ()))
+            owner_of = self.owner_map.owner_of
             out = []
             for v in removed:
                 if v not in adj:
                     continue
                 for u in adj[v]:
-                    out.append(Message(self.owner_of(u), (u, v)))
+                    out.append(Message(owner_of(u), (u, v)))
             machine.store["_g_removing"] = sorted(removed)
             return out
 
@@ -282,12 +283,13 @@ class DistributedGraph:
         def send_flags(machine: Machine) -> List[Message]:
             adj = machine.store[adj_key]
             flagged: Set[int] = set(machine.store[flag_key])
+            owner_of = self.owner_map.owner_of
             out = []
             for v in flagged:
                 if v not in adj:
                     continue
                 for u in adj[v]:
-                    out.append(Message(self.owner_of(u), (u, v)))
+                    out.append(Message(owner_of(u), (u, v)))
             return out
 
         self.sim.communicate(send_flags)

@@ -10,7 +10,9 @@ raises instead of under-counting.
 The simulator audits every machine after every superstep, but the audit
 is incremental: the store caches each key's price and re-prices only the
 keys a superstep could have changed (see :class:`Store`), so a round
-that touches two scratch keys does not re-walk the adjacency.
+that touches two scratch keys does not re-walk the adjacency.  The inbox
+is not walked either: the router already summed its payload lengths and
+hands that count over with it (:meth:`Machine.deliver`).
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ def words_of(obj: Any) -> int:
     A dict's price is the sum over its items of key price plus value
     price, which is what lets :class:`Store` price one key at a time and
     keep a running total.  What is still priced in full on every audit is
-    each machine's inbox and every store key a superstep wrote or read
-    mutably.  The dominant shapes — flat containers of plain ints, and
-    adjacency dicts mapping int keys to int tuples — are priced
+    every store key a superstep wrote or read mutably, and an inbox that
+    was assigned directly instead of delivered with its count.  The
+    dominant shapes — flat containers of plain ints, and adjacency dicts
+    mapping int keys to int tuples — are priced
     *batched*: one C-level type sweep (``set(map(type, ...))``) decides
     whether the whole container can be charged by length, replacing the
     per-element Python loop.  Anything the sweep cannot prove flat falls
@@ -337,28 +340,45 @@ class Machine:
         :class:`Store` so the memory audit can be incremental.
     inbox:
         Payload tuples delivered by the most recent communication round,
-        sorted by (sender, payload) so iteration order is deterministic.
+        in arrival order (sender id, then send order), so iteration order
+        is deterministic.  A router sets it through :meth:`deliver`,
+        together with its word count.
     """
 
-    __slots__ = ("mid", "store", "inbox")
+    __slots__ = ("mid", "store", "inbox", "_priced_inbox", "_inbox_words")
 
     def __init__(self, mid: int):
         self.mid = mid
         self.store = Store()
-        self.inbox: List[Tuple[int, ...]] = []
+        self.clear_inbox()
 
     def memory_words(self) -> int:
         """Current memory footprint: store plus inbox.
 
         The store's part is its running total after re-pricing only the
-        keys whose cached price was dropped; the inbox, replaced by every
-        communication step, is priced in full.
+        keys whose cached price was dropped.  The inbox's part is the
+        count it was delivered with, as long as ``inbox`` is still that
+        very list; an inbox assigned any other way is walked in full.
         """
-        return self.store.words() + words_of(self.inbox)
+        inbox = self.inbox
+        if inbox is self._priced_inbox:
+            return self.store.words() + self._inbox_words
+        return self.store.words() + words_of(inbox)
+
+    def deliver(self, inbox: List[Tuple[int, ...]], words: int) -> None:
+        """Install a routed ``inbox`` whose payloads total ``words`` words.
+
+        Payloads are flat int tuples (:class:`~repro.mpc.message.Message`
+        admits nothing else), so ``words`` — the router's received count
+        — is exactly ``words_of(inbox)``, and the audit uses it as is.
+        """
+        self.inbox = inbox
+        self._priced_inbox = inbox
+        self._inbox_words = words
 
     def clear_inbox(self) -> None:
         """Drop delivered messages (an algorithm does this once consumed)."""
-        self.inbox = []
+        self.deliver([], 0)
 
     def __repr__(self) -> str:
         return f"Machine(mid={self.mid}, words={self.memory_words()})"

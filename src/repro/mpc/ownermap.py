@@ -23,7 +23,7 @@ discipline as vertices.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -103,8 +103,11 @@ class RangeOwnerMap:
         >>> RangeOwnerMap((0, 2, 5)).owner_of(3)
         1
         """
-        _check_vertex(v, self.num_vertices)
-        return bisect.bisect_right(self.bounds, v) - 1
+        bounds = self.bounds
+        # _check_vertex inlined: this runs once per routed message.
+        if not 0 <= v < bounds[-1]:
+            raise MPCConfigError(f"vertex {v} out of range")
+        return bisect_right(bounds, v) - 1
 
     def owned_by(self, machine: int) -> range:
         """Vertices owned by ``machine``."""

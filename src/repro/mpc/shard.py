@@ -200,7 +200,7 @@ class ShardBackend(SuperstepBackend):
             pickle.dump(states, handle, protocol=pickle.HIGHEST_PROTOCOL)
         for mid in rng:
             machines[mid].store = Store()
-            machines[mid].inbox = []
+            machines[mid].clear_inbox()
         self._stats["shard_spills"] += 1
         if resident > self._stats["max_resident_words"]:
             self._stats["max_resident_words"] = resident
@@ -294,6 +294,7 @@ class ShardBackend(SuperstepBackend):
             self._stats["chunks_spooled"] += 1
             buffers[dst_sid] = []
 
+        shard_of = self._shard_of
         try:
             for sid in range(num_shards):
                 self._load(machines, sid)
@@ -301,18 +302,20 @@ class ShardBackend(SuperstepBackend):
                     outbox = fn(machines[sender])
                     sent_words = 0
                     for message in outbox if outbox is not None else ():
-                        if not 0 <= message.dst < k:
+                        dst = message.dst
+                        payload = message.payload
+                        if not 0 <= dst < k:
                             raise MPCRoutingError(
                                 f"machine {sender} sent to nonexistent "
-                                f"machine {message.dst} (k={k})"
+                                f"machine {dst} (k={k})"
                             )
-                        sent_words += message.words
-                        received_words[message.dst] += message.words
-                        dst_sid = self._shard_of[message.dst]
-                        buffers[dst_sid].append(
-                            (message.dst, message.payload)
-                        )
-                        if len(buffers[dst_sid]) >= chunk_messages:
+                        w = len(payload)
+                        sent_words += w
+                        received_words[dst] += w
+                        dst_sid = shard_of[dst]
+                        buffer = buffers[dst_sid]
+                        buffer.append((dst, payload))
+                        if len(buffer) >= chunk_messages:
                             _flush(dst_sid)
                         total_messages += 1
                     total_words += sent_words
@@ -345,11 +348,13 @@ class ShardBackend(SuperstepBackend):
         # Phase B: deliver.  Each shard's spool is replayed in write
         # order — sender id ascending, then send order — which is the
         # serial arrival order.  Every machine gets a fresh inbox (an
-        # empty one if nothing arrived), exactly like the serial path.
+        # empty one if nothing arrived) priced by its received count,
+        # exactly like the serial path.
         for sid in range(num_shards):
             self._load(machines, sid)
-            for mid in self._shards[sid]:
-                machines[mid].inbox = []
+            rng = self._shards[sid]
+            lo = rng.start
+            inboxes: List[List[Tuple[int, ...]]] = [[] for _ in rng]
             spool_path = self._spool_path(sid)
             if os.path.exists(spool_path):
                 with open(spool_path, "rb") as handle:
@@ -359,8 +364,10 @@ class ShardBackend(SuperstepBackend):
                         except EOFError:
                             break
                         for dst, payload in chunk:
-                            machines[dst].inbox.append(payload)
+                            inboxes[dst - lo].append(payload)
                 os.unlink(spool_path)
+            for mid, inbox in zip(rng, inboxes):
+                machines[mid].deliver(inbox, received_words[mid])
             self._spill(machines, sid)
 
         return ExchangeStats(

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.mpc import machine as machine_module
+from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine, words_of
+from repro.mpc.message import Message
+from repro.mpc.simulator import Simulator
 
 
 class TestWordsOf:
@@ -60,8 +64,56 @@ class TestMachine:
         m.clear_inbox()
         assert m.inbox == []
 
+    def test_clear_inbox_resets_delivered_count(self):
+        m = Machine(0)
+        m.deliver([(1, 2)], 2)
+        assert m.memory_words() == 2
+        m.clear_inbox()
+        assert m.memory_words() == 0
+
     def test_repr(self):
         assert "mid=2" in repr(Machine(2))
+
+
+class TestInboxPricing:
+    """The router's received count prices the inbox; no walk needed."""
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        walked = []
+        real = machine_module.words_of
+
+        def counting(obj):
+            walked.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(machine_module, "words_of", counting)
+        return walked
+
+    def test_delivered_inbox_is_not_walked(self, monkeypatch):
+        sim = Simulator(MPCConfig(num_machines=4, memory_words=64))
+        sim.local(lambda m: m.store.__setitem__("x", (m.mid, 1)))
+        walked = self._count_walks(monkeypatch)
+        sim.communicate(
+            lambda m: [Message((m.mid + j) % 4, (m.mid, j)) for j in range(3)]
+        )
+        for m in sim.machines:
+            assert m.memory_words() == (
+                words_of(dict(m.store)) + words_of(m.inbox)
+            )
+            assert len(m.inbox) == 3
+        inboxes = [m.inbox for m in sim.machines]
+        assert not any(obj is inbox for obj in walked for inbox in inboxes)
+
+    def test_reassigned_inbox_is_repriced(self, monkeypatch):
+        m = Machine(0)
+        m.deliver([(1, 2)], 2)
+        walked = self._count_walks(monkeypatch)
+        assert m.memory_words() == 2
+        assert walked == []
+        m.inbox = [(1, 2, 3), (4,)]
+        assert m.memory_words() == 4
+        assert any(obj is m.inbox for obj in walked)
 
 
 def _reference_words(obj):

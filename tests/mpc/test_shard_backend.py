@@ -18,7 +18,7 @@ from repro.graph import generators as gen
 from repro.mpc.backends import resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
-from repro.mpc.machine import words_of
+from repro.mpc.machine import Machine, words_of
 from repro.mpc.message import Message
 from repro.mpc.ownermap import ModOwnerMap
 from repro.mpc.shard import ShardBackend
@@ -71,6 +71,28 @@ class TestParity:
         serial = _run(graph)
         sharded = _run(graph, backend=ShardBackend(num_shards=64))
         assert sharded == serial
+
+    def test_delivered_counts_equal_the_walk(self, monkeypatch):
+        delivered = []
+        real = Machine.deliver
+
+        def recording(machine, inbox, words):
+            delivered.append((machine.mid, words, words_of(inbox)))
+            real(machine, inbox, words)
+
+        monkeypatch.setattr(Machine, "deliver", recording)
+        cfg = MPCConfig(num_machines=5, memory_words=256)
+        with Simulator(cfg, backend=ShardBackend(num_shards=2)) as sim:
+            sim.communicate(
+                lambda m: [
+                    Message((m.mid * j) % 5, tuple(range(j)))
+                    for j in range(1, 5)
+                ]
+            )
+        # clear_inbox delivers ([], 0) too: spills leave empty husks.
+        assert all(words == walk for _, words, walk in delivered)
+        assert [mid for mid, words, _ in delivered if words] == list(range(5))
+        assert sum(words for _, words, _ in delivered) == 5 * (1 + 2 + 3 + 4)
 
 
 class TestResidency:

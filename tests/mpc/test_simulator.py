@@ -30,6 +30,45 @@ class TestMessage:
         with pytest.raises(TypeError):
             Message(0, (True,))
 
+    def test_rejects_bool_or_float_destination(self):
+        # A bool dst used to be delivered to machine 1 and a float dst
+        # to die inside the router; both now fail like payload words.
+        with pytest.raises(TypeError):
+            Message(True, (7,))
+        with pytest.raises(TypeError):
+            Message(1.0, (7,))
+        with pytest.raises(TypeError):
+            Message(-1.0, (7,))
+
+    def test_int_subclasses_accepted(self):
+        class Word(int):
+            pass
+
+        message = Message(Word(2), (Word(5), 6))
+        assert message.dst == 2
+        assert message.payload == (5, 6)
+
+    def test_frozen_and_slotted(self):
+        message = Message(1, (2, 3))
+        assert not hasattr(message, "__dict__")
+        for name in ("dst", "payload"):
+            with pytest.raises(AttributeError):
+                setattr(message, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(message, name)
+        with pytest.raises(AttributeError):
+            message.extra = 1
+        assert (message.dst, message.payload) == (1, (2, 3))
+
+    def test_equality_hash_repr(self):
+        a, b = Message(1, (2, 3)), Message(1, (2, 3))
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((1, (2, 3)))
+        assert a != Message(1, (2,)) and a != Message(0, (2, 3))
+        assert a != (1, (2, 3))
+        assert len({a, b, Message(0, (2, 3))}) == 2
+        assert repr(a) == "Message(dst=1, payload=(2, 3))"
+
 
 class TestLocalStep:
     def test_applies_to_all_machines(self):
@@ -85,8 +124,7 @@ class TestCommunicate:
         # Regression: a negative dst used to wrap via Python list
         # indexing and silently deliver to machine k+dst.  Message
         # validates at construction, but pickle reconstruction bypasses
-        # __post_init__ — the router must reject out-of-range ids on
-        # its own.
+        # __init__ — the router must reject out-of-range ids on its own.
         sim = small_sim()
         evil = Message.__new__(Message)
         object.__setattr__(evil, "dst", -1)
@@ -97,8 +135,8 @@ class TestCommunicate:
         assert sim.machine(3).inbox == []
 
     def test_pickle_roundtrip_skips_message_validation(self):
-        # Documents why the router-side check exists: pickle rebuilds
-        # frozen dataclasses without calling __post_init__.
+        # Documents why the router-side check exists: Message.__reduce__
+        # rebuilds the frozen slots without calling __init__.
         import pickle
 
         msg = pickle.loads(pickle.dumps(Message(1, (5,))))
