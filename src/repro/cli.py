@@ -612,9 +612,9 @@ def make_parser() -> argparse.ArgumentParser:
         )
         parser.add_argument(
             "--kernel", default=None, choices=("python", "numpy"),
-            help="machine-local compute kernel (results are bit-identical; "
-            "'numpy' vectorizes the hot loops and is an error when NumPy "
-            "is not installed; default: $REPRO_KERNEL or 'python')",
+            help="seed-search scoring kernel (results are bit-identical; "
+            "'numpy' batches the estimator queries and is an error when "
+            "NumPy is not installed; default: $REPRO_KERNEL or 'python')",
         )
         parser.add_argument(
             "--governed", action="store_true",
@@ -686,7 +686,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_match.add_argument(
         "--kernel", default=None, choices=("python", "numpy"),
-        help="machine-local compute kernel (results are bit-identical)",
+        help="seed-search scoring kernel (results are bit-identical)",
     )
     p_match.add_argument(
         "--trace-out", default=None,

@@ -50,13 +50,7 @@ from repro.derand.seed_search import distributed_choose_seed
 from repro.errors import AlgorithmError
 from repro.mpc.graph_store import ADJ
 from repro.mpc.machine import Machine
-from repro.mpc.state_layout import (
-    KERNEL_NUMPY,
-    KERNEL_PYTHON,
-    kernel_of,
-    numpy_or_none,
-    supports_modulus,
-)
+from repro.mpc.state_layout import KERNEL_PYTHON, kernel_of
 from repro.util.prime import next_prime
 
 VTERMS = "luby_vterms"
@@ -106,37 +100,6 @@ def conditional_expectation_chooser(chunk_bits: int = 5) -> SeedChooser:
         return seed, stats.candidates_scanned
 
     return choose
-
-
-def _decide_winners_numpy(np, seed: Seed, vterms, pterms) -> List[int]:
-    """Winner set ``C`` via array comparisons (bit-identical to the loop).
-
-    Marked vertices are the rows hashing below their threshold; a marked
-    vertex is beaten when any compact pair term pairs it with a marked
-    higher neighbour.  ``tolist()`` hands back plain Python ints, so the
-    winner list entering machine stores is indistinguishable from the
-    reference kernel's.
-    """
-    p = seed.p
-    a, b = seed.a, seed.b
-    vv = np.fromiter((t[0] for t in vterms), dtype=np.int64, count=len(vterms))
-    vt = np.fromiter((t[1] for t in vterms), dtype=np.int64, count=len(vterms))
-    marked_ids = vv[((a * vv + b) % p) < vt]
-    if len(pterms):
-        pv = np.fromiter(
-            (t[0] for t in pterms), dtype=np.int64, count=len(pterms)
-        )
-        pu = np.fromiter(
-            (t[1] for t in pterms), dtype=np.int64, count=len(pterms)
-        )
-        pt = np.fromiter(
-            (t[2] for t in pterms), dtype=np.int64, count=len(pterms)
-        )
-        beaten = pv[(((a * pu + b) % p) < pt) & np.isin(pv, marked_ids)]
-        winners = np.setdiff1d(marked_ids, beaten)
-    else:
-        winners = np.sort(marked_ids)
-    return winners.tolist()
 
 
 def modulus_for(num_vertices: int) -> int:
@@ -263,30 +226,19 @@ def luby_program(
 
     def commit(ctx: ProgramContext) -> None:
         dg, sim = ctx.dg, ctx.sim
-        p = ctx.state["luby_p"]
         seed = ctx.state.pop("luby_seed")
-
-        np_mod = (
-            numpy_or_none()
-            if kernel_of(sim) == KERNEL_NUMPY and supports_modulus(p)
-            else None
-        )
 
         # --- compute the winner set C locally --------------------------
         def decide_winners(machine: Machine) -> None:
-            vterms = machine.store.pop(VTERMS)
-            pterms = machine.store.pop(PTERMS)
-            if np_mod is not None:
-                winners = _decide_winners_numpy(np_mod, seed, vterms, pterms)
-            else:
-                marked = {
-                    v for v, t_v, _ in vterms if seed.hash(v) < t_v
-                }
-                beaten = set()
-                for v, u, t_u in pterms:
-                    if v in marked and seed.hash(u) < t_u:
-                        beaten.add(v)
-                winners = sorted(marked - beaten)
+            marked = {
+                v for v, t_v, _ in machine.store.pop(VTERMS)
+                if seed.hash(v) < t_v
+            }
+            beaten = set()
+            for v, u, t_u in machine.store.pop(PTERMS):
+                if v in marked and seed.hash(u) < t_u:
+                    beaten.add(v)
+            winners = sorted(marked - beaten)
             machine.store[in_set_key].update(winners)
             machine.store["_luby_winners"] = winners
 

@@ -69,14 +69,6 @@ from repro.errors import AlgorithmError
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
 from repro.mpc.primitives.aggregate import reduce_scalar
-from repro.mpc.state_layout import (
-    KERNEL_NUMPY,
-    BoundedCache,
-    MachineCSR,
-    kernel_of,
-    numpy_or_none,
-    supports_modulus,
-)
 
 IN_SET = "rs_in_set"
 ITER_MEMBERS = "rs_iter_members"
@@ -99,34 +91,10 @@ def scanning_chooser(batch: int = 32, max_batches: int = 512) -> SamplingChooser
         n_level: int,
         n_high: int,
     ) -> Tuple[Seed, int]:
-        np_mod = (
-            numpy_or_none()
-            if kernel_of(dg.sim) == KERNEL_NUMPY and supports_modulus(p)
-            else None
-        )
-        # The adjacency layer is immutable for the duration of one scan,
-        # so each machine's CSR view is built once and reused across
-        # every candidate seed in every batch — bounded to the backend's
-        # resident-machine count so an out-of-core run never accumulates
-        # CSR views for machines whose state is spilled.
-        csr_cache = BoundedCache(dg.sim.backend.resident_machines_hint())
-
         def local_stats(machine: Machine, seed: Seed) -> Tuple[int, int]:
-            adj = machine.store[adj_key]
-            if np_mod is not None:
-                csr = csr_cache.get(machine.mid)
-                if csr is None:
-                    csr = MachineCSR.from_adjacency(adj, np_mod)
-                    csr_cache.put(machine.mid, csr)
-                sampled = int((csr.hash_ids(seed) < threshold).sum())
-                covered = csr.row_any(csr.hash_indices(seed) < threshold)
-                uncovered_high = int(
-                    ((csr.degrees >= high_degree) & ~covered).sum()
-                )
-                return (sampled, uncovered_high)
             sampled = 0
             uncovered_high = 0
-            for v, neighbors in adj.items():
+            for v, neighbors in machine.store[adj_key].items():
                 if seed.hash(v) < threshold:
                     sampled += 1
                 if len(neighbors) >= high_degree and not any(
@@ -202,13 +170,7 @@ def ruling_program(
 
     def setup(ctx: ProgramContext) -> None:
         dg, sim = ctx.dg, ctx.sim
-        p = modulus_for(dg.num_vertices)
-        ctx.state["rs_p"] = p
-        ctx.state["rs_np_mod"] = (
-            numpy_or_none()
-            if kernel_of(sim) == KERNEL_NUMPY and supports_modulus(p)
-            else None
-        )
+        ctx.state["rs_p"] = modulus_for(dg.num_vertices)
         ctx.state["rs_budget"] = sim.config.memory_words // 2
         ctx.state["rs_limit"] = (
             max_iterations
@@ -269,7 +231,6 @@ def ruling_program(
     def sparsify(ctx: ProgramContext) -> None:
         dg, sim = ctx.dg, ctx.sim
         p = ctx.state["rs_p"]
-        np_mod = ctx.state["rs_np_mod"]
         budget = ctx.state["rs_budget"]
         prev_key = ADJ
         level_degree = ctx.state.pop("rs_max_deg")
@@ -299,17 +260,9 @@ def ruling_program(
                 machine: Machine, src=prev_key, dst=new_key,
                 s=seed, t=threshold,
             ) -> None:
-                adj = machine.store[src]
-                if np_mod is not None:
-                    # Same rows, same order, same tuples — computed by
-                    # array masks instead of per-entry hash calls.
-                    machine.store[dst] = MachineCSR.from_adjacency(
-                        adj, np_mod
-                    ).sampled_subgraph(s, t)
-                    return
                 machine.store[dst] = {
                     v: tuple(u for u in nbrs if s.hash(u) < t)
-                    for v, nbrs in adj.items()
+                    for v, nbrs in machine.store[src].items()
                     if s.hash(v) < t
                 }
 

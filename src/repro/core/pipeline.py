@@ -90,8 +90,8 @@ def solve_ruling_set(
         only: every backend produces bit-identical members, rounds, and
         communication metrics.
     kernel:
-        Machine-local compute kernel override (``"python"`` reference or
-        ``"numpy"`` vectorized; see :mod:`repro.mpc.state_layout`).
+        Seed-search scoring kernel override (``"python"`` reference or
+        ``"numpy"`` batched arrays; see :mod:`repro.mpc.state_layout`).
         ``None`` defers to ``REPRO_KERNEL``, then the reference kernel.
         Like ``backend``, execution strategy only — both kernels are
         bit-identical by contract.

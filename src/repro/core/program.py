@@ -309,15 +309,6 @@ class SuperstepProgram:
                     seen[key] = None
         return tuple(seen)
 
-    def describe(self) -> str:
-        """One line per phase: label and declared keys."""
-        lines = [f"program {self.name}:"]
-        for phase in self.phases():
-            label = phase.name if phase.name is not None else "(unlabelled)"
-            keys = ", ".join(phase.keys) if phase.keys else "-"
-            lines.append(f"  {label}: keys={keys}")
-        return "\n".join(lines)
-
 
 def run_program(dg, program: SuperstepProgram) -> ProgramContext:
     """Run ``program`` on ``dg`` in a fresh context and return it.

@@ -63,17 +63,20 @@ above in scalar Python over those columns.  ``kernel="numpy"`` converts
 the columns to int64 arrays (hashed ids reduced mod ``p`` first — ``h``
 depends only on ``x mod p``, and the reduction keeps every product
 below ``2^62``) and evaluates every query, including the batched
-``*_many`` variants the seed search uses, with array expressions.  The
-array path is *exact by construction*: the modulus must satisfy
+``*_many`` variants the seed search uses, with array expressions.  This
+is the only array code in the library.  The array path is *exact by
+construction*: the modulus must satisfy
 :func:`repro.mpc.state_layout.supports_modulus` (int64 hash products
 cannot wrap), weighted sums are int64 only when a precomputed magnitude
 bound proves no overflow and fall back to arbitrary-precision Python
 summation otherwise, and every result is converted back to a plain
-``int``.  Any condition the array path cannot prove exact silently
-routes the call through the reference kernel.  The two kernels share
-the closed form, so the independent oracle for both is brute force over
-the family (``tests/derand/test_estimator.py``); CI also replays the
-refactor parity oracle under each kernel and fails on any record diff.
+``int``.  A numpy estimator that cannot run exactly — NumPy missing, a
+modulus above the bound, a term value outside int64 — raises
+:class:`~repro.errors.MPCConfigError`; it never runs another kernel.
+The two kernels share the closed form, so the independent oracle for
+both is brute force over the family (``tests/derand/test_estimator.py``);
+CI also replays the refactor parity oracle under each kernel and fails
+on any record diff.
 """
 
 from __future__ import annotations
@@ -82,11 +85,13 @@ from bisect import bisect_right
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.derand.family import Seed
-from repro.errors import DerandomizationError
+from repro.errors import DerandomizationError, MPCConfigError
 from repro.mpc.state_layout import (
     KERNEL_NUMPY,
     KERNEL_PYTHON,
+    MAX_VECTOR_MODULUS,
     numpy_or_none,
+    resolve_kernel,
     supports_modulus,
 )
 
@@ -100,9 +105,11 @@ class ThresholdEstimator:
     """A weighted sum of threshold events, exactly analysable mod ``p``.
 
     ``kernel`` selects the evaluation backend: ``"python"`` (reference,
-    default) or ``"numpy"`` (vectorized, bit-identical, used when NumPy
-    is importable and the modulus fits the exactness guard — otherwise
-    the instance degrades to the reference kernel automatically).
+    default) or ``"numpy"`` (vectorized, bit-identical).  ``numpy``
+    raises :class:`~repro.errors.MPCConfigError` when NumPy is not
+    importable, when ``p`` exceeds the exactness guard, and on the first
+    query over a term value outside int64; :attr:`kernel` is fixed at
+    construction.
     """
 
     def __init__(self, p: int, kernel: str = KERNEL_PYTHON):
@@ -120,10 +127,13 @@ class ThresholdEstimator:
         self._index_key: Optional[Tuple[int, int]] = None
         self._index: Optional[_PrefixIndex] = None
         # Array backend: flat int64 term arrays + per-multiplier arcs.
-        self._np = numpy_or_none() if kernel == KERNEL_NUMPY else None
+        self.kernel = resolve_kernel(kernel)
+        self._np = numpy_or_none() if self.kernel == KERNEL_NUMPY else None
         if self._np is not None and not supports_modulus(p):
-            self._np = None
-        self.kernel = KERNEL_NUMPY if self._np is not None else KERNEL_PYTHON
+            raise MPCConfigError(
+                f"kernel 'numpy' is exact only for moduli <= "
+                f"{MAX_VECTOR_MODULUS}, got p = {p}; use the 'python' kernel"
+            )
         self._flat: Optional[dict] = None
         self._arc_cache_key: Optional[Tuple[int, int]] = None
         self._arc_cache: Optional[Tuple[object, object, object]] = None
@@ -198,13 +208,13 @@ class ThresholdEstimator:
     # Array backend plumbing
     # ------------------------------------------------------------------
     def _flat_terms_arrays(self) -> Optional[dict]:
-        """Flat int64 term arrays, or None when the array path can't run.
+        """Flat int64 term arrays, or None under the python kernel.
 
         Built lazily once per term-set (the columns are append-only and
         every append invalidates).  Id columns are reduced mod ``p``, so
         hash products stay below ``2^62`` whatever the ids.  A term
-        value outside int64 (an id or weight of 64 bits or more)
-        disables the array path for this instance rather than risking a
+        value outside int64 (an id or weight of 64 bits or more) raises
+        :class:`~repro.errors.MPCConfigError` rather than risking a
         wrapped product.
         """
         if self._np is None:
@@ -215,10 +225,11 @@ class ThresholdEstimator:
                 arrays = [
                     np.array(col, dtype=np.int64) for col in self._cols
                 ]
-            except OverflowError:
-                self._np = None
-                self.kernel = KERNEL_PYTHON
-                return None
+            except OverflowError as exc:
+                raise MPCConfigError(
+                    "kernel 'numpy' needs every term value to fit int64; "
+                    "use the 'python' kernel"
+                ) from exc
             vx, vt, vw, px1, pt1, px2, pt2, pw = arrays
             p = self.p
             vx, px1, px2 = vx % p, px1 % p, px2 % p

@@ -27,14 +27,15 @@ round of coordination is accounted by the simulator:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.derand.estimator import ThresholdEstimator
 from repro.derand.family import AffineFamily, Seed
-from repro.errors import DerandomizationError
+from repro.errors import DerandomizationError, MPCConfigError
 from repro.mpc.machine import Machine
-from repro.mpc.state_layout import KERNEL_PYTHON, BoundedCache
+from repro.mpc.state_layout import KERNEL_PYTHON
 from repro.mpc.primitives.aggregate import reduce_vector
 from repro.mpc.primitives.broadcast import broadcast_value
 from repro.mpc.simulator import Simulator
@@ -73,6 +74,50 @@ def flat_term_estimator(
 
 
 EstimatorBuilder = Callable[[Machine], ThresholdEstimator]
+
+
+class BoundedCache:
+    """A tiny LRU for driver-side per-machine caches.
+
+    ``capacity=None`` means unbounded — correct when every machine stays
+    resident (the serial backend).  Out-of-core backends report how
+    many machines are resident at once
+    (:meth:`~repro.mpc.backends.SuperstepBackend.resident_machines_hint`);
+    sizing per-machine caches to that bound keeps the driver's footprint
+    O(shard) instead of silently rebuilding O(all machines) state the
+    backend just spilled.
+
+    >>> c = BoundedCache(2)
+    >>> c.put(1, "a"); c.put(2, "b"); c.put(3, "c")
+    >>> c.get(1) is None
+    True
+    >>> c.get(3)
+    'c'
+    """
+
+    def __init__(self, capacity: Optional[int] = None):
+        if capacity is not None and capacity < 1:
+            raise MPCConfigError(
+                f"cache capacity must be >= 1, got {capacity}"
+            )
+        self.capacity = capacity
+        self._entries: "OrderedDict" = OrderedDict()
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is not None or key in self._entries:
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if self.capacity is not None:
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class MemoizedEstimatorBuilder:

@@ -120,10 +120,10 @@ class SuperstepBackend:
     def resident_machines_hint(self) -> Optional[int]:
         """How many machines are resident at once, or None for "all".
 
-        Driver-side per-machine caches (memoized estimators, CSR views)
-        use this to bound themselves: holding cache entries for machines
-        whose state is spilled to disk would silently rebuild the O(full
-        graph) driver footprint the backend exists to avoid.
+        Driver-side per-machine caches (memoized estimators) use this
+        to bound themselves: holding cache entries for machines whose
+        state is spilled to disk would silently rebuild the O(full graph)
+        driver footprint the backend exists to avoid.
         """
         return None
 

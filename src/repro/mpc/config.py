@@ -72,8 +72,8 @@ class MPCConfig:
     ``trace_warn_utilization`` is the fraction of ``S`` at which the
     budget auditor starts warning (before the hard violation fault).
 
-    ``kernel`` selects the *compute* kernel for machine-local hot loops
-    (``"python"`` reference or ``"numpy"`` vectorized; see
+    ``kernel`` selects how the seed search's estimators score candidate
+    seeds (``"python"`` reference or ``"numpy"`` batched arrays; see
     :mod:`repro.mpc.state_layout`).  ``None`` defers to the
     ``REPRO_KERNEL`` environment variable, then the reference kernel.
     Like ``backend``, this is an execution strategy, never semantics:

@@ -266,13 +266,6 @@ class TestIntrospection:
     def test_declared_keys_deduplicated(self):
         assert self.make_program().declared_keys() == ("k1", "k2")
 
-    def test_describe_lists_every_phase(self):
-        text = self.make_program().describe()
-        assert "program intro:" in text
-        assert "setup: keys=k1" in text
-        assert "work: keys=k2, k1" in text
-        assert "arm-a: keys=-" in text
-
 
 # ---------------------------------------------------------------------------
 # End-to-end: phase names flow program -> simulator -> metrics/trace.

@@ -19,13 +19,16 @@ from repro.core.pipeline import solve_ruling_set
 from repro.derand.conditional import choose_seed, scan_order_a
 from repro.derand.estimator import ThresholdEstimator
 from repro.derand.family import AffineFamily, Seed
+from repro.errors import MPCConfigError
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
 from repro.mpc.state_layout import (
     KERNEL_NUMPY,
     KERNEL_PYTHON,
+    NO_NUMPY_ENV,
     numpy_available,
+    numpy_or_none,
 )
 
 if not numpy_available():
@@ -35,7 +38,7 @@ if not numpy_available():
     )
 
 # 2^31 - 1 is prime and exactly at the vectorization bound; the next
-# prime above 2^31 must silently downgrade the estimator to python.
+# prime above 2^31 must make a numpy estimator refuse to run.
 P_AT_BOUND = (1 << 31) - 1
 P_ABOVE_BOUND = 2147483659
 
@@ -103,14 +106,33 @@ class TestEstimatorParity:
         assert stats_py == stats_vec
         assert type(seed_vec.a) is int and type(seed_vec.b) is int
 
-    def test_modulus_above_bound_downgrades(self):
-        est = ThresholdEstimator(P_ABOVE_BOUND, kernel=KERNEL_NUMPY)
-        assert est.kernel == KERNEL_PYTHON
-        est.add_vertex_term(x=5, threshold=P_ABOVE_BOUND // 2, weight=3)
-        ref = ThresholdEstimator(P_ABOVE_BOUND)
-        ref.add_vertex_term(x=5, threshold=P_ABOVE_BOUND // 2, weight=3)
-        a = P_ABOVE_BOUND - 2
-        assert est.cond_a_x_p(a) == ref.cond_a_x_p(a)
+    @pytest.mark.parametrize(
+        "case", ["p-above-bound", "numpy-missing", "id-beyond-int64"]
+    )
+    def test_numpy_refuses_inexact(self, case, monkeypatch):
+        # Never python under a "numpy" label: the reference answers, numpy
+        # refuses.
+        p, x = P_AT_BOUND, 5
+        if case == "p-above-bound":
+            p, match = P_ABOVE_BOUND, "exact only for moduli"
+        elif case == "numpy-missing":
+            monkeypatch.setenv(NO_NUMPY_ENV, "1")
+            match = "NumPy is not importable"
+        else:
+            x, match = 2**63, "fit int64"
+
+        def build(kernel):
+            est = ThresholdEstimator(p, kernel=kernel)
+            est.add_vertex_term(x=x, threshold=p // 2, weight=3)
+            return est
+
+        a = p - 2
+        ref = build(KERNEL_PYTHON)
+        assert ref.cond_a_x_p(a) == 3 * (p // 2)
+        with pytest.raises(MPCConfigError, match=match):
+            est = build(KERNEL_NUMPY)
+            assert est.kernel == KERNEL_NUMPY
+            est.cond_a_x_p(a)
 
     @pytest.mark.parametrize(
         "big_id", [2**40 + 3, 2**55 + 11, 2**62 + 5, -(2**50)]
@@ -231,10 +253,35 @@ class TestSolveParity:
         assert res_py.members == res_np.members
         assert set(range(6, 12)) <= set(res_np.members)
 
+    @pytest.mark.parametrize("algorithm", ["det-luby", "det-ruling"])
+    def test_numpy_solve_runs_the_array_path(self, algorithm, monkeypatch):
+        # Output parity alone cannot tell a vectorized solve from a python
+        # one wearing the label: record every seed-search estimator's
+        # kernel and what its array builder handed back.  On this graph
+        # det-ruling reaches the estimator through its Luby endgame.
+        np = numpy_or_none()
+        seen = []
+        build = ThresholdEstimator._flat_terms_arrays
+
+        def recording(est):
+            flat = build(est)
+            seen.append((est.kernel, flat))
+            return flat
+
+        monkeypatch.setattr(
+            ThresholdEstimator, "_flat_terms_arrays", recording
+        )
+        solve_ruling_set(
+            gen.regular_graph(36, 4), algorithm=algorithm, kernel="numpy"
+        )
+        assert seen
+        for kernel, flat in seen:
+            assert kernel == KERNEL_NUMPY
+            assert all(isinstance(col, np.ndarray) for col in flat.values())
+
     def test_empty_machine_partitions(self):
-        # More machines than vertices: some machines own no vertex and
-        # the numpy per-machine CSR is the empty array everywhere it
-        # appears.
+        # More machines than vertices: some machines own no vertex, so
+        # their seed-search estimators hold empty term arrays.
         graph = gen.path_graph(5)
         cfg = MPCConfig(num_machines=8, memory_words=4096)
         res_py = solve_ruling_set(

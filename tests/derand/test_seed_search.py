@@ -5,11 +5,12 @@ import pytest
 from repro.derand.conditional import choose_seed
 from repro.derand.estimator import ThresholdEstimator
 from repro.derand.seed_search import (
+    BoundedCache,
     distributed_choose_seed,
     distributed_scan_seeds,
     flat_term_estimator,
 )
-from repro.errors import DerandomizationError
+from repro.errors import DerandomizationError, MPCConfigError
 from repro.mpc.config import MPCConfig
 from repro.mpc.simulator import Simulator
 from repro.util.rng import SplitMix64
@@ -239,3 +240,36 @@ class TestEstimatorCaching:
             for machine in sim.machines:
                 memo(machine)
         assert sorted(calls) == [0, 1, 2]
+
+
+class TestBoundedCache:
+    def test_unbounded_by_default(self):
+        cache = BoundedCache(None)
+        for i in range(100):
+            cache.put(i, i * 2)
+        assert len(cache) == 100
+        assert cache.get(0) == 0
+
+    def test_lru_eviction(self):
+        cache = BoundedCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # refresh a: b is now oldest
+        cache.put("c", 3)
+        assert cache.get("b") is None
+        assert cache.get("a") == 1
+        assert cache.get("c") == 3
+        assert len(cache) == 2
+
+    def test_put_refreshes_recency(self):
+        cache = BoundedCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)
+        cache.put("c", 3)
+        assert cache.get("b") is None
+        assert cache.get("a") == 10
+
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(MPCConfigError):
+            BoundedCache(0)
