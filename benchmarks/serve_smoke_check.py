@@ -3,26 +3,30 @@
 Exercises the persistent daemon's contract through the real CLI entry
 points rather than in-process calls:
 
-1. start ``repro-mpc serve`` as a subprocess on a unix socket;
-2. replay a small two-tenant request trace over the socket (pipelined,
-   duplicates included), bracketed by ``ping`` / ``stats`` / a clean
-   ``shutdown``;
+1. start ``repro-mpc serve`` as a subprocess, on a unix socket
+   (``--transport unix``, the default) or on stdin/stdout
+   (``--transport stdio``);
+2. replay a small two-tenant request trace over that transport
+   (pipelined, duplicates included), bracketed by ``ping`` / ``stats``
+   / a clean ``shutdown``;
 3. run the identical trace through ``repro-mpc batch`` (tenants
    stripped — the batch engine knows nothing of them) against a fresh
    cache;
-4. assert every socket response is a served record, the daemon's
-   counters account for every request, and each served record's
-   deterministic part is **byte-identical** to the batch path's record
-   for the same id once the ``_serve`` side channel is stripped — the
-   daemon must only add queueing, never change an answer.
+4. assert every response is a served record, the daemon's counters
+   account for every request, and each served record's deterministic
+   part is **byte-identical** to the batch path's record for the same
+   id once the ``_serve`` side channel is stripped — the daemon must
+   only add queueing, never change an answer.
 
 Exit code 0 on success, 1 on any violation.  Usage::
 
     PYTHONPATH=src python -m benchmarks.serve_smoke_check
+    PYTHONPATH=src python -m benchmarks.serve_smoke_check --transport stdio
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import socket
@@ -31,7 +35,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List
+from typing import Callable, List, Tuple
 
 from repro.cli import main as cli_main
 from repro.core.registry import DET_LUBY, DET_MATCHING, DET_RULING
@@ -65,59 +69,92 @@ def check(message: str, ok: bool) -> bool:
     return ok
 
 
-def start_daemon(sock: Path, cache_dir: Path, trace: Path):
+def spawn_daemon(transport_args: List[str], cache_dir: Path, trace: Path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--socket", str(sock),
+            *transport_args,
             "--cache-dir", str(cache_dir),
             "--trace-out", str(trace),
         ],
         env=env,
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     )
+
+
+def socket_talk(sock: Path) -> Callable[[List[dict], int], List[dict]]:
+    """Each exchange on a fresh connection to the daemon's socket."""
+
+    def talk(lines: List[dict], replies: int) -> List[dict]:
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.settimeout(120.0)
+        client.connect(str(sock))
+        try:
+            with client.makefile("rw", encoding="utf-8") as wire:
+                for line in lines:
+                    wire.write(json.dumps(line) + "\n")
+                wire.flush()
+                return [json.loads(wire.readline()) for _ in range(replies)]
+        finally:
+            client.close()
+
+    return talk
+
+
+def stdio_talk(proc) -> Callable[[List[dict], int], List[dict]]:
+    """Every exchange over the daemon's one stdin/stdout stream."""
+
+    def talk(lines: List[dict], replies: int) -> List[dict]:
+        for line in lines:
+            proc.stdin.write(json.dumps(line) + "\n")
+        proc.stdin.flush()
+        return [json.loads(proc.stdout.readline()) for _ in range(replies)]
+
+    return talk
+
+
+def start_daemon(
+    transport: str, base: Path, trace: Path
+) -> Tuple[subprocess.Popen, Callable[[List[dict], int], List[dict]]]:
+    """Launch ``repro-mpc serve``; returns the process and its talker."""
+    if transport == "stdio":
+        proc = spawn_daemon([], base / "serve-cache", trace)
+        return proc, stdio_talk(proc)
+    sock = base / "repro.sock"
+    proc = spawn_daemon(["--socket", str(sock)], base / "serve-cache", trace)
     deadline = time.monotonic() + 30.0
     while not sock.exists():
         if proc.poll() is not None or time.monotonic() > deadline:
             _, err = proc.communicate(timeout=10)
             raise RuntimeError(f"daemon failed to start: {err}")
         time.sleep(0.05)
-    return proc
+    return proc, socket_talk(sock)
 
 
-def talk(sock: Path, lines: List[dict], replies: int) -> List[dict]:
-    """Send JSON lines over the socket; read ``replies`` response lines."""
-    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    client.settimeout(120.0)
-    client.connect(str(sock))
-    try:
-        with client.makefile("rw", encoding="utf-8") as wire:
-            for line in lines:
-                wire.write(json.dumps(line) + "\n")
-            wire.flush()
-            return [json.loads(wire.readline()) for _ in range(replies)]
-    finally:
-        client.close()
-
-
-def main() -> int:
+def main(argv: List[str] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--transport", choices=("unix", "stdio"), default="unix",
+        help="how the daemon is reached (default: unix socket)",
+    )
+    transport = parser.parse_args(argv).transport
     trace_requests = requests()
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
         base = Path(tmp)
-        sock = base / "repro.sock"
         trace = base / "serve-trace.jsonl"
-        proc = start_daemon(sock, base / "serve-cache", trace)
+        proc, talk = start_daemon(transport, base, trace)
 
-        ping = talk(sock, [{"op": "ping"}], 1)[0]
-        served = talk(sock, trace_requests, len(trace_requests))
-        stats = talk(sock, [{"op": "stats"}], 1)[0]
-        down = talk(sock, [{"op": "shutdown"}], 1)[0]
-        code = proc.wait(timeout=60)
-        out, err = proc.communicate(timeout=10)
+        ping = talk([{"op": "ping"}], 1)[0]
+        served = talk(trace_requests, len(trace_requests))
+        stats = talk([{"op": "stats"}], 1)[0]
+        down = talk([{"op": "shutdown"}], 1)[0]
+        _, err = proc.communicate(timeout=60)
+        code = proc.returncode
 
         # The same trace through the batch CLI (tenants stripped).
         batch_requests = base / "requests.jsonl"
@@ -143,7 +180,10 @@ def main() -> int:
 
         counters = stats["stats"]["counters"]
         ok = True
-        ok &= check("daemon answers ping", ping.get("status") == "ok")
+        ok &= check(
+            f"daemon answers ping over {transport}",
+            ping.get("status") == "ok",
+        )
         ok &= check(
             f"every request served ok ({len(served)} responses)",
             len(served) == len(trace_requests)
@@ -183,12 +223,12 @@ def main() -> int:
         ok &= check(
             "clean shutdown (exit 0, socket removed, trace written)",
             down.get("status") == "ok" and code == 0
-            and not sock.exists() and trace.exists(),
+            and not (base / "repro.sock").exists() and trace.exists(),
         )
         if not ok:
             print(f"daemon stderr:\n{err}")
             return 1
-    print("serve smoke check passed")
+    print(f"serve smoke check passed ({transport})")
     return 0
 
 

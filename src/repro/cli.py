@@ -37,7 +37,7 @@ from repro.core import registry
 from repro.core.pipeline import solve_ruling_set, solve_ruling_set_stream
 from repro.core.verify import verify_ruling_set
 from repro.errors import ReproError
-from repro.graph import generators as gen
+from repro.graph.generators import FAMILIES, build_graph
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.mpc.backends import BACKENDS
@@ -46,42 +46,6 @@ WORKERS_HELP = (
     "shard count for the shard backend and --stream (0 = default); "
     "an error on any other backend"
 )
-
-FAMILIES = (
-    "gnp", "powerlaw", "tree", "grid", "regular", "star", "cycle",
-    "rmat", "barbell",
-)
-
-
-def build_graph(family: str, n: int, param: int, seed: int) -> Graph:
-    """Construct a workload graph from CLI parameters.
-
-    ``param`` means: expected degree (gnp), degree (regular), columns
-    (grid); it is ignored by the other families.
-    """
-    if family == "gnp":
-        return gen.gnp_random_graph(n, max(1, param), n, seed=seed)
-    if family == "powerlaw":
-        return gen.chung_lu_power_law(n, seed=seed)
-    if family == "tree":
-        return gen.random_tree(n, seed=seed)
-    if family == "grid":
-        cols = max(1, param)
-        rows = max(1, n // cols)
-        return gen.grid_graph(rows, cols)
-    if family == "regular":
-        return gen.regular_graph(n, max(0, param))
-    if family == "star":
-        return gen.star_graph(n)
-    if family == "cycle":
-        return gen.cycle_graph(n)
-    if family == "rmat":
-        scale = max(1, n.bit_length() - 1)
-        return gen.rmat_graph(scale, edge_factor=max(1, param), seed=seed)
-    if family == "barbell":
-        return gen.barbell_graph(max(2, n // 2), max(0, param))
-    raise ReproError(f"unknown family {family!r}")
-
 
 def _load_or_build(args) -> Graph:
     if args.input:
@@ -498,12 +462,10 @@ def cmd_serve(args) -> int:
     cache = ResultCache(
         memory_entries=args.cache_memory, disk_dir=args.cache_dir
     )
-    # The daemon's per-request path always solves in process (that is
-    # what keeps the SessionFactory warm); concurrency comes from the
-    # daemon's worker threads, not run_cells fan-out.
-    engine = BatchEngine(
-        cache, retries=args.retries, graph_pool=args.graph_pool
-    )
+    # The daemon's per-request path always solves in process;
+    # concurrency comes from the daemon's worker threads, not run_cells
+    # fan-out (so no --jobs / --timeout / --retries here).
+    engine = BatchEngine(cache, graph_pool=args.graph_pool)
     daemon = ServeDaemon(
         engine,
         policy=AdmissionPolicy(
@@ -885,10 +847,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--graph-pool", type=int, default=64,
         help="warm graph pool size (distinct sources kept loaded)",
-    )
-    p_serve.add_argument(
-        "--retries", type=int, default=0,
-        help="re-run attempts for a failing request (default 0)",
     )
     p_serve.add_argument(
         "--trace-out", default=None,

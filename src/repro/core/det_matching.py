@@ -265,7 +265,6 @@ def solve_matching(
     trace: bool = False,
     trace_warn_utilization: float = 0.9,
     governed: bool = False,
-    session_factory=None,
 ) -> "MatchingResult":
     """One-call driver: build the regime, run, verify, return the matching.
 
@@ -305,11 +304,7 @@ def solve_matching(
         return MatchingResult(
             matching=[], algorithm=algorithm, metrics={"rounds": 0}
         )
-    build_session = (
-        session_factory.session if session_factory is not None
-        else SolverSession
-    )
-    session = build_session(
+    session = SolverSession(
         graph, spec, regime=regime, alpha_mem=alpha_mem, config=config,
         seed=seed, backend=backend, backend_workers=backend_workers,
         kernel=kernel,

@@ -18,6 +18,8 @@ Three checks per (graph, algorithm) cell:
 2. **Determinism** — a second run with identical parameters must return
    bit-identical members/matching and rounds (every solver here is
    deterministic given its seed; seedless solvers must not vary at all).
+   Each run sizes its regime and builds its session from scratch, so
+   the replay shares no state with the first run.
 3. **No faults** — any :class:`~repro.errors.ReproError` escaping the
    solve is recorded as a failure cell rather than aborting the sweep,
    so one bad cell cannot mask others.
@@ -36,7 +38,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.core import registry
 from repro.core.det_matching import solve_matching
 from repro.core.pipeline import solve_ruling_set
-from repro.core.session import SessionFactory
 from repro.core.verify import verify_maximal_matching, verify_ruling_set
 from repro.errors import ReproError
 from repro.graph.generators import hostile_suite
@@ -104,13 +105,12 @@ def _check_ruling_cell(
     spec: "registry.AlgorithmSpec",
     seed: int,
     governed: bool,
-    factory: SessionFactory,
 ) -> Tuple[str, str, int, int]:
     """Run one ruling-set cell; return (status, detail, size, rounds)."""
     alpha, beta = 2, 2
     result = solve_ruling_set(
         graph, algorithm=spec.name, alpha=alpha, beta=beta, seed=seed,
-        verify=False, governed=governed, session_factory=factory,
+        verify=False, governed=governed,
     )
     claimed = (
         spec.claimed_beta(graph, alpha, beta)
@@ -119,7 +119,7 @@ def _check_ruling_cell(
     verify_ruling_set(graph, result.members, alpha=alpha, beta=claimed)
     replay = solve_ruling_set(
         graph, algorithm=spec.name, alpha=alpha, beta=beta, seed=seed,
-        verify=False, governed=governed, session_factory=factory,
+        verify=False, governed=governed,
     )
     if replay.members != result.members or replay.rounds != result.rounds:
         return (
@@ -138,17 +138,16 @@ def _check_matching_cell(
     spec: "registry.AlgorithmSpec",
     seed: int,
     governed: bool,
-    factory: SessionFactory,
 ) -> Tuple[str, str, int, int]:
     """Run one matching cell; return (status, detail, size, rounds)."""
     result = solve_matching(
         graph, algorithm=spec.name, seed=seed, verify=False,
-        governed=governed, session_factory=factory,
+        governed=governed,
     )
     verify_maximal_matching(graph, result.matching)
     replay = solve_matching(
         graph, algorithm=spec.name, seed=seed, verify=False,
-        governed=governed, session_factory=factory,
+        governed=governed,
     )
     if replay.matching != result.matching or replay.rounds != result.rounds:
         return (
@@ -212,10 +211,6 @@ def fuzz_verify(
         and (name_filter is None or spec.name in name_filter)
     ]
     report = FuzzReport(governed=governed)
-    # One factory per sweep: power graphs and sizing configs are
-    # memoized across cells, and the replay leg hits the same warm
-    # state as the first run (bit-identity is the whole point).
-    factory = SessionFactory()
     for graph_name, graph in suite:
         for spec in specs:
             seeds = tuple(solver_seeds) if spec.uses_seed else (
@@ -225,11 +220,11 @@ def fuzz_verify(
                 try:
                     if spec.problem == registry.MATCHING:
                         status, detail, size, rounds = _check_matching_cell(
-                            graph, spec, solver_seed, governed, factory
+                            graph, spec, solver_seed, governed
                         )
                     else:
                         status, detail, size, rounds = _check_ruling_cell(
-                            graph, spec, solver_seed, governed, factory
+                            graph, spec, solver_seed, governed
                         )
                 except ReproError as exc:
                     status, detail, size, rounds = (

@@ -20,7 +20,6 @@ from repro.core import registry
 from repro.core.registry import LOCAL_FAMILY, MPC_FAMILY, RULING_SET
 from repro.core.session import (
     EdgeListSource,
-    SessionFactory,
     SolverSession,
     make_config,
     make_config_from_stats,
@@ -55,7 +54,6 @@ def solve_ruling_set(
     trace: bool = False,
     trace_warn_utilization: float = 0.9,
     governed: bool = False,
-    session_factory: Optional[SessionFactory] = None,
 ) -> RulingSetResult:
     """Compute and verify a ruling set of ``graph``.
 
@@ -109,12 +107,10 @@ def solve_ruling_set(
         strategy under the DESIGN.md §15 contract — members and error
         texts never change, and runs that needed no throttling are
         bit-identical to ungoverned ones, rounds included.
-    session_factory:
-        A :class:`~repro.core.session.SessionFactory` to build the
-        session warm (reusing the α > 2 power graph and the regime
-        config across solves on the same graph).  Warm solves are
-        bit-identical to cold ones (pinned by test); the serve layer's
-        batch engine passes its factory here.
+
+    Each call builds a fresh :class:`~repro.core.session.SolverSession`:
+    sizing and the α > 2 power graph are derived from ``graph`` every
+    time, never reused from an earlier solve.
 
     Returns a :class:`RulingSetResult` whose ``rounds`` / ``metrics``
     reflect the enforced MPC execution (0 rounds for sequential/LOCAL
@@ -134,11 +130,7 @@ def solve_ruling_set(
     if alpha > 2 and not spec.supports_alpha_gt2:
         raise AlgorithmError(f"alpha > 2 is not supported by {algorithm!r}")
 
-    build_session = (
-        session_factory.session if session_factory is not None
-        else SolverSession
-    )
-    session = build_session(
+    session = SolverSession(
         graph, spec, beta=beta, alpha=alpha, regime=regime,
         alpha_mem=alpha_mem, config=config, seed=seed,
         backend=backend, backend_workers=backend_workers, kernel=kernel,

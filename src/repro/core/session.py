@@ -204,7 +204,6 @@ class SolverSession:
         trace_warn_utilization: float = 0.9,
         governed: bool = False,
         in_set_key: str = "result_set",
-        power_graph: Optional[Graph] = None,
     ) -> None:
         self.spec = spec
         self.beta = beta
@@ -237,19 +236,11 @@ class SolverSession:
             self.num_vertices = source.num_vertices
         # The α > 2 power graph, built exactly once per session: it
         # sizes the regime AND is handed to the program for execution.
-        # A warm caller (SessionFactory) may pass the build from an
-        # earlier session on the same graph; power_graph is a pure
-        # function of (graph, alpha), so reuse cannot change results.
-        self._power: Optional[Graph] = power_graph
-        if (
-            self._power is None
-            and self.graph is not None
-            and spec.family == MPC_FAMILY
-            and alpha > 2
-        ):
-            from repro.graph.ops import power_graph as build_power
+        self._power: Optional[Graph] = None
+        if self.graph is not None and spec.family == MPC_FAMILY and alpha > 2:
+            from repro.graph.ops import power_graph
 
-            self._power = build_power(self.graph, alpha - 1)
+            self._power = power_graph(self.graph, alpha - 1)
 
     # -- regime sizing ---------------------------------------------------
 
@@ -430,72 +421,3 @@ class SolverSession:
             trace=sim.trace,
         )
         return SessionRun(payload=payload, stats=stats, config=cfg)
-
-
-class SessionFactory:
-    """Warm session builder: per-graph artifacts survive across solves.
-
-    A :class:`SolverSession` is single-use by design, so a caller that
-    solves many requests on the same graph (the serve layer's batch
-    engine, ``repro-mpc cache warm``) re-derives the same regime config
-    and — for α > 2 — rebuilds the same ``G^{α-1}`` on every request.
-    The factory memoizes both, keyed by the graph's content fingerprint,
-    and hands them to each new session.
-
-    Reuse is sound because both artifacts are pure functions of their
-    keys: ``power_graph(graph, alpha-1)`` of ``(graph, alpha)``, and the
-    *base* regime config of ``(graph, spec, regime, alpha_mem, alpha)``.
-    Backend and trace wiring stay per-session (applied on top of the
-    cached base config by :meth:`SolverSession.resolve_config`), so two
-    sessions from one factory can still run on different backends.
-    Sessions built warm are bit-identical to sessions built cold
-    (pinned by test).
-    """
-
-    def __init__(self) -> None:
-        self._power_cache: Dict[Tuple[str, int], Graph] = {}
-        self._config_cache: Dict[Tuple, MPCConfig] = {}
-
-    def session(
-        self,
-        graph: Graph,
-        spec: AlgorithmSpec,
-        **kwargs: object,
-    ) -> SolverSession:
-        """A :class:`SolverSession` wired with this factory's warm state.
-
-        Accepts every :class:`SolverSession` keyword argument.  An
-        explicit ``config`` (or ``power_graph``) from the caller wins
-        over the factory's caches.
-        """
-        alpha = int(kwargs.get("alpha", 2))
-        if (
-            kwargs.get("power_graph") is None
-            and spec.family == MPC_FAMILY
-            and alpha > 2
-        ):
-            kwargs["power_graph"] = self._power(graph, alpha)
-        session = SolverSession(graph, spec, **kwargs)
-        if spec.family == MPC_FAMILY and session.explicit_config is None:
-            session.explicit_config = self._base_config(session)
-        return session
-
-    def _power(self, graph: Graph, alpha: int) -> Graph:
-        key = (graph.fingerprint(), alpha)
-        if key not in self._power_cache:
-            from repro.graph.ops import power_graph
-
-            self._power_cache[key] = power_graph(graph, alpha - 1)
-        return self._power_cache[key]
-
-    def _base_config(self, session: SolverSession) -> MPCConfig:
-        """The session's regime config, memoized on its semantic inputs."""
-        key = (
-            session.sizing_graph.fingerprint(),
-            session.spec.name,
-            session.regime,
-            session.alpha_mem,
-        )
-        if key not in self._config_cache:
-            self._config_cache[key] = session.base_config()
-        return self._config_cache[key]

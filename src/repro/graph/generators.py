@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import GraphError
+from repro.errors import GraphError, ReproError
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 from repro.util.rng import SplitMix64
@@ -401,6 +401,45 @@ def hostile_suite(scale: int = 1, seed: int = 0) -> List[Tuple[str, Graph]]:
         ("components-then-giant", ctg),
         ("components-then-giant-relabeled", relabeled_graph(ctg, seed=seed + 1)),
     ]
+
+
+#: The named families :func:`build_graph` understands (the CLI's
+#: ``--family`` choices and a serve request's ``graph.family``).
+FAMILIES = (
+    "gnp", "powerlaw", "tree", "grid", "regular", "star", "cycle",
+    "rmat", "barbell",
+)
+
+
+def build_graph(family: str, n: int, param: int, seed: int) -> Graph:
+    """Construct a workload graph from a named family and its parameters.
+
+    ``param`` means: expected degree (gnp), degree (regular), columns
+    (grid), edge factor (rmat), path length (barbell); it is ignored by
+    the other families.
+    """
+    if family == "gnp":
+        return gnp_random_graph(n, max(1, param), n, seed=seed)
+    if family == "powerlaw":
+        return chung_lu_power_law(n, seed=seed)
+    if family == "tree":
+        return random_tree(n, seed=seed)
+    if family == "grid":
+        cols = max(1, param)
+        rows = max(1, n // cols)
+        return grid_graph(rows, cols)
+    if family == "regular":
+        return regular_graph(n, max(0, param))
+    if family == "star":
+        return star_graph(n)
+    if family == "cycle":
+        return cycle_graph(n)
+    if family == "rmat":
+        scale = max(1, n.bit_length() - 1)
+        return rmat_graph(scale, edge_factor=max(1, param), seed=seed)
+    if family == "barbell":
+        return barbell_graph(max(2, n // 2), max(0, param))
+    raise ReproError(f"unknown family {family!r}")
 
 
 def planted_ruling_set_graph(

@@ -6,7 +6,9 @@ queueing, fairness, or backpressure story.  ``ServeDaemon`` promotes it
 to a long-lived front end:
 
 * **Transport.**  Newline-delimited JSON over a local unix socket (or
-  stdio for subprocess embedding).  One request per line in, one
+  stdio for subprocess embedding); both transports run one line loop
+  (``ServeDaemon._serve_lines``) inside one worker-pool lifecycle
+  (:meth:`ServeDaemon.running`).  One request per line in, one
   response record per line out; responses carry the request's ``id``,
   so clients may pipeline.
 * **Admission control.**  A bounded request queue
@@ -21,9 +23,9 @@ to a long-lived front end:
   ring serves one request per tenant per turn, so a tenant flooding
   the queue cannot starve the others — pinned by test.
 * **Warm pools.**  All requests share one :class:`BatchEngine`: its
-  graph pool, :class:`~repro.core.session.SessionFactory`, and
-  :class:`~repro.serve.cache.ResultCache` stay warm across requests,
-  and the cache is the first hop before any solve runs.
+  graph pool and :class:`~repro.serve.cache.ResultCache` stay warm
+  across requests, and the cache is the first hop before any solve
+  runs.
 * **Latency attribution.**  Every served request records queue /
   execute / total wall clock into the engine's
   :class:`~repro.mpc.trace.ServiceTrace` latency side channel, so the
@@ -50,9 +52,13 @@ import sys
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, AsyncIterator, Awaitable, Callable, Deque, Dict, List, Optional,
+    Set, Tuple, Union,
+)
 
 from repro.errors import ServeError
 from repro.mpc.config import MPCConfig
@@ -284,39 +290,26 @@ class ServeDaemon:
             )
             self._unpriceable_priced += 1
         if self._shutdown.is_set():
-            return (
-                self._refusal(
-                    data, tenant, "daemon is shutting down", est_words
-                ),
-                None,
+            reason = "daemon is shutting down"
+        elif self._depth >= policy.max_queue:
+            reason = (
+                f"queue depth {self._depth} is at "
+                f"max_queue={policy.max_queue}; retry later"
             )
-        if self._depth >= policy.max_queue:
-            return (
-                self._refusal(
-                    data,
-                    tenant,
-                    f"queue depth {self._depth} is at "
-                    f"max_queue={policy.max_queue}; retry later",
-                    est_words,
-                ),
-                None,
-            )
-        if (
+        elif (
             policy.max_inflight_words
             and self._inflight_words + est_words > policy.max_inflight_words
         ):
-            return (
-                self._refusal(
-                    data,
-                    tenant,
-                    f"estimated {est_words} words would lift in-flight "
-                    f"total {self._inflight_words} over "
-                    f"max_inflight_words={policy.max_inflight_words}; "
-                    "retry later",
-                    est_words,
-                ),
-                None,
+            reason = (
+                f"estimated {est_words} words would lift in-flight "
+                f"total {self._inflight_words} over "
+                f"max_inflight_words={policy.max_inflight_words}; "
+                "retry later"
             )
+        else:
+            reason = None
+        if reason is not None:
+            return self._refusal(data, tenant, reason, est_words), None
         loop = asyncio.get_running_loop()
         pending = _Pending(
             data=data,
@@ -386,22 +379,15 @@ class ServeDaemon:
                         index=pending.index,
                     ),
                 )
-            except ServeError as exc:
-                record = {
-                    "id": str(
-                        pending.data.get("id", f"req-{pending.index}")
-                    ),
-                    "status": "invalid",
-                    "error_type": type(exc).__name__,
-                    "error": str(exc),
-                    "_serve": {},
-                }
             except Exception as exc:  # worker must survive anything
+                # A malformed request (ServeError) is "invalid"; any
+                # other escape is a "failed" solve.
+                invalid = isinstance(exc, ServeError)
                 record = {
                     "id": str(
                         pending.data.get("id", f"req-{pending.index}")
                     ),
-                    "status": "failed",
+                    "status": "invalid" if invalid else "failed",
                     "error_type": type(exc).__name__,
                     "error": str(exc),
                     "_serve": {},
@@ -471,7 +457,7 @@ class ServeDaemon:
     # -- line protocol ---------------------------------------------------
 
     @staticmethod
-    def _parse_line(line: bytes) -> Any:
+    def _parse_line(line: Union[bytes, str]) -> Any:
         """One wire line → ``(request, None)`` or ``(None, error record)``."""
         try:
             data = json.loads(line)
@@ -490,6 +476,62 @@ class ServeDaemon:
             }
         return data, None
 
+    async def _serve_lines(
+        self,
+        readline: Callable[[], Awaitable[Union[bytes, str]]],
+        write: Callable[[str], Awaitable[None]],
+    ) -> None:
+        """The line protocol over one request stream, until EOF.
+
+        Every transport runs this loop: ``readline()`` returns the next
+        raw line (empty at EOF) and ``write(line)`` sends one response
+        line.  Requests are admitted in arrival order (synchronously),
+        then answered out of order as solves finish — responses carry
+        ids, so clients may pipeline.  A ``shutdown`` op stops the
+        daemon and ends the stream once its in-flight responses are
+        written.
+        """
+        write_lock = asyncio.Lock()
+        inflight: Set["asyncio.Task[None]"] = set()
+
+        async def respond(record: Dict[str, Any]) -> None:
+            async with write_lock:
+                await write(json.dumps(record, sort_keys=True))
+
+        async def respond_when_done(
+            future: "asyncio.Future[Dict[str, Any]]",
+        ) -> None:
+            await respond(await future)
+
+        while True:
+            raw = await readline()
+            if not raw:
+                break  # EOF: answer what was admitted, then return
+            line = raw.strip()
+            if not line:
+                continue
+            data, parse_error = self._parse_line(line)
+            if parse_error is not None:
+                await respond(parse_error)
+                continue
+            op = data.get("op")
+            if op is not None:
+                await respond(self._control(str(op)))
+                if op == "shutdown":
+                    self.request_stop()
+                    break
+                continue
+            tenant = str(data.pop("tenant", DEFAULT_TENANT))
+            refusal, future = self.admit(data, tenant=tenant)
+            if refusal is not None:
+                await respond(refusal)
+                continue
+            job = asyncio.create_task(respond_when_done(future))
+            inflight.add(job)
+            job.add_done_callback(inflight.discard)
+        if inflight:
+            await asyncio.gather(*inflight, return_exceptions=True)
+
     async def _handle_connection(
         self,
         reader: asyncio.StreamReader,
@@ -498,52 +540,13 @@ class ServeDaemon:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
-        inflight: Set["asyncio.Task[None]"] = set()
 
-        async def respond(record: Dict[str, Any]) -> None:
-            payload = json.dumps(record, sort_keys=True).encode() + b"\n"
-            async with write_lock:
-                writer.write(payload)
-                await writer.drain()
-
-        async def respond_when_done(
-            future: "asyncio.Future[Dict[str, Any]]",
-        ) -> None:
-            await respond(await future)
+        async def write(line: str) -> None:
+            writer.write(line.encode() + b"\n")
+            await writer.drain()
 
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                data, parse_error = self._parse_line(line)
-                if parse_error is not None:
-                    await respond(parse_error)
-                    continue
-                op = data.get("op")
-                if op is not None:
-                    await respond(self._control(str(op)))
-                    if op == "shutdown":
-                        self.request_stop()
-                        break
-                    continue
-                tenant = str(data.pop("tenant", DEFAULT_TENANT))
-                # Admit in arrival order (synchronously), then respond
-                # out of order as solves finish: responses carry ids,
-                # so clients may pipeline.
-                refusal, future = self.admit(data, tenant=tenant)
-                if refusal is not None:
-                    await respond(refusal)
-                    continue
-                job = asyncio.create_task(respond_when_done(future))
-                inflight.add(job)
-                job.add_done_callback(inflight.discard)
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
+            await self._serve_lines(reader.readline, write)
         finally:
             writer.close()
             try:
@@ -555,24 +558,26 @@ class ServeDaemon:
 
     # -- entry points ----------------------------------------------------
 
-    async def serve_unix(self, socket_path: str) -> None:
-        """Serve on a unix socket until a shutdown op (or stop) arrives."""
+    @asynccontextmanager
+    async def running(self) -> AsyncIterator[None]:
+        """The worker pool's lifecycle, shared by every entry point.
+
+        Spawns ``workers`` worker tasks for the body.  On exit — clean
+        or not — it stops admission, lets the workers drain every
+        admitted request, gives open connections a moment to flush
+        their final responses (cancelling those idling in
+        ``readline``), and shuts the executor down.  The daemon is
+        spent afterwards: new submissions are refused.
+        """
         workers = [
             asyncio.create_task(self._worker())
             for _ in range(self.workers)
         ]
-        server = await asyncio.start_unix_server(
-            self._handle_connection, path=socket_path
-        )
         try:
-            await self._shutdown.wait()
+            yield
         finally:
             self.request_stop()
-            server.close()
-            await server.wait_closed()
             await asyncio.gather(*workers)
-            # Give active handlers a moment to flush their final
-            # responses, then cancel connections idling in readline.
             if self._conn_tasks:
                 _, stragglers = await asyncio.wait(
                     set(self._conn_tasks), timeout=5.0
@@ -585,58 +590,30 @@ class ServeDaemon:
                     )
             self._executor.shutdown(wait=True)
 
+    async def serve_unix(self, socket_path: str) -> None:
+        """Serve on a unix socket until a shutdown op (or stop) arrives."""
+        async with self.running():
+            server = await asyncio.start_unix_server(
+                self._handle_connection, path=socket_path
+            )
+            try:
+                await self._shutdown.wait()
+            finally:
+                server.close()
+                await server.wait_closed()
+
     async def serve_stdio(self) -> None:
         """Serve newline-delimited JSON on stdin/stdout until EOF."""
-        workers = [
-            asyncio.create_task(self._worker())
-            for _ in range(self.workers)
-        ]
         loop = asyncio.get_running_loop()
-        inflight: Set["asyncio.Task[None]"] = set()
-        write_lock = asyncio.Lock()
 
-        async def respond(record: Dict[str, Any]) -> None:
-            payload = json.dumps(record, sort_keys=True)
-            async with write_lock:
-                print(payload, flush=True)
+        def readline() -> "asyncio.Future[str]":
+            return loop.run_in_executor(None, sys.stdin.readline)
 
-        async def respond_when_done(
-            future: "asyncio.Future[Dict[str, Any]]",
-        ) -> None:
-            await respond(await future)
+        async def write(line: str) -> None:
+            print(line, flush=True)
 
-        try:
-            while not self._shutdown.is_set():
-                raw = await loop.run_in_executor(None, sys.stdin.readline)
-                if not raw:
-                    break  # EOF: drain and exit
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                data, parse_error = self._parse_line(stripped.encode())
-                if parse_error is not None:
-                    await respond(parse_error)
-                    continue
-                op = data.get("op")
-                if op is not None:
-                    await respond(self._control(str(op)))
-                    if op == "shutdown":
-                        break
-                    continue
-                tenant = str(data.pop("tenant", DEFAULT_TENANT))
-                refusal, future = self.admit(data, tenant=tenant)
-                if refusal is not None:
-                    await respond(refusal)
-                    continue
-                job = asyncio.create_task(respond_when_done(future))
-                inflight.add(job)
-                job.add_done_callback(inflight.discard)
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
-        finally:
-            self.request_stop()
-            await asyncio.gather(*workers)
-            self._executor.shutdown(wait=True)
+        async with self.running():
+            await self._serve_lines(readline, write)
 
 
 async def replay_requests(
@@ -680,24 +657,15 @@ async def drive_requests(
     *,
     concurrency: int = 1,
 ) -> List[Dict[str, Any]]:
-    """One-shot replay: run the daemon's worker pool for its duration.
+    """One-shot replay inside :meth:`ServeDaemon.running`.
 
     :func:`replay_requests` assumes workers are already running (the
     transports spawn them); this wrapper owns the whole lifecycle —
     spawn the pool, replay, drain, stop — so in-process drivers (the
     E15 load generator, the serve smoke check) get daemon semantics
-    without a socket.  The daemon is spent afterwards: its executor is
-    shut down and new submissions are refused.
+    without a socket.  The daemon is spent afterwards.
     """
-    workers = [
-        asyncio.create_task(daemon._worker())
-        for _ in range(daemon.workers)
-    ]
-    try:
+    async with daemon.running():
         return await replay_requests(
             daemon, requests, concurrency=concurrency
         )
-    finally:
-        daemon.request_stop()
-        await asyncio.gather(*workers)
-        daemon._executor.shutdown(wait=True)

@@ -4,24 +4,26 @@ One request names a graph source, an algorithm, and solve parameters;
 the engine turns a batch of them into verified results while doing the
 work at most once per *distinct* solve:
 
-1. **Grouping.**  Distinct graph sources are loaded exactly once and
-   shared by every request that names them (requests are grouped by the
-   graph's content fingerprint, so two spellings of the same source
-   still share one load).
-2. **Dedup.**  Each request's cache key
+1. **Lookup.**  Every request — a batch member or one daemon request
+   (:meth:`BatchEngine.serve_request`) — goes through one lookup: its
+   graph source is fetched through the warm graph pool (loaded once,
+   shared by every later request naming the same source; an
+   unloadable source becomes a failure record), its cache key
    (:func:`repro.serve.cache.cache_key` over the graph fingerprint and
-   the registry's canonical parameters) identifies its solve; within a
-   batch, only the first request per key executes — the rest are
-   *deduplicated* onto its outcome, failures included.
-3. **Cache.**  Keys are looked up in the :class:`ResultCache` before
-   anything runs; a hit is served from the stored payload with **zero
-   MPC rounds executed**, and every executed miss is stored back.
-4. **Execution.**  The unique misses run through the sweep engine's
-   :func:`~repro.analysis.sweep.run_cells` scheduler — the same bounded
-   fan-out (``jobs``), per-request ``timeout``, ``retries``, and
-   process isolation the fault-tolerant sweeps use.  A request that
-   fails becomes a structured failure record in the output stream;
-   it never kills the batch and is never cached.
+   the registry's canonical parameters) is derived, and the
+   :class:`ResultCache` is consulted.  A hit is served from the stored
+   payload with **zero MPC rounds executed**.
+2. **Dedup.**  Within a batch, only the first request per key reaches
+   the cache — the rest are *deduplicated* onto its outcome, failures
+   included.
+3. **Execution.**  A batch's unique misses run through the sweep
+   engine's :func:`~repro.analysis.sweep.run_cells` scheduler — the
+   same bounded fan-out (``jobs``), per-request ``timeout``,
+   ``retries``, and process isolation the fault-tolerant sweeps use; a
+   daemon request's miss is solved in process on its worker thread.
+4. **Outcome.**  Every executed miss is stored back into the cache.  A
+   request that fails becomes a structured failure record in the
+   output stream; it never kills the batch and is never cached.
 5. **Backpressure.**  Batches above ``max_requests`` are refused up
    front with :class:`~repro.errors.ServeError` instead of being
    queued unboundedly.
@@ -51,15 +53,14 @@ from __future__ import annotations
 import json
 import os
 import threading
-from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.analysis.records import RunRecord
 from repro.analysis.sweep import FAILED, Cell, run_cells
 from repro.core import registry
-from repro.core.session import SessionFactory
 from repro.errors import ReproError, ServeError
+from repro.graph.generators import build_graph
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list
 from repro.mpc.trace import ServiceTrace
@@ -150,8 +151,6 @@ def _load_graph(source: Dict[str, object]) -> Graph:
     """Materialise one graph source (edge-list file or generator spec)."""
     if "input" in source:
         return read_edge_list(str(source["input"]))
-    from repro.cli import build_graph  # lazy: the CLI imports serve back
-
     return build_graph(
         str(source["family"]),
         int(source.get("n", 200)),
@@ -160,16 +159,10 @@ def _load_graph(source: Dict[str, object]) -> Graph:
     )
 
 
-def _execute_request(
-    graph: Graph,
-    params: Dict[str, object],
-    factory: Optional[SessionFactory] = None,
-) -> RunRecord:
+def _execute_request(graph: Graph, params: Dict[str, object]) -> RunRecord:
     """Cell runner: one verified solve, payload in the record fields.
 
-    Module-level so it pickles for ``jobs > 1`` / ``timeout`` runs; the
-    warm ``factory`` is bound (via :func:`functools.partial`) only for
-    in-process execution, where reusing per-graph artifacts pays off.
+    Module-level so it pickles for ``jobs > 1`` / ``timeout`` runs.
     """
     spec = registry.get_algorithm(str(params["algorithm"]))
     if spec.problem == registry.RULING_SET:
@@ -183,7 +176,6 @@ def _execute_request(
             regime=str(params["regime"]),
             alpha_mem=tuple(params["alpha_mem"]),
             seed=int(params["seed"]),
-            session_factory=factory,
         )
     else:
         from repro.core.det_matching import solve_matching
@@ -194,7 +186,6 @@ def _execute_request(
             regime=str(params["regime"]),
             alpha_mem=tuple(params["alpha_mem"]),
             seed=int(params["seed"]),
-            session_factory=factory,
         )
     return RunRecord(
         experiment="serve",
@@ -239,11 +230,6 @@ class BatchEngine:
         self.max_requests = max_requests
         self.graph_pool = graph_pool
         self.trace = trace if trace is not None else ServiceTrace()
-        # Warm per-graph artifacts only help when solves share a
-        # process; isolated cells (jobs > 1 or a timeout) each run in
-        # their own worker, exactly like run_cells' execution split.
-        self._in_process = jobs <= 1 and timeout is None
-        self._factory = SessionFactory()
         # Warm graph pool: loaded graphs outlive a single batch, so a
         # daemon serving the same source repeatedly loads it once.
         # Insertion-ordered with FIFO eviction at ``graph_pool``.
@@ -356,14 +342,89 @@ class BatchEngine:
     def _solve_params(request: Dict[str, object]) -> Dict[str, object]:
         """The parameter dict :func:`_execute_request` consumes."""
         return {
-            "id": request["id"],
-            "algorithm": request["algorithm"],
-            "beta": request["beta"],
-            "alpha": request["alpha"],
-            "regime": request["regime"],
-            "alpha_mem": request["alpha_mem"],
-            "seed": request["seed"],
+            field: value
+            for field, value in request.items()
+            if field not in ("source", "source_key")
         }
+
+    def _cell(self, plan: Dict[str, object]) -> Cell:
+        """A miss plan as one :func:`run_cells` cell."""
+        request = plan["request"]
+        return Cell(
+            key=str(plan["key"]),
+            runner=_execute_request,
+            args=(plan["graph"], self._solve_params(request)),
+            workload=str(request["id"]),
+            algorithm=str(request["algorithm"]),
+        )
+
+    # -- one request's lifecycle ------------------------------------------
+
+    def _lookup(
+        self, request: Dict[str, object], seen: Set[str]
+    ) -> Dict[str, object]:
+        """Plan one request: ``failed``, ``dedup``, ``hit`` or ``miss``.
+
+        Warms the request's graph through the pool (an unloadable
+        source becomes a failure plan), derives its cache key (an
+        unresolvable request, e.g. an unknown algorithm, fails too),
+        and only then first-hops the result cache.  A key already in
+        ``seen`` is a ``dedup`` of an earlier request in the same
+        batch and never reaches the cache.  A ``miss`` plan carries
+        its ``graph`` for execution.  Call under the engine lock.
+        """
+        plan: Dict[str, object] = {
+            "request": request, "key": None, "payload": None,
+            "error": None, "serve": {}, "kind": "failed",
+        }
+        try:
+            graph = self._get_graph(request)
+        except Exception as exc:  # unloadable source → failure record
+            error = (type(exc).__name__, str(exc))
+        else:
+            key, error = self._request_key(request, graph)
+            plan["key"] = key
+        if error is not None:
+            plan["error"] = error
+            self.trace.record("failed", id=request["id"], error_type=error[0])
+        elif key in seen:
+            plan["kind"] = "dedup"
+            self.trace.record("dedup", id=request["id"], key=key)
+        else:
+            seen.add(key)
+            cached = self.cache.get(key)
+            if cached is not None:
+                plan["kind"] = "hit"
+                plan["payload"] = cached
+                self.trace.record("cache_hit", id=request["id"], key=key)
+            else:
+                plan["kind"] = "miss"
+                plan["graph"] = graph
+                self.trace.record("cache_miss", id=request["id"], key=key)
+        return plan
+
+    def _outcome(
+        self,
+        plan: Dict[str, object],
+        payload: Optional[Dict[str, object]],
+        error: Optional[Tuple[str, str]],
+    ) -> None:
+        """Settle an executed miss: store its payload or record its error.
+
+        Failures are outcomes too, but they are never cached.  Call
+        under the engine lock.
+        """
+        request, key = plan["request"], plan["key"]
+        if error is not None:
+            plan["error"] = error
+            self.trace.record(
+                "failed", id=request["id"], key=key, error_type=error[0]
+            )
+            return
+        plan["payload"] = payload
+        self.cache.put(str(key), payload)
+        self.trace.record("executed", id=request["id"], key=key)
+        self.trace.record("cache_store", id=request["id"], key=key)
 
     # -- the batch -------------------------------------------------------
 
@@ -391,48 +452,32 @@ class BatchEngine:
         ]
         self._check_duplicate_ids(normalized, linenos)
 
-        # One load per distinct graph source, shared by every request
-        # (and by later batches / served requests: the pool is warm).
-        graphs: Dict[str, Graph] = {}
+        # Plan every request before executing anything; only the first
+        # request per key reaches the cache, later ones are dedups.
+        seen: Set[str] = set()
         with self._lock:
-            for request in normalized:
-                source_key = str(request["source_key"])
-                if source_key not in graphs:
-                    graphs[source_key] = self._get_graph(request)
+            plans = [self._lookup(request, seen) for request in normalized]
 
-        # Plan every request before executing anything: hit, miss
-        # (first occurrence of a key), dedup (later occurrence), or
-        # failed (unresolvable, e.g. an unknown algorithm).
-        plans: List[Dict[str, object]] = []
-        first_for_key: Dict[str, int] = {}
-        for index, request in enumerate(normalized):
-            graph = graphs[str(request["source_key"])]
-            key, error = self._request_key(request, graph)
-            plan: Dict[str, object] = {
-                "request": request, "key": key, "payload": None,
-                "error": error, "serve": {},
-            }
-            if error is not None:
-                plan["kind"] = "failed"
-                self.trace.record(
-                    "failed", id=request["id"], error_type=error[0]
-                )
-            elif key in first_for_key:
-                plan["kind"] = "dedup"
-                self.trace.record("dedup", id=request["id"], key=key)
-            else:
-                first_for_key[key] = index
-                cached = self.cache.get(key)
-                if cached is not None:
-                    plan["kind"] = "hit"
-                    plan["payload"] = cached
-                    self.trace.record("cache_hit", id=request["id"], key=key)
-                else:
-                    plan["kind"] = "miss"
-                    self.trace.record("cache_miss", id=request["id"], key=key)
-            plans.append(plan)
-
-        self._execute_misses(plans, graphs)
+        # The unique misses fan out through run_cells (jobs / timeout /
+        # retries), in process or one worker process per cell.
+        misses = [plan for plan in plans if plan["kind"] == "miss"]
+        if misses:
+            records = run_cells(
+                "serve",
+                [self._cell(plan) for plan in misses],
+                jobs=self.jobs, retries=self.retries, timeout=self.timeout,
+            )
+            with self._lock:
+                for plan, record in zip(misses, records):
+                    plan["serve"] = dict(record.meta)
+                    if record.get("status") == FAILED:
+                        error = (
+                            str(record.get("error_type")),
+                            str(record.get("error")),
+                        )
+                        self._outcome(plan, None, error)
+                    else:
+                        self._outcome(plan, dict(record.fields), None)
 
         # Dedup'd requests resolve to their key's outcome — payload or
         # failure alike (an error is one outcome of the shared solve).
@@ -456,14 +501,14 @@ class BatchEngine:
     ) -> Dict[str, object]:
         """Serve one request through the warm pools; returns its record.
 
-        The reusable per-request execution path the serve daemon runs
-        on its worker threads: normalise, fetch the graph from the warm
-        pool, first-hop the result cache, and only then solve in
-        process with the warm :class:`SessionFactory`.  The returned
-        record is shaped exactly like a batch record (deterministic
-        part + ``_serve`` side channel), and for the same request its
-        deterministic part is byte-identical to the batch path's —
-        both resolve through the same cache key and the same runner.
+        The per-request path the serve daemon runs on its worker
+        threads: normalise, then the same lookup and outcome steps as
+        :meth:`run`, with a miss solved in process in between.  The
+        returned record is shaped exactly like a batch record
+        (deterministic part + ``_serve`` side channel), and for the
+        same request its deterministic part is byte-identical to the
+        batch path's — both resolve through the same cache key and the
+        same runner.
 
         Malformed requests (unknown fields, bad ``graph``) raise
         :class:`ServeError`, mirroring the batch path; everything past
@@ -475,107 +520,20 @@ class BatchEngine:
         bookkeeping.
         """
         request = self._normalize(data, index)
-        plan: Dict[str, object] = {
-            "request": request, "key": None, "payload": None,
-            "error": None, "serve": {},
-        }
         with self._lock:
+            plan = self._lookup(request, set())
+        if plan["kind"] == "miss":
             try:
-                graph = self._get_graph(request)
-            except Exception as exc:  # unloadable source → failure record
-                plan["kind"] = "failed"
-                plan["error"] = (type(exc).__name__, str(exc))
-                self.trace.record(
-                    "failed", id=request["id"],
-                    error_type=type(exc).__name__,
+                record = _execute_request(
+                    plan["graph"], self._solve_params(request)
                 )
-                return self._output_record(plan)
-            key, error = self._request_key(request, graph)
-            plan["key"] = key
-            if error is not None:
-                plan["kind"] = "failed"
-                plan["error"] = error
-                self.trace.record(
-                    "failed", id=request["id"], error_type=error[0]
-                )
-                return self._output_record(plan)
-            cached = self.cache.get(key)
-            if cached is not None:
-                plan["kind"] = "hit"
-                plan["payload"] = cached
-                self.trace.record("cache_hit", id=request["id"], key=key)
-                return self._output_record(plan)
-            self.trace.record("cache_miss", id=request["id"], key=key)
-        plan["kind"] = "miss"
-        try:
-            record = _execute_request(
-                graph, self._solve_params(request), factory=self._factory
-            )
-        except Exception as exc:
-            plan["error"] = (type(exc).__name__, str(exc))
+            except Exception as exc:
+                payload, error = None, (type(exc).__name__, str(exc))
+            else:
+                payload, error = dict(record.fields), None
             with self._lock:
-                self.trace.record(
-                    "failed", id=request["id"], key=key,
-                    error_type=type(exc).__name__,
-                )
-            return self._output_record(plan)
-        payload = dict(record.fields)
-        plan["payload"] = payload
-        with self._lock:
-            self.cache.put(str(key), payload)
-            self.trace.record("executed", id=request["id"], key=key)
-            self.trace.record("cache_store", id=request["id"], key=key)
+                self._outcome(plan, payload, error)
         return self._output_record(plan)
-
-    def _execute_misses(
-        self, plans: List[Dict[str, object]], graphs: Dict[str, Graph]
-    ) -> None:
-        misses = [plan for plan in plans if plan["kind"] == "miss"]
-        if not misses:
-            return
-        runner = (
-            partial(_execute_request, factory=self._factory)
-            if self._in_process
-            else _execute_request
-        )
-        cells = []
-        for plan in misses:
-            request = plan["request"]
-            params = self._solve_params(request)
-            cells.append(
-                Cell(
-                    key=str(plan["key"]),
-                    runner=runner,
-                    args=(graphs[str(request["source_key"])], params),
-                    workload=str(request["id"]),
-                    algorithm=str(request["algorithm"]),
-                )
-            )
-        records = run_cells(
-            "serve", cells,
-            jobs=self.jobs, retries=self.retries, timeout=self.timeout,
-        )
-        for plan, record in zip(misses, records):
-            request = plan["request"]
-            plan["serve"] = dict(record.meta)
-            if record.get("status") == FAILED:
-                plan["error"] = (
-                    str(record.get("error_type")), str(record.get("error"))
-                )
-                self.trace.record(
-                    "failed", id=request["id"], key=plan["key"],
-                    error_type=plan["error"][0],
-                )
-                continue
-            payload = dict(record.fields)
-            plan["payload"] = payload
-            self.cache.put(str(plan["key"]), payload)
-            self.trace.record(
-                "executed", id=request["id"], key=plan["key"]
-            )
-            self.trace.record(
-                "cache_store", id=request["id"], key=plan["key"]
-            )
 
     def _output_record(self, plan: Dict[str, object]) -> Dict[str, object]:
         request = plan["request"]

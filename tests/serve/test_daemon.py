@@ -10,7 +10,9 @@ synchronous test functions (no asyncio pytest plugin in the toolchain).
 """
 
 import asyncio
+import io
 import json
+import sys
 
 import pytest
 
@@ -45,15 +47,8 @@ def _strip_serve(record):
 
 async def _with_workers(daemon, body):
     """Run ``body()`` with the daemon's worker pool alive, then drain."""
-    workers = [
-        asyncio.create_task(daemon._worker())
-        for _ in range(daemon.workers)
-    ]
-    try:
+    async with daemon.running():
         return await body()
-    finally:
-        daemon.request_stop()
-        await asyncio.gather(*workers)
 
 
 class TestBitIdentity:
@@ -403,6 +398,71 @@ class TestSocketLifecycle:
         assert by_kind["shutdown"]["status"] == "ok"
         # Requests on the wire before the shutdown op were served, and
         # the daemon exited cleanly (serve_unix returned).
+        assert daemon.stats()["served"] == 2
+
+    def test_stdio_matches_unix_socket(self, tmp_path, monkeypatch):
+        # Both transports run the same line loop: the same wire lines
+        # must produce the same records (modulo _serve) over stdio as
+        # over a unix socket.
+        lines = [
+            json.dumps({"op": "ping"}),
+            json.dumps(_request("a", tenant="t1")),
+            json.dumps(_request("b", seed=7, tenant="t2")),
+            "not json at all",
+            json.dumps({"op": "shutdown"}),
+        ]
+
+        async def over_socket():
+            daemon = ServeDaemon(_engine(), workers=2)
+            socket_path = str(tmp_path / "repro.sock")
+            server = asyncio.create_task(daemon.serve_unix(socket_path))
+            for _ in range(200):
+                try:
+                    reader, writer = await asyncio.open_unix_connection(
+                        socket_path
+                    )
+                    break
+                except (ConnectionRefusedError, FileNotFoundError):
+                    await asyncio.sleep(0.01)
+            else:
+                raise AssertionError("daemon socket never came up")
+            writer.write("".join(line + "\n" for line in lines).encode())
+            await writer.drain()
+            responses = []
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                responses.append(json.loads(line))
+            writer.close()
+            await server
+            return responses
+
+        def keyed(records):
+            return {
+                record.get("op") or record.get("id") or "invalid":
+                    _strip_serve(record)
+                for record in records
+            }
+
+        over_unix = asyncio.run(over_socket())
+        stdin = io.StringIO("".join(line + "\n" for line in lines))
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        daemon = ServeDaemon(_engine(), workers=2)
+        asyncio.run(daemon.serve_stdio())
+        monkeypatch.undo()
+        over_stdio = [json.loads(l) for l in stdout.getvalue().splitlines()]
+
+        assert len(over_stdio) == len(lines)
+        by_kind = keyed(over_stdio)
+        assert by_kind["ping"]["status"] == "ok"
+        assert by_kind["a"]["status"] == "ok"
+        assert by_kind["b"]["status"] == "ok"
+        assert by_kind["invalid"]["status"] == "invalid"
+        assert by_kind["shutdown"]["status"] == "ok"
+        assert by_kind == keyed(over_unix)
         assert daemon.stats()["served"] == 2
 
     def test_control_op_unknown(self):

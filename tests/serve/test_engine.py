@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import registry
 from repro.core.pipeline import solve_ruling_set
-from repro.core.session import SessionFactory
 from repro.errors import ServeError
 from repro.graph import generators as gen
 from repro.serve import (
@@ -102,6 +101,28 @@ class TestPlanning:
         )
         assert rerun[0]["status"] == "failed"
         assert _strip_serve(records) == _strip_serve(rerun)
+
+    def test_unloadable_source_is_a_failure_record_not_a_crash(self):
+        # Regression: one request naming a missing edge-list file made
+        # BatchEngine.run raise FileNotFoundError and abort the whole
+        # batch, while serve_request already returned a failure record.
+        requests = [
+            {"id": "missing", "graph": {"input": "/nonexistent/g.txt"}},
+            {"id": "ok", "graph": dict(TREE),
+             "algorithm": registry.GREEDY_MIS},
+        ]
+        engine = BatchEngine(ResultCache())
+        records = engine.run([dict(r) for r in requests])
+        assert records[0]["status"] == "failed"
+        assert records[0]["error_type"] == "FileNotFoundError"
+        assert records[0]["key"] is None
+        assert records[1]["status"] == "ok"
+        assert engine.trace.counters["failed"] == 1
+        assert engine.trace.counters["executed"] == 1
+        served = BatchEngine(ResultCache())
+        assert _strip_serve(
+            [served.serve_request(r, index=i) for i, r in enumerate(requests)]
+        ) == _strip_serve(records)
 
     def test_dedup_of_a_failure_shares_the_outcome(self):
         engine = BatchEngine(ResultCache())
@@ -205,50 +226,6 @@ class TestParallelDeterminism:
         assert _strip_serve(plain) == _strip_serve(retried)
 
 
-class TestWarmSessions:
-    def test_factory_solve_matches_cold_solve(self):
-        graph = gen.gnp_random_graph(96, 6, 96, seed=7)
-        factory = SessionFactory()
-        warm = solve_ruling_set(
-            graph, algorithm=registry.DET_RULING, session_factory=factory
-        )
-        cold = solve_ruling_set(graph, algorithm=registry.DET_RULING)
-        assert warm.members == cold.members
-        assert warm.rounds == cold.rounds
-        assert warm.metrics == cold.metrics
-        assert warm.phase_rounds == cold.phase_rounds
-
-    def test_power_graph_built_once_across_alpha_solves(self):
-        graph = gen.gnp_random_graph(64, 4, 64, seed=7)
-        factory = SessionFactory()
-        first = solve_ruling_set(
-            graph, algorithm=registry.DET_RULING, alpha=3,
-            session_factory=factory,
-        )
-        assert len(factory._power_cache) == 1
-        cached_power = next(iter(factory._power_cache.values()))
-        second = solve_ruling_set(
-            graph, algorithm=registry.DET_RULING, alpha=3,
-            session_factory=factory,
-        )
-        assert len(factory._power_cache) == 1
-        assert next(iter(factory._power_cache.values())) is cached_power
-        assert first.members == second.members
-
-    def test_config_cache_reused_across_solves(self):
-        graph = gen.gnp_random_graph(64, 4, 64, seed=7)
-        factory = SessionFactory()
-        solve_ruling_set(
-            graph, algorithm=registry.DET_RULING, session_factory=factory
-        )
-        solve_ruling_set(
-            graph, algorithm=registry.DET_RULING, beta=3,
-            session_factory=factory,
-        )
-        # beta is not a sizing input, so both solves share one config.
-        assert len(factory._config_cache) == 1
-
-
 class TestRequestIO:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "requests.jsonl"
@@ -332,6 +309,16 @@ class TestCLI:
         assert "disk entries: 3" in out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "removed 3" in capsys.readouterr().out
+
+    def test_serve_has_no_retries_flag(self, capsys):
+        # The daemon solves each miss once, in process; --retries was
+        # accepted and silently ignored, so it is no longer a flag.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--retries", "2"])
+        assert excinfo.value.code == 2
+        assert "--retries" in capsys.readouterr().err
 
     def test_cache_requires_dir(self):
         from repro.cli import main
