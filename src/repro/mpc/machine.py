@@ -18,7 +18,7 @@ hands that count over with it (:meth:`Machine.deliver`).
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 #: Types that cost exactly one word each — the batched fast paths may
 #: price a whole container by ``len`` only when every element's type is
@@ -375,6 +375,17 @@ class Machine:
         self.inbox = inbox
         self._priced_inbox = inbox
         self._inbox_words = words
+
+    def delivered_words(self) -> Optional[int]:
+        """The count ``inbox`` was delivered with, or None if it was not.
+
+        None means the inbox was assigned some other way, so only a walk
+        prices it.  A backend that spills machines keeps this count next
+        to the inbox and hands both back through :meth:`deliver`.
+        """
+        if self.inbox is self._priced_inbox:
+            return self._inbox_words
+        return None
 
     def clear_inbox(self) -> None:
         """Drop delivered messages (an algorithm does this once consumed)."""

@@ -5,7 +5,9 @@ driver process, so the "low-space" MPC regimes are simulated with O(full
 graph) real memory.  :class:`ShardBackend` honours the memory constraint
 at the *simulator* level: machines are grouped into contiguous id-ordered
 shards, each shard's ``(store, inbox)`` state lives pickled in a spill
-directory, and only **one shard is resident at a time**.
+file, and only **one shard is resident at a time**.  Each shard's spill
+file is opened once and held; every spill still writes the shard's whole
+state out of the process before the next shard is loaded.
 
 Determinism is preserved by construction, not by luck:
 
@@ -17,6 +19,11 @@ Determinism is preserved by construction, not by luck:
   so concatenating a spool file reproduces the serial arrival order
   bit-for-bit.  No process ever buffers a full round's traffic: spool
   buffers flush every ``chunk_messages`` messages.
+* Delivery is lazy: the exchange leaves each shard's spool pending and
+  the shard's next load replays it into the inboxes, so an exchange
+  loads and spills every shard once.  Memory accounting does not wait
+  for that load; it charges each machine its received count at the end
+  of the exchange, as the serial backend does.
 * Budget violations and routing errors are raised with the identical
   type, message text, and machine-id order as the serial routing loop in
   :meth:`~repro.mpc.backends.SerialBackend.run_exchange` — the
@@ -37,7 +44,7 @@ import os
 import pickle
 import shutil
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.mpc.backends import ExchangeStats, MachineFn, SuperstepBackend
@@ -74,6 +81,27 @@ def _chunk_ranges(count: int, parts: int) -> List[range]:
     return ranges
 
 
+def _env_chunk() -> int:
+    """``REPRO_SHARD_CHUNK`` as a chunk size (0 when unset or empty)."""
+    raw = os.environ.get(CHUNK_ENV, "")
+    if not raw:
+        return 0
+    try:
+        value = int(raw)
+    except ValueError:
+        raise MPCConfigError(
+            f"{CHUNK_ENV} must be an integer >= 0, got {raw!r}"
+        ) from None
+    if value < 0:
+        raise MPCConfigError(f"{CHUNK_ENV} must be >= 0, got {value}")
+    return value
+
+
+#: What a spill file holds per machine: store, inbox, and the inbox's
+#: delivered word count (None for an inbox that was never delivered).
+_State = Tuple[Store, list, Optional[int]]
+
+
 class ShardBackend(SuperstepBackend):
     """Out-of-core execution: one machine shard resident at a time.
 
@@ -100,9 +128,8 @@ class ShardBackend(SuperstepBackend):
                 f"chunk_messages must be >= 0, got {chunk_messages}"
             )
         self.num_shards = num_shards or DEFAULT_NUM_SHARDS
-        env_chunk = int(os.environ.get(CHUNK_ENV, "0") or "0")
         self.chunk_messages = (
-            chunk_messages or env_chunk or DEFAULT_CHUNK_MESSAGES
+            chunk_messages or _env_chunk() or DEFAULT_CHUNK_MESSAGES
         )
         self._spill_root = spill_dir or os.environ.get(SPILL_DIR_ENV)
         self._dir: Optional[str] = None
@@ -110,6 +137,15 @@ class ShardBackend(SuperstepBackend):
         self._shards: List[range] = []
         self._shard_of: List[int] = []
         self._words: List[int] = []
+        self._store_words: List[int] = []
+        # One held state file per shard, opened at attach.
+        self._files: List[BinaryIO] = []
+        # Per shard: the (spool path or None, received counts) of an
+        # exchange its next load must deliver, or None.
+        self._pending: List[Optional[Tuple[Optional[str], List[int]]]] = []
+        # Spool parity of the next exchange; it flips only when an
+        # exchange leaves spools pending.
+        self._parity = 0
         self._attached = False
         self._governor = None
         self._stats = {
@@ -160,62 +196,128 @@ class ShardBackend(SuperstepBackend):
         self._ensure_dir()
         k = len(machines)
         self._shards = _chunk_ranges(k, self.num_shards)
+        num_shards = len(self._shards)
+        try:
+            for sid in range(num_shards):
+                self._files.append(open(self._state_path(sid), "w+b"))
+        except OSError as exc:
+            self.shutdown()
+            raise MPCConfigError(
+                f"cannot hold {num_shards} shard state files open "
+                f"({exc.strerror or exc}); use fewer shards"
+            ) from exc
         self._shard_of = [0] * k
         for sid, rng in enumerate(self._shards):
             for mid in rng:
                 self._shard_of[mid] = sid
         self._words = [0] * k
-        for sid in range(len(self._shards)):
+        self._store_words = [0] * k
+        self._pending = [None] * num_shards
+        for sid in range(num_shards):
             self._spill(machines, sid)
         self._attached = True
 
     def _state_path(self, sid: int) -> str:
         return os.path.join(self._ensure_dir(), f"shard_{sid}.pkl")
 
-    def _spool_path(self, sid: int) -> str:
-        return os.path.join(self._ensure_dir(), f"spool_{sid}.pkl")
+    def _spool_path(self, sid: int, parity: int) -> str:
+        return os.path.join(self._ensure_dir(), f"spool_{sid}_{parity}.pkl")
 
     def _load(self, machines: Sequence[Machine], sid: int) -> None:
-        with open(self._state_path(sid), "rb") as handle:
-            states: List[Tuple[Store, list]] = pickle.load(handle)
-        for offset, mid in enumerate(self._shards[sid]):
-            store, inbox = states[offset]
-            machines[mid].store = store
-            machines[mid].inbox = inbox
+        handle = self._files[sid]
+        handle.seek(0)
+        states: List[_State] = pickle.load(handle)
+        rng = self._shards[sid]
+        for mid, (store, inbox, words) in zip(rng, states):
+            machine = machines[mid]
+            machine.store = store
+            if words is None:
+                machine.inbox = inbox
+            else:
+                machine.deliver(inbox, words)
+        pending = self._pending[sid]
+        if pending is not None:
+            self._pending[sid] = None
+            self._deliver(machines, sid, *pending)
         self._stats["shard_loads"] += 1
+
+    def _deliver(
+        self,
+        machines: Sequence[Machine],
+        sid: int,
+        spool_path: Optional[str],
+        received_words: List[int],
+    ) -> None:
+        """Replace a loaded shard's inboxes with an exchange's spool.
+
+        The spool is replayed in write order — sender id ascending, then
+        send order — which is the serial arrival order.  Every machine
+        gets a fresh inbox (an empty one if nothing arrived) priced by
+        its received count, exactly like the serial path.
+        """
+        rng = self._shards[sid]
+        lo = rng.start
+        inboxes: List[List[Tuple[int, ...]]] = [[] for _ in rng]
+        if spool_path is not None:
+            with open(spool_path, "rb") as handle:
+                while True:
+                    try:
+                        chunk = pickle.load(handle)
+                    except EOFError:
+                        break
+                    for dst, payload in chunk:
+                        inboxes[dst - lo].append(payload)
+        for mid, inbox in zip(rng, inboxes):
+            machines[mid].deliver(inbox, received_words[mid])
 
     def _spill(self, machines: Sequence[Machine], sid: int) -> None:
         rng = self._shards[sid]
-        states = []
+        states: List[_State] = []
         resident = 0
         for mid in rng:
             machine = machines[mid]
             # Priced before the dump, so the store's cached prices ride
             # along in the spill file and survive the next load.
             words = machine.memory_words()
-            states.append((machine.store, machine.inbox))
+            self._store_words[mid] = machine.store.words()
+            states.append(
+                (machine.store, machine.inbox, machine.delivered_words())
+            )
             self._words[mid] = words
             resident += words
-        with open(self._state_path(sid), "wb") as handle:
-            pickle.dump(states, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        handle = self._files[sid]
+        handle.seek(0)
+        pickle.dump(states, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        handle.truncate()
+        handle.flush()
         for mid in rng:
             machines[mid].store = Store()
             machines[mid].clear_inbox()
         self._stats["shard_spills"] += 1
-        if resident > self._stats["max_resident_words"]:
-            self._stats["max_resident_words"] = resident
-        if len(rng) > self._stats["max_resident_machines"]:
-            self._stats["max_resident_machines"] = len(rng)
+        self._note_resident(resident, len(rng))
+
+    def _note_resident(self, words: int, machines: int) -> None:
+        if words > self._stats["max_resident_words"]:
+            self._stats["max_resident_words"] = words
+        if machines > self._stats["max_resident_machines"]:
+            self._stats["max_resident_machines"] = machines
 
     def shutdown(self) -> None:
-        if self._own_dir and self._dir is not None:
-            shutil.rmtree(self._dir, ignore_errors=True)
-        self._dir = None
-        self._own_dir = False
-        self._attached = False
-        self._shards = []
-        self._shard_of = []
-        self._words = []
+        files, self._files = self._files, []
+        try:
+            for handle in files:
+                handle.close()
+        finally:
+            if self._own_dir and self._dir is not None:
+                shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
+            self._own_dir = False
+            self._attached = False
+            self._shards = []
+            self._shard_of = []
+            self._words = []
+            self._store_words = []
+            self._pending = []
 
     def stats(self) -> Dict[str, int]:
         out = dict(self._stats)
@@ -272,10 +374,13 @@ class ShardBackend(SuperstepBackend):
         total_words = 0
         max_sent = 0
 
-        # Phase A: run senders shard by shard (ascending mid = serial
-        # order) and spool each message toward its destination shard.
-        # Buffers flush every ``chunk_messages`` messages, so the driver
-        # holds O(chunk · shards) payloads, never the full round.
+        # Run senders shard by shard (ascending mid = serial order) and
+        # spool each message toward its destination shard.  Loading a
+        # sender shard delivers the previous exchange's spool to it, so
+        # this exchange writes the other parity's spool files.  Buffers
+        # flush every ``chunk_messages`` messages, so the driver holds
+        # O(chunk · shards) payloads, never the full round.
+        parity = self._parity
         buffers: List[List[Tuple[int, Tuple[int, ...]]]] = [
             [] for _ in range(num_shards)
         ]
@@ -285,7 +390,7 @@ class ShardBackend(SuperstepBackend):
             if not buffers[dst_sid]:
                 return
             if spools[dst_sid] is None:
-                spools[dst_sid] = open(self._spool_path(dst_sid), "wb")
+                spools[dst_sid] = open(self._spool_path(dst_sid, parity), "wb")
             pickle.dump(
                 buffers[dst_sid],
                 spools[dst_sid],
@@ -345,30 +450,23 @@ class ShardBackend(SuperstepBackend):
                         f"round, budget S={memory_words}"
                     )
 
-        # Phase B: deliver.  Each shard's spool is replayed in write
-        # order — sender id ascending, then send order — which is the
-        # serial arrival order.  Every machine gets a fresh inbox (an
-        # empty one if nothing arrived) priced by its received count,
-        # exactly like the serial path.
-        for sid in range(num_shards):
-            self._load(machines, sid)
-            rng = self._shards[sid]
-            lo = rng.start
-            inboxes: List[List[Tuple[int, ...]]] = [[] for _ in rng]
-            spool_path = self._spool_path(sid)
-            if os.path.exists(spool_path):
-                with open(spool_path, "rb") as handle:
-                    while True:
-                        try:
-                            chunk = pickle.load(handle)
-                        except EOFError:
-                            break
-                        for dst, payload in chunk:
-                            inboxes[dst - lo].append(payload)
-                os.unlink(spool_path)
-            for mid, inbox in zip(rng, inboxes):
-                machines[mid].deliver(inbox, received_words[mid])
-            self._spill(machines, sid)
+        # Leave every shard's delivery to its next load.  The accounting
+        # does not wait: each machine now holds its store as spilled
+        # above plus its received words, and each shard's total is a
+        # residency high-water candidate, as if delivered right here.
+        store_words = self._store_words
+        for sid, rng in enumerate(self._shards):
+            resident = 0
+            for mid in rng:
+                words = store_words[mid] + received_words[mid]
+                self._words[mid] = words
+                resident += words
+            self._note_resident(resident, len(rng))
+            spool_path = (
+                None if spools[sid] is None else self._spool_path(sid, parity)
+            )
+            self._pending[sid] = (spool_path, received_words)
+        self._parity = 1 - parity
 
         return ExchangeStats(
             total_messages=total_messages,

@@ -6,7 +6,11 @@ rounds, every model metric, and even the text of budget/routing errors —
 while never keeping more than one machine shard resident in the driver.
 """
 
+import contextlib
+import errno
+import gc
 import os
+import warnings
 
 import pytest
 
@@ -15,13 +19,14 @@ from repro.core.det_ruling import ruling_program
 from repro.core.program import run_program
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.graph import generators as gen
+from repro.mpc import shard as shard_module
 from repro.mpc.backends import resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.machine import Machine, words_of
 from repro.mpc.message import Message
 from repro.mpc.ownermap import ModOwnerMap
-from repro.mpc.shard import ShardBackend
+from repro.mpc.shard import CHUNK_ENV, ShardBackend
 from repro.mpc.simulator import BACKEND_ENV, Simulator
 
 
@@ -89,10 +94,205 @@ class TestParity:
                     for j in range(1, 5)
                 ]
             )
+            # Delivery happens at each shard's next load.
+            sim.harvest(lambda m: None)
         # clear_inbox delivers ([], 0) too: spills leave empty husks.
         assert all(words == walk for _, words, walk in delivered)
         assert [mid for mid, words, _ in delivered if words] == list(range(5))
         assert sum(words for _, words, _ in delivered) == 5 * (1 + 2 + 3 + 4)
+
+
+def _words(sim):
+    """Every machine's words after the last superstep, as the audit sees."""
+    snapshot = sim.backend.memory_snapshot()
+    if snapshot is not None:
+        return snapshot
+    return [machine.memory_words() for machine in sim.machines]
+
+
+def _ring(m):
+    """Send two payloads built from the machine's inbox to two peers."""
+    seen = tuple(x for payload in m.inbox for x in payload)
+    m.store["seen"] = m.store.get("seen", ()) + seen
+    k = 6
+    return [
+        Message((m.mid + 1) % k, (m.mid,) + seen[:3]),
+        Message((m.mid * 5 + 2) % k, (m.mid, len(seen))),
+    ]
+
+
+def _state(m):
+    return (dict(m.store), list(m.inbox))
+
+
+class TestLazyDelivery:
+    """An exchange's inboxes arrive at each shard's next load."""
+
+    def _script(self, backend, steps):
+        cfg = MPCConfig(num_machines=6, memory_words=256)
+        trail = []
+        with Simulator(cfg, backend=backend) as sim:
+            sim.local(lambda m: m.store.__setitem__("x", m.mid))
+            for step in steps:
+                step(sim, trail)
+                trail.append(_words(sim))
+            trail.append(sim.harvest(_state))
+            trail.append(sim.metrics.summary())
+        return trail
+
+    def test_back_to_back_exchanges_match_serial(self):
+        # No local step between: the second exchange's senders read
+        # inboxes that were still pending when it started.  One message
+        # per chunk exercises both spool parities.
+        steps = [lambda sim, trail: sim.communicate(_ring)] * 3
+        serial = self._script(None, steps)
+        sharded = self._script(
+            ShardBackend(num_shards=3, chunk_messages=1), steps
+        )
+        assert sharded == serial
+
+    def test_partial_harvest_between_exchanges_matches_serial(self):
+        def harvest_some(sim, trail):
+            trail.append(sim.harvest(_state, only=(4, 1)))
+
+        steps = [
+            lambda sim, trail: sim.communicate(_ring),
+            harvest_some,
+            lambda sim, trail: sim.communicate(_ring),
+            harvest_some,
+        ]
+        serial = self._script(None, steps)
+        sharded = self._script(
+            ShardBackend(num_shards=3, chunk_messages=2), steps
+        )
+        assert sharded == serial
+
+    def test_resident_high_water_counts_undelivered_inboxes(self):
+        # Machine 3 receives a big inbox that the next local step
+        # clears, so its shard's peak exists only between the exchange
+        # and that step — when the inbox sits unloaded in the spool.
+        def fan_in(m):
+            return [Message(3, tuple(range(40)))]
+
+        def steps(sim):
+            sim.local(lambda m: m.store.__setitem__("x", (m.mid,) * 3))
+            yield
+            sim.communicate(fan_in)
+            yield
+            sim.local(lambda m: m.clear_inbox())
+            yield
+
+        cfg = MPCConfig(num_machines=4, memory_words=512)
+        shards = [range(0, 2), range(2, 4)]
+        expected = 0
+        with Simulator(cfg) as sim:
+            for _ in steps(sim):
+                words = _words(sim)
+                for rng in shards:
+                    expected = max(expected, sum(words[i] for i in rng))
+        backend = ShardBackend(num_shards=2)
+        with Simulator(cfg, backend=backend) as sim:
+            for _ in steps(sim):
+                pass
+        # Two 4-word stores ("x" plus three ints) and 160 received words.
+        assert expected == 2 * 4 + 4 * 40
+        assert backend.stats()["max_resident_words"] == expected
+
+    @pytest.mark.parametrize("num_shards", [1, 3, 4])
+    def test_one_load_per_shard_per_exchange(self, num_shards):
+        backend = ShardBackend(num_shards=num_shards)
+        cfg = MPCConfig(num_machines=6, memory_words=256)
+        with Simulator(cfg, backend=backend) as sim:
+            sim.local(lambda m: None)
+            for _ in range(3):
+                before = backend.stats()
+                sim.communicate(_ring)
+                after = backend.stats()
+                for key in ("shard_loads", "shard_spills"):
+                    assert after[key] - before[key] == num_shards
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@contextlib.contextmanager
+def _no_leaked_files():
+    """Every file opened inside is closed by the time the block exits.
+
+    Counting descriptors alone would not see a handle the backend
+    dropped without closing — CPython closes it on collection — so a
+    ResourceWarning from such a handle fails the check too.
+    """
+    before = _open_fds()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert _open_fds() == before
+    assert [w for w in caught if w.category is ResourceWarning] == []
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+class TestFileHandles:
+    def test_no_descriptor_leaks_after_exit(self):
+        cfg = MPCConfig(num_machines=6, memory_words=256)
+        with _no_leaked_files():
+            before = _open_fds()
+            with Simulator(cfg, backend=ShardBackend(num_shards=3)) as sim:
+                sim.local(lambda m: None)
+                sim.communicate(_ring)
+                assert _open_fds() == before + 3  # one held file per shard
+
+    @pytest.mark.parametrize("offender", [3, 5])
+    def test_no_descriptor_leaks_after_a_violation(self, offender):
+        # One message per chunk, so spools are open when machine
+        # ``offender`` overruns its send budget mid-exchange.
+        def sends(m):
+            if m.mid == offender:
+                return [Message(0, tuple(range(16)))]
+            return [Message(5 - m.mid, (m.mid,))]
+
+        cfg = MPCConfig(num_machines=6, memory_words=8)
+        backend = ShardBackend(num_shards=3, chunk_messages=1)
+        with _no_leaked_files():
+            with pytest.raises(MPCViolationError, match="sent 16 words"):
+                with Simulator(cfg, backend=backend) as sim:
+                    sim.communicate(sends)
+
+    def test_no_descriptor_leaks_after_a_receive_violation(self):
+        cfg = MPCConfig(num_machines=4, memory_words=8)
+        with _no_leaked_files():
+            with pytest.raises(MPCViolationError, match="received"):
+                with Simulator(
+                    cfg, backend=ShardBackend(num_shards=2)
+                ) as sim:
+                    sim.communicate(lambda m: [Message(0, (1, 2, 3))])
+
+
+class TestOpenFailure:
+    def test_emfile_at_attach_is_a_config_error(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SHARD_DIR", str(tmp_path))
+        opened = []
+
+        def limited(path, mode="r", *args, **kwargs):
+            if len(opened) == 2:
+                raise OSError(errno.EMFILE, "Too many open files")
+            handle = open(path, mode, *args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(shard_module, "open", limited, raising=False)
+        cfg = MPCConfig(num_machines=8, memory_words=256)
+        backend = ShardBackend(num_shards=4)
+        with pytest.raises(MPCConfigError, match="4 shard state files"):
+            with Simulator(cfg, backend=backend) as sim:
+                sim.local(lambda m: None)
+        assert len(opened) == 2
+        assert all(handle.closed for handle in opened)
+        assert sorted(tmp_path.glob("repro-shard-*")) == []
 
 
 class TestResidency:
@@ -228,6 +428,17 @@ class TestErrors:
             ShardBackend(num_shards=-1)
         with pytest.raises(MPCConfigError):
             ShardBackend(chunk_messages=-1)
+
+    @pytest.mark.parametrize("raw", ["-3", "abc", "1.5"])
+    def test_bad_chunk_env_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv(CHUNK_ENV, raw)
+        with pytest.raises(MPCConfigError, match=CHUNK_ENV):
+            ShardBackend()
+
+    def test_chunk_env_applies(self, monkeypatch):
+        monkeypatch.setenv(CHUNK_ENV, "7")
+        assert ShardBackend().chunk_messages == 7
+        assert ShardBackend(chunk_messages=3).chunk_messages == 3
 
 
 class TestWiring:
