@@ -5,7 +5,7 @@ Installed as ``repro-mpc``::
     repro-mpc generate --family gnp --n 300 --param 12 --out g.txt
     repro-mpc solve --input g.txt --algorithm det-ruling --beta 2
     repro-mpc solve --family powerlaw --n 400 --algorithm det-luby --json
-    repro-mpc trace --family gnp --n 256 --out run.trace.jsonl \
+    repro-mpc solve --family gnp --n 256 --trace-out run.trace.jsonl \
         --chrome-out run.trace.json
     repro-mpc verify --input g.txt --members 3,19,40 --beta 2
     repro-mpc sweep --n 128,256 --algorithms det-ruling,det-luby \
@@ -17,10 +17,10 @@ Installed as ``repro-mpc``::
 
 Every ``solve`` runs on the enforcing simulator and verifies its output;
 ``--json`` emits a machine-readable record instead of the text summary.
-``trace`` (or ``solve --trace-out``) additionally records the
-structured superstep trace — per-round words, per-machine budget
-utilization, headroom warnings — as JSONL and, with ``--chrome-out``,
-in Chrome trace format for ``chrome://tracing`` / Perfetto.
+``solve --trace-out`` additionally records the structured superstep
+trace — per-round words, per-machine budget utilization, headroom
+warnings — as JSONL and, with ``--chrome-out``, in Chrome trace format
+for ``chrome://tracing`` / Perfetto, then prints the budget audit.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from repro.graph.generators import FAMILIES, build_graph
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.mpc.backends import BACKENDS
+from repro.mpc.trace import WARN_UTILIZATION
 
-WORKERS_HELP = (
+SHARDS_HELP = (
     "shard count for the shard backend and --stream (0 = default); "
     "an error on any other backend"
 )
@@ -77,21 +78,65 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _check_workers(args) -> None:
-    """Refuse ``--workers`` where no shard backend would read it."""
-    if args.workers and args.backend != "shard":
+def _check_shards(args) -> None:
+    """Refuse ``--shards`` where no shard backend would read it."""
+    if args.shards and args.backend != "shard":
         raise ReproError(
-            f"--workers {args.workers} sets the shard count and needs "
+            f"--shards {args.shards} sets the shard count and needs "
             f"--backend shard (got --backend {args.backend or 'serial'})"
         )
 
 
+def _write_trace(
+    result, trace_out: str, chrome_out: Optional[str] = None
+) -> List[str]:
+    """Write a run's ``--trace-out`` (and ``--chrome-out``) exports.
+
+    Returns the budget-audit lines for the text summary: the exports,
+    the worst per-round headroom, and every warning at or above
+    :data:`~repro.mpc.trace.WARN_UTILIZATION` of ``S``.
+    """
+    trace = result.trace
+    if trace is None:
+        raise ReproError(
+            f"algorithm {result.algorithm!r} does not run on the MPC "
+            "simulator; --trace-out needs an MPC algorithm"
+        )
+    trace.write_jsonl(trace_out)
+    report = [f"trace:      {trace_out} ({len(trace.events)} events)"]
+    if chrome_out is not None:
+        trace.write_chrome_trace(chrome_out)
+        report.append(
+            f"chrome:     {chrome_out} (load in chrome://tracing or Perfetto)"
+        )
+    report.append(
+        f"min headroom: {trace.min_headroom_words()} words "
+        f"(budget S={trace.config.memory_words})"
+    )
+    threshold = f"{100 * WARN_UTILIZATION:.0f}% of S"
+    warnings = trace.format_warnings()
+    if not warnings:
+        return report + [f"budget warnings: none (threshold {threshold})"]
+    shown = 20
+    report.append(f"budget warnings (≥{threshold}, {len(warnings)} total):")
+    report.extend(f"  ! {line}" for line in warnings[:shown])
+    if len(warnings) > shown:
+        report.append(
+            f"  ... and {len(warnings) - shown} more "
+            "(full list in the JSONL export)"
+        )
+    return report
+
+
 def cmd_solve(args) -> int:
-    if getattr(args, "stream", False):
+    if args.stream:
         return _cmd_solve_stream(args)
-    _check_workers(args)
+    if args.stream_verify:
+        raise ReproError("--stream-verify needs --stream")
+    if args.chrome_out is not None and args.trace_out is None:
+        raise ReproError("--chrome-out needs --trace-out")
+    _check_shards(args)
     graph = _load_or_build(args)
-    trace_out = getattr(args, "trace_out", None)
     result = solve_ruling_set(
         graph,
         algorithm=args.algorithm,
@@ -100,23 +145,16 @@ def cmd_solve(args) -> int:
         regime=args.regime,
         seed=args.seed,
         backend=args.backend,
-        backend_workers=args.workers,
+        num_shards=args.shards,
         kernel=args.kernel,
-        trace=trace_out is not None,
+        trace=args.trace_out is not None,
         governed=args.governed,
     )
-    if trace_out is not None:
-        if result.trace is None:
-            raise ReproError(
-                f"algorithm {args.algorithm!r} does not run on the MPC "
-                "simulator; --trace-out needs an MPC algorithm"
-            )
-        result.trace.write_jsonl(trace_out)
-        if not args.json:
-            print(
-                f"trace:      {trace_out} "
-                f"({len(result.trace.events)} events)"
-            )
+    report = (
+        _write_trace(result, args.trace_out, args.chrome_out)
+        if args.trace_out is not None
+        else []
+    )
     if args.json:
         payload = result.summary_row()
         payload["members"] = result.members
@@ -139,6 +177,8 @@ def cmd_solve(args) -> int:
         print(f"wall clock: {result.wall_time_s:.3f}s (simulator, not cluster)")
         for phase in sorted(result.time_per_phase):
             print(f"  time[{phase}] = {result.time_per_phase[phase]:.3f}s")
+    for line in report:
+        print(line)
     return 0
 
 
@@ -155,6 +195,13 @@ def _cmd_solve_stream(args) -> int:
             f"--stream runs on the shard backend; --backend {args.backend} "
             "cannot apply (drop it or pass --backend shard)"
         )
+    for flag, value in (
+        ("--trace-out", args.trace_out), ("--chrome-out", args.chrome_out)
+    ):
+        if value is not None:
+            raise ReproError(
+                f"--stream records no superstep trace; {flag} cannot apply"
+            )
     result = solve_ruling_set_stream(
         args.input,
         algorithm=args.algorithm,
@@ -162,7 +209,7 @@ def _cmd_solve_stream(args) -> int:
         regime=args.regime,
         seed=args.seed,
         verify=args.stream_verify,
-        num_shards=args.workers,
+        num_shards=args.shards,
         kernel=args.kernel,
         governed=args.governed,
     )
@@ -187,92 +234,24 @@ def _cmd_solve_stream(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    """Solve with the superstep trace enabled; write JSONL (+ Chrome)."""
-    _check_workers(args)
-    graph = _load_or_build(args)
-    result = solve_ruling_set(
-        graph,
-        algorithm=args.algorithm,
-        beta=args.beta,
-        alpha=args.alpha,
-        regime=args.regime,
-        seed=args.seed,
-        backend=args.backend,
-        backend_workers=args.workers,
-        kernel=args.kernel,
-        trace=True,
-        trace_warn_utilization=args.warn_utilization,
-        governed=args.governed,
-    )
-    trace = result.trace
-    if trace is None:
-        raise ReproError(
-            f"algorithm {args.algorithm!r} does not run on the MPC "
-            "simulator; there is no superstep trace to record"
-        )
-    trace.write_jsonl(args.out)
-    print(f"graph:        n={graph.num_vertices} m={graph.num_edges}")
-    print(f"algorithm:    {result.algorithm}")
-    print(f"rounds:       {result.rounds}")
-    print(f"total words:  {result.metrics['total_words']}")
-    print(
-        f"min headroom: {trace.min_headroom_words()} words "
-        f"(budget S={result.metrics['memory_words']})"
-    )
-    print(f"trace jsonl:  {args.out} ({len(trace.events)} events)")
-    if args.chrome_out:
-        trace.write_chrome_trace(args.chrome_out)
-        print(
-            f"chrome trace: {args.chrome_out} "
-            "(load in chrome://tracing or Perfetto)"
-        )
-    if trace.warnings:
-        lines = trace.format_warnings()
-        print(
-            f"budget warnings (≥{100 * trace.warn_utilization:.0f}% of S, "
-            f"{len(lines)} total):"
-        )
-        shown = 20
-        for line in lines[:shown]:
-            print(f"  ! {line}")
-        if len(lines) > shown:
-            print(
-                f"  ... and {len(lines) - shown} more "
-                "(full list in the JSONL export)"
-            )
-    else:
-        print(
-            "budget warnings: none "
-            f"(threshold {100 * trace.warn_utilization:.0f}% of S)"
-        )
-    return 0
-
-
 def cmd_match(args) -> int:
     from repro.core.det_matching import solve_matching
 
-    _check_workers(args)
+    _check_shards(args)
     graph = _load_or_build(args)
-    trace_out = getattr(args, "trace_out", None)
     result = solve_matching(
         graph,
-        deterministic=not args.randomized,
         algorithm=args.algorithm,
         seed=args.seed,
         backend=args.backend,
-        backend_workers=args.workers,
+        num_shards=args.shards,
         kernel=args.kernel,
-        trace=trace_out is not None,
+        trace=args.trace_out is not None,
         governed=args.governed,
     )
-    if trace_out is not None:
-        result.trace.write_jsonl(trace_out)
-        if not args.json:
-            print(
-                f"trace:      {trace_out} "
-                f"({len(result.trace.events)} events)"
-            )
+    report = (
+        [] if args.trace_out is None else _write_trace(result, args.trace_out)
+    )
     if args.json:
         payload = result.summary_row()
         payload["matching"] = [list(edge) for edge in result.matching]
@@ -284,6 +263,8 @@ def cmd_match(args) -> int:
     print(f"MPC rounds:    {result.rounds}")
     for key in sorted(result.metrics):
         print(f"  {key} = {result.metrics[key]}")
+    for line in report:
+        print(line)
     return 0
 
 
@@ -549,49 +530,51 @@ def make_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--out", required=True)
     p_generate.set_defaults(func=cmd_generate)
 
-    def _add_solve_options(parser: argparse.ArgumentParser) -> None:
-        # Help text is generated from the registry so it cannot drift
-        # from the real algorithm set again (validation happens in the
-        # driver, whose unknown-name error also enumerates the registry).
-        parser.add_argument(
-            "--algorithm", default=registry.DET_RULING,
-            help=registry.help_text(problem=registry.RULING_SET, rounds=True),
-        )
-        parser.add_argument("--beta", type=int, default=2)
-        parser.add_argument("--alpha", type=int, default=2)
-        parser.add_argument(
-            "--regime", default="sublinear",
-            choices=("sublinear", "near-linear", "single"),
-        )
-        parser.add_argument(
-            "--backend", default=None, choices=sorted(BACKENDS),
-            help="superstep execution backend (results are bit-identical; "
-            "'shard' spills machine state to disk and keeps one shard "
-            "resident — graphs bigger than RAM)",
-        )
-        parser.add_argument(
-            "--workers", type=int, default=0, help=WORKERS_HELP,
-        )
-        parser.add_argument(
-            "--kernel", default=None, choices=("python", "numpy"),
-            help="seed-search scoring kernel (results are bit-identical; "
-            "'numpy' batches the estimator queries and is an error when "
-            "NumPy is not installed; default: $REPRO_KERNEL or 'python')",
-        )
-        parser.add_argument(
-            "--governed", action="store_true",
-            help="run under the adaptive load governor: near-budget "
-            "rounds throttle exchange chunking and exponentiation "
-            "windows instead of faulting (results are bit-identical at "
-            "feasible sizes; also $REPRO_GOVERNED=1)",
-        )
-
     p_solve = sub.add_parser("solve", help="compute a verified ruling set")
     _add_graph_source(p_solve)
-    _add_solve_options(p_solve)
+    # Help text is generated from the registry so it cannot drift from
+    # the real algorithm set again (validation happens in the driver,
+    # whose unknown-name error also enumerates the registry).
+    p_solve.add_argument(
+        "--algorithm", default=registry.DET_RULING,
+        help=registry.help_text(problem=registry.RULING_SET, rounds=True),
+    )
+    p_solve.add_argument("--beta", type=int, default=2)
+    p_solve.add_argument("--alpha", type=int, default=2)
+    p_solve.add_argument(
+        "--regime", default="sublinear",
+        choices=("sublinear", "near-linear", "single"),
+    )
+    p_solve.add_argument(
+        "--backend", default=None, choices=sorted(BACKENDS),
+        help="superstep execution backend (results are bit-identical; "
+        "'shard' spills machine state to disk and keeps one shard "
+        "resident — graphs bigger than RAM)",
+    )
+    p_solve.add_argument("--shards", type=int, default=0, help=SHARDS_HELP)
+    p_solve.add_argument(
+        "--kernel", default=None, choices=("python", "numpy"),
+        help="seed-search scoring kernel (results are bit-identical; "
+        "'numpy' batches the estimator queries and is an error when "
+        "NumPy is not installed; default: $REPRO_KERNEL or 'python')",
+    )
+    p_solve.add_argument(
+        "--governed", action="store_true",
+        help="run under the adaptive load governor: near-budget "
+        "rounds throttle exchange chunking and exponentiation "
+        "windows instead of faulting (results are bit-identical at "
+        "feasible sizes)",
+    )
     p_solve.add_argument(
         "--trace-out", default=None,
-        help="enable the superstep trace and write its JSONL here",
+        help="enable the superstep trace, write its JSONL here, and "
+        "print the budget audit (headroom, warnings at "
+        f"{100 * WARN_UTILIZATION:.0f}%% of S)",
+    )
+    p_solve.add_argument(
+        "--chrome-out", default=None,
+        help="with --trace-out: also write Chrome trace format "
+        "(chrome://tracing, Perfetto)",
     )
     p_solve.add_argument(
         "--stream", action="store_true",
@@ -599,7 +582,7 @@ def make_parser() -> argparse.ArgumentParser:
         "shards the file per machine and the run executes on the shard "
         "backend — no process ever holds the whole graph (requires "
         "--input; alpha is fixed at 2; verification is skipped unless "
-        "--stream-verify)",
+        "--stream-verify; no superstep trace)",
     )
     p_solve.add_argument(
         "--stream-verify", action="store_true",
@@ -610,49 +593,27 @@ def make_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="solve with the superstep trace on; export JSONL/Chrome trace",
-    )
-    _add_graph_source(p_trace)
-    _add_solve_options(p_trace)
-    p_trace.add_argument(
-        "--out", required=True, help="JSONL trace output path"
-    )
-    p_trace.add_argument(
-        "--chrome-out", default=None,
-        help="also write Chrome trace format (chrome://tracing, Perfetto)",
-    )
-    p_trace.add_argument(
-        "--warn-utilization", type=float, default=0.9,
-        help="budget-audit threshold as a fraction of S (default 0.9)",
-    )
-    p_trace.set_defaults(func=cmd_trace)
-
     p_match = sub.add_parser(
         "match", help="compute a verified maximal matching"
     )
     _add_graph_source(p_match)
-    p_match.add_argument("--randomized", action="store_true")
     p_match.add_argument(
-        "--algorithm", default=None,
-        help=registry.help_text(problem=registry.MATCHING, rounds=True)
-        + " (default: picked from --randomized)",
+        "--algorithm", default=registry.DET_MATCHING,
+        help=registry.help_text(problem=registry.MATCHING, rounds=True),
     )
     p_match.add_argument(
         "--backend", default=None, choices=sorted(BACKENDS),
         help="superstep execution backend (results are bit-identical)",
     )
-    p_match.add_argument(
-        "--workers", type=int, default=0, help=WORKERS_HELP,
-    )
+    p_match.add_argument("--shards", type=int, default=0, help=SHARDS_HELP)
     p_match.add_argument(
         "--kernel", default=None, choices=("python", "numpy"),
         help="seed-search scoring kernel (results are bit-identical)",
     )
     p_match.add_argument(
         "--trace-out", default=None,
-        help="enable the superstep trace and write its JSONL here",
+        help="enable the superstep trace, write its JSONL here, and "
+        "print the budget audit",
     )
     p_match.add_argument(
         "--governed", action="store_true",

@@ -252,7 +252,6 @@ def matching_program(
 
 def solve_matching(
     graph: Graph,
-    deterministic: bool = True,
     seed: int = 0,
     verify: bool = True,
     algorithm: Optional[str] = None,
@@ -260,10 +259,9 @@ def solve_matching(
     alpha_mem: Tuple[int, int] = (2, 3),
     config=None,
     backend: Optional[str] = None,
-    backend_workers: int = 0,
+    num_shards: int = 0,
     kernel: Optional[str] = None,
     trace: bool = False,
-    trace_warn_utilization: float = 0.9,
     governed: bool = False,
 ) -> "MatchingResult":
     """One-call driver: build the regime, run, verify, return the matching.
@@ -272,14 +270,12 @@ def solve_matching(
     — the same dispatch and lifecycle as ``solve_ruling_set``, which is
     what gives matching the full driver surface: named ``regime`` /
     explicit ``config``, the ``backend`` (``"serial"`` or ``"shard"``)
-    with its ``backend_workers`` shard count, the ``kernel`` compute
+    with its ``num_shards`` shard count, the ``kernel`` compute
     backend, and the superstep ``trace`` (all with the usual
     bit-identity contracts).
 
-    ``algorithm`` is any registered matching algorithm name; when
-    ``None`` it is picked from the ``deterministic`` flag
-    (:data:`~repro.core.registry.DET_MATCHING` /
-    :data:`~repro.core.registry.RAND_MATCHING`).
+    ``algorithm`` is any registered matching algorithm name (default
+    :data:`~repro.core.registry.DET_MATCHING`).
 
     Returns a :class:`~repro.core.spec.MatchingResult`; iterating it
     yields ``(matching, metrics)``, so existing tuple-unpacking callers
@@ -290,9 +286,7 @@ def solve_matching(
     from repro.core.spec import MatchingResult
 
     if algorithm is None:
-        algorithm = (
-            registry.DET_MATCHING if deterministic else registry.RAND_MATCHING
-        )
+        algorithm = registry.DET_MATCHING
     spec = registry.get_algorithm(algorithm)
     if spec.problem != registry.MATCHING:
         raise AlgorithmError(
@@ -306,10 +300,8 @@ def solve_matching(
         )
     session = SolverSession(
         graph, spec, regime=regime, alpha_mem=alpha_mem, config=config,
-        seed=seed, backend=backend, backend_workers=backend_workers,
-        kernel=kernel,
-        trace=trace, trace_warn_utilization=trace_warn_utilization,
-        governed=governed,
+        seed=seed, backend=backend, num_shards=num_shards, kernel=kernel,
+        trace=trace, governed=governed,
     )
     run = session.run()
     if verify:

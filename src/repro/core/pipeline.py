@@ -49,10 +49,9 @@ def solve_ruling_set(
     seed: int = 0,
     verify: bool = True,
     backend: Optional[str] = None,
-    backend_workers: int = 0,
+    num_shards: int = 0,
     kernel: Optional[str] = None,
     trace: bool = False,
-    trace_warn_utilization: float = 0.9,
     governed: bool = False,
 ) -> RulingSetResult:
     """Compute and verify a ruling set of ``graph``.
@@ -81,7 +80,7 @@ def solve_ruling_set(
     verify:
         Check the output against the sequential oracle (recommended; all
         benchmarks keep it on).
-    backend / backend_workers:
+    backend / num_shards:
         Superstep execution backend override (``"serial"`` or
         ``"shard"``; see :mod:`repro.mpc.backends`) and, for the shard
         backend, its shard count (0 = default).  Execution strategy
@@ -93,13 +92,13 @@ def solve_ruling_set(
         ``None`` defers to ``REPRO_KERNEL``, then the reference kernel.
         Like ``backend``, execution strategy only — both kernels are
         bit-identical by contract.
-    trace / trace_warn_utilization:
+    trace:
         Enable the structured superstep trace (MPC algorithms only;
         ignored by the sequential/LOCAL baselines, which never touch
         the simulator).  The recorder lands on ``result.trace`` with
-        JSONL / Chrome-trace export and budget-headroom warnings at the
-        given fraction of ``S``.  Pure observer: traced runs are
-        bit-identical to untraced ones.
+        JSONL / Chrome-trace export and budget-headroom warnings at
+        90% of ``S``.  Pure observer: traced runs are bit-identical to
+        untraced ones.
     governed:
         Enable the adaptive load governor (:mod:`repro.mpc.governor`):
         shard spool chunks and α > 2 in-model exponentiation windows
@@ -133,9 +132,8 @@ def solve_ruling_set(
     session = SolverSession(
         graph, spec, beta=beta, alpha=alpha, regime=regime,
         alpha_mem=alpha_mem, config=config, seed=seed,
-        backend=backend, backend_workers=backend_workers, kernel=kernel,
-        trace=trace, trace_warn_utilization=trace_warn_utilization,
-        governed=governed,
+        backend=backend, num_shards=num_shards, kernel=kernel,
+        trace=trace, governed=governed,
     )
     run = session.run()
     claimed_beta = spec.claimed_beta(graph, alpha, beta)
@@ -165,7 +163,6 @@ def solve_ruling_set_stream(
     seed: int = 0,
     verify: bool = False,
     num_shards: int = 0,
-    chunk_messages: int = 0,
     spill_dir: Optional[str] = None,
     kernel: Optional[str] = None,
     governed: bool = False,
@@ -191,8 +188,9 @@ def solve_ruling_set_stream(
     defaulting off: it reintroduces exactly the O(n + m) footprint this
     path exists to avoid.
 
-    ``num_shards`` / ``chunk_messages`` / ``spill_dir`` are the
-    :class:`~repro.mpc.shard.ShardBackend` knobs; ``governed`` throttles
+    ``num_shards`` / ``spill_dir`` are the
+    :class:`~repro.mpc.shard.ShardBackend` knobs (its spool chunk size
+    comes from ``REPRO_SHARD_CHUNK`` or the default); ``governed`` throttles
     the backend's spool flush threshold against the run's peak-hold
     budget estimate (driver memory only — rounds and members are
     bit-identical either way); ingest stats
@@ -212,12 +210,7 @@ def solve_ruling_set_stream(
             )
         )
 
-    source = EdgeListSource(
-        path,
-        num_shards=num_shards,
-        chunk_messages=chunk_messages,
-        spill_dir=spill_dir,
-    )
+    source = EdgeListSource(path, num_shards=num_shards, spill_dir=spill_dir)
     session = SolverSession(
         source, spec, beta=beta, regime=regime, alpha_mem=alpha_mem,
         seed=seed, kernel=kernel, governed=governed,

@@ -325,7 +325,6 @@ def canonical_cache_params(
     regime: str = "sublinear",
     alpha_mem: Tuple[int, int] = (2, 3),
     seed: int = 0,
-    config: Optional["MPCConfig"] = None,
 ) -> Dict[str, object]:
     """The *semantic* solve parameters, canonicalized for cache keying.
 
@@ -339,15 +338,10 @@ def canonical_cache_params(
       seed (pinned by test), so seeds must not fragment their cache;
     * ``beta`` / ``alpha`` are dropped for problems where they are
       meaningless (matching);
-    * an explicit :class:`~repro.mpc.config.MPCConfig` contributes only
-      its model-relevant fields (``num_machines`` / ``memory_words``) —
-      ``backend`` / ``backend_workers`` / ``trace`` /
-      ``trace_warn_utilization`` select execution strategy and
-      observability, which the backend and trace layers guarantee to be
-      bit-identity-preserving, and ``label`` / ``slack`` are reporting
-      annotations;
-    * without an explicit config, the named ``regime`` plus the memory
-      exponent ``alpha_mem`` determine the derived config.
+    * the named ``regime`` plus the memory exponent ``alpha_mem``
+      determine the derived config.  Execution strategy and
+      observability (backend, shard count, trace, governor) are not
+      parameters here: those layers are bit-identity-preserving.
     """
     params: Dict[str, object] = {
         "algorithm": spec.name,
@@ -358,14 +352,8 @@ def canonical_cache_params(
         params["alpha"] = int(alpha)
     if spec.uses_seed:
         params["seed"] = int(seed)
-    if config is not None:
-        params["config"] = {
-            "num_machines": config.num_machines,
-            "memory_words": config.memory_words,
-        }
-    else:
-        params["regime"] = regime
-        params["alpha_mem"] = [int(x) for x in alpha_mem]
+    params["regime"] = regime
+    params["alpha_mem"] = [int(x) for x in alpha_mem]
     return params
 
 

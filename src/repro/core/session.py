@@ -14,11 +14,10 @@ owns that lifecycle once, for every registered algorithm and problem:
    for sizing, and handed to the program factory through the
    :class:`~repro.core.registry.RunContext` — execution does not
    rebuild it.
-2. **Backend / trace wiring** — ``backend`` / ``backend_workers``
-   (``"serial"`` or ``"shard"``; the worker count is the shard count) and
-   ``trace`` / ``trace_warn_utilization`` are applied uniformly, so
-   every algorithm (matching included) gets execution backends and the
-   superstep trace for free.
+2. **Backend / trace wiring** — ``backend`` / ``num_shards``
+   (``"serial"`` or ``"shard"``, and the shard backend's shard count)
+   and ``trace`` are applied uniformly, so every algorithm (matching
+   included) gets execution backends and the superstep trace for free.
 3. **Simulator lifecycle** — the simulator is always entered as a
    context manager: a solve that raises still releases backend
    resources such as shard spill directories (the contract
@@ -161,13 +160,12 @@ class EdgeListSource:
     (:func:`~repro.graph.stream.shard_edge_list`) shards the edges per
     machine under a :class:`~repro.mpc.ownermap.ModOwnerMap`, and the
     run executes on the :class:`~repro.mpc.shard.ShardBackend`.
-    ``num_shards`` / ``chunk_messages`` / ``spill_dir`` are that
-    backend's knobs (``spill_dir`` also hosts the ingest shards).
+    ``num_shards`` / ``spill_dir`` are that backend's knobs
+    (``spill_dir`` also hosts the ingest shards).
     """
 
     path: object
     num_shards: int = 0
-    chunk_messages: int = 0
     spill_dir: Optional[str] = None
 
 
@@ -181,7 +179,7 @@ class SolverSession:
     single-use.
 
     ``backend`` is ``"serial"`` or ``"shard"`` (``None`` keeps the
-    config's), and ``backend_workers`` is the shard count.  Stream mode
+    config's), and ``num_shards`` is the shard backend's shard count.  Stream mode
     always runs on the shard backend, configured by its
     :class:`EdgeListSource`.
     """
@@ -198,12 +196,10 @@ class SolverSession:
         config: Optional[MPCConfig] = None,
         seed: int = 0,
         backend: Optional[str] = None,
-        backend_workers: int = 0,
+        num_shards: int = 0,
         kernel: Optional[str] = None,
         trace: bool = False,
-        trace_warn_utilization: float = 0.9,
         governed: bool = False,
-        in_set_key: str = "result_set",
     ) -> None:
         self.spec = spec
         self.beta = beta
@@ -213,12 +209,10 @@ class SolverSession:
         self.explicit_config = config
         self.seed = seed
         self.backend = backend
-        self.backend_workers = backend_workers
+        self.num_shards = num_shards
         self.kernel = kernel
         self.trace_enabled = trace
-        self.trace_warn_utilization = trace_warn_utilization
         self.governed = governed
-        self.in_set_key = in_set_key
         if isinstance(source, EdgeListSource):
             # Resolved at call time, like the pass-2 ingest below, so
             # wrappers installed on the stream module see both passes.
@@ -288,13 +282,11 @@ class SolverSession:
         else:
             cfg = self.base_config()
         if self.backend is not None:
-            cfg = cfg.with_backend(self.backend, self.backend_workers)
+            cfg = cfg.with_backend(self.backend, self.num_shards)
         if self.kernel is not None:
             cfg = cfg.with_kernel(self.kernel)
         if self.trace_enabled and not cfg.trace:
-            cfg = cfg.with_trace(
-                warn_utilization=self.trace_warn_utilization
-            )
+            cfg = cfg.with_trace()
         if self.governed and not cfg.governed:
             cfg = cfg.with_governor()
         if self.stream is None:
@@ -326,7 +318,6 @@ class SolverSession:
         return RunContext(
             graph=self.graph, alpha=self.alpha, beta=self.beta,
             seed=self.seed, power_adjacency=self.power_adjacency(),
-            in_set_key=self.in_set_key,
         )
 
     def _run_direct(self) -> SessionRun:
@@ -361,9 +352,7 @@ class SolverSession:
 
         source = self.stream
         backend = ShardBackend(
-            num_shards=source.num_shards,
-            chunk_messages=source.chunk_messages,
-            spill_dir=source.spill_dir,
+            num_shards=source.num_shards, spill_dir=source.spill_dir
         )
         owner_map = ModOwnerMap(self.num_vertices, cfg.num_machines)
         with shard_edge_list(
@@ -388,7 +377,8 @@ class SolverSession:
     def _run_mpc(self) -> SessionRun:
         cfg = self.resolve_config()
         with self._loaded(cfg) as (sim, dg, source_metrics):
-            pctx = run_program(dg, self.spec.program_factory(self._context()))
+            ctx = self._context()
+            pctx = run_program(dg, self.spec.program_factory(ctx))
             payload = RunPayload(
                 counters=pctx.counters,
                 members=pctx.members,
@@ -396,7 +386,7 @@ class SolverSession:
                 extra_metrics=pctx.extra_metrics,
             )
             if payload.members is None and self.spec.problem == RULING_SET:
-                payload.members = dg.collect_marked(self.in_set_key)
+                payload.members = dg.collect_marked(ctx.in_set_key)
         metrics: Dict[str, object] = dict(sim.metrics.summary())
         metrics.update(
             {f"alg_{key}": value for key, value in payload.counters.items()}

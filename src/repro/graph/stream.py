@@ -45,10 +45,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import GraphError
 from repro.graph.io import PathLike, stream_edge_list
 from repro.mpc.ownermap import edge_id
+from repro.mpc.shard import SPILL_DIR_ENV
 
 DEFAULT_CHUNK_EDGES = 65536
-
-SPILL_DIR_ENV = "REPRO_SHARD_DIR"
 
 
 @dataclass(frozen=True)

@@ -238,24 +238,22 @@ class SerialBackend(SuperstepBackend):
         return dict(self._stats)
 
 
-def _make_shard_backend(workers: int) -> SuperstepBackend:
+def _make_shard_backend(num_shards: int) -> SuperstepBackend:
     # Imported lazily: repro.mpc.shard depends on this module.
     from repro.mpc.shard import ShardBackend
 
-    return ShardBackend(num_shards=workers)
+    return ShardBackend(num_shards=num_shards)
 
 
-#: name → factory(workers).  ``workers`` is the shard count for
+#: name → factory(num_shards).  ``num_shards`` is the shard count for
 #: ``shard`` (0 → its default); the serial backend takes none.
 BACKENDS = {
-    SerialBackend.name: lambda workers: SerialBackend(),
+    SerialBackend.name: lambda num_shards: SerialBackend(),
     "shard": _make_shard_backend,
 }
 
 
-def resolve_backend(
-    name: str, workers: int = 0
-) -> SuperstepBackend:
+def resolve_backend(name: str, num_shards: int = 0) -> SuperstepBackend:
     """Instantiate a backend by registry name.
 
     >>> resolve_backend("serial").name
@@ -265,4 +263,4 @@ def resolve_backend(
         raise MPCConfigError(
             f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
         )
-    return BACKENDS[name](workers)
+    return BACKENDS[name](num_shards)

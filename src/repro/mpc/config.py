@@ -30,7 +30,7 @@ lift ``S`` above the requested regime value:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import MPCConfigError
@@ -62,15 +62,13 @@ class MPCConfig:
     ``backend`` selects how the simulator *executes* supersteps
     (``"serial"`` or ``"shard"``; see :mod:`repro.mpc.backends`) —
     execution strategy only, never semantics: every backend produces
-    bit-identical runs.  ``backend_workers`` is the shard count for the
+    bit-identical runs.  ``num_shards`` is the shard count for the
     shard backend (0 = its default); the serial backend takes none.
 
     ``trace`` enables the structured observability layer
     (:mod:`repro.mpc.trace`): per-superstep events, per-machine budget
     utilization, and JSONL / Chrome-trace export.  Pure observer — a
     traced run is bit-identical to an untraced one.
-    ``trace_warn_utilization`` is the fraction of ``S`` at which the
-    budget auditor starts warning (before the hard violation fault).
 
     ``kernel`` selects how the seed search's estimators score candidate
     seeds (``"python"`` reference or ``"numpy"`` batched arrays; see
@@ -85,8 +83,7 @@ class MPCConfig:
     per-round budget utilization.  Execution strategy under the
     DESIGN.md section 15 contract — results (members, error texts) never
     change, and at feasible sizes (no throttling needed) the whole run
-    is bit-identical to an ungoverned one.  ``governor_target_percent``
-    is the per-round budget fraction planners aim at.
+    is bit-identical to an ungoverned one.
     """
 
     num_machines: int
@@ -94,12 +91,10 @@ class MPCConfig:
     label: str = "explicit"
     slack: int = 1
     backend: str = "serial"
-    backend_workers: int = 0
+    num_shards: int = 0
     trace: bool = False
-    trace_warn_utilization: float = 0.9
     kernel: Optional[str] = None
     governed: bool = False
-    governor_target_percent: int = 50
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
@@ -110,19 +105,9 @@ class MPCConfig:
             raise MPCConfigError(
                 f"memory_words must be at least 4, got {self.memory_words}"
             )
-        if self.backend_workers < 0:
+        if self.num_shards < 0:
             raise MPCConfigError(
-                f"backend_workers must be >= 0, got {self.backend_workers}"
-            )
-        if not 0.0 < self.trace_warn_utilization <= 1.0:
-            raise MPCConfigError(
-                "trace_warn_utilization must lie in (0, 1], got "
-                f"{self.trace_warn_utilization}"
-            )
-        if not 1 <= self.governor_target_percent <= 100:
-            raise MPCConfigError(
-                "governor_target_percent must lie in [1, 100], got "
-                f"{self.governor_target_percent}"
+                f"num_shards must be >= 0, got {self.num_shards}"
             )
         if self.kernel is not None:
             from repro.mpc.state_layout import KERNELS
@@ -133,49 +118,21 @@ class MPCConfig:
                     f"{KERNELS} (or None for the environment default)"
                 )
 
-    def with_backend(self, backend: str, workers: int = 0) -> "MPCConfig":
+    def with_backend(self, backend: str, num_shards: int = 0) -> "MPCConfig":
         """Copy of this config running on a different execution backend."""
-        from dataclasses import replace
-
-        return replace(self, backend=backend, backend_workers=workers)
+        return replace(self, backend=backend, num_shards=num_shards)
 
     def with_kernel(self, kernel: Optional[str]) -> "MPCConfig":
         """Copy of this config using a different compute kernel."""
-        from dataclasses import replace
-
         return replace(self, kernel=kernel)
 
-    def with_trace(
-        self, enabled: bool = True, warn_utilization: Optional[float] = None
-    ) -> "MPCConfig":
+    def with_trace(self, enabled: bool = True) -> "MPCConfig":
         """Copy of this config with tracing toggled (observer only)."""
-        from dataclasses import replace
+        return replace(self, trace=enabled)
 
-        return replace(
-            self,
-            trace=enabled,
-            trace_warn_utilization=(
-                self.trace_warn_utilization
-                if warn_utilization is None
-                else warn_utilization
-            ),
-        )
-
-    def with_governor(
-        self, enabled: bool = True, target_percent: Optional[int] = None
-    ) -> "MPCConfig":
+    def with_governor(self, enabled: bool = True) -> "MPCConfig":
         """Copy of this config with the load governor toggled."""
-        from dataclasses import replace
-
-        return replace(
-            self,
-            governed=enabled,
-            governor_target_percent=(
-                self.governor_target_percent
-                if target_percent is None
-                else target_percent
-            ),
-        )
+        return replace(self, governed=enabled)
 
     @property
     def total_memory(self) -> int:

@@ -44,12 +44,11 @@ pure observer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.errors import MPCConfigError
 
-__all__ = ["GovernorPolicy", "LoadGovernor", "PeakHold"]
+__all__ = ["LoadGovernor", "PeakHold"]
 
 
 class PeakHold:
@@ -79,37 +78,16 @@ class PeakHold:
         self.observations += 1
 
 
-@dataclass(frozen=True)
-class GovernorPolicy:
-    """Tuning knobs for a :class:`LoadGovernor` (all deterministic).
+#: Planners aim at ``TARGET_NUM / TARGET_DEN`` of the budget ``S``; the
+#: margin below it absorbs the traffic a conservative bound cannot see
+#: (request-round overhead, skewed responder fan-out).
+TARGET_NUM, TARGET_DEN = 1, 2
 
-    ``target_num / target_den`` is the fraction of the budget ``S`` a
-    planner aims at — the margin below it absorbs the traffic a
-    conservative bound cannot see (request-round overhead, skewed
-    responder fan-out).  ``chunk_floor`` and ``window_floor`` are the
-    hard minimums throttling may reach; past them the model-honest
-    behaviour is to fault, not to subdivide further.
-    """
-
-    target_num: int = 1
-    target_den: int = 2
-    chunk_floor: int = 32
-    window_floor: int = 1
-
-    def __post_init__(self) -> None:
-        if self.target_den <= 0 or not 0 < self.target_num <= self.target_den:
-            raise MPCConfigError(
-                "governor target must satisfy 0 < num <= den, got "
-                f"{self.target_num}/{self.target_den}"
-            )
-        if self.chunk_floor < 1:
-            raise MPCConfigError(
-                f"chunk_floor must be >= 1, got {self.chunk_floor}"
-            )
-        if self.window_floor < 1:
-            raise MPCConfigError(
-                f"window_floor must be >= 1, got {self.window_floor}"
-            )
+#: Hard minimums throttling may reach for spool chunks and
+#: exponentiation windows; past them the model-honest behaviour is to
+#: fault, not to subdivide further.
+CHUNK_FLOOR = 32
+WINDOW_FLOOR = 1
 
 
 class LoadGovernor:
@@ -123,15 +101,12 @@ class LoadGovernor:
     with identical model behaviour make identical throttling decisions.
     """
 
-    def __init__(
-        self, budget_words: int, policy: Optional[GovernorPolicy] = None
-    ):
+    def __init__(self, budget_words: int):
         if budget_words < 1:
             raise MPCConfigError(
                 f"budget_words must be >= 1, got {budget_words}"
             )
         self.budget_words = budget_words
-        self.policy = policy if policy is not None else GovernorPolicy()
         self._round_peak = PeakHold()
         self._memory_peak = PeakHold()
         self._chunk_scalings = 0
@@ -154,8 +129,7 @@ class LoadGovernor:
     @property
     def target_words(self) -> int:
         """The per-round word level planners aim at (a fraction of S)."""
-        policy = self.policy
-        return max(1, self.budget_words * policy.target_num // policy.target_den)
+        return max(1, self.budget_words * TARGET_NUM // TARGET_DEN)
 
     def peak_round_words(self) -> int:
         """Peak-hold of per-round ``max(max_sent, max_received)``."""
@@ -174,7 +148,7 @@ class LoadGovernor:
 
         Returns ``base`` until the first round is observed, then shrinks
         proportionally to the remaining budget headroom, never below
-        ``chunk_floor`` (or ``base`` itself when smaller).  Driver
+        :data:`CHUNK_FLOOR` (or ``base`` itself when smaller).  Driver
         memory only — chunk size never appears in any model quantity, so
         this is always safe to adapt.
         """
@@ -182,7 +156,7 @@ class LoadGovernor:
             raise MPCConfigError(f"chunk base must be >= 1, got {base}")
         if self._round_peak.observations == 0:
             return base
-        floor = min(base, self.policy.chunk_floor)
+        floor = min(base, CHUNK_FLOOR)
         scaled = base * self.headroom_words() // self.budget_words
         scaled = max(floor, min(base, scaled))
         if scaled != base:
@@ -204,7 +178,7 @@ class LoadGovernor:
         when every machine's full-window load fits :attr:`target_words`;
         otherwise the largest halving of ``num_vertices`` whose worst
         per-machine per-window load fits, floored at
-        ``policy.window_floor``.  Windows are contiguous global-id
+        :data:`WINDOW_FLOOR`.  Windows are contiguous global-id
         ranges, matching ``repro.core.exponentiation._batch_windows``,
         so the plan is a pure function of (sizes, owners, budget).
         """
@@ -215,12 +189,11 @@ class LoadGovernor:
         if self._fits(num_vertices, num_vertices, per_vertex_words, owner_of, target):
             return None
         batch = num_vertices // 2
-        floor = self.policy.window_floor
-        while batch > floor and not self._fits(
+        while batch > WINDOW_FLOOR and not self._fits(
             num_vertices, batch, per_vertex_words, owner_of, target
         ):
             batch //= 2
-        batch = max(floor, batch)
+        batch = max(WINDOW_FLOOR, batch)
         self._batched_steps += 1
         return batch
 

@@ -39,8 +39,8 @@ When tracing is enabled (``MPCConfig.trace`` or an injected
 :class:`~repro.mpc.trace.TraceRecorder`), each superstep additionally
 emits a structured event — per-machine words sent/received, memory
 high-water, budget headroom, active phase, backend counters — and the
-budget auditor warns when utilization crosses the configured fraction of
-``S`` *before* the hard fault would fire.  Tracing is a pure observer:
+budget auditor warns when utilization crosses 90% of ``S`` *before* the
+hard fault would fire.  Tracing is a pure observer:
 every hook is gated on ``self.trace is not None`` (zero cost when
 disabled) and nothing recorded ever feeds back into routing,
 enforcement, or algorithm state, so traced runs stay bit-identical.
@@ -55,7 +55,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from repro.errors import MPCViolationError
 from repro.mpc.backends import SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
-from repro.mpc.governor import GovernorPolicy, LoadGovernor
+from repro.mpc.governor import LoadGovernor
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
 from repro.mpc.metrics import RunMetrics
@@ -70,14 +70,6 @@ MachineFn = Callable[[Machine], Optional[Iterable[Message]]]
 #: whole refactor-parity oracle under ``--backend shard`` without
 #: touching the frozen oracle cells.
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: Environment override enabling the load governor, mirroring the
-#: backend/kernel overrides: applied only when the config did not opt in
-#: itself, so programmatic choices win.  This is how CI replays the
-#: refactor-parity oracle governed — the oracle's cells are feasible, so
-#: under the DESIGN.md section 15 contract a governed replay must stay
-#: bit-identical.
-GOVERNED_ENV = "REPRO_GOVERNED"
 
 
 class Simulator:
@@ -110,25 +102,17 @@ class Simulator:
             name = config.backend
             if name == "serial":
                 name = os.environ.get(BACKEND_ENV) or name
-            self.backend = resolve_backend(name, config.backend_workers)
+            self.backend = resolve_backend(name, config.num_shards)
         if trace is not None:
             self.trace: Optional[TraceRecorder] = trace
         elif config.trace:
-            self.trace = TraceRecorder(config, config.trace_warn_utilization)
+            self.trace = TraceRecorder(config)
         else:
             self.trace = None
         if governor is not None:
             self.governor: Optional[LoadGovernor] = governor
-        elif config.governed or os.environ.get(GOVERNED_ENV, "") not in (
-            "", "0", "false",
-        ):
-            self.governor = LoadGovernor(
-                config.memory_words,
-                GovernorPolicy(
-                    target_num=config.governor_target_percent,
-                    target_den=100,
-                ),
-            )
+        elif config.governed:
+            self.governor = LoadGovernor(config.memory_words)
         else:
             self.governor = None
         if self.governor is not None:

@@ -22,8 +22,8 @@ Two exports ship:
   tracks for words sent and budget headroom per round.
 
 A **budget auditor** rides along: whenever a machine's per-round send,
-per-round receive, or post-superstep memory reaches the configured
-fraction of the budget ``S`` (``warn_utilization``, default 0.9), a
+per-round receive, or post-superstep memory reaches
+:data:`WARN_UTILIZATION` (90%) of the budget ``S``, a
 ``budget_warning`` record is emitted — early visibility *before* the
 hard :class:`~repro.errors.MPCViolationError` fault would fire.
 
@@ -41,6 +41,9 @@ import math
 from typing import Any, Dict, List, Optional, Sequence
 
 SCHEMA_VERSION = 1
+
+#: Fraction of the budget ``S`` at which the auditor starts warning.
+WARN_UTILIZATION = 0.9
 
 
 def _nearest_rank(sorted_values: List[float], quantile: float) -> float:
@@ -72,18 +75,13 @@ class TraceRecorder:
     warnings:
         Budget-audit records (``kind`` in ``sent`` / ``received`` /
         ``memory``) for every machine-superstep at or above
-        ``warn_utilization * S``.
+        ``WARN_UTILIZATION * S``.
     machine_peak_words:
         Per-machine memory high-water marks observed so far.
     """
 
-    def __init__(self, config: Any, warn_utilization: float = 0.9):
-        if not 0.0 < warn_utilization <= 1.0:
-            raise ValueError(
-                f"warn_utilization must lie in (0, 1], got {warn_utilization}"
-            )
+    def __init__(self, config: Any):
         self.config = config
-        self.warn_utilization = warn_utilization
         self.events: List[Dict[str, Any]] = []
         self.warnings: List[Dict[str, Any]] = []
         self.machine_peak_words: Dict[int, int] = {}
@@ -213,7 +211,7 @@ class TraceRecorder:
             "num_machines": self.config.num_machines,
             "memory_words": self.config.memory_words,
             "backend": self.config.backend,
-            "warn_utilization": self.warn_utilization,
+            "warn_utilization": WARN_UTILIZATION,
         }
         summary = {
             "type": "summary",
@@ -362,7 +360,7 @@ class TraceRecorder:
 
     def _audit(self, kind: str, mid: int, round_index: int, words: int) -> None:
         budget = self.config.memory_words
-        if words < self.warn_utilization * budget:
+        if words < WARN_UTILIZATION * budget:
             return
         key = (kind, mid, round_index)
         if key in self._warned:

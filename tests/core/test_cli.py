@@ -89,17 +89,19 @@ class TestCommands:
 
 
 class TestTraceCommand:
+    """``solve --trace-out [--chrome-out]``: exports plus budget audit."""
+
     def test_trace_writes_jsonl_and_chrome(self, tmp_path, capsys):
         jsonl = tmp_path / "run.trace.jsonl"
         chrome = tmp_path / "run.trace.json"
         assert main([
-            "trace", "--family", "gnp", "--n", "60", "--param", "6",
+            "solve", "--family", "gnp", "--n", "60", "--param", "6",
             "--algorithm", "det-luby", "--regime", "near-linear",
-            "--out", str(jsonl), "--chrome-out", str(chrome),
+            "--trace-out", str(jsonl), "--chrome-out", str(chrome),
         ]) == 0
         out = capsys.readouterr().out
         assert "min headroom:" in out
-        assert "budget warnings" in out
+        assert "budget warnings: none (threshold 90% of S)" in out
         records = [
             json.loads(line) for line in jsonl.read_text().splitlines()
         ]
@@ -110,10 +112,44 @@ class TestTraceCommand:
 
     def test_trace_rejects_sequential_algorithm(self, tmp_path, capsys):
         assert main([
-            "trace", "--family", "tree", "--n", "30",
-            "--algorithm", "greedy-mis", "--out", str(tmp_path / "t.jsonl"),
+            "solve", "--family", "tree", "--n", "30",
+            "--algorithm", "greedy-mis",
+            "--trace-out", str(tmp_path / "t.jsonl"),
         ]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "--trace-out needs an MPC algorithm" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_budget_audit_lists_warnings(self, tmp_path):
+        from types import SimpleNamespace
+
+        from repro.cli import _write_trace
+        from repro.mpc.config import MPCConfig
+        from repro.mpc.message import Message
+        from repro.mpc.simulator import Simulator
+
+        # 8 of S = 8 words: at the 90% threshold, inside the budget.
+        sim = Simulator(MPCConfig(num_machines=2, memory_words=8).with_trace())
+        sim.communicate(
+            lambda m: [Message(1, tuple(range(8)))] if m.mid == 0 else []
+        )
+        run = SimpleNamespace(trace=sim.trace, algorithm="det-luby")
+        report = _write_trace(run, str(tmp_path / "t.jsonl"))
+        assert "min headroom: 0 words (budget S=8)" in report
+        assert "budget warnings (≥90% of S, 3 total):" in report
+        assert "  ! round 1: machine 0 sent 8/8 words (100.0% of S)" in report
+
+    def test_chrome_out_needs_trace_out(self, tmp_path, capsys):
+        assert main([
+            "solve", "--family", "gnp", "--n", "40", "--param", "6",
+            "--chrome-out", str(tmp_path / "t.json"),
+        ]) == 2
+        assert "--chrome-out needs --trace-out" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
+    def test_trace_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--family", "gnp", "--n", "40"])
+        assert exc.value.code == 2
 
     def test_solve_trace_out(self, tmp_path, capsys):
         jsonl = tmp_path / "solve.trace.jsonl"
@@ -139,23 +175,23 @@ class TestBackendFlags:
     GRAPH = ["--family", "gnp", "--n", "40", "--param", "6"]
 
     @pytest.mark.parametrize("backend", [[], ["--backend", "serial"]])
-    def test_solve_workers_needs_shard_backend(self, backend, capsys):
+    def test_solve_shards_needs_shard_backend(self, backend, capsys):
         assert main(
-            ["solve", *self.GRAPH, "--workers", "7", *backend]
+            ["solve", *self.GRAPH, "--shards", "7", *backend]
         ) == 2
-        assert "--workers 7" in capsys.readouterr().err
+        assert "--shards 7" in capsys.readouterr().err
 
-    def test_match_workers_needs_shard_backend(self, capsys):
-        assert main(["match", *self.GRAPH, "--workers", "7"]) == 2
-        assert "--workers 7" in capsys.readouterr().err
+    def test_match_shards_needs_shard_backend(self, capsys):
+        assert main(["match", *self.GRAPH, "--shards", "7"]) == 2
+        assert "--shards 7" in capsys.readouterr().err
 
-    def test_trace_workers_needs_shard_backend(self, tmp_path, capsys):
-        assert main([
-            "trace", *self.GRAPH, "--workers", "7",
-            "--out", str(tmp_path / "t.jsonl"),
-        ]) == 2
-        assert "--workers 7" in capsys.readouterr().err
-        assert not (tmp_path / "t.jsonl").exists()
+    @pytest.mark.parametrize("command", ["solve", "match"])
+    def test_workers_is_not_a_shard_count(self, command, capsys):
+        # The shard count has one name; --workers is the serve daemon's
+        # thread count only.
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.GRAPH, "--backend", "shard", "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_numpy_kernel_without_numpy(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
@@ -165,10 +201,10 @@ class TestBackendFlags:
         ]) == 2
         assert "NumPy is not importable" in capsys.readouterr().err
 
-    def test_shard_backend_takes_workers(self, capsys):
+    def test_shard_backend_takes_shards(self, capsys):
         assert main([
             "solve", *self.GRAPH, "--algorithm", "det-luby",
-            "--backend", "shard", "--workers", "2", "--json",
+            "--backend", "shard", "--shards", "2", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["size"] >= 1
@@ -184,15 +220,31 @@ class TestBackendFlags:
         assert "--backend serial" in capsys.readouterr().err
         assert main([
             "solve", "--stream", "--input", str(path),
-            "--backend", "shard", "--workers", "2",
+            "--backend", "shard", "--shards", "2",
         ]) == 0
+
+    @pytest.mark.parametrize("flag", ["--trace-out", "--chrome-out"])
+    def test_stream_refuses_trace_exports(self, flag, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        main(["generate", *self.GRAPH, "--out", str(path)])
+        capsys.readouterr()
+        out = tmp_path / "t.out"
+        assert main([
+            "solve", "--stream", "--input", str(path), flag, str(out),
+        ]) == 2
+        assert f"{flag} cannot apply" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stream_verify_needs_stream(self, capsys):
+        assert main(["solve", *self.GRAPH, "--stream-verify"]) == 2
+        assert "--stream-verify needs --stream" in capsys.readouterr().err
 
     def test_backend_choices_follow_registry(self):
         from repro.cli import make_parser
         from repro.mpc.backends import BACKENDS
 
         commands = make_parser()._subparsers._group_actions[0].choices
-        for name in ("solve", "trace", "match"):
+        for name in ("solve", "match"):
             (action,) = [
                 a for a in commands[name]._actions if a.dest == "backend"
             ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import registry
 from repro.core.det_matching import (
     build_distributed_line_graph,
     matching_config,
@@ -141,7 +142,9 @@ class TestSolveMatching:
     def test_randomized_driver(self, small_er):
         from repro.core.det_matching import solve_matching
 
-        matching, _ = solve_matching(small_er, deterministic=False, seed=2)
+        matching, _ = solve_matching(
+            small_er, algorithm=registry.RAND_MATCHING, seed=2
+        )
         verify_maximal_matching(small_er, matching)
 
     def test_empty_graph(self):
@@ -176,7 +179,7 @@ class TestSolveMatchingParity:
 
         reference = self._reference(small_er)
         sharded = solve_matching(
-            small_er, backend="shard", backend_workers=2
+            small_er, backend="shard", num_shards=2
         )
         self._assert_model_identical(reference, sharded)
 
@@ -192,10 +195,12 @@ class TestSolveMatchingParity:
     def test_randomized_backend_and_trace_together(self, small_er):
         from repro.core.det_matching import solve_matching
 
-        reference = solve_matching(small_er, deterministic=False, seed=7)
+        reference = solve_matching(
+            small_er, algorithm=registry.RAND_MATCHING, seed=7
+        )
         combined = solve_matching(
-            small_er, deterministic=False, seed=7,
-            backend="shard", backend_workers=2, trace=True,
+            small_er, algorithm=registry.RAND_MATCHING, seed=7,
+            backend="shard", num_shards=2, trace=True,
         )
         self._assert_model_identical(reference, combined)
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import registry
 from repro.core.det_matching import solve_matching
 from repro.core.pipeline import solve_ruling_set
 from repro.graph import generators as gen
@@ -43,8 +44,8 @@ MATCHING_WORKLOADS = {
     "grid-8x8": lambda: gen.grid_graph(8, 8),
 }
 MATCHING_VARIANTS = {
-    "det": dict(deterministic=True),
-    "rand": dict(deterministic=False, seed=2),
+    "det": dict(algorithm=registry.DET_MATCHING),
+    "rand": dict(algorithm=registry.RAND_MATCHING, seed=2),
 }
 
 _GRAPH_CACHE = {}

@@ -20,6 +20,7 @@ from repro.graph import generators as gen
 from repro.graph.io import write_edge_list
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.ownermap import ModOwnerMap
+from repro.mpc.shard import CHUNK_ENV
 from repro.mpc.simulator import Simulator
 
 
@@ -78,11 +79,12 @@ class TestStreamSolveParity:
         assert result.metrics["shard_max_resident_words"] > 0
         assert result.metrics["shard_shard_spills"] > 0
 
-    def test_deterministic_across_runs(self, tmp_path, small_er):
+    def test_deterministic_across_runs(self, tmp_path, small_er, monkeypatch):
         path = tmp_path / "g.txt"
         write_edge_list(small_er, path)
         a = solve_ruling_set_stream(path)
-        b = solve_ruling_set_stream(path, num_shards=7, chunk_messages=3)
+        monkeypatch.setenv(CHUNK_ENV, "3")
+        b = solve_ruling_set_stream(path, num_shards=7)
         assert a.members == b.members
         assert a.rounds == b.rounds
         # Residency stats legitimately differ with the shard count; the

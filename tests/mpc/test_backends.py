@@ -13,11 +13,11 @@ from repro.mpc.shard import ShardBackend, _chunk_ranges
 from repro.mpc.simulator import BACKEND_ENV, Simulator
 
 
-def run_det_luby(backend_name, workers=0):
+def run_det_luby(backend_name, num_shards=0):
     graph = gen.gnp_random_graph(96, 8, 96, seed=7)
     cfg = MPCConfig.sublinear(
         graph.num_vertices, graph.num_edges, max_degree=graph.max_degree()
-    ).with_backend(backend_name, workers)
+    ).with_backend(backend_name, num_shards)
     with Simulator(cfg) as sim:
         dg = DistributedGraph.load(sim, graph)
         run_program(dg, luby_program(
@@ -45,17 +45,17 @@ class TestResolveBackend:
         with pytest.raises(MPCConfigError, match=r"\['serial', 'shard'\]"):
             Simulator(MPCConfig(num_machines=2, memory_words=256))
 
-    def test_negative_workers_rejected(self):
+    def test_negative_shard_count_rejected(self):
         with pytest.raises(MPCConfigError):
             ShardBackend(num_shards=-1)
         with pytest.raises(MPCConfigError):
-            MPCConfig(num_machines=2, memory_words=256, backend_workers=-1)
+            MPCConfig(num_machines=2, memory_words=256, num_shards=-1)
 
     def test_config_carries_backend(self):
         cfg = MPCConfig(num_machines=2, memory_words=256)
         assert cfg.backend == "serial"
-        forked = cfg.with_backend("shard", workers=3)
-        assert (forked.backend, forked.backend_workers) == ("shard", 3)
+        forked = cfg.with_backend("shard", num_shards=3)
+        assert (forked.backend, forked.num_shards) == ("shard", 3)
         assert cfg.backend == "serial"  # frozen original untouched
 
 
@@ -74,7 +74,7 @@ class TestBackendEquivalence:
         """The acceptance invariant: backends change wall-clock only."""
         serial_members, serial_metrics, _ = run_det_luby("serial")
         shard_members, shard_metrics, stats = run_det_luby(
-            "shard", workers=2
+            "shard", num_shards=2
         )
         assert shard_members == serial_members
         assert shard_metrics == serial_metrics

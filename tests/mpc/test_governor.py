@@ -1,7 +1,5 @@
 """Load governor: peak-hold, throttle planning, wiring, bit-identity."""
 
-import os
-
 import pytest
 
 from repro.core.alpha_ruling import alpha_program
@@ -10,9 +8,14 @@ from repro.core.program import run_program
 from repro.errors import MPCConfigError, MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
-from repro.mpc.governor import GovernorPolicy, LoadGovernor, PeakHold
+from repro.mpc.governor import (
+    CHUNK_FLOOR,
+    WINDOW_FLOOR,
+    LoadGovernor,
+    PeakHold,
+)
 from repro.mpc.graph_store import DistributedGraph
-from repro.mpc.simulator import GOVERNED_ENV, Simulator
+from repro.mpc.simulator import Simulator
 
 
 class TestPeakHold:
@@ -29,34 +32,11 @@ class TestPeakHold:
         assert ph.peak == 0
 
 
-class TestGovernorPolicy:
-    def test_defaults_are_valid(self):
-        policy = GovernorPolicy()
-        assert policy.target_num == 1 and policy.target_den == 2
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"target_num": 0},
-            {"target_num": 3, "target_den": 2},
-            {"target_den": 0},
-            {"chunk_floor": 0},
-            {"window_floor": 0},
-        ],
-    )
-    def test_invalid_knobs_rejected(self, kwargs):
-        with pytest.raises(MPCConfigError):
-            GovernorPolicy(**kwargs)
-
-
 class TestLoadGovernorQueries:
     def test_target_is_a_budget_fraction(self):
-        gov = LoadGovernor(4096)
-        assert gov.target_words == 2048
-        gov = LoadGovernor(
-            1000, GovernorPolicy(target_num=3, target_den=4)
-        )
-        assert gov.target_words == 750
+        assert LoadGovernor(4096).target_words == 2048
+        assert LoadGovernor(1001).target_words == 500  # floor of S/2
+        assert LoadGovernor(1).target_words == 1  # never zero
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(MPCConfigError):
@@ -77,11 +57,11 @@ class TestLoadGovernorQueries:
         assert gov.stats()["chunk_scalings"] == 0
 
     def test_scale_chunk_shrinks_with_headroom_and_floors(self):
-        gov = LoadGovernor(100, GovernorPolicy(chunk_floor=8))
+        gov = LoadGovernor(100)
         gov.observe_round(words=0, max_sent=75, max_received=0)
         assert gov.scale_chunk(400) == 100  # 400 * 25 // 100
         gov.observe_round(words=0, max_sent=100, max_received=0)
-        assert gov.scale_chunk(400) == 8  # zero headroom -> floor
+        assert gov.scale_chunk(400) == CHUNK_FLOOR == 32  # zero headroom
         assert gov.scale_chunk(4) == 4  # floor never exceeds base
         # the base-4 call returned the base unchanged — not a scaling
         assert gov.stats()["chunk_scalings"] == 2
@@ -112,9 +92,9 @@ class TestPlanBatch:
         assert gov.stats()["batched_steps"] == 1
 
     def test_floors_at_window_floor(self):
-        gov = LoadGovernor(100, GovernorPolicy(window_floor=2))
+        gov = LoadGovernor(100)
         sizes = {v: 1000 for v in range(8)}  # nothing ever fits
-        assert gov.plan_batch(8, sizes, self.owner_of) == 2
+        assert gov.plan_batch(8, sizes, self.owner_of) == WINDOW_FLOOR == 1
 
     def test_empty_inputs_plan_unbatched(self):
         gov = LoadGovernor(100)
@@ -128,31 +108,11 @@ class TestConfigWiring:
         assert sim.governor is None
 
     def test_with_governor_enables_and_sizes_the_target(self):
-        cfg = MPCConfig(num_machines=2, memory_words=256).with_governor(
-            target_percent=25
-        )
-        assert cfg.governed and cfg.governor_target_percent == 25
+        cfg = MPCConfig(num_machines=2, memory_words=256).with_governor()
+        assert cfg.governed
         sim = Simulator(cfg)
         assert isinstance(sim.governor, LoadGovernor)
-        assert sim.governor.target_words == 64
-
-    def test_invalid_target_percent_rejected(self):
-        with pytest.raises(MPCConfigError):
-            MPCConfig(
-                num_machines=2, memory_words=256, governed=True,
-                governor_target_percent=0,
-            )
-
-    def test_env_override_governs(self, monkeypatch):
-        monkeypatch.setenv(GOVERNED_ENV, "1")
-        sim = Simulator(MPCConfig(num_machines=2, memory_words=256))
-        assert sim.governor is not None
-
-    def test_env_false_values_stay_ungoverned(self, monkeypatch):
-        for value in ("", "0", "false"):
-            monkeypatch.setenv(GOVERNED_ENV, value)
-            sim = Simulator(MPCConfig(num_machines=2, memory_words=256))
-            assert sim.governor is None
+        assert sim.governor.target_words == 128
 
     def test_simulator_feeds_round_and_memory_peaks(self):
         from repro.mpc.message import Message
@@ -234,19 +194,13 @@ class TestGovernedExponentiation:
         assert run(cfg.with_governor()) == run(cfg, enforce=False)
 
 
-def test_governed_env_replay_is_bit_identical(monkeypatch):
-    """A feasible end-to-end solve under REPRO_GOVERNED must not move."""
+def test_governed_replay_is_bit_identical():
+    """A feasible end-to-end solve under ``governed=True`` must not move."""
     from repro.core.pipeline import solve_ruling_set
 
     graph = gen.gnp_random_graph(96, 8, 96, seed=5)
     plain = solve_ruling_set(graph)
-    monkeypatch.setenv(GOVERNED_ENV, "1")
-    governed = solve_ruling_set(graph)
+    governed = solve_ruling_set(graph, governed=True)
     assert governed.members == plain.members
     assert governed.rounds == plain.rounds
     assert governed.metrics == plain.metrics
-
-
-def test_os_environ_unpolluted():
-    # Paranoia: the suite must not leave the governed switch behind.
-    assert os.environ.get(GOVERNED_ENV, "") in ("", "0", "false")

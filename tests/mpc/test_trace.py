@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.core.det_luby import conditional_expectation_chooser, luby_program
 from repro.core.program import run_program
 from repro.graph import generators as gen
@@ -11,14 +9,14 @@ from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.message import Message
 from repro.mpc.simulator import Simulator
-from repro.mpc.trace import TraceRecorder
+from repro.mpc.trace import WARN_UTILIZATION, TraceRecorder
 
 
-def run_det_luby(backend_name="serial", trace=False, workers=2):
+def run_det_luby(backend_name="serial", trace=False, num_shards=2):
     graph = gen.gnp_random_graph(96, 8, 96, seed=7)
     cfg = MPCConfig.sublinear(
         graph.num_vertices, graph.num_edges, max_degree=graph.max_degree()
-    ).with_backend(backend_name, workers)
+    ).with_backend(backend_name, num_shards)
     if trace:
         cfg = cfg.with_trace()
     with Simulator(cfg) as sim:
@@ -114,6 +112,7 @@ class TestJsonlExport:
         ]
         assert records[0]["type"] == "meta"
         assert records[0]["memory_words"] == trace.config.memory_words
+        assert records[0]["warn_utilization"] == WARN_UTILIZATION == 0.9
         assert records[-1]["type"] == "summary"
         assert records[-1]["total_words"] == metrics.total_words
         round_words = sum(
@@ -158,21 +157,19 @@ class TestChromeTraceExport:
 
 class TestBudgetAuditor:
     def test_warns_before_hard_fault(self):
-        # A 2-machine ping with S=8: 5 of 8 words in one round crosses a
-        # 0.5 threshold but not the hard budget.
-        cfg = MPCConfig(
-            num_machines=2, memory_words=8
-        ).with_trace(warn_utilization=0.5)
+        # A 2-machine ping with S=8: 8 of 8 words in one round crosses
+        # the 90% threshold but not the hard budget.
+        cfg = MPCConfig(num_machines=2, memory_words=8).with_trace()
         sim = Simulator(cfg)
         sim.communicate(
-            lambda m: [Message(1, (1, 2, 3, 4, 5))] if m.mid == 0 else []
+            lambda m: [Message(1, tuple(range(8)))] if m.mid == 0 else []
         )
         sim.machine(1).clear_inbox()
         kinds = {(w["kind"], w["machine"]) for w in sim.trace.warnings}
         assert ("sent", 0) in kinds
         assert ("received", 1) in kinds
         for warning in sim.trace.warnings:
-            assert warning["utilization"] >= 0.5
+            assert warning["utilization"] >= WARN_UTILIZATION
             assert warning["budget"] == 8
 
     def test_quiet_below_threshold(self):
@@ -184,24 +181,13 @@ class TestBudgetAuditor:
         assert sim.trace.warnings == []
 
     def test_format_warnings_human_readable(self):
-        cfg = MPCConfig(
-            num_machines=2, memory_words=8
-        ).with_trace(warn_utilization=0.5)
+        cfg = MPCConfig(num_machines=2, memory_words=8).with_trace()
         sim = Simulator(cfg)
         sim.communicate(
-            lambda m: [Message(1, (1, 2, 3, 4, 5))] if m.mid == 0 else []
+            lambda m: [Message(1, tuple(range(8)))] if m.mid == 0 else []
         )
         lines = sim.trace.format_warnings()
         assert lines and all("words" in line for line in lines)
-
-    def test_invalid_threshold_rejected(self):
-        cfg = MPCConfig(num_machines=2, memory_words=256)
-        with pytest.raises(ValueError):
-            TraceRecorder(cfg, warn_utilization=0.0)
-        from repro.errors import MPCConfigError
-
-        with pytest.raises(MPCConfigError):
-            cfg.with_trace(warn_utilization=1.5)
 
 
 class TestOverBudgetClamp:

@@ -8,6 +8,7 @@ from repro.core import registry
 from repro.core.pipeline import solve_ruling_set
 from repro.errors import ServeError
 from repro.graph import generators as gen
+from repro.graph.io import write_edge_list
 from repro.serve import (
     BatchEngine,
     ResultCache,
@@ -489,6 +490,45 @@ class TestServeRequestPath:
             engine.serve_request(
                 {"id": "x", "graph": dict(TREE), "bogus": 1}
             )
+
+    def test_small_graph_pool_reloads_without_changing_records(
+        self, tmp_path
+    ):
+        # Three edge-list sources, interleaved A, B, C, A, B, C, ... on a
+        # pool of two: every request after the second evicts a source a
+        # later request needs, which is then reloaded mid-batch.  The
+        # records must be byte-identical to the default pool's.
+        paths = []
+        for index, graph in enumerate(
+            (gen.cycle_graph(24), gen.grid_graph(5, 5), gen.random_tree(30, 3))
+        ):
+            path = tmp_path / f"g{index}.txt"
+            write_edge_list(graph, path)
+            paths.append(str(path))
+        requests = [
+            {"id": f"{algorithm}-{index}", "graph": {"input": path},
+             "algorithm": algorithm}
+            for algorithm in (
+                registry.DET_RULING, registry.DET_LUBY, registry.GREEDY_MIS
+            )
+            for index, path in enumerate(paths)
+        ]
+        small = BatchEngine(ResultCache(), graph_pool=2)
+        default = BatchEngine(ResultCache())
+        assert default.graph_pool == 64
+        small_records = small.run(requests)
+        default_records = default.run(requests)
+        assert small.trace.counters["graph_load"] == len(requests)
+        assert small.trace.counters["graph_evict"] == len(requests) - 2
+        assert default.trace.counters["graph_load"] == len(paths)
+        assert all(r["status"] == "ok" for r in small_records)
+        assert [
+            json.dumps(record, sort_keys=True)
+            for record in _strip_serve(small_records)
+        ] == [
+            json.dumps(record, sort_keys=True)
+            for record in _strip_serve(default_records)
+        ]
 
     def test_graph_pool_eviction(self):
         engine = BatchEngine(ResultCache(), graph_pool=1)

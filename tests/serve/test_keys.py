@@ -3,7 +3,6 @@
 from repro.core import registry
 from repro.core.registry import canonical_cache_params
 from repro.graph import generators as gen
-from repro.mpc.config import MPCConfig
 from repro.serve import cache_key
 
 DET = registry.get_algorithm(registry.DET_RULING)
@@ -12,28 +11,6 @@ MATCH = registry.get_algorithm(registry.DET_MATCHING)
 
 
 class TestCanonicalParams:
-    def test_non_semantic_config_fields_do_not_fragment(self):
-        # Two explicit configs that differ only in execution strategy
-        # and observability (backend, workers, trace, label) must key
-        # identically: the backend/trace layers guarantee bit-identical
-        # results, so distinct entries would be pure cache misses.
-        base = MPCConfig(num_machines=8, memory_words=4096)
-        noisy = MPCConfig(
-            num_machines=8, memory_words=4096, label="noisy",
-            backend="shard", backend_workers=4,
-            trace=True, trace_warn_utilization=0.5,
-        )
-        assert canonical_cache_params(
-            DET, config=base
-        ) == canonical_cache_params(DET, config=noisy)
-
-    def test_model_config_fields_do_fragment(self):
-        a = MPCConfig(num_machines=8, memory_words=4096)
-        b = MPCConfig(num_machines=16, memory_words=4096)
-        assert canonical_cache_params(
-            DET, config=a
-        ) != canonical_cache_params(DET, config=b)
-
     def test_regimes_fragment(self):
         assert canonical_cache_params(
             DET, regime="sublinear"
@@ -67,14 +44,6 @@ class TestCanonicalParams:
         assert canonical_cache_params(
             DET, alpha=2
         ) != canonical_cache_params(DET, alpha=3)
-
-    def test_explicit_config_suppresses_regime(self):
-        cfg = MPCConfig(num_machines=8, memory_words=4096)
-        params = canonical_cache_params(DET, config=cfg, regime="sublinear")
-        assert "regime" not in params
-        assert params["config"] == {
-            "num_machines": 8, "memory_words": 4096,
-        }
 
     def test_json_safe(self):
         import json
