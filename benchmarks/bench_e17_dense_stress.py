@@ -1,15 +1,15 @@
-"""E17: dense-graph stress under the adaptive load governor.
+"""E17: dense-graph stress under governed (windowed) exponentiation.
 
 Claim exhibited: on a workload whose α > 2 in-model exponentiation
 *provably overflows* the per-round budget — the doubling step's
 respond-round traffic grows with d(d+2) per machine while the stored
 state stays linear — the ungoverned run faults with
 :class:`~repro.errors.MPCViolationError`, and the *governed* run
-(:mod:`repro.mpc.governor`) completes by windowing the exchange, with
-**bit-identical members** to the ungoverned reference (budget
-enforcement lifted) at the same config.  On a feasible sibling workload
-the governor is a provable no-op: members, rounds, and words all equal
-the ungoverned run's.
+(:func:`repro.core.exponentiation.plan_batch`) completes by windowing
+the exchange, with **bit-identical members** to the ungoverned
+reference (budget enforcement lifted) at the same config.  On a
+feasible sibling workload the planner is a provable no-op: members,
+rounds, and words all equal the ungoverned run's.
 
 Workload math (the dense leg): circulant ``n = 240`` with offsets
 ``1..8`` (d = 16) on ``k = 12`` machines with ``S = 4096``.  The
@@ -17,7 +17,7 @@ doubling respond round receives ``(n/k) · d · (d + 2) = 5760 > S``
 words on every machine, while resident state peaks well under ``S`` —
 exactly the regime where windowed exponentiation (more rounds, same
 words) rescues the run.  The feasible leg shrinks the offsets to
-``1..3`` (d = 6), where the full window fits the governor's target and
+``1..3`` (d = 6), where the full window fits the planner's target and
 the planner must return "no batching".
 """
 
@@ -51,7 +51,7 @@ def dense_workload() -> Graph:
 
 
 def feasible_workload() -> Graph:
-    """Circulant n=240, d=6 — the leg where the governor is a no-op."""
+    """Circulant n=240, d=6 — the leg where the planner is a no-op."""
     return gen.circulant_graph(240, [1, 2, 3])
 
 
@@ -82,7 +82,7 @@ def ci_cell():
     ungoverned fault (the workload math above), the governed members
     against the enforcement-lifted ungoverned reference (windowing is
     bit-identical in results), and the feasible leg's full equality
-    (the governor's no-op contract, DESIGN.md section 15).
+    (the planner's no-op contract, DESIGN.md section 15).
     """
     dense = dense_workload()
 

@@ -232,12 +232,12 @@ def run_e16_families() -> Measurement:
 
 
 def run_e17_dense_stress() -> Measurement:
-    """E17's gate cell: the governor's fault-rescue-parity triplet.
+    """E17's gate cell: governed exponentiation's fault-rescue-parity triplet.
 
     Exact: the ungoverned fault, the governed members (size + checksum)
     against the enforcement-lifted ungoverned reference, and full
     bit-identity (members, rounds, words) on the feasible leg — any
-    drift is a real governor-contract violation (DESIGN.md section 15).
+    drift is a real planner-contract violation (DESIGN.md section 15).
     """
     from benchmarks.bench_e17_dense_stress import ci_cell
 

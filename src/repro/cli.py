@@ -148,7 +148,6 @@ def cmd_solve(args) -> int:
         num_shards=args.shards,
         kernel=args.kernel,
         trace=args.trace_out is not None,
-        governed=args.governed,
     )
     report = (
         _write_trace(result, args.trace_out, args.chrome_out)
@@ -211,7 +210,6 @@ def _cmd_solve_stream(args) -> int:
         verify=args.stream_verify,
         num_shards=args.shards,
         kernel=args.kernel,
-        governed=args.governed,
     )
     if args.json:
         payload = result.summary_row()
@@ -247,7 +245,6 @@ def cmd_match(args) -> int:
         num_shards=args.shards,
         kernel=args.kernel,
         trace=args.trace_out is not None,
-        governed=args.governed,
     )
     report = (
         [] if args.trace_out is None else _write_trace(result, args.trace_out)
@@ -358,11 +355,9 @@ def cmd_fuzz(args) -> int:
         solver_seeds=solver_seeds,
         families=families,
         algorithms=algorithms,
-        governed=args.governed,
     )
     if args.json:
         payload = {
-            "governed": report.governed,
             "cells": len(report.cells),
             "failures": [
                 {
@@ -559,13 +554,6 @@ def make_parser() -> argparse.ArgumentParser:
         "NumPy is not installed; default: $REPRO_KERNEL or 'python')",
     )
     p_solve.add_argument(
-        "--governed", action="store_true",
-        help="run under the adaptive load governor: near-budget "
-        "rounds throttle exchange chunking and exponentiation "
-        "windows instead of faulting (results are bit-identical at "
-        "feasible sizes)",
-    )
-    p_solve.add_argument(
         "--trace-out", default=None,
         help="enable the superstep trace, write its JSONL here, and "
         "print the budget audit (headroom, warnings at "
@@ -614,11 +602,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None,
         help="enable the superstep trace, write its JSONL here, and "
         "print the budget audit",
-    )
-    p_match.add_argument(
-        "--governed", action="store_true",
-        help="run under the adaptive load governor (bit-identical at "
-        "feasible sizes)",
     )
     p_match.add_argument("--json", action="store_true")
     p_match.set_defaults(func=cmd_match)
@@ -709,11 +692,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--algorithms", default=None,
         help="comma-separated algorithm filter ("
         + registry.help_text() + "; default: all)",
-    )
-    p_fuzz.add_argument(
-        "--governed", action="store_true",
-        help="replay the sweep under the adaptive load governor "
-        "(results must stay bit-identical)",
     )
     p_fuzz.add_argument("--json", action="store_true")
     p_fuzz.set_defaults(func=cmd_fuzz)

@@ -83,14 +83,14 @@ def alpha_program(
     def exponentiate(ctx: ProgramContext) -> None:
         dg, sim = ctx.dg, ctx.sim
         if power_adjacency is None:
-            # In-model doubling consults the run's governor (if any):
-            # dense graphs degrade to windowed growth steps instead of
-            # faulting the per-round budget; the balls are identical.
+            # Under ``governed`` dense graphs degrade to windowed growth
+            # steps instead of faulting the per-round budget; the balls
+            # are identical.
             power_graph_adjacency(
                 dg,
                 alpha - 1,
                 out_adj_key="alpha_power_adj",
-                governor=getattr(sim, "governor", None),
+                governed=sim.config.governed,
             )
 
             def swap_in_power(machine: Machine) -> None:

@@ -262,7 +262,6 @@ def solve_matching(
     num_shards: int = 0,
     kernel: Optional[str] = None,
     trace: bool = False,
-    governed: bool = False,
 ) -> "MatchingResult":
     """One-call driver: build the regime, run, verify, return the matching.
 
@@ -301,7 +300,7 @@ def solve_matching(
     session = SolverSession(
         graph, spec, regime=regime, alpha_mem=alpha_mem, config=config,
         seed=seed, backend=backend, num_shards=num_shards, kernel=kernel,
-        trace=trace, governed=governed,
+        trace=trace,
     )
     run = session.run()
     if verify:

@@ -27,25 +27,24 @@ shrink by roughly the window fraction.  The default stays unbatched —
 budget-faulting on oversized unbatched growth is itself the model-honest
 behaviour E8 relies on.
 
-Governed growth (``governor``): passing a
-:class:`~repro.mpc.governor.LoadGovernor` replans the window size before
-*every* growth step from the live ball sizes — the peak-hold throttling
-of ROADMAP item 5.  The planner bounds each window's worst per-machine
-round traffic (requests plus snapshot-ball responses) and picks the
-largest halving of ``n`` that fits the governor's budget target; when
-the full window fits, the step runs unbatched and is bit-identical to
-the ungoverned step, rounds included.  Dense graphs that would fault
-the per-round budget unbatched instead degrade to smaller windows and
-complete with the identical balls.  An explicit ``batch_vertices``
-always wins over the governor (the caller pinned the schedule).
+Governed growth (``governed``): each growth step's window size is
+replanned by :func:`plan_batch` from the live ball sizes.  The planner
+bounds each window's worst per-machine round traffic (requests plus
+snapshot-ball responses) and picks the largest halving of ``n`` that
+fits half the budget ``S``; when the full window fits, the step runs
+unbatched and is bit-identical to the ungoverned step, rounds included.
+Dense graphs that would fault the per-round budget unbatched instead
+degrade to smaller windows and complete with the identical balls.  The
+plan reads only model quantities (ball sizes, owners, ``S``), so a
+governed run is as deterministic as an ungoverned one.  An explicit
+``batch_vertices`` always wins (the caller pinned the schedule).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import AlgorithmError
-from repro.mpc.governor import LoadGovernor
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
@@ -53,6 +52,15 @@ from repro.mpc.message import Message
 BALLS = "exp_balls"
 
 _SNAPSHOT = "_exp_snapshot"
+
+#: The planner aims at ``TARGET_NUM / TARGET_DEN`` of the budget ``S``;
+#: the margin below it absorbs the traffic its bound cannot see
+#: (request-round overhead, skewed responder fan-out).
+TARGET_NUM, TARGET_DEN = 1, 2
+
+#: The smallest window the planner may choose; past it the model-honest
+#: behaviour is to fault, not to subdivide further.
+WINDOW_FLOOR = 1
 
 
 def _batch_windows(
@@ -78,23 +86,66 @@ def _batch_windows(
     ]
 
 
+def plan_batch(
+    num_vertices: int,
+    per_vertex_words: Dict[int, int],
+    owner_of: Callable[[int], int],
+    budget_words: int,
+) -> Optional[int]:
+    """Choose a batched-growth window size for one growth step.
+
+    ``per_vertex_words[v]`` bounds the round traffic vertex ``v`` draws
+    onto its owner when it is in the active window.  Returns ``None``
+    (run unbatched) when every machine's full-window load fits
+    ``budget_words * TARGET_NUM // TARGET_DEN``; otherwise the largest
+    halving of ``num_vertices`` whose worst per-machine per-window load
+    fits, floored at :data:`WINDOW_FLOOR`.  Windows are the contiguous
+    global-id ranges of :func:`_batch_windows`.
+
+    >>> plan_batch(8, {v: 10 for v in range(8)}, lambda v: v // 4, 100)
+    >>> plan_batch(8, {v: 20 for v in range(8)}, lambda v: v // 4, 100)
+    2
+    """
+    if num_vertices <= 0 or not per_vertex_words:
+        return None
+    target = max(1, budget_words * TARGET_NUM // TARGET_DEN)
+
+    def fits(batch: int) -> bool:
+        for lo in range(0, num_vertices, batch):
+            loads: Dict[int, int] = {}
+            for v in range(lo, min(lo + batch, num_vertices)):
+                cost = per_vertex_words.get(v)
+                if not cost:
+                    continue
+                machine = owner_of(v)
+                load = loads.get(machine, 0) + cost
+                if load > target:
+                    return False
+                loads[machine] = load
+        return True
+
+    if fits(num_vertices):
+        return None
+    batch = num_vertices // 2
+    while batch > WINDOW_FLOOR and not fits(batch):
+        batch //= 2
+    return max(WINDOW_FLOOR, batch)
+
+
 def _plan_step_windows(
     dg: DistributedGraph,
-    governor: LoadGovernor,
     balls_key: str,
     adj_key: str,
     doubling: bool,
 ) -> List[Optional[Tuple[int, int]]]:
-    """Ask the governor for this step's window schedule.
+    """Plan this step's window schedule with :func:`plan_batch`.
 
     Harvests the live per-vertex ball sizes (and degrees, for single-hop
-    expansion) and hands the governor a conservative per-vertex bound on
+    expansion) and hands the planner a conservative per-vertex bound on
     the round words a windowed vertex draws onto one machine: for a
     doubling step each member's snapshot ball answer is at most
     ``max_ball + 1`` words; for an expansion step each incident edge
-    pushes at most ``max_ball + 1`` words.  Everything here is a model
-    quantity, so the plan — like the step it schedules — is
-    deterministic.
+    pushes at most ``max_ball + 1`` words.
     """
     harvested = dg.sim.harvest(
         lambda machine: {
@@ -114,7 +165,9 @@ def _plan_step_windows(
             costs[v] = (size + 1) * (max_ball + 1)
         else:
             costs[v] = (degree + 1) * (max_ball + 1)
-    batch = governor.plan_batch(dg.num_vertices, costs, dg.owner_of)
+    batch = plan_batch(
+        dg.num_vertices, costs, dg.owner_of, dg.sim.config.memory_words
+    )
     return _batch_windows(dg.num_vertices, batch)
 
 
@@ -140,7 +193,7 @@ def grow_balls(
     balls_key: str = BALLS,
     adj_key: str = ADJ,
     batch_vertices: Optional[int] = None,
-    governor: Optional[LoadGovernor] = None,
+    governed: bool = False,
 ) -> int:
     """Compute exactly ``B(v, radius)`` for every active vertex.
 
@@ -149,13 +202,13 @@ def grow_balls(
     Returns the number of doubling steps used; total cost is
     ``2 * doublings + (radius - 2^doublings)`` rounds, multiplied by the
     window count when ``batch_vertices`` is set (see module docstring).
-    With a ``governor`` (and no explicit ``batch_vertices``) each step's
+    When ``governed`` (and no explicit ``batch_vertices``) each step's
     window size is replanned from the live ball sizes before it runs.
     """
     if radius < 1:
         raise AlgorithmError(f"radius must be >= 1, got {radius}")
     sim = dg.sim
-    governed = governor is not None and batch_vertices is None
+    governed = governed and batch_vertices is None
     windows = _batch_windows(dg.num_vertices, batch_vertices)
 
     def init_balls(machine: Machine) -> None:
@@ -170,7 +223,7 @@ def grow_balls(
     while 2 * reach <= radius:
         if governed:
             windows = _plan_step_windows(
-                dg, governor, balls_key, adj_key, doubling=True
+                dg, balls_key, adj_key, doubling=True
             )
         if windows != [None]:
             _freeze(sim, balls_key)
@@ -184,7 +237,7 @@ def grow_balls(
     while reach < radius:
         if governed:
             windows = _plan_step_windows(
-                dg, governor, balls_key, adj_key, doubling=False
+                dg, balls_key, adj_key, doubling=False
             )
         if windows != [None]:
             _freeze(sim, balls_key)
@@ -204,7 +257,7 @@ def power_graph_adjacency(
     adj_key: str = ADJ,
     balls_key: str = BALLS,
     batch_vertices: Optional[int] = None,
-    governor: Optional[LoadGovernor] = None,
+    governed: bool = False,
 ) -> None:
     """Materialise exact ``G^radius`` adjacency under ``out_adj_key``."""
     grow_balls(
@@ -213,7 +266,7 @@ def power_graph_adjacency(
         balls_key=balls_key,
         adj_key=adj_key,
         batch_vertices=batch_vertices,
-        governor=governor,
+        governed=governed,
     )
 
     def build(machine: Machine) -> None:

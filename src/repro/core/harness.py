@@ -15,19 +15,20 @@ Three checks per (graph, algorithm) cell:
    :func:`~repro.core.verify.verify_ruling_set` at the radius the spec
    *claims* (``spec.claimed_beta``); matchings must pass
    :func:`~repro.core.verify.verify_maximal_matching`.
-2. **Determinism** — a second run with identical parameters must return
-   bit-identical members/matching and rounds (every solver here is
-   deterministic given its seed; seedless solvers must not vary at all).
+2. **Determinism and backend parity** — replays with identical
+   parameters must return bit-identical members/matching, rounds and
+   ``metrics`` (every solver here is deterministic given its seed;
+   seedless solvers must not vary at all).  An MPC-family cell replays
+   once on every backend in :data:`~repro.mpc.backends.BACKENDS` (the
+   serial replay is the determinism check); other cells replay once.
    Each run sizes its regime and builds its session from scratch, so
-   the replay shares no state with the first run.
+   no replay shares state with the first run.
 3. **No faults** — any :class:`~repro.errors.ReproError` escaping the
    solve is recorded as a failure cell rather than aborting the sweep,
    so one bad cell cannot mask others.
 
 The harness is the CI ``fuzz-verify`` job's engine (``repro fuzz`` in
-the CLI) and accepts ``governed=True`` to replay the whole sweep under
-the adaptive load governor (:mod:`repro.mpc.governor`), pinning the
-governor's results-are-bit-identical contract across the suite.
+the CLI).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.core.verify import verify_maximal_matching, verify_ruling_set
 from repro.errors import ReproError
 from repro.graph.generators import hostile_suite
 from repro.graph.graph import Graph
+from repro.mpc.backends import BACKENDS
 
 #: Cell outcomes.
 OK = "ok"
@@ -72,7 +74,6 @@ class FuzzReport:
     """Structured outcome of one :func:`fuzz_verify` sweep."""
 
     cells: List[FuzzCell] = field(default_factory=list)
-    governed: bool = False
 
     @property
     def failures(self) -> List[FuzzCell]:
@@ -92,72 +93,64 @@ class FuzzReport:
                 f"FAIL {cell.graph_name} × {cell.algorithm} "
                 f"(seed={cell.seed}): {cell.detail}"
             )
-        mode = "governed" if self.governed else "ungoverned"
         lines.append(
-            f"fuzz-verify [{mode}]: {len(self.cells)} cells, "
+            f"fuzz-verify: {len(self.cells)} cells, "
             f"{len(self.failures)} failures"
         )
         return "\n".join(lines)
 
 
-def _check_ruling_cell(
-    graph: Graph,
-    spec: "registry.AlgorithmSpec",
-    seed: int,
-    governed: bool,
+def _check_cell(
+    graph: Graph, spec: "registry.AlgorithmSpec", seed: int
 ) -> Tuple[str, str, int, int]:
-    """Run one ruling-set cell; return (status, detail, size, rounds)."""
-    alpha, beta = 2, 2
-    result = solve_ruling_set(
-        graph, algorithm=spec.name, alpha=alpha, beta=beta, seed=seed,
-        verify=False, governed=governed,
-    )
-    claimed = (
-        spec.claimed_beta(graph, alpha, beta)
-        if spec.claimed_beta is not None else beta
-    )
-    verify_ruling_set(graph, result.members, alpha=alpha, beta=claimed)
-    replay = solve_ruling_set(
-        graph, algorithm=spec.name, alpha=alpha, beta=beta, seed=seed,
-        verify=False, governed=governed,
-    )
-    if replay.members != result.members or replay.rounds != result.rounds:
-        return (
-            FAIL,
-            "nondeterministic: replay returned "
-            f"{len(replay.members)} members / {replay.rounds} rounds vs "
-            f"{len(result.members)} / {result.rounds}",
-            result.size,
-            result.rounds,
-        )
-    return OK, "", result.size, result.rounds
+    """Run one cell and its replays; return (status, detail, size, rounds)."""
+    if spec.problem == registry.MATCHING:
+        output = "matching"
 
+        def solve(backend: Optional[str]):
+            return solve_matching(
+                graph, algorithm=spec.name, seed=seed, verify=False,
+                backend=backend,
+            )
 
-def _check_matching_cell(
-    graph: Graph,
-    spec: "registry.AlgorithmSpec",
-    seed: int,
-    governed: bool,
-) -> Tuple[str, str, int, int]:
-    """Run one matching cell; return (status, detail, size, rounds)."""
-    result = solve_matching(
-        graph, algorithm=spec.name, seed=seed, verify=False,
-        governed=governed,
-    )
-    verify_maximal_matching(graph, result.matching)
-    replay = solve_matching(
-        graph, algorithm=spec.name, seed=seed, verify=False,
-        governed=governed,
-    )
-    if replay.matching != result.matching or replay.rounds != result.rounds:
-        return (
-            FAIL,
-            "nondeterministic: replay returned "
-            f"{len(replay.matching)} edges / {replay.rounds} rounds vs "
-            f"{len(result.matching)} / {result.rounds}",
-            result.size,
-            result.rounds,
+        result = solve(None)
+        verify_maximal_matching(graph, result.matching)
+    else:
+        output = "members"
+        alpha, beta = 2, 2
+
+        def solve(backend: Optional[str]):
+            return solve_ruling_set(
+                graph, algorithm=spec.name, alpha=alpha, beta=beta,
+                seed=seed, verify=False, backend=backend,
+            )
+
+        result = solve(None)
+        claimed = (
+            spec.claimed_beta(graph, alpha, beta)
+            if spec.claimed_beta is not None else beta
         )
+        verify_ruling_set(graph, result.members, alpha=alpha, beta=claimed)
+    backends = (
+        sorted(BACKENDS) if spec.family == registry.MPC_FAMILY else [None]
+    )
+    for backend in backends:
+        replay = solve(backend)
+        differ = [
+            name
+            for name in (output, "rounds", "metrics")
+            if getattr(replay, name) != getattr(result, name)
+        ]
+        if differ:
+            where = "replay" if backend is None else f"{backend} replay"
+            return (
+                FAIL,
+                f"nondeterministic: {where} differs in "
+                f"{', '.join(differ)} ({replay.size} / {replay.rounds} "
+                f"rounds vs {result.size} / {result.rounds})",
+                result.size,
+                result.rounds,
+            )
     return OK, "", result.size, result.rounds
 
 
@@ -169,7 +162,6 @@ def fuzz_verify(
     problems: Optional[Iterable[str]] = None,
     algorithms: Optional[Iterable[str]] = None,
     graphs: Optional[Sequence[Tuple[str, Graph]]] = None,
-    governed: bool = False,
 ) -> FuzzReport:
     """Sweep hostile graphs × registered solvers against the validators.
 
@@ -188,10 +180,6 @@ def fuzz_verify(
     graphs:
         Explicit ``(name, graph)`` cells to sweep instead of the
         hostile suite — the unit tests' hook for planted-failure cases.
-    governed:
-        Replay every solve under the adaptive load governor; results
-        must stay bit-identical (any divergence shows up as a validity
-        or determinism failure against the same validators).
 
     Returns a :class:`FuzzReport`; the sweep never raises on a failing
     cell — faults are captured as ``FAIL`` cells with the error text.
@@ -210,7 +198,7 @@ def fuzz_verify(
         and (problem_filter is None or spec.problem in problem_filter)
         and (name_filter is None or spec.name in name_filter)
     ]
-    report = FuzzReport(governed=governed)
+    report = FuzzReport()
     for graph_name, graph in suite:
         for spec in specs:
             seeds = tuple(solver_seeds) if spec.uses_seed else (
@@ -218,14 +206,9 @@ def fuzz_verify(
             )
             for solver_seed in seeds:
                 try:
-                    if spec.problem == registry.MATCHING:
-                        status, detail, size, rounds = _check_matching_cell(
-                            graph, spec, solver_seed, governed
-                        )
-                    else:
-                        status, detail, size, rounds = _check_ruling_cell(
-                            graph, spec, solver_seed, governed
-                        )
+                    status, detail, size, rounds = _check_cell(
+                        graph, spec, solver_seed
+                    )
                 except ReproError as exc:
                     status, detail, size, rounds = (
                         FAIL, f"{type(exc).__name__}: {exc}", 0, 0

@@ -52,7 +52,6 @@ def solve_ruling_set(
     num_shards: int = 0,
     kernel: Optional[str] = None,
     trace: bool = False,
-    governed: bool = False,
 ) -> RulingSetResult:
     """Compute and verify a ruling set of ``graph``.
 
@@ -99,13 +98,6 @@ def solve_ruling_set(
         JSONL / Chrome-trace export and budget-headroom warnings at
         90% of ``S``.  Pure observer: traced runs are bit-identical to
         untraced ones.
-    governed:
-        Enable the adaptive load governor (:mod:`repro.mpc.governor`):
-        shard spool chunks and α > 2 in-model exponentiation windows
-        throttle against a peak-hold budget estimate.  Execution
-        strategy under the DESIGN.md §15 contract — members and error
-        texts never change, and runs that needed no throttling are
-        bit-identical to ungoverned ones, rounds included.
 
     Each call builds a fresh :class:`~repro.core.session.SolverSession`:
     sizing and the α > 2 power graph are derived from ``graph`` every
@@ -133,7 +125,7 @@ def solve_ruling_set(
         graph, spec, beta=beta, alpha=alpha, regime=regime,
         alpha_mem=alpha_mem, config=config, seed=seed,
         backend=backend, num_shards=num_shards, kernel=kernel,
-        trace=trace, governed=governed,
+        trace=trace,
     )
     run = session.run()
     claimed_beta = spec.claimed_beta(graph, alpha, beta)
@@ -165,7 +157,6 @@ def solve_ruling_set_stream(
     num_shards: int = 0,
     spill_dir: Optional[str] = None,
     kernel: Optional[str] = None,
-    governed: bool = False,
 ) -> RulingSetResult:
     """Solve a ruling set on an edge-list *file*, out-of-core end to end.
 
@@ -177,8 +168,7 @@ def solve_ruling_set_stream(
     the whole graph*: peak driver memory is O(one machine shard + spool
     chunk).  Members and all model metrics are bit-identical to
     :func:`solve_ruling_set` on the materialized graph under the same
-    ``ModOwnerMap`` — pinned by the ingest-parity tests and the
-    shard-parity CI gate.
+    ``ModOwnerMap`` — pinned by the ingest-parity tests.
 
     ``algorithm`` must be an MPC-family ruling-set algorithm (the LOCAL
     and sequential baselines need the whole graph by definition); α is
@@ -190,10 +180,8 @@ def solve_ruling_set_stream(
 
     ``num_shards`` / ``spill_dir`` are the
     :class:`~repro.mpc.shard.ShardBackend` knobs (its spool chunk size
-    comes from ``REPRO_SHARD_CHUNK`` or the default); ``governed`` throttles
-    the backend's spool flush threshold against the run's peak-hold
-    budget estimate (driver memory only — rounds and members are
-    bit-identical either way); ingest stats
+    is the module constant :data:`~repro.mpc.shard.CHUNK_MESSAGES`);
+    ingest stats
     (``ingest_edges``, ``ingest_max_degree``, ``ingest_checksum``) and
     the backend's residency stats (``shard_max_resident_words`` …) land
     in ``result.metrics``.
@@ -213,7 +201,7 @@ def solve_ruling_set_stream(
     source = EdgeListSource(path, num_shards=num_shards, spill_dir=spill_dir)
     session = SolverSession(
         source, spec, beta=beta, regime=regime, alpha_mem=alpha_mem,
-        seed=seed, kernel=kernel, governed=governed,
+        seed=seed, kernel=kernel,
     )
     run = session.run()
     result = RulingSetResult(

@@ -340,7 +340,7 @@ def canonical_cache_params(
       meaningless (matching);
     * the named ``regime`` plus the memory exponent ``alpha_mem``
       determine the derived config.  Execution strategy and
-      observability (backend, shard count, trace, governor) are not
+      observability (backend, shard count, trace) are not
       parameters here: those layers are bit-identity-preserving.
     """
     params: Dict[str, object] = {

@@ -199,7 +199,6 @@ class SolverSession:
         num_shards: int = 0,
         kernel: Optional[str] = None,
         trace: bool = False,
-        governed: bool = False,
     ) -> None:
         self.spec = spec
         self.beta = beta
@@ -212,7 +211,6 @@ class SolverSession:
         self.num_shards = num_shards
         self.kernel = kernel
         self.trace_enabled = trace
-        self.governed = governed
         if isinstance(source, EdgeListSource):
             # Resolved at call time, like the pass-2 ingest below, so
             # wrappers installed on the stream module see both passes.
@@ -287,8 +285,6 @@ class SolverSession:
             cfg = cfg.with_kernel(self.kernel)
         if self.trace_enabled and not cfg.trace:
             cfg = cfg.with_trace()
-        if self.governed and not cfg.governed:
-            cfg = cfg.with_governor()
         if self.stream is None:
             sized = self.sizing_graph
             counts = (sized.num_vertices, sized.num_edges)

@@ -47,7 +47,9 @@ from repro.graph.io import PathLike, stream_edge_list
 from repro.mpc.ownermap import edge_id
 from repro.mpc.shard import SPILL_DIR_ENV
 
-DEFAULT_CHUNK_EDGES = 65536
+#: Edge orientations buffered across all machines before the ingest
+#: flushes its spools (driver memory only).
+CHUNK_EDGES = 65536
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,6 @@ def shard_edge_list(
     path: PathLike,
     owner_map,
     spill_dir: Optional[str] = None,
-    chunk_edges: int = DEFAULT_CHUNK_EDGES,
 ) -> ShardedGraph:
     """Stream ``path`` into per-machine adjacency shards.
 
@@ -139,8 +140,6 @@ def shard_edge_list(
     is validated against the exact post-dedup count, matching the
     in-memory reader's error.
     """
-    if chunk_edges < 1:
-        raise GraphError(f"chunk_edges must be >= 1, got {chunk_edges}")
     stream = stream_edge_list(path)
     num_vertices, declared_edges = next(stream)
     if owner_map.num_vertices != num_vertices:
@@ -155,8 +154,7 @@ def shard_edge_list(
     shard_dir = tempfile.mkdtemp(prefix="repro-ingest-", dir=root)
     try:
         return _ingest_into(
-            shard_dir, stream, owner_map, chunk_edges,
-            num_vertices, declared_edges,
+            shard_dir, stream, owner_map, num_vertices, declared_edges,
         )
     except BaseException:
         # Anything that aborts the ingest — a malformed line mid-file,
@@ -172,7 +170,6 @@ def _ingest_into(
     shard_dir: str,
     stream,
     owner_map,
-    chunk_edges: int,
     num_vertices: int,
     declared_edges: int,
 ) -> ShardedGraph:
@@ -203,7 +200,7 @@ def _ingest_into(
             buffers[owner_map.owner_of(u)].append((u, v))
             buffers[owner_map.owner_of(v)].append((v, u))
             buffered += 2
-            if buffered >= chunk_edges:
+            if buffered >= CHUNK_EDGES:
                 _flush_all()
         _flush_all()
     finally:

@@ -1,8 +1,8 @@
 """Pluggable execution backends for the MPC superstep engine.
 
 The :class:`~repro.mpc.simulator.Simulator` delegates *how* a superstep
-runs to a backend; round accounting, the memory audit, the governor and
-the trace stay in the simulator.  Two backends ship:
+runs to a backend; round accounting, the memory audit and the trace
+stay in the simulator.  Two backends ship:
 
 ``SerialBackend``
     Runs every callback in machine-id order in the calling process and
@@ -29,7 +29,7 @@ issue order, through :meth:`~SuperstepBackend.take_reports`.  The serial
 backend reports at once; a backend that defers local steps reports one
 when its last shard has replayed it, and :meth:`~SuperstepBackend.settle`
 forces every outstanding report.  The simulator holds each superstep's
-tail (metrics, trace, governor feed, budget check) until its report
+tail (metrics, trace, budget check) until its report
 arrives, so tails complete in issue order on every backend.
 """
 
@@ -53,7 +53,8 @@ def harvest_targets(k: int, only: Optional[Sequence[int]]) -> List[int]:
     """The machine ids a harvest reads, validated against ``0..k-1``.
 
     Both bounds matter: a negative id would silently wrap to machine
-    ``k + id`` through list indexing.
+    ``k + id`` through list indexing.  A repeated id is rejected too: a
+    mutating ``fn`` applied twice would see its own first result.
     """
     if only is None:
         return list(range(k))
@@ -63,6 +64,8 @@ def harvest_targets(k: int, only: Optional[Sequence[int]]) -> List[int]:
             raise MPCRoutingError(
                 f"harvest of nonexistent machine {mid} (k={k})"
             )
+    if len(set(targets)) != len(targets):
+        raise MPCRoutingError(f"harvest names a machine twice: {targets}")
     return targets
 
 
@@ -152,15 +155,17 @@ class SuperstepBackend:
     ) -> List[object]:
         """Apply a driver-side read (or plant) to machines, keeping state.
 
-        ``only`` selects machine ids; results come back in the order
-        requested (id order when ``only`` is None).  ``fn`` may mutate the
-        machine (pop a staging key, plant a value) — state-owning
-        backends persist the mutation to the spilled shard.  An id
-        outside ``0..k-1`` raises :class:`~repro.errors.MPCRoutingError`
-        before any machine is touched.
+        ``only`` selects distinct machine ids; ``fn`` runs on them in id
+        order and the results come back in the order requested.  ``fn``
+        may mutate the machine (pop a staging key, plant a value) —
+        state-owning backends persist the mutation to the spilled shard.
+        An id outside ``0..k-1``, or one named twice, raises
+        :class:`~repro.errors.MPCRoutingError` before any machine is
+        touched.
         """
         targets = harvest_targets(len(machines), only)
-        return [fn(machines[mid]) for mid in targets]
+        results = {mid: fn(machines[mid]) for mid in sorted(targets)}
+        return [results[mid] for mid in targets]
 
     def take_reports(self) -> List[Report]:
         """Hand over the reports finished since the last call, in order."""
@@ -169,16 +174,6 @@ class SuperstepBackend:
 
     def settle(self) -> None:
         """Run every deferred local step now, so every step has reported."""
-
-    def memory_snapshot(self) -> Optional[List[int]]:
-        """Per-machine word counts as of the last superstep, or None.
-
-        State-owning backends settle, then return the words each machine
-        held when its shard was spilled (priced by the same
-        :meth:`~repro.mpc.machine.Machine.memory_words` audit); ``None``
-        means "measure the live machines directly".
-        """
-        return None
 
     def resident_machines_hint(self) -> Optional[int]:
         """How many machines are resident at once, or None for "all".

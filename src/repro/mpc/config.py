@@ -77,13 +77,14 @@ class MPCConfig:
     Like ``backend``, this is an execution strategy, never semantics:
     both kernels are bit-identical by contract.
 
-    ``governed`` enables the adaptive load governor
-    (:mod:`repro.mpc.governor`): shard spool chunks and batched
-    exponentiation windows throttle against a peak-hold estimate of the
-    per-round budget utilization.  Execution strategy under the
-    DESIGN.md section 15 contract — results (members, error texts) never
-    change, and at feasible sizes (no throttling needed) the whole run
-    is bit-identical to an ungoverned one.
+    ``governed`` lets α > 2 in-model exponentiation (an
+    :func:`~repro.core.alpha_ruling.alpha_program` run without a
+    prebuilt power graph; solver sessions install a prebuilt one) plan
+    windowed growth steps against ``memory_words``
+    (:func:`repro.core.exponentiation.plan_batch`) instead of faulting
+    the per-round budget.  Members and error texts never change, and a
+    run whose full window fits is bit-identical to an ungoverned one,
+    rounds included (DESIGN.md section 15).
     """
 
     num_machines: int
@@ -131,7 +132,7 @@ class MPCConfig:
         return replace(self, trace=enabled)
 
     def with_governor(self, enabled: bool = True) -> "MPCConfig":
-        """Copy of this config with the load governor toggled."""
+        """Copy of this config with governed exponentiation toggled."""
         return replace(self, governed=enabled)
 
     @property

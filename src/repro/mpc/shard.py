@@ -18,7 +18,7 @@ Determinism is preserved by construction, not by luck:
   the order senders produce them (sender id ascending, then send order),
   so concatenating a spool file reproduces the serial arrival order
   bit-for-bit.  No process ever buffers a full round's traffic: spool
-  buffers flush every ``chunk_messages`` messages.
+  buffers flush every :data:`CHUNK_MESSAGES` messages.
 * Work waits for the next visit: each shard keeps one ordered queue of
   pending work — the exchange deliveries it has not loaded yet and the
   local steps issued since — and the shard's next load (from an
@@ -28,14 +28,13 @@ Determinism is preserved by construction, not by luck:
   memory is charged at its end (store words plus received count, as the
   serial backend prices it); a local step's is priced machine by
   machine as it replays and reported once its last shard has replayed
-  it.  The settle points — :meth:`ShardBackend.settle`,
-  :meth:`~ShardBackend.run_local` and
-  :meth:`~ShardBackend.memory_snapshot` — replay every queued local
-  step at once.
+  it.  The settle points — :meth:`ShardBackend.settle` and
+  :meth:`~ShardBackend.run_local` — replay every queued local step at
+  once.
 * Budget violations and routing errors are raised with the identical
   type, message text, and machine-id order as the serial routing loop in
   :meth:`~repro.mpc.backends.SerialBackend.run_exchange` — the
-  shard-parity CI gate pins this.  When anything raises during a visit,
+  refactor-parity oracle's shard legs pin this.  When anything raises during a visit,
   the earlier queued work is first replayed on the remaining shards, so
   the simulator can raise the earliest failure in serial order.
 
@@ -44,8 +43,7 @@ backend owns state (the resident copy is usually a cleared husk); reads
 and plants go through :meth:`run_harvest`, which the simulator exposes as
 :meth:`~repro.mpc.simulator.Simulator.harvest`.
 
-Knobs: ``REPRO_SHARD_DIR`` overrides the spill directory,
-``REPRO_SHARD_CHUNK`` the messages-per-flush chunk size.
+Knob: ``REPRO_SHARD_DIR`` overrides the spill directory.
 """
 
 from __future__ import annotations
@@ -79,8 +77,7 @@ from repro.mpc.machine import Machine, Store, words_of
 # ``words_of`` stays importable from here: the end-to-end benchmark's
 # tracer wraps ``repro.mpc.shard.words_of`` to attribute audit time.
 __all__ = [
-    "CHUNK_ENV",
-    "DEFAULT_CHUNK_MESSAGES",
+    "CHUNK_MESSAGES",
     "DEFAULT_NUM_SHARDS",
     "SPILL_DIR_ENV",
     "ShardBackend",
@@ -88,10 +85,13 @@ __all__ = [
 ]
 
 DEFAULT_NUM_SHARDS = 4
-DEFAULT_CHUNK_MESSAGES = 4096
+
+#: Messages per spool flush: the driver buffers at most this many per
+#: destination shard during an exchange.  Driver memory only — flush
+#: boundaries appear in no model quantity.
+CHUNK_MESSAGES = 4096
 
 SPILL_DIR_ENV = "REPRO_SHARD_DIR"
-CHUNK_ENV = "REPRO_SHARD_CHUNK"
 
 
 def _chunk_ranges(count: int, parts: int) -> List[range]:
@@ -105,22 +105,6 @@ def _chunk_ranges(count: int, parts: int) -> List[range]:
         ranges.append(range(lo, hi))
         lo = hi
     return ranges
-
-
-def _env_chunk() -> int:
-    """``REPRO_SHARD_CHUNK`` as a chunk size (0 when unset or empty)."""
-    raw = os.environ.get(CHUNK_ENV, "")
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise MPCConfigError(
-            f"{CHUNK_ENV} must be an integer >= 0, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise MPCConfigError(f"{CHUNK_ENV} must be >= 0, got {value}")
-    return value
 
 
 #: What a spill file holds per machine: store, inbox, and the inbox's
@@ -163,11 +147,9 @@ class ShardBackend(SuperstepBackend):
     """Out-of-core execution: one machine shard resident at a time.
 
     ``num_shards=0`` picks :data:`DEFAULT_NUM_SHARDS`; the count is
-    clamped to the machine count on attach.  ``chunk_messages`` bounds
-    the in-memory spool buffer per destination shard during an exchange.
-    ``spill_dir`` (or ``REPRO_SHARD_DIR``) roots the spill files; by
-    default a private temporary directory is created and removed on
-    :meth:`shutdown`.
+    clamped to the machine count on attach.  ``spill_dir`` (or
+    ``REPRO_SHARD_DIR``) roots the spill files; by default a private
+    temporary directory is created and removed on :meth:`shutdown`.
     """
 
     name = "shard"
@@ -175,19 +157,11 @@ class ShardBackend(SuperstepBackend):
     def __init__(
         self,
         num_shards: int = 0,
-        chunk_messages: int = 0,
         spill_dir: Optional[str] = None,
     ):
         if num_shards < 0:
             raise MPCConfigError(f"num_shards must be >= 0, got {num_shards}")
-        if chunk_messages < 0:
-            raise MPCConfigError(
-                f"chunk_messages must be >= 0, got {chunk_messages}"
-            )
         self.num_shards = num_shards or DEFAULT_NUM_SHARDS
-        self.chunk_messages = (
-            chunk_messages or _env_chunk() or DEFAULT_CHUNK_MESSAGES
-        )
         super().__init__()
         self._spill_root = spill_dir or os.environ.get(SPILL_DIR_ENV)
         self._dir: Optional[str] = None
@@ -213,7 +187,6 @@ class ShardBackend(SuperstepBackend):
         # exchange leaves spools pending.
         self._parity = 0
         self._attached = False
-        self._governor = None
         self._stats = {
             "local_steps": 0,
             "exchange_steps": 0,
@@ -223,20 +196,7 @@ class ShardBackend(SuperstepBackend):
             "chunks_spooled": 0,
             "max_resident_words": 0,
             "max_resident_machines": 0,
-            "governed_exchanges": 0,
-            "min_chunk_messages": 0,
         }
-
-    def attach_governor(self, governor) -> None:
-        """Let a :class:`~repro.mpc.governor.LoadGovernor` throttle spools.
-
-        Under a governor the per-exchange flush threshold shrinks with
-        the observed budget headroom (dense rounds -> smaller resident
-        spool buffers).  Driver memory only: flush boundaries never
-        appear in any model quantity, so governed and ungoverned
-        exchanges deliver bit-identical rounds.
-        """
-        self._governor = governor
 
     # -- lifecycle ------------------------------------------------------
     def _ensure_dir(self) -> str:
@@ -487,12 +447,6 @@ class ShardBackend(SuperstepBackend):
             self._recover()
             raise
 
-    def memory_snapshot(self) -> Optional[List[int]]:
-        if not self._attached:
-            return None
-        self.settle()
-        return list(self._words)
-
     def resident_machines_hint(self) -> Optional[int]:
         if not self._shards:
             return None
@@ -525,16 +479,7 @@ class ShardBackend(SuperstepBackend):
     ) -> ExchangeStats:
         self._attach(machines)
         self._stats["exchange_steps"] += 1
-        chunk_messages = self.chunk_messages
-        if self._governor is not None:
-            chunk_messages = self._governor.scale_chunk(self.chunk_messages)
-            if chunk_messages != self.chunk_messages:
-                self._stats["governed_exchanges"] += 1
-            if (
-                self._stats["min_chunk_messages"] == 0
-                or chunk_messages < self._stats["min_chunk_messages"]
-            ):
-                self._stats["min_chunk_messages"] = chunk_messages
+        chunk_messages = CHUNK_MESSAGES
         k = len(machines)
         num_shards = len(self._shards)
         received_words = [0] * k
@@ -548,7 +493,7 @@ class ShardBackend(SuperstepBackend):
         # sender shard first replays its queue — the previous exchange's
         # spool and the local steps issued since — so this exchange
         # writes the other parity's spool files.  Buffers flush every
-        # ``chunk_messages`` messages, so the driver holds
+        # ``CHUNK_MESSAGES`` messages, so the driver holds
         # O(chunk · shards) payloads, never the full round.
         seq = self._seq
         self._seq += 1

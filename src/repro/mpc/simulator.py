@@ -24,8 +24,8 @@ delivery) for a communicate step.  Serial is the default; the
 out-of-core shard backend keeps one shard of machines resident.
 Backends change wall-clock only: machines are visited and messages
 delivered in the same order, so every backend yields the identical run.  The simulator
-keeps one superstep tail for all of them — round metrics, governor,
-memory audit, trace.  Each superstep's wall-clock, memory audit
+keeps one superstep tail for all of them — round metrics, memory
+audit, trace.  Each superstep's wall-clock, memory audit
 included, is recorded into :class:`~repro.mpc.metrics.RunMetrics` (per
 round and per phase) so simulator performance is measured, never
 asserted.
@@ -34,7 +34,7 @@ Late reports: a backend reports each superstep's per-machine words
 when it knows them, which for a deferred local step is after its last
 shard has replayed it.  Tails wait in a FIFO and complete in issue
 order, each with the round index and phase current when its step was
-issued, so metrics, trace, governor feed and budget faults come out in
+issued, so metrics, trace and budget faults come out in
 the serial order on every backend; the serial backend reports at once
 through the same path.  :meth:`Simulator.settle` forces every pending
 tail.  Deferred work counts toward wall-clock where it runs: inside a
@@ -60,7 +60,6 @@ enforcement, or algorithm state, so traced runs stay bit-identical.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
@@ -68,7 +67,6 @@ from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import MPCViolationError
 from repro.mpc.backends import SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
-from repro.mpc.governor import LoadGovernor
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
 from repro.mpc.metrics import RunMetrics
@@ -79,15 +77,6 @@ MachineFn = Callable[[Machine], Optional[Iterable[Message]]]
 #: A superstep tail waiting in the FIFO: whether it takes a report, and
 #: the bookkeeping that runs on it (a phase mark takes none).
 _Tail = Tuple[bool, Callable[[Optional[List[int]]], None]]
-
-#: Environment override for the execution backend, mirroring
-#: ``REPRO_KERNEL``: applied only when neither an explicit backend object
-#: nor a non-default ``config.backend`` was chosen, so programmatic
-#: choices always win.  This is how the shard-parity CI gate replays the
-#: whole refactor-parity oracle under ``--backend shard`` without
-#: touching the frozen oracle cells.
-BACKEND_ENV = "REPRO_BACKEND"
-
 
 class Simulator:
     """Executes MPC supersteps under a fixed :class:`MPCConfig`.
@@ -105,7 +94,6 @@ class Simulator:
         enforce: bool = True,
         backend: Optional[SuperstepBackend] = None,
         trace: Optional[TraceRecorder] = None,
-        governor: Optional[LoadGovernor] = None,
     ):
         self.config = config
         self.enforce = enforce
@@ -116,26 +104,13 @@ class Simulator:
         if backend is not None:
             self.backend: SuperstepBackend = backend
         else:
-            name = config.backend
-            if name == "serial":
-                name = os.environ.get(BACKEND_ENV) or name
-            self.backend = resolve_backend(name, config.num_shards)
+            self.backend = resolve_backend(config.backend, config.num_shards)
         if trace is not None:
             self.trace: Optional[TraceRecorder] = trace
         elif config.trace:
             self.trace = TraceRecorder(config)
         else:
             self.trace = None
-        if governor is not None:
-            self.governor: Optional[LoadGovernor] = governor
-        elif config.governed:
-            self.governor = LoadGovernor(config.memory_words)
-        else:
-            self.governor = None
-        if self.governor is not None:
-            attach = getattr(self.backend, "attach_governor", None)
-            if attach is not None:
-                attach(self.governor)
         # Tails waiting for their reports, oldest first.
         self._tails: Deque[_Tail] = deque()
 
@@ -146,8 +121,8 @@ class Simulator:
         """Apply a local computation to every machine (no round cost).
 
         The backend may run ``fn`` at each shard's next visit; the
-        step's audit, trace event and governor feed then complete when
-        it reports, still in issue order.
+        step's audit and trace event then complete when it reports,
+        still in issue order.
         """
         started = time.perf_counter()
         self._call(self.backend.queue_local, self.machines, fn)
@@ -195,14 +170,6 @@ class Simulator:
                 max_sent=stats.max_sent,
                 max_received=stats.max_received,
             )
-            if self.governor is not None:
-                # Same model quantities the trace records — wall clock
-                # never reaches the governor.
-                self.governor.observe_round(
-                    words=stats.total_words,
-                    max_sent=stats.max_sent,
-                    max_received=stats.max_received,
-                )
             elapsed = time.perf_counter() - started
             self.metrics.record_elapsed(elapsed, is_round=True)
             if self.trace is not None:
@@ -263,14 +230,14 @@ class Simulator:
     ) -> List[object]:
         """Driver-side read (or plant) against live machine state.
 
-        Applies ``fn`` to the selected machines (all of them, in id
-        order, when ``only`` is None) and returns the results in the
+        Applies ``fn`` to the selected machines (all of them when
+        ``only`` is None) in id order and returns the results in the
         order requested.  This is the only sanctioned way for driver code
         to touch machine stores between supersteps: state-owning backends
         page the right shard in, persist any mutation ``fn`` made, and
         keep their memory accounting coherent.  On in-memory backends it
-        degenerates to a plain loop.  A machine id outside ``0..k-1``
-        raises :class:`~repro.errors.MPCRoutingError`.
+        degenerates to a plain loop.  A machine id outside ``0..k-1``,
+        or one named twice, raises :class:`~repro.errors.MPCRoutingError`.
         """
         results = self._call(self.backend.run_harvest, self.machines, fn, only)
         self._drain()
@@ -339,8 +306,6 @@ class Simulator:
             self.metrics.record_memory(words)
             if self.trace is not None:
                 self.trace.record_memory(mid, words, round_index)
-            if self.governor is not None:
-                self.governor.observe_memory(words)
             if self.enforce and words > self.config.memory_words:
                 raise MPCViolationError(
                     f"machine {mid} holds {words} words, budget "

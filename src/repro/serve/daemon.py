@@ -62,11 +62,11 @@ from typing import (
 
 from repro.errors import ServeError
 from repro.mpc.config import MPCConfig
-from repro.mpc.governor import PeakHold
 from repro.serve.engine import BatchEngine
 
 __all__ = [
     "AdmissionPolicy",
+    "PeakHold",
     "ServeDaemon",
     "drive_requests",
     "estimate_request_words",
@@ -133,6 +133,32 @@ def estimate_request_words(data: Dict[str, Any]) -> int:
     return MPCConfig.input_words(n, _estimate_edges(family, n, param))
 
 
+class PeakHold:
+    """Strict peak-hold of a non-negative word signal.
+
+    The held value is the largest observation so far; integer
+    arithmetic throughout, so it is a deterministic function of the
+    observation sequence.
+
+    >>> ph = PeakHold()
+    >>> for words in (10, 80, 30):
+    ...     ph.observe(words)
+    >>> ph.peak
+    80
+    """
+
+    __slots__ = ("peak", "observations")
+
+    def __init__(self) -> None:
+        self.peak = 0
+        self.observations = 0
+
+    def observe(self, value: int) -> None:
+        """Fold one observation (negative values clamp to zero)."""
+        self.peak = max(self.peak, int(value))
+        self.observations += 1
+
+
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """The daemon's load-shedding contract.
@@ -149,7 +175,7 @@ class AdmissionPolicy:
     zero words against ``max_inflight_words`` — i.e. bypass the inflight
     cap entirely.  When positive, unpriceable requests are charged
     ``max(default_request_words, peak priced estimate seen so far)`` —
-    the peak-hold governor's conservative guess (an unknown request is
+    a :class:`PeakHold` conservative guess (an unknown request is
     assumed as heavy as the heaviest known one).  0 keeps the legacy
     admit-at-zero behaviour.
     """
@@ -283,7 +309,7 @@ class ServeDaemon:
             self._load_peak.observe(est_words)
         elif policy.default_request_words > 0:
             # Unpriceable: charge the conservative default, lifted to
-            # the heaviest priced estimate seen (peak-hold governor) —
+            # the heaviest priced estimate seen (peak-hold) —
             # never a free pass through max_inflight_words.
             est_words = max(
                 policy.default_request_words, self._load_peak.peak

@@ -2,10 +2,13 @@
 
 import dataclasses
 
+import pytest
+
 from repro.core import registry
 from repro.core.harness import FAIL, OK, fuzz_verify
 from repro.graph.generators import path_graph
 from repro.graph.graph import Graph
+from repro.mpc.shard import ShardBackend
 
 
 def small_cells():
@@ -51,13 +54,6 @@ class TestCoverage:
         assert report.ok, report.format()
         assert len(report.cells) >= len(registry.algorithm_names()) * 8
 
-    def test_governed_sweep_all_green(self):
-        report = fuzz_verify(
-            scale=1, governed=True, families=[registry.MPC_FAMILY]
-        )
-        assert report.governed
-        assert report.ok, report.format()
-
 
 class TestFailureCapture:
     def test_planted_invalid_output_is_caught(self, monkeypatch):
@@ -91,6 +87,28 @@ class TestFailureCapture:
         )
         assert not report.ok
         assert "exceeds claimed" in report.failures[0].detail
+
+    @pytest.mark.parametrize(
+        "algorithm", [registry.DET_LUBY, registry.DET_MATCHING]
+    )
+    def test_planted_shard_divergence_is_caught(self, monkeypatch, algorithm):
+        # The shard backend over-reports one word per exchange: members,
+        # matching and rounds still agree, so only the cross-backend
+        # comparison of ``metrics`` can see it.
+        real = ShardBackend.run_exchange
+
+        def skewed(self, *args, **kwargs):
+            stats = real(self, *args, **kwargs)
+            stats.total_words += 1
+            return stats
+
+        monkeypatch.setattr(ShardBackend, "run_exchange", skewed)
+        report = fuzz_verify(
+            graphs=small_cells()[:1], algorithms=[algorithm]
+        )
+        (cell,) = report.cells
+        assert cell.status == FAIL
+        assert "shard replay differs in metrics" in cell.detail
 
     def test_passing_report_shape(self):
         report = fuzz_verify(

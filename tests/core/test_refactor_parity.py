@@ -8,6 +8,11 @@ replay every cell through the refactored registry/session path and
 require bit-identical members, rounds, claimed (α, β), full
 ``metrics.summary()`` (plus counters), and per-phase round attribution.
 
+Every cell runs on each execution leg: every backend in
+:data:`~repro.mpc.backends.BACKENDS`, plus the shard backend at one
+message per spool chunk (a flush per message).  The serial leg keeps the
+cells' original test ids.
+
 If an intentional model-level change ever invalidates the oracle,
 regenerate it from a commit whose behaviour is the new baseline — never
 edit the JSON by hand.
@@ -22,6 +27,8 @@ from repro.core import registry
 from repro.core.det_matching import solve_matching
 from repro.core.pipeline import solve_ruling_set
 from repro.graph import generators as gen
+from repro.mpc import shard as shard_module
+from repro.mpc.backends import BACKENDS
 
 ORACLE_PATH = Path(__file__).parent.parent / "data" / "refactor_parity.json"
 ORACLE = json.loads(ORACLE_PATH.read_text())
@@ -50,6 +57,26 @@ MATCHING_VARIANTS = {
 
 _GRAPH_CACHE = {}
 
+#: The shard backend with ``CHUNK_MESSAGES`` patched to 1.
+SHARD_CHUNK1 = "shard-chunk1"
+LEGS = sorted(BACKENDS) + [SHARD_CHUNK1]
+
+
+def _legs(cells):
+    return [
+        pytest.param(cell, leg, id=cell if leg == "serial" else f"{cell}@{leg}")
+        for leg in LEGS
+        for cell in sorted(cells)
+    ]
+
+
+def _backend(leg, monkeypatch):
+    """The backend name a leg runs on (patching the chunk size if asked)."""
+    if leg == SHARD_CHUNK1:
+        monkeypatch.setattr(shard_module, "CHUNK_MESSAGES", 1)
+        return "shard"
+    return leg
+
 
 def _workload(experiment: str, name: str):
     key = (experiment, name)
@@ -59,12 +86,13 @@ def _workload(experiment: str, name: str):
     return _GRAPH_CACHE[key]
 
 
-@pytest.mark.parametrize("cell", sorted(ORACLE["ruling"]))
-def test_ruling_cell_bit_identical(cell):
+@pytest.mark.parametrize("cell,leg", _legs(ORACLE["ruling"]))
+def test_ruling_cell_bit_identical(cell, leg, monkeypatch):
     experiment, workload, algorithm = cell.split("/")
     graph = _workload(experiment, workload)
     result = solve_ruling_set(
-        graph, algorithm=algorithm, beta=2, regime="sublinear"
+        graph, algorithm=algorithm, beta=2, regime="sublinear",
+        backend=_backend(leg, monkeypatch),
     )
     expected = ORACLE["ruling"][cell]
     assert result.members == expected["members"]
@@ -75,11 +103,14 @@ def test_ruling_cell_bit_identical(cell):
     assert result.phase_rounds == expected["phase_rounds"]
 
 
-@pytest.mark.parametrize("cell", sorted(ORACLE["matching"]))
-def test_matching_cell_bit_identical(cell):
+@pytest.mark.parametrize("cell,leg", _legs(ORACLE["matching"]))
+def test_matching_cell_bit_identical(cell, leg, monkeypatch):
     workload, variant = cell.split("/")
     graph = MATCHING_WORKLOADS[workload]()
-    matching, metrics = solve_matching(graph, **MATCHING_VARIANTS[variant])
+    matching, metrics = solve_matching(
+        graph, backend=_backend(leg, monkeypatch),
+        **MATCHING_VARIANTS[variant],
+    )
     expected = ORACLE["matching"][cell]
     assert [list(edge) for edge in matching] == expected["matching"]
     assert metrics == expected["metrics"]

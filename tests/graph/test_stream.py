@@ -9,6 +9,7 @@ owner map — streamed and in-memory runs are interchangeable.
 import pytest
 
 from repro.errors import GraphError
+from repro.graph import stream as stream_module
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, stream_edge_list, write_edge_list
 from repro.graph.stream import scan_edge_list_stats, shard_edge_list
@@ -156,21 +157,19 @@ class TestShardEdgeList:
         with pytest.raises(GraphError, match="owner map covers"):
             shard_edge_list(path, ModOwnerMap(5, 2))
 
-    def test_tiny_chunk_size_changes_nothing(self, tmp_path, small_er):
+    def test_tiny_chunk_size_changes_nothing(
+        self, tmp_path, small_er, monkeypatch
+    ):
         path = tmp_path / "g.txt"
         write_edge_list(small_er, path)
         owner_map = ModOwnerMap(small_er.num_vertices, 4)
         with shard_edge_list(path, owner_map) as big:
-            with shard_edge_list(path, owner_map, chunk_edges=1) as tiny:
+            monkeypatch.setattr(stream_module, "CHUNK_EDGES", 1)
+            with shard_edge_list(path, owner_map) as tiny:
                 assert tiny.checksum == big.checksum
                 assert tiny.num_edges == big.num_edges
                 for mid in range(4):
                     assert tiny.read_shard(mid) == big.read_shard(mid)
-
-    def test_bad_chunk_size_rejected(self, tmp_path):
-        path = _write(tmp_path, "2 1\n0 1\n")
-        with pytest.raises(GraphError, match="chunk_edges"):
-            shard_edge_list(path, ModOwnerMap(2, 1), chunk_edges=0)
 
     def test_cleanup_is_idempotent(self, tmp_path):
         path = _write(tmp_path, "2 1\n0 1\n")

@@ -18,9 +18,9 @@ from repro.core.verify import verify_ruling_set
 from repro.errors import AlgorithmError
 from repro.graph import generators as gen
 from repro.graph.io import write_edge_list
+from repro.mpc import shard as shard_module
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.ownermap import ModOwnerMap
-from repro.mpc.shard import CHUNK_ENV
 from repro.mpc.simulator import Simulator
 
 
@@ -83,7 +83,7 @@ class TestStreamSolveParity:
         path = tmp_path / "g.txt"
         write_edge_list(small_er, path)
         a = solve_ruling_set_stream(path)
-        monkeypatch.setenv(CHUNK_ENV, "3")
+        monkeypatch.setattr(shard_module, "CHUNK_MESSAGES", 3)
         b = solve_ruling_set_stream(path, num_shards=7)
         assert a.members == b.members
         assert a.rounds == b.rounds

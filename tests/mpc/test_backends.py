@@ -4,13 +4,13 @@ import pytest
 
 from repro.core.det_luby import conditional_expectation_chooser, luby_program
 from repro.core.program import run_program
-from repro.errors import MPCConfigError
+from repro.errors import MPCConfigError, MPCRoutingError
 from repro.graph import generators as gen
-from repro.mpc.backends import SerialBackend, resolve_backend
+from repro.mpc.backends import BACKENDS, SerialBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.shard import ShardBackend, _chunk_ranges
-from repro.mpc.simulator import BACKEND_ENV, Simulator
+from repro.mpc.simulator import Simulator
 
 
 def run_det_luby(backend_name, num_shards=0):
@@ -36,14 +36,14 @@ class TestResolveBackend:
         with pytest.raises(MPCConfigError):
             resolve_backend("gpu")
 
-    def test_process_backend_is_gone(self, monkeypatch):
+    def test_process_backend_is_gone(self):
         # No silent fallback to serial: the removed name is an error,
-        # whether asked for directly or through the environment.
+        # whether asked for directly or through the config.
         with pytest.raises(MPCConfigError, match=r"\['serial', 'shard'\]"):
             resolve_backend("process")
-        monkeypatch.setenv(BACKEND_ENV, "process")
+        cfg = MPCConfig(num_machines=2, memory_words=256)
         with pytest.raises(MPCConfigError, match=r"\['serial', 'shard'\]"):
-            Simulator(MPCConfig(num_machines=2, memory_words=256))
+            Simulator(cfg.with_backend("process"))
 
     def test_negative_shard_count_rejected(self):
         with pytest.raises(MPCConfigError):
@@ -91,3 +91,40 @@ class TestBackendEquivalence:
         # The serial backend reports step counters (the trace layer
         # snapshots them for attribution) and nothing else.
         assert backend.stats() == {"local_steps": 1, "communicate_steps": 0}
+
+
+class TestHarvestContract:
+    """Every backend applies a harvest alike: ids once each, in id order."""
+
+    def _sim(self, name):
+        cfg = MPCConfig(num_machines=4, memory_words=256).with_backend(
+            name, 2
+        )
+        sim = Simulator(cfg)
+        sim.local(lambda m: m.store.__setitem__("x", m.mid * 10))
+        return sim
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_repeated_id_rejected_before_any_load(self, name):
+        with self._sim(name) as sim:
+            loads = sim.backend.stats().get("shard_loads")
+            with pytest.raises(
+                MPCRoutingError,
+                match=r"^harvest names a machine twice: \[1, 1\]$",
+            ):
+                sim.harvest(lambda m: m.store.pop("x", None), only=(1, 1))
+            assert sim.backend.stats().get("shard_loads") == loads
+            # Nothing was popped.
+            assert sim.harvest(lambda m: m.store["x"]) == [0, 10, 20, 30]
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_fn_runs_in_id_order_results_in_request_order(self, name):
+        calls = []
+
+        def record(machine):
+            calls.append(machine.mid)
+            return machine.store["x"]
+
+        with self._sim(name) as sim:
+            assert sim.harvest(record, only=(3, 0, 2)) == [30, 0, 20]
+        assert calls == [0, 2, 3]

@@ -23,13 +23,13 @@ from repro.graph import generators as gen
 from repro.mpc import shard as shard_module
 from repro.mpc.backends import resolve_backend
 from repro.mpc.config import MPCConfig
-from repro.mpc.governor import LoadGovernor
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.machine import Machine, words_of
 from repro.mpc.message import Message
 from repro.mpc.ownermap import ModOwnerMap
-from repro.mpc.shard import CHUNK_ENV, ShardBackend
-from repro.mpc.simulator import BACKEND_ENV, Simulator
+from repro.mpc.shard import ShardBackend
+from repro.mpc.simulator import Simulator
+from repro.mpc.trace import TraceRecorder
 
 
 def _run(graph, backend=None, program=luby_program):
@@ -63,14 +63,13 @@ class TestParity:
         )
         assert sharded == serial
 
-    def test_tiny_chunk_size_changes_nothing(self):
-        # chunk_messages=1 forces a spool flush per message: maximal
-        # chunking must still reproduce the serial arrival order.
+    def test_tiny_chunk_size_changes_nothing(self, monkeypatch):
+        # One message per chunk forces a spool flush per message:
+        # maximal chunking must still reproduce the serial arrival order.
         graph = gen.gnp_random_graph(48, 4, 48, seed=3)
         serial = _run(graph)
-        sharded = _run(
-            graph, backend=ShardBackend(num_shards=4, chunk_messages=1)
-        )
+        monkeypatch.setattr(shard_module, "CHUNK_MESSAGES", 1)
+        sharded = _run(graph, backend=ShardBackend(num_shards=4))
         assert sharded == serial
 
     def test_more_shards_than_machines(self):
@@ -104,12 +103,27 @@ class TestParity:
         assert sum(words for _, words, _ in delivered) == 5 * (1 + 2 + 3 + 4)
 
 
+class _AuditLog(TraceRecorder):
+    """A trace that also keeps every word count the memory audit saw."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.audited = []
+
+    def record_memory(self, mid, words, round_index):
+        super().record_memory(mid, words, round_index)
+        self.audited.append(words)
+
+
+def _audited(cfg, backend=None):
+    """A simulator whose memory audit is logged (see :func:`_words`)."""
+    return Simulator(cfg, backend=backend, trace=_AuditLog(cfg))
+
+
 def _words(sim):
-    """Every machine's words after the last superstep, as the audit sees."""
-    snapshot = sim.backend.memory_snapshot()
-    if snapshot is not None:
-        return snapshot
-    return [machine.memory_words() for machine in sim.machines]
+    """Every machine's words after the last superstep, as the audit saw."""
+    sim.settle()
+    return sim.trace.audited[-sim.num_machines:]
 
 
 def _ring(m):
@@ -133,7 +147,7 @@ class TestLazyDelivery:
     def _script(self, backend, steps):
         cfg = MPCConfig(num_machines=6, memory_words=256)
         trail = []
-        with Simulator(cfg, backend=backend) as sim:
+        with _audited(cfg, backend) as sim:
             sim.local(lambda m: m.store.__setitem__("x", m.mid))
             for step in steps:
                 step(sim, trail)
@@ -142,18 +156,19 @@ class TestLazyDelivery:
             trail.append(sim.metrics.summary())
         return trail
 
-    def test_back_to_back_exchanges_match_serial(self):
+    def test_back_to_back_exchanges_match_serial(self, monkeypatch):
         # No local step between: the second exchange's senders read
         # inboxes that were still pending when it started.  One message
         # per chunk exercises both spool parities.
         steps = [lambda sim, trail: sim.communicate(_ring)] * 3
         serial = self._script(None, steps)
-        sharded = self._script(
-            ShardBackend(num_shards=3, chunk_messages=1), steps
-        )
+        monkeypatch.setattr(shard_module, "CHUNK_MESSAGES", 1)
+        sharded = self._script(ShardBackend(num_shards=3), steps)
         assert sharded == serial
 
-    def test_partial_harvest_between_exchanges_matches_serial(self):
+    def test_partial_harvest_between_exchanges_matches_serial(
+        self, monkeypatch
+    ):
         def harvest_some(sim, trail):
             trail.append(sim.harvest(_state, only=(4, 1)))
 
@@ -164,9 +179,8 @@ class TestLazyDelivery:
             harvest_some,
         ]
         serial = self._script(None, steps)
-        sharded = self._script(
-            ShardBackend(num_shards=3, chunk_messages=2), steps
-        )
+        monkeypatch.setattr(shard_module, "CHUNK_MESSAGES", 2)
+        sharded = self._script(ShardBackend(num_shards=3), steps)
         assert sharded == serial
 
     def test_resident_high_water_counts_undelivered_inboxes(self):
@@ -187,7 +201,7 @@ class TestLazyDelivery:
         cfg = MPCConfig(num_machines=4, memory_words=512)
         shards = [range(0, 2), range(2, 4)]
         expected = 0
-        with Simulator(cfg) as sim:
+        with _audited(cfg) as sim:
             for _ in steps(sim):
                 words = _words(sim)
                 for rng in shards:
@@ -288,30 +302,23 @@ class TestFusedVisits:
         assert calls == list(_EIGHT)
 
     def test_settle_points_replay_pending_steps(self):
-        # memory_snapshot settles (the snapshot test above relies on it)
-        # and run_local runs at once through the queue.
-        for query in (
-            lambda sim: sim.backend.memory_snapshot(),
-            lambda sim: sim.backend.run_local(sim.machines, lambda m: None),
-        ):
-            backend = ShardBackend(num_shards=4)
-            cfg = MPCConfig(num_machines=8, memory_words=256)
-            with Simulator(cfg, backend=backend) as sim:
-                sim.local(lambda m: m.store.__setitem__("x", m.mid))
-                assert backend.stats()["shard_loads"] == 0
-                query(sim)
-                assert backend.stats()["shard_loads"] == 4
-                assert backend._open_steps == 0
-
-    def test_hint_and_governor_queries_leave_the_queue_alone(self):
-        # Neither reads a pending step's memory, so neither replays it.
+        # run_local runs at once through the queue.
         backend = ShardBackend(num_shards=4)
-        cfg = MPCConfig(num_machines=8, memory_words=256).with_governor()
+        cfg = MPCConfig(num_machines=8, memory_words=256)
+        with Simulator(cfg, backend=backend) as sim:
+            sim.local(lambda m: m.store.__setitem__("x", m.mid))
+            assert backend.stats()["shard_loads"] == 0
+            backend.run_local(sim.machines, lambda m: None)
+            assert backend.stats()["shard_loads"] == 4
+            assert backend._open_steps == 0
+
+    def test_hint_query_leaves_the_queue_alone(self):
+        # The hint reads no pending step's memory, so it replays none.
+        backend = ShardBackend(num_shards=4)
+        cfg = MPCConfig(num_machines=8, memory_words=256)
         with Simulator(cfg, backend=backend) as sim:
             sim.local(lambda m: m.store.__setitem__("x", m.mid))
             assert backend.resident_machines_hint() == 2
-            assert sim.governor.plan_batch(1, {0: 1}, lambda v: 0) is None
-            assert sim.governor.scale_chunk(64) == 64
             assert backend.stats()["shard_loads"] == 0
             assert backend._open_steps == 1
 
@@ -511,33 +518,25 @@ class TestSequenceIdentity:
             "phase",
         ]
 
-    def test_governed_shard_run_matches_governed_serial(self, monkeypatch):
-        observed = []
-        real = LoadGovernor.observe_memory
-
-        def recording(governor, words):
-            observed.append(words)
-            real(governor, words)
-
-        monkeypatch.setattr(LoadGovernor, "observe_memory", recording)
+    def test_governed_shard_run_matches_governed_serial(self):
         graph = gen.circulant_graph(240, list(range(1, 9)))
-        cfg = MPCConfig(num_machines=12, memory_words=4096).with_governor()
+        cfg = MPCConfig(num_machines=12, memory_words=4096)
 
-        def run(backend):
-            observed.clear()
-            with Simulator(cfg, backend=backend) as sim:
+        def run(config, backend=None, enforce=True):
+            with Simulator(config, enforce=enforce, backend=backend,
+                           trace=_AuditLog(config)) as sim:
                 dg = DistributedGraph.load(sim, graph)
                 run_program(dg, alpha_program(3, beta=2))
                 members = dg.collect_marked("alpha_rs_in_set")
-                stats = sim.governor.stats()
-            # Only the shard backend asks for spool chunk sizes.
-            stats.pop("chunk_scalings")
-            return members, list(observed), stats
+            return members, sim.metrics.summary(), sim.trace.audited
 
-        serial = run(None)
-        sharded = run(ShardBackend(num_shards=4))
-        assert serial[2]["batched_steps"] > 0  # the governor did throttle
+        serial = run(cfg.with_governor())
+        sharded = run(cfg.with_governor(), ShardBackend(num_shards=4))
         assert sharded == serial
+        # The planner did window: more rounds than the unwindowed run.
+        unwindowed = run(cfg, enforce=False)
+        assert serial[0] == unwindowed[0]
+        assert serial[1]["rounds"] > unwindowed[1]["rounds"]
 
 
 def _det_luby_trace(backend):
@@ -587,7 +586,9 @@ class TestFileHandles:
                 assert _open_fds() == before + 3  # one held file per shard
 
     @pytest.mark.parametrize("offender", [3, 5])
-    def test_no_descriptor_leaks_after_a_violation(self, offender):
+    def test_no_descriptor_leaks_after_a_violation(
+        self, offender, monkeypatch
+    ):
         # One message per chunk, so spools are open when machine
         # ``offender`` overruns its send budget mid-exchange.
         def sends(m):
@@ -596,7 +597,8 @@ class TestFileHandles:
             return [Message(5 - m.mid, (m.mid,))]
 
         cfg = MPCConfig(num_machines=6, memory_words=8)
-        backend = ShardBackend(num_shards=3, chunk_messages=1)
+        backend = ShardBackend(num_shards=3)
+        monkeypatch.setattr(shard_module, "CHUNK_MESSAGES", 1)
         with _no_leaked_files():
             with pytest.raises(MPCViolationError, match="sent 16 words"):
                 with Simulator(cfg, backend=backend) as sim:
@@ -681,16 +683,16 @@ class TestResidency:
             assert spill_dir is not None and os.path.isdir(spill_dir)
         assert not os.path.exists(spill_dir)
 
-    def test_memory_snapshot_prices_spilled_state(self):
+    def test_audit_prices_spilled_state(self):
         cfg = MPCConfig(num_machines=4, memory_words=1024)
         backend = ShardBackend(num_shards=2)
-        with Simulator(cfg, backend=backend) as sim:
+        with _audited(cfg, backend) as sim:
             sim.local(
                 lambda m: m.store.__setitem__("x", tuple(range(m.mid + 1)))
             )
-            snapshot = sim.backend.memory_snapshot()
+            words = _words(sim)
         expected = [words_of({"x": tuple(range(mid + 1))}) for mid in range(4)]
-        assert snapshot == expected
+        assert words == expected
 
 
 class TestHarvest:
@@ -783,19 +785,6 @@ class TestErrors:
     def test_negative_knobs_rejected(self):
         with pytest.raises(MPCConfigError):
             ShardBackend(num_shards=-1)
-        with pytest.raises(MPCConfigError):
-            ShardBackend(chunk_messages=-1)
-
-    @pytest.mark.parametrize("raw", ["-3", "abc", "1.5"])
-    def test_bad_chunk_env_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(CHUNK_ENV, raw)
-        with pytest.raises(MPCConfigError, match=CHUNK_ENV):
-            ShardBackend()
-
-    def test_chunk_env_applies(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "7")
-        assert ShardBackend().chunk_messages == 7
-        assert ShardBackend(chunk_messages=3).chunk_messages == 3
 
 
 class TestWiring:
@@ -813,26 +802,6 @@ class TestWiring:
             assert isinstance(sim.backend, ShardBackend)
             sim.local(lambda m: m.store.__setitem__("x", 1))
             assert sim.harvest(lambda m: m.store["x"]) == [1, 1, 1, 1]
-
-    def test_env_override_applies_to_default_config(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "shard")
-        cfg = MPCConfig(num_machines=4, memory_words=1024)
-        sim = Simulator(cfg)
-        try:
-            assert isinstance(sim.backend, ShardBackend)
-        finally:
-            sim.shutdown()
-
-    def test_env_override_loses_to_explicit_config(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "serial")
-        cfg = MPCConfig(num_machines=2, memory_words=1024).with_backend(
-            "shard", 1
-        )
-        sim = Simulator(cfg)
-        try:
-            assert isinstance(sim.backend, ShardBackend)
-        finally:
-            sim.shutdown()
 
     def test_spill_dir_env_respected(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SHARD_DIR", str(tmp_path))
