@@ -24,6 +24,12 @@ rebinds afterwards) and may write no driver state.  A backend implements
 and every backend yields the identical run — members, metrics and error
 texts; only wall-clock and the backend's own counters differ.
 
+One router: every backend routes, checks and prices an exchange through
+:class:`Router`, so the routing errors, the budget errors and their
+order exist once.  The order is the serial one: a callback's exception
+first, then the first nonexistent destination or send overrun in
+sender order, then the first receive overrun in machine order.
+
 Late reports: every superstep reports its machines' words after it, in
 issue order, through :meth:`~SuperstepBackend.take_reports`.  The serial
 backend reports at once; a backend that defers local steps reports one
@@ -36,7 +42,7 @@ arrives, so tails complete in issue order on every backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.mpc.machine import Machine
@@ -73,10 +79,8 @@ def harvest_targets(k: int, only: Optional[Sequence[int]]) -> List[int]:
 class ExchangeStats:
     """What the simulator needs to know about a routed exchange.
 
-    Every backend performs the whole route-validate-deliver cycle itself
-    (an out-of-core backend never holds all machines at once) and
-    reports back these aggregates, so metrics and traces are
-    bit-identical across backends.
+    :meth:`Router.finish` builds it for every backend, so metrics and
+    traces are bit-identical across backends.
     """
 
     total_messages: int = 0
@@ -87,6 +91,87 @@ class ExchangeStats:
     #: Populated only when the simulator is tracing (per-machine sent
     #: words are O(k) per round; skipped otherwise).
     sent_per_machine: Optional[List[int]] = None
+
+
+class Router:
+    """Route, check and price one exchange round — for every backend.
+
+    A backend feeds :meth:`route` each sender's outbox in sender id
+    order, then calls :meth:`finish`.  Each payload is priced by its
+    length and appended to its destination's list in :attr:`inboxes`,
+    so arrival order is sender id ascending, then send order.  The
+    first nonexistent destination or overrun of the send ``budget``
+    (None: unenforced) is held, and routing stops there; :meth:`finish`
+    raises it once every callback of the round has run, so a callback's
+    own exception outranks it, as serially (callbacks, then routing).
+    """
+
+    def __init__(self, k: int, budget: Optional[int], want_sent: bool):
+        self.budget = budget
+        self.want_sent = want_sent
+        #: Per destination machine, its routed payloads in arrival order.
+        self.inboxes: List[list] = [[] for _ in range(k)]
+        #: Messages routed so far.
+        self.messages = 0
+        self.sent_words = [0] * k
+        self.received_words = [0] * k
+        self.fault: Optional[Exception] = None
+
+    def route(self, sender: int, outbox: Optional[Iterable[Message]]) -> None:
+        """Route machine ``sender``'s outbox (None sends nothing)."""
+        if not outbox or self.fault is not None:
+            return
+        if not isinstance(outbox, (list, tuple)):
+            outbox = list(outbox)
+        inboxes = self.inboxes
+        k = len(inboxes)
+        received_words = self.received_words
+        sent_words = 0
+        for message in outbox:
+            dst = message.dst
+            # Both bounds matter: a negative dst would silently wrap
+            # via Python list indexing and deliver to machine k+dst.
+            if not 0 <= dst < k:
+                self.fault = MPCRoutingError(
+                    f"machine {sender} sent to nonexistent machine "
+                    f"{dst} (k={k})"
+                )
+                return
+            payload = message.payload
+            w = len(payload)
+            sent_words += w
+            received_words[dst] += w
+            inboxes[dst].append(payload)
+        self.messages += len(outbox)
+        self.sent_words[sender] = sent_words
+        if self.budget is not None and sent_words > self.budget:
+            self.fault = MPCViolationError(
+                f"machine {sender} sent {sent_words} words in one round, "
+                f"budget S={self.budget}"
+            )
+
+    def finish(self) -> ExchangeStats:
+        """Raise the held fault, else the first receive-budget fault;
+        otherwise return the round's aggregates."""
+        if self.fault is not None:
+            raise self.fault
+        sent_words = self.sent_words
+        received_words = self.received_words
+        if self.budget is not None:
+            for mid, words in enumerate(received_words):
+                if words > self.budget:
+                    raise MPCViolationError(
+                        f"machine {mid} received {words} words in one "
+                        f"round, budget S={self.budget}"
+                    )
+        return ExchangeStats(
+            total_messages=self.messages,
+            total_words=sum(sent_words),
+            max_sent=max(sent_words, default=0),
+            max_received=max(received_words, default=0),
+            received_per_machine=received_words,
+            sent_per_machine=sent_words if self.want_sent else None,
+        )
 
 
 class SuperstepBackend:
@@ -133,14 +218,17 @@ class SuperstepBackend:
     ) -> ExchangeStats:
         """Run ``fn`` on every machine, then route, check and deliver.
 
-        ``fn`` returns the messages a machine sends (or None).  Budget
+        ``fn`` returns the messages a machine sends (or None).  Every
+        outbox goes through one :class:`Router` in sender order; budget
         faults are enforced against ``memory_words`` when ``enforce``.
         Errors are :class:`~repro.errors.MPCRoutingError` for a
         nonexistent destination and
         :class:`~repro.errors.MPCViolationError` for a send or receive
-        budget overflow, with :class:`SerialBackend`'s texts, raised in
-        the same machine-id order.  Payloads are delivered in arrival
-        order: sender id ascending, then send order within a sender.
+        budget overflow.  An exception from any callback outranks
+        them, even a later machine's; then the router's first routing
+        or send fault; then its first receive fault.  Payloads are
+        delivered in arrival order: sender id ascending, then send
+        order within a sender.
 
         Every earlier local step has reported by the time it returns or
         raises, and the exchange reports its own words before returning.
@@ -238,66 +326,19 @@ class SerialBackend(SuperstepBackend):
         want_sent_per_machine: bool = False,
     ) -> ExchangeStats:
         outboxes = self.run_communicate(machines, fn)
-
-        k = len(machines)
-        inboxes: List[List[Tuple[int, ...]]] = [[] for _ in machines]
-        received_words = [0] * k
-        sent_per_machine = [0] * k if want_sent_per_machine else None
-        total_messages = 0
-        total_words = 0
-        max_sent = 0
-
+        budget = memory_words if enforce else None
+        router = Router(len(machines), budget, want_sent_per_machine)
         for sender, outbox in enumerate(outboxes):
-            sent_words = 0
-            for message in outbox:
-                dst = message.dst
-                payload = message.payload
-                # Both bounds matter: a negative dst would silently wrap
-                # via Python list indexing and deliver to machine k+dst.
-                if not 0 <= dst < k:
-                    raise MPCRoutingError(
-                        f"machine {sender} sent to nonexistent machine "
-                        f"{dst} (k={k})"
-                    )
-                w = len(payload)
-                sent_words += w
-                received_words[dst] += w
-                inboxes[dst].append(payload)
-            total_messages += len(outbox)
-            total_words += sent_words
-            if sent_words > max_sent:
-                max_sent = sent_words
-            if sent_per_machine is not None:
-                sent_per_machine[sender] = sent_words
-            if enforce and sent_words > memory_words:
-                raise MPCViolationError(
-                    f"machine {sender} sent {sent_words} words in one round, "
-                    f"budget S={memory_words}"
-                )
-
-        max_received = max(received_words, default=0)
-        if enforce:
-            for mid, words in enumerate(received_words):
-                if words > memory_words:
-                    raise MPCViolationError(
-                        f"machine {mid} received {words} words in one "
-                        f"round, budget S={memory_words}"
-                    )
-
-        # Arrival order: sender id, then send order.  Each inbox's price
-        # is its received count, so the audit never walks it.
-        for machine, inbox, words in zip(machines, inboxes, received_words):
+            router.route(sender, outbox)
+        stats = router.finish()
+        # Each inbox's price is its received count, so the audit never
+        # walks it.
+        for machine, inbox, words in zip(
+            machines, router.inboxes, router.received_words
+        ):
             machine.deliver(inbox, words)
         self._reports.append([machine.memory_words() for machine in machines])
-
-        return ExchangeStats(
-            total_messages=total_messages,
-            total_words=total_words,
-            max_sent=max_sent,
-            max_received=max_received,
-            received_per_machine=received_words,
-            sent_per_machine=sent_per_machine,
-        )
+        return stats
 
     def stats(self) -> Dict[str, int]:
         return dict(self._stats)

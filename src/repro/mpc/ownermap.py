@@ -214,7 +214,9 @@ def deserialize_owner_map(data: Tuple[int, ...]):
     an input-validation boundary, not an internal invariant.
     """
     if not isinstance(data, (tuple, list)) or not data:
-        raise MPCConfigError(f"owner-map payload must be a non-empty tuple, got {data!r}")
+        raise MPCConfigError(
+            f"owner-map payload must be a non-empty tuple, got {data!r}"
+        )
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in data):
         raise MPCConfigError(f"owner-map payload must be all ints, got {data!r}")
     kind = data[0]

@@ -14,11 +14,14 @@ Determinism is preserved by construction, not by luck:
 * Supersteps process shards in ascending order and machines in ascending
   id within a shard — the global visitation order is exactly the serial
   backend's.
-* The exchange spools messages to per-destination-shard chunk files in
-  the order senders produce them (sender id ascending, then send order),
-  so concatenating a spool file reproduces the serial arrival order
-  bit-for-bit.  No process ever buffers a full round's traffic: spool
-  buffers flush every :data:`CHUNK_MESSAGES` messages.
+* The exchange hands each sender's outbox, right after its callback,
+  to :class:`~repro.mpc.backends.Router` (the serial backend's router
+  too), which appends each payload to its destination machine's
+  pending list.  Once :data:`CHUNK_MESSAGES` payloads are pending, each
+  destination shard's per-machine lists go to its spool file as one
+  chunk; extending every inbox from the chunks in write order
+  reproduces the serial arrival order (sender id ascending, then send
+  order) bit-for-bit.  No process ever buffers a full round's traffic.
 * Work waits for the next visit: each shard keeps one ordered queue of
   pending work — the exchange deliveries it has not loaded yet and the
   local steps issued since — and the shard's next load (from an
@@ -31,12 +34,13 @@ Determinism is preserved by construction, not by luck:
   it.  The settle points — :meth:`ShardBackend.settle` and
   :meth:`~ShardBackend.run_local` — replay every queued local step at
   once.
-* Budget violations and routing errors are raised with the identical
-  type, message text, and machine-id order as the serial routing loop in
-  :meth:`~repro.mpc.backends.SerialBackend.run_exchange` — the
-  refactor-parity oracle's shard legs pin this.  When anything raises during a visit,
-  the earlier queued work is first replayed on the remaining shards, so
-  the simulator can raise the earliest failure in serial order.
+* Budget violations and routing errors come from that same router, so
+  their types and texts are the serial ones; the router holds a
+  routing or send fault until every callback of the exchange has run,
+  so the order is the serial one too.  When anything raises during a
+  visit, the earlier queued work is first replayed on the remaining
+  shards, so the simulator can raise the earliest failure in serial
+  order.
 
 Driver-side code must not touch ``machines[i].store`` directly while this
 backend owns state (the resident copy is usually a cleared husk); reads
@@ -65,10 +69,11 @@ from typing import (
     Union,
 )
 
-from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
+from repro.errors import MPCConfigError
 from repro.mpc.backends import (
     ExchangeStats,
     MachineFn,
+    Router,
     SuperstepBackend,
     harvest_targets,
 )
@@ -86,8 +91,9 @@ __all__ = [
 
 DEFAULT_NUM_SHARDS = 4
 
-#: Messages per spool flush: the driver buffers at most this many per
-#: destination shard during an exchange.  Driver memory only — flush
+#: Pending payloads that trigger a spool flush, checked after each
+#: sender: the driver holds at most this many plus one outbox during an
+#: exchange, in per-machine lists.  Driver memory only — flush
 #: boundaries appear in no model quantity.
 CHUNK_MESSAGES = 4096
 
@@ -168,7 +174,6 @@ class ShardBackend(SuperstepBackend):
         self._own_dir = False
         self._machines: Sequence[Machine] = ()
         self._shards: List[range] = []
-        self._shard_of: List[int] = []
         self._words: List[int] = []
         self._store_words: List[int] = []
         # One held state file per shard, opened at attach.
@@ -232,10 +237,6 @@ class ShardBackend(SuperstepBackend):
                 f"cannot hold {num_shards} shard state files open "
                 f"({exc.strerror or exc}); use fewer shards"
             ) from exc
-        self._shard_of = [0] * k
-        for sid, rng in enumerate(self._shards):
-            for mid in rng:
-                self._shard_of[mid] = sid
         self._words = [0] * k
         self._store_words = [0] * k
         self._queues = [deque() for _ in range(num_shards)]
@@ -327,24 +328,27 @@ class ShardBackend(SuperstepBackend):
     def _deliver(self, sid: int, delivery: _Delivery) -> None:
         """Replace a loaded shard's inboxes with an exchange's spool.
 
-        The spool is replayed in write order — sender id ascending, then
-        send order — which is the serial arrival order.  Every machine
-        gets a fresh inbox (an empty one if nothing arrived) priced by
-        its received count, exactly like the serial path.
+        Each chunk holds one payload list per machine of the shard; the
+        first chunk's lists become the inboxes and later chunks extend
+        them in write order — sender id ascending, then send order —
+        which is the serial arrival order.  Every machine gets a fresh
+        inbox (an empty one if nothing arrived) priced by its received
+        count, exactly like the serial path.
         """
         machines = self._machines
         rng = self._shards[sid]
-        lo = rng.start
-        inboxes: List[List[Tuple[int, ...]]] = [[] for _ in rng]
-        if delivery.spool_path is not None:
+        if delivery.spool_path is None:
+            inboxes: List[list] = [[] for _ in rng]
+        else:
             with open(delivery.spool_path, "rb") as handle:
+                inboxes = pickle.load(handle)
                 while True:
                     try:
                         chunk = pickle.load(handle)
                     except EOFError:
                         break
-                    for dst, payload in chunk:
-                        inboxes[dst - lo].append(payload)
+                    for inbox, payloads in zip(inboxes, chunk):
+                        inbox.extend(payloads)
         received_words = delivery.received_words
         for mid, inbox in zip(rng, inboxes):
             machines[mid].deliver(inbox, received_words[mid])
@@ -420,7 +424,6 @@ class ShardBackend(SuperstepBackend):
             self._own_dir = False
             self._attached = False
             self._shards = []
-            self._shard_of = []
             self._words = []
             self._store_words = []
             self._machines = ()
@@ -479,80 +482,49 @@ class ShardBackend(SuperstepBackend):
     ) -> ExchangeStats:
         self._attach(machines)
         self._stats["exchange_steps"] += 1
-        chunk_messages = CHUNK_MESSAGES
-        k = len(machines)
-        num_shards = len(self._shards)
-        received_words = [0] * k
-        sent_per_machine = [0] * k if want_sent_per_machine else None
-        total_messages = 0
-        total_words = 0
-        max_sent = 0
+        budget = memory_words if enforce else None
+        router = Router(len(machines), budget, want_sent_per_machine)
 
-        # Run senders shard by shard (ascending mid = serial order) and
-        # spool each message toward its destination shard.  Visiting a
+        # Run senders shard by shard (ascending mid = serial order),
+        # routing each outbox right after its callback.  Visiting a
         # sender shard first replays its queue — the previous exchange's
         # spool and the local steps issued since — so this exchange
-        # writes the other parity's spool files.  Buffers flush every
-        # ``CHUNK_MESSAGES`` messages, so the driver holds
-        # O(chunk · shards) payloads, never the full round.
+        # writes the other parity's spool files.  Once ``CHUNK_MESSAGES``
+        # payloads are pending, every destination shard's per-machine
+        # lists go to its spool, so the driver never holds the full
+        # round.
         seq = self._seq
         self._seq += 1
         parity = self._parity
-        buffers: List[List[Tuple[int, Tuple[int, ...]]]] = [
-            [] for _ in range(num_shards)
-        ]
-        spools: List[Optional[object]] = [None] * num_shards
+        spools: List[Optional[BinaryIO]] = [None] * len(self._shards)
+        spooled = 0  # router.messages at the last flush
 
-        def _flush(dst_sid: int) -> None:
-            if not buffers[dst_sid]:
-                return
-            if spools[dst_sid] is None:
-                spools[dst_sid] = open(self._spool_path(dst_sid, parity), "wb")
-            pickle.dump(
-                buffers[dst_sid],
-                spools[dst_sid],
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            self._stats["chunks_spooled"] += 1
-            buffers[dst_sid] = []
+        def _spool() -> None:
+            nonlocal spooled
+            spooled = router.messages
+            inboxes = router.inboxes
+            for dst_sid, rng in enumerate(self._shards):
+                lists = inboxes[rng.start:rng.stop]
+                if not any(lists):
+                    continue
+                if spools[dst_sid] is None:
+                    spools[dst_sid] = open(self._spool_path(dst_sid, parity), "wb")
+                pickle.dump(
+                    lists, spools[dst_sid], protocol=pickle.HIGHEST_PROTOCOL
+                )
+                self._stats["chunks_spooled"] += 1
+                inboxes[rng.start:rng.stop] = [[] for _ in rng]
 
-        shard_of = self._shard_of
         try:
-            for sid in range(num_shards):
+            for sid, rng in enumerate(self._shards):
                 self._visit(sid)
-                for sender in self._shards[sid]:
-                    outbox = fn(machines[sender])
-                    sent_words = 0
-                    for message in outbox if outbox is not None else ():
-                        dst = message.dst
-                        payload = message.payload
-                        if not 0 <= dst < k:
-                            raise MPCRoutingError(
-                                f"machine {sender} sent to nonexistent "
-                                f"machine {dst} (k={k})"
-                            )
-                        w = len(payload)
-                        sent_words += w
-                        received_words[dst] += w
-                        dst_sid = shard_of[dst]
-                        buffer = buffers[dst_sid]
-                        buffer.append((dst, payload))
-                        if len(buffer) >= chunk_messages:
-                            _flush(dst_sid)
-                        total_messages += 1
-                    total_words += sent_words
-                    if sent_words > max_sent:
-                        max_sent = sent_words
-                    if sent_per_machine is not None:
-                        sent_per_machine[sender] = sent_words
-                    if enforce and sent_words > memory_words:
-                        raise MPCViolationError(
-                            f"machine {sender} sent {sent_words} words in "
-                            f"one round, budget S={memory_words}"
-                        )
+                for sender in rng:
+                    router.route(sender, fn(machines[sender]))
+                    if router.messages - spooled >= CHUNK_MESSAGES:
+                        _spool()
                 self._spill(sid)
-            for dst_sid in range(num_shards):
-                _flush(dst_sid)
+            stats = router.finish()
+            _spool()
         except BaseException:
             self._recover()
             raise
@@ -561,20 +533,11 @@ class ShardBackend(SuperstepBackend):
                 if spool is not None:
                     spool.close()
 
-        # Every shard was visited, so nothing older is left to replay.
-        max_received = max(received_words, default=0)
-        if enforce:
-            for mid, words in enumerate(received_words):
-                if words > memory_words:
-                    raise MPCViolationError(
-                        f"machine {mid} received {words} words in one "
-                        f"round, budget S={memory_words}"
-                    )
-
         # Leave every shard's delivery to its next load.  The accounting
         # does not wait: each machine now holds its store as spilled
         # above plus its received words, and each shard's total is a
         # residency high-water candidate, as if delivered right here.
+        received_words = stats.received_per_machine
         store_words = self._store_words
         for sid, rng in enumerate(self._shards):
             resident = 0
@@ -591,15 +554,7 @@ class ShardBackend(SuperstepBackend):
             )
         self._parity = 1 - parity
         self._reports.append(list(self._words))
-
-        return ExchangeStats(
-            total_messages=total_messages,
-            total_words=total_words,
-            max_sent=max_sent,
-            max_received=max_received,
-            received_per_machine=received_words,
-            sent_per_machine=sent_per_machine,
-        )
+        return stats
 
     # -- driver access --------------------------------------------------
     def run_harvest(
@@ -611,14 +566,15 @@ class ShardBackend(SuperstepBackend):
         target_ids = harvest_targets(len(machines), only)
         self._attach(machines)
         self._stats["harvests"] += 1
-        by_shard: Dict[int, List[int]] = {}
-        for mid in target_ids:
-            by_shard.setdefault(self._shard_of[mid], []).append(mid)
+        wanted = sorted(target_ids)
         results: Dict[int, object] = {}
         try:
-            for sid in sorted(by_shard):
+            for sid, rng in enumerate(self._shards):
+                mids = [mid for mid in wanted if mid in rng]
+                if not mids:
+                    continue
                 self._visit(sid)
-                for mid in sorted(by_shard[sid]):
+                for mid in mids:
                     results[mid] = fn(machines[mid])
                 # fn may have mutated (popped a staging key, planted a
                 # value): the spill persists it.

@@ -489,11 +489,6 @@ class ServiceTrace:
             }
         return summary
 
-    def merge_counters(self, counters: Dict[str, int]) -> None:
-        """Fold an external counter dict in (e.g. a cache's totals)."""
-        for key, value in counters.items():
-            self.counters[key] = self.counters.get(key, 0) + value
-
     def summary(self) -> Dict[str, Any]:
         """The closing summary record (also useful without an export)."""
         summary = {"type": "summary", "events": len(self.events),

@@ -417,6 +417,27 @@ class TestErrorOrder:
         kind, text = self._compare(script, tmp_path)
         assert (kind, text) == (ValueError, "callback fault on machine 6")
 
+    @pytest.mark.parametrize(
+        "outbox",
+        [
+            [Message(99, (1,))],  # nonexistent destination
+            [Message(1, tuple(range(20)))],  # 20 words over S=16
+        ],
+        ids=["nonexistent-dst", "send-overrun"],
+    )
+    def test_later_callback_fault_outranks_earlier_routing_fault(
+        self, outbox, tmp_path
+    ):
+        # Serially every callback runs before any message is routed, so
+        # machine 6's exception (shard 3) wins over machine 1's fault.
+        def sends(m):
+            if m.mid == 6:
+                raise ValueError("callback fault on machine 6")
+            return outbox if m.mid == 1 else []
+
+        kind, text = self._compare(lambda sim: sim.communicate(sends), tmp_path)
+        assert (kind, text) == (ValueError, "callback fault on machine 6")
+
     def test_lowest_machine_fault_wins_within_a_step(self, tmp_path):
         def step(m):
             if m.mid in (2, 7):
