@@ -3,8 +3,7 @@
 Runs a small fixed set of cells — the E1 smallest row, an E10-style
 chunk ablation at n ≤ 512, the E12 service round-trip, the E13 kernel
 head-to-head, the E14 streamed out-of-core solve, the E15 daemon
-traffic replay, the E16 degree-class-family solve, and the E17 governed
-dense-stress triplet — and compares
+traffic replay, and the E16 degree-class-family solve — and compares
 them against the checked-in baseline
 ``benchmarks/results/ci_baseline.json``:
 
@@ -231,19 +230,6 @@ def run_e16_families() -> Measurement:
     return ci_cell()
 
 
-def run_e17_dense_stress() -> Measurement:
-    """E17's gate cell: governed exponentiation's fault-rescue-parity triplet.
-
-    Exact: the ungoverned fault, the governed members (size + checksum)
-    against the enforcement-lifted ungoverned reference, and full
-    bit-identity (members, rounds, words) on the feasible leg — any
-    drift is a real planner-contract violation (DESIGN.md section 15).
-    """
-    from benchmarks.bench_e17_dense_stress import ci_cell
-
-    return ci_cell()
-
-
 CELLS = {
     "e1_small_det_ruling": partial(run_e1_small, DET_RULING),
     "e1_small_det_luby": partial(run_e1_small, DET_LUBY),
@@ -254,7 +240,6 @@ CELLS = {
     "e14_shard_scale": run_e14_shard,
     "e15_serve_replay": run_e15_serve,
     "e16_families": run_e16_families,
-    "e17_dense_stress": run_e17_dense_stress,
 }
 
 

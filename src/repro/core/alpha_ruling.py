@@ -66,9 +66,13 @@ def alpha_program(
     installed under the ``alpha-exponentiation`` phase in one
     budget-charged local step (each machine's slice of the power graph
     must fit its memory exactly as if exponentiation had produced it).
-    When ``None`` (direct engine callers), the in-model doubling
-    primitive builds it, pricing the ``O(log α)`` exponentiation rounds
-    — E9 measures that path explicitly.
+    When ``None``, the in-model doubling primitive builds it, pricing
+    the ``O(log α)`` exponentiation rounds and faulting where the
+    growing balls overrun the budget.  Only direct engine tests take
+    that path (E8 drives the same primitive through
+    :func:`~repro.core.exponentiation.grow_balls`); E9 and every solver
+    go through :func:`~repro.core.pipeline.solve_ruling_set`, which
+    passes a prebuilt graph.
     """
     if alpha < 2:
         raise AlgorithmError(f"alpha must be >= 2, got {alpha}")
@@ -83,14 +87,8 @@ def alpha_program(
     def exponentiate(ctx: ProgramContext) -> None:
         dg, sim = ctx.dg, ctx.sim
         if power_adjacency is None:
-            # Under ``governed`` dense graphs degrade to windowed growth
-            # steps instead of faulting the per-round budget; the balls
-            # are identical.
             power_graph_adjacency(
-                dg,
-                alpha - 1,
-                out_adj_key="alpha_power_adj",
-                governed=sim.config.governed,
+                dg, alpha - 1, out_adj_key="alpha_power_adj"
             )
 
             def swap_in_power(machine: Machine) -> None:

@@ -76,15 +76,6 @@ class MPCConfig:
     ``REPRO_KERNEL`` environment variable, then the reference kernel.
     Like ``backend``, this is an execution strategy, never semantics:
     both kernels are bit-identical by contract.
-
-    ``governed`` lets α > 2 in-model exponentiation (an
-    :func:`~repro.core.alpha_ruling.alpha_program` run without a
-    prebuilt power graph; solver sessions install a prebuilt one) plan
-    windowed growth steps against ``memory_words``
-    (:func:`repro.core.exponentiation.plan_batch`) instead of faulting
-    the per-round budget.  Members and error texts never change, and a
-    run whose full window fits is bit-identical to an ungoverned one,
-    rounds included (DESIGN.md section 15).
     """
 
     num_machines: int
@@ -95,7 +86,6 @@ class MPCConfig:
     num_shards: int = 0
     trace: bool = False
     kernel: Optional[str] = None
-    governed: bool = False
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
@@ -130,10 +120,6 @@ class MPCConfig:
     def with_trace(self, enabled: bool = True) -> "MPCConfig":
         """Copy of this config with tracing toggled (observer only)."""
         return replace(self, trace=enabled)
-
-    def with_governor(self, enabled: bool = True) -> "MPCConfig":
-        """Copy of this config with governed exponentiation toggled."""
-        return replace(self, governed=enabled)
 
     @property
     def total_memory(self) -> int:

@@ -6,8 +6,9 @@ graph) real memory.  :class:`ShardBackend` honours the memory constraint
 at the *simulator* level: machines are grouped into contiguous id-ordered
 shards, each shard's ``(store, inbox)`` state lives pickled in a spill
 file, and only **one shard is resident at a time**.  Each shard's spill
-file is opened once and held; every spill still writes the shard's whole
-state out of the process before the next shard is loaded.
+file and its two spool files are opened once and held; every spill
+still writes the shard's whole state out of the process before the next
+shard is loaded.
 
 Determinism is preserved by construction, not by luck:
 
@@ -138,11 +139,11 @@ class _Step:
 
 
 class _Delivery(NamedTuple):
-    """An exchange's inboxes for one shard: its spool (None when nothing
-    arrived) and every machine's received count."""
+    """An exchange's inboxes for one shard: its held spool handle (None
+    when nothing arrived) and every machine's received count."""
 
     seq: int
-    spool_path: Optional[str]
+    spool: Optional[BinaryIO]
     received_words: List[int]
 
 
@@ -178,6 +179,8 @@ class ShardBackend(SuperstepBackend):
         self._store_words: List[int] = []
         # One held state file per shard, opened at attach.
         self._files: List[BinaryIO] = []
+        # Per shard, one held spool file per parity, opened at attach.
+        self._spools: List[List[BinaryIO]] = []
         # Per shard: the work its next load replays, oldest first.
         self._queues: List[Deque[_Work]] = []
         # Issue order of queued work (locals and exchanges share it).
@@ -230,11 +233,17 @@ class ShardBackend(SuperstepBackend):
         num_shards = len(self._shards)
         try:
             for sid in range(num_shards):
-                self._files.append(open(self._state_path(sid), "w+b"))
+                self._files.append(open(self._path(f"shard_{sid}"), "w+b"))
+                self._spools.append([])
+                for parity in (0, 1):
+                    self._spools[sid].append(
+                        open(self._path(f"spool_{sid}_{parity}"), "w+b")
+                    )
         except OSError as exc:
             self.shutdown()
             raise MPCConfigError(
-                f"cannot hold {num_shards} shard state files open "
+                f"cannot hold {3 * num_shards} files open for {num_shards} "
+                f"shards, a state file and two spools each "
                 f"({exc.strerror or exc}); use fewer shards"
             ) from exc
         self._words = [0] * k
@@ -245,11 +254,8 @@ class ShardBackend(SuperstepBackend):
             self._spill(sid)
         self._attached = True
 
-    def _state_path(self, sid: int) -> str:
-        return os.path.join(self._ensure_dir(), f"shard_{sid}.pkl")
-
-    def _spool_path(self, sid: int, parity: int) -> str:
-        return os.path.join(self._ensure_dir(), f"spool_{sid}_{parity}.pkl")
+    def _path(self, name: str) -> str:
+        return os.path.join(self._ensure_dir(), f"{name}.pkl")
 
     def _load(self, sid: int) -> None:
         machines = self._machines
@@ -337,18 +343,19 @@ class ShardBackend(SuperstepBackend):
         """
         machines = self._machines
         rng = self._shards[sid]
-        if delivery.spool_path is None:
+        handle = delivery.spool
+        if handle is None:
             inboxes: List[list] = [[] for _ in rng]
         else:
-            with open(delivery.spool_path, "rb") as handle:
-                inboxes = pickle.load(handle)
-                while True:
-                    try:
-                        chunk = pickle.load(handle)
-                    except EOFError:
-                        break
-                    for inbox, payloads in zip(inboxes, chunk):
-                        inbox.extend(payloads)
+            handle.seek(0)
+            inboxes = pickle.load(handle)
+            while True:
+                try:
+                    chunk = pickle.load(handle)
+                except EOFError:
+                    break
+                for inbox, payloads in zip(inboxes, chunk):
+                    inbox.extend(payloads)
         received_words = delivery.received_words
         for mid, inbox in zip(rng, inboxes):
             machines[mid].deliver(inbox, received_words[mid])
@@ -414,6 +421,8 @@ class ShardBackend(SuperstepBackend):
 
     def shutdown(self) -> None:
         files, self._files = self._files, []
+        files.extend(handle for pair in self._spools for handle in pair)
+        self._spools = []
         try:
             for handle in files:
                 handle.close()
@@ -496,6 +505,8 @@ class ShardBackend(SuperstepBackend):
         seq = self._seq
         self._seq += 1
         parity = self._parity
+        # Per destination shard: its spool handle once this exchange has
+        # written to it (rewound and truncated at the first write).
         spools: List[Optional[BinaryIO]] = [None] * len(self._shards)
         spooled = 0  # router.messages at the last flush
 
@@ -507,11 +518,12 @@ class ShardBackend(SuperstepBackend):
                 lists = inboxes[rng.start:rng.stop]
                 if not any(lists):
                     continue
-                if spools[dst_sid] is None:
-                    spools[dst_sid] = open(self._spool_path(dst_sid, parity), "wb")
-                pickle.dump(
-                    lists, spools[dst_sid], protocol=pickle.HIGHEST_PROTOCOL
-                )
+                handle = spools[dst_sid]
+                if handle is None:
+                    handle = spools[dst_sid] = self._spools[dst_sid][parity]
+                    handle.seek(0)
+                    handle.truncate()
+                pickle.dump(lists, handle, protocol=pickle.HIGHEST_PROTOCOL)
                 self._stats["chunks_spooled"] += 1
                 inboxes[rng.start:rng.stop] = [[] for _ in rng]
 
@@ -528,10 +540,6 @@ class ShardBackend(SuperstepBackend):
         except BaseException:
             self._recover()
             raise
-        finally:
-            for spool in spools:
-                if spool is not None:
-                    spool.close()
 
         # Leave every shard's delivery to its next load.  The accounting
         # does not wait: each machine now holds its store as spilled
@@ -546,11 +554,8 @@ class ShardBackend(SuperstepBackend):
                 self._words[mid] = words
                 resident += words
             self._note_resident(resident, len(rng))
-            spool_path = (
-                None if spools[sid] is None else self._spool_path(sid, parity)
-            )
             self._queues[sid].append(
-                _Delivery(seq, spool_path, received_words)
+                _Delivery(seq, spools[sid], received_words)
             )
         self._parity = 1 - parity
         self._reports.append(list(self._words))

@@ -66,7 +66,6 @@ from repro.serve.engine import BatchEngine
 
 __all__ = [
     "AdmissionPolicy",
-    "PeakHold",
     "ServeDaemon",
     "drive_requests",
     "estimate_request_words",
@@ -133,32 +132,6 @@ def estimate_request_words(data: Dict[str, Any]) -> int:
     return MPCConfig.input_words(n, _estimate_edges(family, n, param))
 
 
-class PeakHold:
-    """Strict peak-hold of a non-negative word signal.
-
-    The held value is the largest observation so far; integer
-    arithmetic throughout, so it is a deterministic function of the
-    observation sequence.
-
-    >>> ph = PeakHold()
-    >>> for words in (10, 80, 30):
-    ...     ph.observe(words)
-    >>> ph.peak
-    80
-    """
-
-    __slots__ = ("peak", "observations")
-
-    def __init__(self) -> None:
-        self.peak = 0
-        self.observations = 0
-
-    def observe(self, value: int) -> None:
-        """Fold one observation (negative values clamp to zero)."""
-        self.peak = max(self.peak, int(value))
-        self.observations += 1
-
-
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """The daemon's load-shedding contract.
@@ -175,9 +148,9 @@ class AdmissionPolicy:
     zero words against ``max_inflight_words`` — i.e. bypass the inflight
     cap entirely.  When positive, unpriceable requests are charged
     ``max(default_request_words, peak priced estimate seen so far)`` —
-    a :class:`PeakHold` conservative guess (an unknown request is
-    assumed as heavy as the heaviest known one).  0 keeps the legacy
-    admit-at-zero behaviour.
+    a conservative guess (an unknown request is assumed as heavy as
+    the heaviest known one).  0 keeps the legacy admit-at-zero
+    behaviour.
     """
 
     max_queue: int = 64
@@ -253,9 +226,9 @@ class ServeDaemon:
         self._index = 0
         self._served = 0
         self._refused = 0
-        # Peak-hold of priced estimates: prices unpriceable requests
+        # Largest priced estimate so far: prices unpriceable requests
         # when the policy opts in via default_request_words.
-        self._load_peak = PeakHold()
+        self._peak_request_words = 0
         self._unpriceable_priced = 0
         self._wake = asyncio.Event()
         self._shutdown = asyncio.Event()
@@ -306,13 +279,15 @@ class ServeDaemon:
         est_words = estimate_request_words(data)
         policy = self.policy
         if est_words > 0:
-            self._load_peak.observe(est_words)
+            self._peak_request_words = max(
+                self._peak_request_words, est_words
+            )
         elif policy.default_request_words > 0:
             # Unpriceable: charge the conservative default, lifted to
-            # the heaviest priced estimate seen (peak-hold) —
-            # never a free pass through max_inflight_words.
+            # the heaviest priced estimate seen — never a free pass
+            # through max_inflight_words.
             est_words = max(
-                policy.default_request_words, self._load_peak.peak
+                policy.default_request_words, self._peak_request_words
             )
             self._unpriceable_priced += 1
         if self._shutdown.is_set():
@@ -453,7 +428,7 @@ class ServeDaemon:
             "max_queue": self.policy.max_queue,
             "max_inflight_words": self.policy.max_inflight_words,
             "default_request_words": self.policy.default_request_words,
-            "peak_request_words": self._load_peak.peak,
+            "peak_request_words": self._peak_request_words,
             "unpriceable_priced": self._unpriceable_priced,
             "workers": self.workers,
             "counters": dict(sorted(self.engine.trace.counters.items())),

@@ -82,83 +82,3 @@ class TestPowerGraphAdjacency:
         for v in graph.vertices():
             assert list(collected[v]) == list(expected.neighbors(v))
 
-
-class TestBatchedGrowth:
-    """Windowed α>2 growth: identical balls, smaller per-round traffic."""
-
-    @pytest.mark.parametrize("radius", [2, 3, 4, 5])
-    @pytest.mark.parametrize("batch", [1, 7, 16, 1000])
-    def test_balls_bit_identical_to_unbatched(self, radius, batch):
-        graph = gen.gnp_random_graph(48, 4, 48, seed=radius)
-        dg, sim = load(graph)
-        grow_balls(dg, radius)
-        expected = collect_balls(sim)
-        sim.shutdown()
-
-        dg, sim = load(graph)
-        grow_balls(dg, radius, batch_vertices=batch)
-        assert collect_balls(sim) == expected
-        sim.shutdown()
-
-    def test_batching_lowers_per_round_traffic(self):
-        graph = gen.gnp_random_graph(64, 6, 64, seed=9)
-
-        def peak_traffic(batch):
-            dg, sim = load(graph, s=1 << 20)
-            grow_balls(dg, 4, batch_vertices=batch)
-            summary = sim.metrics.summary()
-            sim.shutdown()
-            return summary["max_words_sent"], summary["max_words_received"]
-
-        unbatched = peak_traffic(None)
-        batched = peak_traffic(8)
-        assert batched[0] < unbatched[0]
-        assert batched[1] < unbatched[1]
-
-    def test_batching_fits_where_unbatched_faults(self):
-        # The point of the feature: a budget that unbatched ball-growing
-        # blows is honoured when the traffic is spread across windows.
-        graph = gen.gnp_random_graph(56, 5, 56, seed=3)
-        dg, sim = load(graph, s=1 << 20)
-        grow_balls(dg, 3)
-        budget = sim.metrics.summary()["max_words_received"] - 1
-        sim.shutdown()
-
-        dg, sim = load(graph, s=budget)
-        with pytest.raises(MPCViolationError):
-            grow_balls(dg, 3)
-        sim.shutdown()
-
-        dg, sim = load(graph, s=budget)
-        grow_balls(dg, 3, batch_vertices=4)
-        sim.shutdown()
-
-    def test_snapshot_key_is_cleaned_up(self):
-        graph = gen.cycle_graph(12)
-        dg, sim = load(graph)
-        grow_balls(dg, 3, batch_vertices=4)
-        assert all(
-            "_exp_snapshot" not in m.store for m in sim.machines
-        )
-        sim.shutdown()
-
-    def test_power_graph_adjacency_batched(self):
-        graph = gen.random_tree(30, seed=5)
-        dg, sim = load(graph)
-        power_graph_adjacency(dg, 3, "g3", batch_vertices=5)
-        got = {}
-        for machine in sim.machines:
-            got.update(machine.store["g3"])
-        sim.shutdown()
-        expected_graph = power_graph(graph, 3)
-        expected = {
-            v: tuple(expected_graph.neighbors(v))
-            for v in expected_graph.vertices()
-        }
-        assert got == expected
-
-    def test_bad_batch_size_rejected(self, path4):
-        dg, sim = load(path4)
-        with pytest.raises(AlgorithmError, match="batch_vertices"):
-            grow_balls(dg, 2, batch_vertices=0)
-        sim.shutdown()

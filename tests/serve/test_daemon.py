@@ -548,28 +548,35 @@ class TestUnpriceableAdmission:
         assert record["_serve"]["est_words"] == 100
 
     def test_peak_hold_lifts_the_unpriceable_price(self):
-        priced = _request("priced", n=512, param=8)
-        est = estimate_request_words(priced)
-        assert est > 1
+        heavy = _request("heavy", n=512, param=8)
+        light = _request("light", n=64, param=6)
+        heavy_est = estimate_request_words(heavy)
+        light_est = estimate_request_words(light)
+        assert heavy_est > light_est > 1
         daemon = ServeDaemon(
             _engine(),
             policy=AdmissionPolicy(
                 max_queue=4,
-                max_inflight_words=est + 1,  # room for priced, not 2x
+                # Room for both priced requests plus light_est more,
+                # not heavy_est more.
+                max_inflight_words=heavy_est + 2 * light_est,
                 default_request_words=1,
             ),
         )
 
         async def scenario():
-            refusal, future = daemon.admit(priced)  # holds est words
-            assert refusal is None
+            for request in (heavy, light):  # heavier first
+                refusal, future = daemon.admit(request)
+                assert refusal is None
             return daemon.admit(self.unpriceable("u"))[0]
 
         record = asyncio.run(scenario())
         # The unknown request is assumed as heavy as the heaviest known
-        # one: charged est (> default 1), which busts the cap.
+        # one — the peak, not the latest priced estimate (light) —
+        # which busts the cap.
         assert record["status"] == "refused"
-        assert record["_serve"]["est_words"] == est
+        assert record["_serve"]["est_words"] == heavy_est
+        assert daemon.stats()["peak_request_words"] == heavy_est
         assert daemon.stats()["unpriceable_priced"] == 1
 
     def test_stats_surface_the_governor_state(self):
