@@ -6,6 +6,7 @@ from repro.core.det_ruling import ruling_program
 from repro.core.engine_ops import sampling_rate as _sampling_rate
 from repro.core.program import run_program
 from repro.core.verify import check_ruling_set, verify_ruling_set
+from repro.derand.family import Seed
 from repro.errors import AlgorithmError
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
@@ -14,7 +15,7 @@ from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.simulator import Simulator
 
 
-def run_det_ruling(graph, beta=2, regime="sublinear"):
+def run_det_ruling(graph, beta=2, regime="sublinear", chooser=None):
     if regime == "sublinear":
         cfg = MPCConfig.sublinear(
             graph.num_vertices, graph.num_edges,
@@ -28,7 +29,7 @@ def run_det_ruling(graph, beta=2, regime="sublinear"):
     sim = Simulator(cfg)
     dg = DistributedGraph.load(sim, graph)
     counters = run_program(
-        dg, ruling_program(beta=beta, in_set_key="rs")
+        dg, ruling_program(beta=beta, in_set_key="rs", chooser=chooser)
     ).counters
     return dg.collect_marked("rs"), counters, sim
 
@@ -108,3 +109,18 @@ class TestDetRuling:
         graph = gen.gnp_random_graph(120, 1, 10, seed=6)
         members, _, _ = run_det_ruling(graph, beta=3)
         assert check_ruling_set(graph, members).measured_beta <= 3
+
+    def test_empty_level_falls_back_to_residual_luby(self):
+        # Seed(0, T, p) hashes every id to T, so the level samples no
+        # vertex: the deepest level is empty and the solve step runs
+        # one Luby MIS on the whole residual instead.
+        def empty_chooser(dg, p, adj_key, threshold, *_):
+            return Seed(0, threshold, p), 1
+
+        graph = gen.gnp_random_graph(256, 16, 256, seed=4)
+        members, counters, _ = run_det_ruling(graph, chooser=empty_chooser)
+        verify_ruling_set(graph, members, alpha=2, beta=2)
+        assert counters["endgame_luby"] == 1
+        assert counters["levels_built"] == 1
+        assert counters["level_gathers"] == 0
+        assert counters["level_luby_solves"] == 0
