@@ -21,7 +21,8 @@ iteration of the main loop:
 
 2. **Solve** the deepest level: gather its subgraph to machine 0 and run
    greedy MIS there if it fits half a machine's memory, otherwise fall
-   back to the distributed derandomized Luby MIS on that level.
+   back to the distributed derandomized Luby MIS on that level (or, if
+   sampling left the level empty, one Luby MIS on the whole residual).
 
 3. **Remove** everything within β hops of the new members (a β-round
    flag wave on the original adjacency), so every removed vertex is
@@ -35,34 +36,23 @@ targets only govern progress speed.  The randomized baseline runs the
 same engine with a draw-don't-scan seed chooser, so benchmark deltas
 isolate exactly the derandomization cost.
 
-The engine is expressed as a :class:`~repro.core.program.
-SuperstepProgram` (see :func:`ruling_program`); the shared superstep
-building blocks (gather-and-greedy, removal wave, layer accounting) live
-in :mod:`repro.core.engine_ops`.
+Steps 2 and 3, the two finishing arms and the iteration loop are the
+shared :func:`repro.core.engine_ops.sparsify_gather_program`, which the
+degree-class solver (:mod:`repro.core.gp_ruling`) runs too; this module
+supplies only step 1 — the level chain and its seed chooser — and the
+engine's constants (see :func:`ruling_program`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.core.det_luby import luby_program, modulus_for
 from repro.core.engine_ops import (
     adjacency_words,
-    deactivate_all,
-    gather_and_greedy,
-    merge_members,
-    removal_wave,
     sampling_rate,
+    sparsify_gather_program,
 )
-from repro.core.program import (
-    EXIT,
-    Branch,
-    Loop,
-    Phase,
-    ProgramContext,
-    SuperstepProgram,
-    run_program,
-)
+from repro.core.program import ProgramContext, SuperstepProgram
 from repro.derand.family import Seed, threshold_for_rate
 from repro.derand.seed_search import distributed_scan_seeds
 from repro.errors import AlgorithmError
@@ -72,6 +62,9 @@ from repro.mpc.primitives.aggregate import reduce_scalar
 
 IN_SET = "rs_in_set"
 ITER_MEMBERS = "rs_iter_members"
+
+#: Residual degree at which the loop hands over to the Luby engine.
+ENDGAME_DEGREE = 4
 
 # A sampling chooser returns (seed, candidates_scanned) for one level.
 SamplingChooser = Callable[
@@ -135,19 +128,17 @@ def ruling_program(
     chooser: Optional[SamplingChooser] = None,
     luby_chooser=None,
     luby_allow_stalls: int = 0,
-    endgame_degree: int = 4,
-    max_iterations: Optional[int] = None,
 ) -> SuperstepProgram:
     """The sparsify-and-gather ruling-set engine as a phase program.
 
-    Each main-loop iteration is an unlabelled measurement phase plus a
-    routed branch: ``ruling-gather-finish`` (whole residual fits one
-    machine), ``ruling-endgame-luby`` (tiny residual degree), or the
-    three-phase sparsify chain (``ruling-sparsify`` →
-    ``ruling-solve-level`` → ``ruling-removal-wave``).  Level adjacency
-    layers register with :meth:`~repro.core.program.ProgramContext.
-    push_level` and are torn down via ``release_levels`` on every exit
-    path.
+    Runs :func:`~repro.core.engine_ops.sparsify_gather_program` with
+    this engine's sampling step: the β − 1 level chain under
+    ``ruling-sparsify``, solved under ``ruling-solve-level``, removed
+    to β hops under ``ruling-removal-wave``; the loop routes under
+    ``ruling-iteration`` and ends in ``ruling-gather-finish`` or, at
+    residual degree ≤ 4, ``ruling-endgame-luby``.  It counts
+    ``iterations`` and ``levels_built``, and caps the loop at n + 2
+    iterations.
 
     Members accumulate per machine under ``store[in_set_key]``.
     ``chooser`` selects sampling seeds (default: the deterministic
@@ -162,78 +153,12 @@ def ruling_program(
         )
     choose = chooser if chooser is not None else scanning_chooser()
 
-    def level_luby(adj_key: str) -> SuperstepProgram:
-        return luby_program(
-            adj_key=adj_key, in_set_key=ITER_MEMBERS,
-            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-        )
-
-    def setup(ctx: ProgramContext) -> None:
+    def sparsify(ctx: ProgramContext, max_deg: int) -> str:
         dg, sim = ctx.dg, ctx.sim
-        ctx.state["rs_p"] = modulus_for(dg.num_vertices)
-        ctx.state["rs_budget"] = sim.config.memory_words // 2
-        ctx.state["rs_limit"] = (
-            max_iterations
-            if max_iterations is not None
-            else dg.num_vertices + 2
-        )
-
-        def ensure_sets(machine: Machine) -> None:
-            if in_set_key not in machine.store:
-                machine.store[in_set_key] = set()
-            machine.store[ITER_MEMBERS] = set()
-
-        sim.local(ensure_sets)
-
-    def measure(ctx: ProgramContext):
-        n_act, m_act, words = adjacency_words(ctx.dg, ADJ)
-        if n_act == 0:
-            return EXIT
-        ctx.counters["iterations"] += 1
-        ctx.state["rs_words"] = words
-        return None
-
-    def route(ctx: ProgramContext) -> None:
-        # Runs under the "ruling-iteration" label: picks the arm and, on
-        # the sparsify path, measures the residual degree (that reduction
-        # is only paid when the residual does not fit one machine).
-        if ctx.state["rs_words"] <= ctx.state["rs_budget"]:
-            ctx.state["rs_route"] = "gather"
-            return
-        max_deg = ctx.dg.max_active_degree(ADJ)
-        if max_deg <= endgame_degree:
-            ctx.state["rs_route"] = "endgame"
-            return
-        ctx.state["rs_route"] = "sparsify"
-        ctx.state["rs_max_deg"] = max_deg
-
-    def gather_finish(ctx: ProgramContext):
-        members = gather_and_greedy(ctx.dg, ADJ, ITER_MEMBERS)
-        ctx.counters["gather_finishes"] += 1
-        ctx.counters["members"] += members
-        merge_members(ctx.sim, in_set_key, ITER_MEMBERS)
-        deactivate_all(ctx.dg, ADJ)
-        return EXIT
-
-    def _residual_luby(ctx: ProgramContext) -> None:
-        # Guaranteed-progress fallback: one full Luby MIS on the residual.
-        sub = run_program(ctx.dg, level_luby(ADJ)).counters
-        ctx.counters["endgame_luby"] += 1
-        ctx.counters["seed_candidates"] += sub["seed_candidates"]
-        ctx.counters["members"] += merge_members(
-            ctx.sim, in_set_key, ITER_MEMBERS
-        )
-
-    def endgame(ctx: ProgramContext):
-        _residual_luby(ctx)
-        return EXIT
-
-    def sparsify(ctx: ProgramContext) -> None:
-        dg, sim = ctx.dg, ctx.sim
-        p = ctx.state["rs_p"]
-        budget = ctx.state["rs_budget"]
+        p = ctx.state["p"]
+        budget = ctx.state["budget"]
         prev_key = ADJ
-        level_degree = ctx.state.pop("rs_max_deg")
+        level_degree = max_deg
         for level in range(1, beta):
             rate_num, rate_den = sampling_rate(level_degree)
             threshold = threshold_for_rate(p, rate_num, rate_den)
@@ -272,92 +197,25 @@ def ruling_program(
             if n_lvl == 0 or lvl_words <= budget:
                 break
             level_degree = dg.max_active_degree(prev_key)
-            if level_degree <= endgame_degree:
+            if level_degree <= ENDGAME_DEGREE:
                 break
-        ctx.state["rs_deep_key"] = prev_key
+        return prev_key
 
-    def solve_level(ctx: ProgramContext):
-        dg, sim = ctx.dg, ctx.sim
-        prev_key = ctx.state.pop("rs_deep_key")
-        n_deep, m_deep, deep_words = adjacency_words(dg, prev_key)
-        if n_deep == 0:
-            # Sampling emptied out (legal but rare): make guaranteed
-            # progress with one full Luby MIS on the residual graph.
-            _residual_luby(ctx)
-            ctx.release_levels()
-            return EXIT
-        if deep_words <= ctx.state["rs_budget"]:
-            members = gather_and_greedy(dg, prev_key, ITER_MEMBERS)
-            ctx.counters["level_gathers"] += 1
-        else:
-            sub = run_program(dg, level_luby(prev_key)).counters
-            ctx.counters["level_luby_solves"] += 1
-            ctx.counters["seed_candidates"] += sub["seed_candidates"]
-            members = reduce_scalar(
-                sim, lambda m: len(m.store[ITER_MEMBERS]), lambda a, b: a + b
-            )
-        if members == 0:
-            raise AlgorithmError(
-                "level solver produced no members from a non-empty level"
-            )
-        ctx.counters["members"] += members
-        return None
-
-    def remove(ctx: ProgramContext) -> None:
-        removal_wave(ctx.dg, ITER_MEMBERS, beta)
-        merge_members(ctx.sim, in_set_key, ITER_MEMBERS)
-        ctx.release_levels()
-
-    return SuperstepProgram(
+    return sparsify_gather_program(
         name="sparsify-gather",
-        counters=(
-            "iterations",
-            "levels_built",
-            "seed_candidates",
-            "gather_finishes",
-            "level_gathers",
-            "level_luby_solves",
-            "endgame_luby",
-            "members",
-        ),
-        steps=(
-            Phase(setup, keys=(in_set_key, ITER_MEMBERS)),
-            Loop(
-                steps=(
-                    Phase(measure),
-                    Phase(route, name="ruling-iteration"),
-                    Branch(
-                        pick=lambda ctx: ctx.state.pop("rs_route"),
-                        arms={
-                            "gather": (
-                                Phase(
-                                    gather_finish,
-                                    name="ruling-gather-finish",
-                                ),
-                            ),
-                            "endgame": (
-                                Phase(endgame, name="ruling-endgame-luby"),
-                            ),
-                            "sparsify": (
-                                Phase(sparsify, name="ruling-sparsify"),
-                                Phase(
-                                    solve_level,
-                                    name="ruling-solve-level",
-                                ),
-                                Phase(
-                                    remove,
-                                    name="ruling-removal-wave",
-                                ),
-                            ),
-                        },
-                    ),
-                ),
-                limit=lambda ctx: ctx.state["rs_limit"],
-                exhausted=lambda ctx: AlgorithmError(
-                    "ruling set did not finish in "
-                    f"{ctx.state['rs_limit']} iterations"
-                ),
-            ),
-        ),
+        prefix="ruling",
+        route_label="ruling-iteration",
+        solve_label="ruling-solve-level",
+        solve_counter="level",
+        iteration_counter="iterations",
+        in_set_key=in_set_key,
+        iter_key=ITER_MEMBERS,
+        sample=sparsify,
+        sample_keys=(),
+        sample_counters=("levels_built",),
+        limit=lambda n: n + 2,
+        endgame_degree=ENDGAME_DEGREE,
+        radius=beta,
+        luby_chooser=luby_chooser,
+        luby_allow_stalls=luby_allow_stalls,
     )
-

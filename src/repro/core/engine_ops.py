@@ -3,9 +3,9 @@
 These are the reusable superstep building blocks that every ruling-set
 style solver composes: measuring an adjacency layer, gathering a small
 subgraph to one machine for a sequential solve, the β-hop removal wave,
-and the member-set merge/teardown steps.  They were extracted verbatim
-from the first solver module so that new families build on them instead
-of copy-pasting ~200 lines of scaffolding.
+and the member-set merge/teardown steps.  :func:`sparsify_gather_program`
+composes them into the one sparsify–solve–remove loop behind every
+sampling ruling-set solver; each solver supplies only its sampling step.
 
 Bit-identity note: machine-store keys are memory-priced words (see
 :func:`repro.mpc.machine.words_of`), so every scratch-key literal here
@@ -17,9 +17,20 @@ pins ``peak_memory_words`` across these helpers' callers.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
+from repro.core.det_luby import luby_program, modulus_for
 from repro.core.greedy import greedy_mis_on_edges
+from repro.core.program import (
+    EXIT,
+    Branch,
+    Loop,
+    Phase,
+    ProgramContext,
+    SuperstepProgram,
+    run_program,
+)
+from repro.errors import AlgorithmError
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
 from repro.mpc.message import Message
@@ -161,3 +172,195 @@ def deactivate_all(dg: DistributedGraph, adj_key: str) -> None:
 
     dg.sim.local(mark_all)
     dg.deactivate("_rs_all", adj_key=adj_key)
+
+
+#: A sampling step: given the residual maximum degree, build the sample
+#: levels (registering each with ``ctx.push_level``) and return the
+#: store key of the deepest one.
+Sampler = Callable[[ProgramContext, int], str]
+
+
+def sparsify_gather_program(
+    *,
+    name: str,
+    prefix: str,
+    route_label: str,
+    solve_label: str,
+    solve_counter: str,
+    iteration_counter: Optional[str],
+    in_set_key: str,
+    iter_key: str,
+    sample: Sampler,
+    sample_keys: Tuple[str, ...],
+    sample_counters: Tuple[str, ...],
+    limit: Callable[[int], int],
+    endgame_degree: int,
+    radius: int,
+    luby_chooser=None,
+    luby_allow_stalls: int = 0,
+) -> SuperstepProgram:
+    """The sample–solve–remove loop shared by the sampling ruling sets.
+
+    Each iteration is an unlabelled measurement step plus a branch
+    picked under ``route_label``: ``{prefix}-gather-finish`` (the whole
+    residual fits half a machine: gather it and solve it greedily),
+    ``{prefix}-endgame-luby`` (residual degree ≤ ``endgame_degree``:
+    one Luby MIS on the residual), or the three-phase chain
+    ``{prefix}-sparsify`` → ``solve_label`` → ``{prefix}-removal-wave``.
+    The chain runs ``sample``, solves its deepest level (gathered when
+    it fits half a machine, else a nested Luby MIS; one Luby MIS on the
+    residual when the level is empty), then removes everything within
+    ``radius`` hops of the new members and releases the sample levels.
+
+    ``sample`` reads the hash modulus and the gather budget from
+    ``ctx.state["p"]`` and ``ctx.state["budget"]``; ``sample_keys`` and
+    ``sample_counters`` declare what it stores and counts.  The deepest
+    level's solves count under ``{solve_counter}_gathers`` and
+    ``{solve_counter}_luby_solves``; ``iteration_counter`` (when set)
+    counts loop iterations.  ``limit`` maps the vertex count to the
+    iteration cap; ``name`` names the program and its exhaustion error.
+    Members accumulate per machine under
+    ``store[in_set_key]``, each iteration's under ``store[iter_key]``.
+    """
+    gathers = f"{solve_counter}_gathers"
+    luby_solves = f"{solve_counter}_luby_solves"
+
+    def luby(adj_key: str) -> SuperstepProgram:
+        return luby_program(
+            adj_key=adj_key, in_set_key=iter_key,
+            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
+        )
+
+    def setup(ctx: ProgramContext) -> None:
+        dg, sim = ctx.dg, ctx.sim
+        ctx.state["p"] = modulus_for(dg.num_vertices)
+        ctx.state["budget"] = sim.config.memory_words // 2
+        ctx.state["limit"] = limit(dg.num_vertices)
+
+        def ensure_sets(machine: Machine) -> None:
+            if in_set_key not in machine.store:
+                machine.store[in_set_key] = set()
+            machine.store[iter_key] = set()
+
+        sim.local(ensure_sets)
+
+    def measure(ctx: ProgramContext):
+        n_act, m_act, words = adjacency_words(ctx.dg, ADJ)
+        if n_act == 0:
+            return EXIT
+        if iteration_counter is not None:
+            ctx.counters[iteration_counter] += 1
+        ctx.state["words"] = words
+        return None
+
+    def route(ctx: ProgramContext) -> None:
+        # The residual degree is only measured (one reduction) when the
+        # residual does not fit one machine.
+        if ctx.state["words"] <= ctx.state["budget"]:
+            ctx.state["route"] = "gather"
+            return
+        max_deg = ctx.dg.max_active_degree(ADJ)
+        if max_deg <= endgame_degree:
+            ctx.state["route"] = "endgame"
+            return
+        ctx.state["route"] = "sample"
+        ctx.state["max_deg"] = max_deg
+
+    def gather_finish(ctx: ProgramContext):
+        members = gather_and_greedy(ctx.dg, ADJ, iter_key)
+        ctx.counters["gather_finishes"] += 1
+        ctx.counters["members"] += members
+        merge_members(ctx.sim, in_set_key, iter_key)
+        deactivate_all(ctx.dg, ADJ)
+        return EXIT
+
+    def endgame(ctx: ProgramContext):
+        # Guaranteed progress: one full Luby MIS on the residual.
+        sub = run_program(ctx.dg, luby(ADJ)).counters
+        ctx.counters["endgame_luby"] += 1
+        ctx.counters["seed_candidates"] += sub["seed_candidates"]
+        ctx.counters["members"] += merge_members(
+            ctx.sim, in_set_key, iter_key
+        )
+        return EXIT
+
+    def run_sample(ctx: ProgramContext) -> None:
+        ctx.state["deep_key"] = sample(ctx, ctx.state.pop("max_deg"))
+
+    def solve(ctx: ProgramContext):
+        dg, sim = ctx.dg, ctx.sim
+        deep_key = ctx.state.pop("deep_key")
+        n_deep, m_deep, deep_words = adjacency_words(dg, deep_key)
+        if n_deep == 0:
+            # Sampling emptied out (legal but rare).
+            endgame(ctx)
+            ctx.release_levels()
+            return EXIT
+        if deep_words <= ctx.state["budget"]:
+            members = gather_and_greedy(dg, deep_key, iter_key)
+            ctx.counters[gathers] += 1
+        else:
+            sub = run_program(dg, luby(deep_key)).counters
+            ctx.counters[luby_solves] += 1
+            ctx.counters["seed_candidates"] += sub["seed_candidates"]
+            members = reduce_scalar(
+                sim, lambda m: len(m.store[iter_key]), lambda a, b: a + b
+            )
+        if members == 0:
+            raise AlgorithmError(
+                f"{solve_label} produced no members from a non-empty level"
+            )
+        ctx.counters["members"] += members
+        return None
+
+    def remove(ctx: ProgramContext) -> None:
+        removal_wave(ctx.dg, iter_key, radius)
+        merge_members(ctx.sim, in_set_key, iter_key)
+        ctx.release_levels()
+
+    return SuperstepProgram(
+        name=name,
+        counters=(
+            ((iteration_counter,) if iteration_counter is not None else ())
+            + sample_counters
+            + ("seed_candidates", "gather_finishes", gathers, luby_solves,
+               "endgame_luby", "members")
+        ),
+        steps=(
+            Phase(setup, keys=(in_set_key, iter_key)),
+            Loop(
+                steps=(
+                    Phase(measure),
+                    Phase(route, name=route_label),
+                    Branch(
+                        pick=lambda ctx: ctx.state.pop("route"),
+                        arms={
+                            "gather": (
+                                Phase(
+                                    gather_finish,
+                                    name=f"{prefix}-gather-finish",
+                                ),
+                            ),
+                            "endgame": (
+                                Phase(endgame, name=f"{prefix}-endgame-luby"),
+                            ),
+                            "sample": (
+                                Phase(
+                                    run_sample,
+                                    name=f"{prefix}-sparsify",
+                                    keys=sample_keys,
+                                ),
+                                Phase(solve, name=solve_label),
+                                Phase(remove, name=f"{prefix}-removal-wave"),
+                            ),
+                        },
+                    ),
+                ),
+                limit=lambda ctx: ctx.state["limit"],
+                exhausted=lambda ctx: AlgorithmError(
+                    f"{name} did not finish in "
+                    f"{ctx.state['limit']} iterations"
+                ),
+            ),
+        ),
+    )

@@ -43,34 +43,20 @@ member, so the output 2-dominates: a (2, 2)-ruling set, unconditionally
 by construction.  As with the sparsify engine, the sampling targets only
 govern progress speed.
 
-The implementation is a :class:`~repro.core.program.SuperstepProgram`
-built entirely from the shared phase-program framework and
-:mod:`repro.core.engine_ops` building blocks — the point of the
-refactor is visible here: this module contains only algorithm logic.
+Steps 3 and 4, the two finishing arms and the class loop are the
+shared :func:`repro.core.engine_ops.sparsify_gather_program`, the same
+loop the sparsify-and-gather engine runs; this module supplies only
+steps 1–2 (the degree-class sampling step) and its constants (see
+:func:`gp_program`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.det_luby import luby_program, modulus_for
-from repro.core.engine_ops import (
-    adjacency_words,
-    deactivate_all,
-    gather_and_greedy,
-    merge_members,
-    removal_wave,
-)
-from repro.core.program import (
-    EXIT,
-    Branch,
-    Loop,
-    Phase,
-    ProgramContext,
-    SuperstepProgram,
-    run_program,
-)
+from repro.core.engine_ops import sparsify_gather_program
+from repro.core.program import ProgramContext, SuperstepProgram
 from repro.derand.family import Seed, threshold_for_rate
 from repro.derand.seed_search import distributed_scan_seeds
 from repro.errors import AlgorithmError
@@ -107,83 +93,25 @@ def _class_threshold(p: int, d_lo: int) -> int:
     return threshold_for_rate(p, 4, d_lo)
 
 
-def gp_program(
-    in_set_key: str = GP_IN_SET,
-    luby_chooser=None,
-    luby_allow_stalls: int = 0,
-    max_iterations: Optional[int] = None,
-) -> SuperstepProgram:
+def gp_program(in_set_key: str = GP_IN_SET) -> SuperstepProgram:
     """The degree-class 2-ruling set as a phase program.
 
-    Each iteration is an unlabelled measurement phase plus a routed
-    branch: ``gp-gather-finish`` (whole residual fits one machine),
-    ``gp-endgame-luby`` (residual degree ≤ 8), or the three-phase class
-    chain ``gp-sparsify`` → ``gp-solve-sample`` → ``gp-removal-wave``.
-    The session executes it via the registry's program factory.
-    Members accumulate per machine under ``store[in_set_key]``.
+    Runs :func:`~repro.core.engine_ops.sparsify_gather_program` with
+    the degree-class sampling step under ``gp-sparsify``, the sample
+    solved under ``gp-solve-sample`` and removed to 2 hops under
+    ``gp-removal-wave``; the loop routes under ``gp-degree-class`` and
+    ends in ``gp-gather-finish`` or, at residual degree ≤ 8,
+    ``gp-endgame-luby``.  It counts ``classes`` and ``scans``, and caps
+    the loop at ``2 + bit_length(n)`` classes.  The session executes it
+    via the registry's program factory.  Members accumulate per machine
+    under ``store[in_set_key]``.
     """
 
-    def sample_luby(adj_key: str) -> SuperstepProgram:
-        return luby_program(
-            adj_key=adj_key, in_set_key=GP_ITER,
-            chooser=luby_chooser, allow_stalls=luby_allow_stalls,
-        )
-
-    def setup(ctx: ProgramContext) -> None:
-        dg, sim = ctx.dg, ctx.sim
-        ctx.state["gp_p"] = modulus_for(dg.num_vertices)
-        ctx.state["gp_budget"] = sim.config.memory_words // 2
-        ctx.state["gp_limit"] = (
-            max_iterations
-            if max_iterations is not None
-            else 2 + max(1, dg.num_vertices.bit_length())
-        )
-
-        def ensure_sets(machine: Machine) -> None:
-            if in_set_key not in machine.store:
-                machine.store[in_set_key] = set()
-            machine.store[GP_ITER] = set()
-
-        sim.local(ensure_sets)
-
-    def measure(ctx: ProgramContext):
-        n_act, m_act, words = adjacency_words(ctx.dg, ADJ)
-        if n_act == 0:
-            return EXIT
-        ctx.state["gp_words"] = words
-        return None
-
-    def route(ctx: ProgramContext) -> None:
-        if ctx.state["gp_words"] <= ctx.state["gp_budget"]:
-            ctx.state["gp_route"] = "gather"
-            return
-        max_deg = ctx.dg.max_active_degree(ADJ)
-        if max_deg <= ENDGAME_DEGREE:
-            ctx.state["gp_route"] = "endgame"
-            return
-        ctx.state["gp_route"] = "class"
-        ctx.state["gp_max_deg"] = max_deg
-
-    def gather_finish(ctx: ProgramContext):
-        members = gather_and_greedy(ctx.dg, ADJ, GP_ITER)
-        ctx.counters["gather_finishes"] += 1
-        ctx.counters["members"] += members
-        merge_members(ctx.sim, in_set_key, GP_ITER)
-        deactivate_all(ctx.dg, ADJ)
-        return EXIT
-
-    def endgame(ctx: ProgramContext):
-        sub = run_program(ctx.dg, sample_luby(ADJ)).counters
-        ctx.counters["endgame_luby"] += 1
-        ctx.counters["seed_candidates"] += sub["seed_candidates"]
-        ctx.counters["members"] += merge_members(ctx.sim, in_set_key, GP_ITER)
-        return EXIT
-
-    def sparsify(ctx: ProgramContext) -> None:
+    def sparsify(ctx: ProgramContext, max_deg: int) -> str:
         """Commit seeds until every high-class vertex is covered."""
         dg, sim = ctx.dg, ctx.sim
-        p = ctx.state["gp_p"]
-        d_lo = math.isqrt(ctx.state.pop("gp_max_deg"))
+        p = ctx.state["p"]
+        d_lo = math.isqrt(max_deg)
         threshold = _class_threshold(p, d_lo)
         ctx.counters["classes"] += 1
 
@@ -272,78 +200,21 @@ def gp_program(
 
         sim.local(build_sample)
         ctx.push_level(SAMPLE_ADJ)
+        return SAMPLE_ADJ
 
-    def solve_sample(ctx: ProgramContext) -> None:
-        dg, sim = ctx.dg, ctx.sim
-        n_smp, m_smp, smp_words = adjacency_words(dg, SAMPLE_ADJ)
-        if smp_words <= ctx.state["gp_budget"]:
-            members = gather_and_greedy(dg, SAMPLE_ADJ, GP_ITER)
-            ctx.counters["class_gathers"] += 1
-        else:
-            sub = run_program(dg, sample_luby(SAMPLE_ADJ)).counters
-            ctx.counters["class_luby_solves"] += 1
-            ctx.counters["seed_candidates"] += sub["seed_candidates"]
-            members = reduce_scalar(
-                sim, lambda m: len(m.store[GP_ITER]), lambda a, b: a + b
-            )
-        if members == 0:
-            raise AlgorithmError(
-                "class solver produced no members from a non-empty sample"
-            )
-        ctx.counters["members"] += members
-
-    def remove(ctx: ProgramContext) -> None:
-        removal_wave(ctx.dg, GP_ITER, 2)
-        merge_members(ctx.sim, in_set_key, GP_ITER)
-        ctx.release_levels()
-
-    return SuperstepProgram(
+    return sparsify_gather_program(
         name="degree-class",
-        counters=(
-            "classes",
-            "scans",
-            "seed_candidates",
-            "class_gathers",
-            "class_luby_solves",
-            "gather_finishes",
-            "endgame_luby",
-            "members",
-        ),
-        steps=(
-            Phase(setup, keys=(in_set_key, GP_ITER)),
-            Loop(
-                steps=(
-                    Phase(measure),
-                    Phase(route, name="gp-degree-class"),
-                    Branch(
-                        pick=lambda ctx: ctx.state.pop("gp_route"),
-                        arms={
-                            "gather": (
-                                Phase(
-                                    gather_finish, name="gp-gather-finish"
-                                ),
-                            ),
-                            "endgame": (
-                                Phase(endgame, name="gp-endgame-luby"),
-                            ),
-                            "class": (
-                                Phase(
-                                    sparsify,
-                                    name="gp-sparsify",
-                                    keys=("_gp_uncov", SAMPLE_ADJ),
-                                ),
-                                Phase(solve_sample, name="gp-solve-sample"),
-                                Phase(remove, name="gp-removal-wave"),
-                            ),
-                        },
-                    ),
-                ),
-                limit=lambda ctx: ctx.state["gp_limit"],
-                exhausted=lambda ctx: AlgorithmError(
-                    "degree-class decomposition did not finish in "
-                    f"{ctx.state['gp_limit']} iterations"
-                ),
-            ),
-        ),
+        prefix="gp",
+        route_label="gp-degree-class",
+        solve_label="gp-solve-sample",
+        solve_counter="class",
+        iteration_counter=None,
+        in_set_key=in_set_key,
+        iter_key=GP_ITER,
+        sample=sparsify,
+        sample_keys=("_gp_uncov", SAMPLE_ADJ),
+        sample_counters=("classes", "scans"),
+        limit=lambda n: 2 + max(1, n.bit_length()),
+        endgame_degree=ENDGAME_DEGREE,
+        radius=2,
     )
-

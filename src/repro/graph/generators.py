@@ -70,14 +70,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
-def complete_binary_tree(n: int) -> Graph:
-    """Heap-shaped binary tree: vertex ``i`` has children ``2i+1, 2i+2``."""
-    edges = []
-    for child in range(1, n):
-        edges.append(((child - 1) // 2, child))
-    return Graph.from_edges(n, edges)
-
-
 def caterpillar_graph(spine: int, legs_per_vertex: int) -> Graph:
     """Caterpillar: a path of ``spine`` vertices each with pendant legs.
 

@@ -113,9 +113,6 @@ class RangeOwnerMap:
         """Vertices owned by ``machine``."""
         return range(self.bounds[machine], self.bounds[machine + 1])
 
-    def table_words(self) -> int:
-        return len(self.bounds)
-
     def serialize(self) -> Tuple[int, ...]:
         return (_KIND_RANGE,) + self.bounds
 
@@ -136,9 +133,6 @@ class ModOwnerMap:
 
     def owned_by(self, machine: int) -> range:
         return range(machine, self.num_vertices, self.num_machines)
-
-    def table_words(self) -> int:
-        return 2
 
     def serialize(self) -> Tuple[int, ...]:
         return (_KIND_MOD, self.num_vertices, self.num_machines)
@@ -163,9 +157,6 @@ class HashOwnerMap:
         return [
             v for v in range(self.num_vertices) if self.owner_of(v) == machine
         ]
-
-    def table_words(self) -> int:
-        return 3
 
     def serialize(self) -> Tuple[int, ...]:
         return (_KIND_HASH, self.num_vertices, self.num_machines, self.seed)

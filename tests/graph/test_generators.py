@@ -45,12 +45,6 @@ class TestStructured:
         assert g.num_vertices == 12
         assert g.num_edges == 3 * 3 + 2 * 4  # horizontal + vertical
 
-    def test_binary_tree(self):
-        g = gen.complete_binary_tree(7)
-        assert g.num_edges == 6
-        assert g.degree(0) == 2
-        assert len(connected_components(g)) == 1
-
     def test_caterpillar(self):
         g = gen.caterpillar_graph(4, 2)
         assert g.num_vertices == 4 + 8
