@@ -186,7 +186,7 @@ def luby_program(
 
         # --- neighbours' degrees (one round) ---------------------------
         def set_degrees(machine: Machine) -> None:
-            adj = machine.store[adj_key]
+            adj = machine.store.peek(adj_key)
             machine.store["_luby_deg"] = {
                 v: len(nbrs) for v, nbrs in adj.items()
             }
@@ -214,8 +214,8 @@ def luby_program(
                         # Compact pair term: T_v and the weight -d_v are
                         # recovered from the vertex-term table.
                         pterms.append((v, u, p // (2 * d_u)))
-            machine.store[VTERMS] = vterms
-            machine.store[PTERMS] = pterms
+            machine.store[VTERMS] = tuple(vterms)
+            machine.store[PTERMS] = tuple(pterms)
 
         ctx.sim.local(build_terms)
 

@@ -87,7 +87,7 @@ def scanning_chooser(batch: int = 32, max_batches: int = 512) -> SamplingChooser
         def local_stats(machine: Machine, seed: Seed) -> Tuple[int, int]:
             sampled = 0
             uncovered_high = 0
-            for v, neighbors in machine.store[adj_key].items():
+            for v, neighbors in machine.store.peek(adj_key).items():
                 if seed.hash(v) < threshold:
                     sampled += 1
                 if len(neighbors) >= high_degree and not any(
@@ -168,7 +168,7 @@ def ruling_program(
                 sim,
                 lambda m, hk=prev_key, hd=high_degree: sum(
                     1
-                    for nbrs in m.store[hk].values()
+                    for nbrs in m.store.peek(hk).values()
                     if len(nbrs) >= hd
                 ),
                 lambda a, b: a + b,
@@ -187,7 +187,7 @@ def ruling_program(
             ) -> None:
                 machine.store[dst] = {
                     v: tuple(u for u in nbrs if s.hash(u) < t)
-                    for v, nbrs in machine.store[src].items()
+                    for v, nbrs in machine.store.peek(src).items()
                     if s.hash(v) < t
                 }
 

@@ -50,7 +50,7 @@ def adjacency_words(dg: DistributedGraph, adj_key: str) -> Tuple[int, int, int]:
     sim = dg.sim
 
     def extract(machine: Machine) -> Tuple[int, ...]:
-        adj = machine.store[adj_key]
+        adj = machine.store.peek(adj_key)
         return (
             len(adj),
             sum(len(nbrs) for nbrs in adj.values()),
@@ -75,7 +75,7 @@ def gather_and_greedy(
     sim = dg.sim
 
     def flag_all(machine: Machine) -> None:
-        machine.store["_rs_gather_flag"] = sorted(machine.store[adj_key])
+        machine.store["_rs_gather_flag"] = sorted(machine.store.peek(adj_key))
 
     sim.local(flag_all)
     dg.gather_flagged_to_zero(
@@ -116,8 +116,8 @@ def removal_wave(
     sim = dg.sim
 
     def seed_wave(machine: Machine) -> None:
-        members = set(machine.store[members_key])
-        active = set(machine.store[adj_key])
+        members = set(machine.store.peek(members_key))
+        active = set(machine.store.peek(adj_key))
         machine.store["_rs_frontier"] = sorted(members & active)
         machine.store["_rs_removed"] = members & active
 
@@ -128,11 +128,8 @@ def removal_wave(
         def advance(machine: Machine) -> None:
             removed = machine.store["_rs_removed"]
             hit = machine.store.pop("_rs_hit")
-            newly = {
-                v
-                for v in hit
-                if v not in removed and v in machine.store[adj_key]
-            }
+            adj = machine.store.peek(adj_key)
+            newly = {v for v in hit if v not in removed and v in adj}
             removed.update(newly)
             machine.store["_rs_frontier"] = sorted(newly)
 
@@ -168,7 +165,7 @@ def deactivate_all(dg: DistributedGraph, adj_key: str) -> None:
     """Remove every remaining active vertex (after a gather-finish)."""
 
     def mark_all(machine: Machine) -> None:
-        machine.store["_rs_all"] = set(machine.store[adj_key])
+        machine.store["_rs_all"] = set(machine.store.peek(adj_key))
 
     dg.sim.local(mark_all)
     dg.deactivate("_rs_all", adj_key=adj_key)

@@ -120,14 +120,14 @@ def gp_program(in_set_key: str = GP_IN_SET) -> SuperstepProgram:
         # place as seeds commit, so every scan candidate is scored
         # against exactly the remaining uncovered set.
         def stage_uncovered(machine: Machine) -> None:
-            adj = machine.store[ADJ]
+            adj = machine.store.peek(ADJ)
             machine.store["_gp_uncov"] = {
                 v: nbrs for v, nbrs in adj.items() if len(nbrs) >= d_lo
             }
 
         sim.local(stage_uncovered)
         uncovered = reduce_scalar(
-            sim, lambda m: len(m.store["_gp_uncov"]), lambda a, b: a + b
+            sim, lambda m: len(m.store.peek("_gp_uncov")), lambda a, b: a + b
         )
         committed: List[Seed] = []
         scan_start = 0
@@ -145,7 +145,7 @@ def gp_program(in_set_key: str = GP_IN_SET) -> SuperstepProgram:
                 # neighbour hashes below the threshold.
                 t = threshold
                 still = 0
-                for v, nbrs in machine.store["_gp_uncov"].items():
+                for v, nbrs in machine.store.peek("_gp_uncov").items():
                     if seed.hash(v) < t:
                         continue
                     if any(seed.hash(u) < t for u in nbrs):
@@ -191,7 +191,7 @@ def gp_program(in_set_key: str = GP_IN_SET) -> SuperstepProgram:
             def sampled(v: int) -> bool:
                 return any(s.hash(v) < t for s in committed)
 
-            adj = machine.store[ADJ]
+            adj = machine.store.peek(ADJ)
             machine.store[SAMPLE_ADJ] = {
                 v: tuple(u for u in nbrs if sampled(u))
                 for v, nbrs in adj.items()

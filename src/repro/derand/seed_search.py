@@ -27,13 +27,13 @@ round of coordination is accounted by the simulator:
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import operator
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.derand.estimator import ThresholdEstimator
 from repro.derand.family import AffineFamily, Seed
-from repro.errors import DerandomizationError, MPCConfigError
+from repro.errors import DerandomizationError
 from repro.mpc.machine import Machine
 from repro.mpc.state_layout import KERNEL_PYTHON
 from repro.mpc.primitives.aggregate import reduce_vector
@@ -76,50 +76,6 @@ def flat_term_estimator(
 EstimatorBuilder = Callable[[Machine], ThresholdEstimator]
 
 
-class BoundedCache:
-    """A tiny LRU for driver-side per-machine caches.
-
-    ``capacity=None`` means unbounded — correct when every machine stays
-    resident (the serial backend).  Out-of-core backends report how
-    many machines are resident at once
-    (:meth:`~repro.mpc.backends.SuperstepBackend.resident_machines_hint`);
-    sizing per-machine caches to that bound keeps the driver's footprint
-    O(shard) instead of silently rebuilding O(all machines) state the
-    backend just spilled.
-
-    >>> c = BoundedCache(2)
-    >>> c.put(1, "a"); c.put(2, "b"); c.put(3, "c")
-    >>> c.get(1) is None
-    True
-    >>> c.get(3)
-    'c'
-    """
-
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise MPCConfigError(
-                f"cache capacity must be >= 1, got {capacity}"
-            )
-        self.capacity = capacity
-        self._entries: "OrderedDict" = OrderedDict()
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is not None or key in self._entries:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if self.capacity is not None:
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class MemoizedEstimatorBuilder:
     """Build each machine's estimator once per selection, then reuse it.
 
@@ -132,29 +88,23 @@ class MemoizedEstimatorBuilder:
     into one, and letting the estimator's own per-multiplier prefix
     index survive across reductions.
 
-    ``capacity`` bounds the cache to the backend's resident-machine
-    count: under an out-of-core backend only one shard of machines is in
-    memory at a time, and an unbounded estimator cache would quietly
-    rebuild the O(all machines) driver footprint the backend spilled.
-    Eviction only costs a rebuild on a future visit — never correctness.
+    It holds one estimator per machine, so :func:`distributed_choose_seed`
+    uses it only when every machine is resident.
     """
 
-    def __init__(
-        self, builder: EstimatorBuilder, capacity: Optional[int] = None
-    ):
+    def __init__(self, builder: EstimatorBuilder):
         self._builder = builder
-        self._cache = BoundedCache(capacity)
+        self._cache: Dict[int, ThresholdEstimator] = {}
 
     def __call__(self, machine: Machine) -> ThresholdEstimator:
         est = self._cache.get(machine.mid)
         if est is None:
-            est = self._builder(machine)
-            self._cache.put(machine.mid, est)
+            est = self._cache[machine.mid] = self._builder(machine)
         return est
 
 
 def _tuple_sum(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def distributed_choose_seed(
@@ -162,8 +112,6 @@ def distributed_choose_seed(
     p: int,
     local_estimator: EstimatorBuilder,
     chunk_bits: int = 5,
-    max_a_batches: Optional[int] = None,
-    cache_estimators: bool = True,
 ) -> Tuple[Seed, SeedScanStats]:
     """Method of conditional expectations over machine-partitioned terms.
 
@@ -173,19 +121,19 @@ def distributed_choose_seed(
     ``Phi(seed) >= E[Phi]`` where ``Phi`` is the *global* (sum over
     machines) estimator, plus scan statistics.
 
-    ``cache_estimators`` (default on) memoizes the per-machine estimator
-    for the duration of this call — terms are immutable while a
-    selection runs, so the cache cannot change any result, only skip
-    redundant rebuild work (measured ≥2× on bench E10's seed-search
-    phase).  Pass False to rebuild per reduction, e.g. for ablation.
+    When every machine is resident (the serial backend), each machine's
+    estimator is built once and reused for the whole call — terms are
+    immutable while a selection runs, so the memo cannot change any
+    result, only skip redundant rebuild work (measured ≥2× on bench
+    E10's seed-search phase).  An out-of-core backend visits every shard
+    per reduction, so a memo bounded to one shard would evict each entry
+    before its next read; there the estimators are rebuilt per
+    reduction instead of being held for machines that are spilled.
     """
     if chunk_bits < 1:
         raise DerandomizationError("chunk_bits must be >= 1")
-    if cache_estimators:
-        local_estimator = MemoizedEstimatorBuilder(
-            local_estimator,
-            capacity=sim.backend.resident_machines_hint(),
-        )
+    if sim.backend.resident_machines_hint() is None:
+        local_estimator = MemoizedEstimatorBuilder(local_estimator)
     # Keep reduction vectors within the I/O budget: a tree node receives
     # up to (fanout - 1) * width words, so cap the width at S / 4.
     while chunk_bits > 1 and (1 << chunk_bits) > sim.config.memory_words // 4:
@@ -207,10 +155,6 @@ def distributed_choose_seed(
     batches = 0
     base = 0
     while chosen_a is None:
-        if max_a_batches is not None and batches >= max_a_batches:
-            raise DerandomizationError(
-                f"no acceptable multiplier within {batches} batches"
-            )
         candidates = [
             family.seed_by_index(index * p).a
             for index in range(base, min(base + batch, p))

@@ -266,9 +266,9 @@ class SuperstepBackend:
     def resident_machines_hint(self) -> Optional[int]:
         """How many machines are resident at once, or None for "all".
 
-        Driver-side per-machine caches (memoized estimators) use this
-        to bound themselves: holding cache entries for machines whose
-        state is spilled to disk would silently rebuild the O(full graph)
+        Driver-side per-machine caches (the seed search's memoized
+        estimators) exist only under None: holding entries for machines
+        whose state is spilled to disk would rebuild the O(full graph)
         driver footprint the backend exists to avoid.
         """
         return None

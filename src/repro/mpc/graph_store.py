@@ -128,8 +128,8 @@ class DistributedGraph:
         """
 
         def send(machine: Machine) -> List[Message]:
-            adj = machine.store[adj_key]
-            values = machine.store[values_key]
+            adj = machine.store.peek(adj_key)
+            values = machine.store.peek(values_key)
             owner_of = self.owner_map.owner_of
             out = []
             for v, neighbors in adj.items():
@@ -144,7 +144,7 @@ class DistributedGraph:
         self.sim.communicate(send)
 
         def receive(machine: Machine) -> None:
-            adj = machine.store[adj_key]
+            adj = machine.store.peek(adj_key)
             grouped: Dict[int, List[Tuple[int, ...]]] = {u: [] for u in adj}
             for payload in machine.inbox:
                 u = payload[0]
@@ -171,10 +171,10 @@ class DistributedGraph:
         """
 
         def send(machine: Machine) -> List[Message]:
-            adj = machine.store[adj_key]
+            adj = machine.store.peek(adj_key)
             owner_of = self.owner_map.owner_of
             out = []
-            for v in machine.store.get(flag_key, ()):
+            for v in machine.store.peek(flag_key, ()):
                 for u in adj.get(v, ()):
                     out.append(Message(owner_of(u), (u,)))
             return out
@@ -182,7 +182,7 @@ class DistributedGraph:
         self.sim.communicate(send)
 
         def receive(machine: Machine) -> None:
-            adj = machine.store[adj_key]
+            adj = machine.store.peek(adj_key)
             pinged = {
                 payload[0]
                 for payload in machine.inbox
@@ -201,7 +201,7 @@ class DistributedGraph:
         """
 
         def announce(machine: Machine) -> List[Message]:
-            adj = machine.store[adj_key]
+            adj = machine.store.peek(adj_key)
             removed: Set[int] = set(machine.store.pop(removed_key, ()))
             owner_of = self.owner_map.owner_of
             out = []
@@ -216,13 +216,16 @@ class DistributedGraph:
         self.sim.communicate(announce)
 
         def scrub(machine: Machine) -> None:
-            adj = machine.store[adj_key]
-            for v in machine.store.pop("_g_removing"):
-                adj.pop(v, None)
+            removing = machine.store.pop("_g_removing")
             gone: Dict[int, Set[int]] = {}
             for u, v in machine.inbox:
                 gone.setdefault(u, set()).add(v)
             machine.clear_inbox()
+            if not removing and not gone:
+                return  # no row changes: the adjacency keeps its price
+            adj = machine.store[adj_key]
+            for v in removing:
+                adj.pop(v, None)
             for u, dropped in gone.items():
                 if u in adj:
                     adj[u] = tuple(x for x in adj[u] if x not in dropped)
@@ -233,7 +236,7 @@ class DistributedGraph:
         """Number of active vertices (one reduction)."""
         return reduce_scalar(
             self.sim,
-            lambda machine: len(machine.store[adj_key]),
+            lambda machine: len(machine.store.peek(adj_key)),
             lambda a, b: a + b,
         )
 
@@ -243,7 +246,7 @@ class DistributedGraph:
             self.sim,
             lambda machine: sum(
                 len(neighbors)
-                for neighbors in machine.store[adj_key].values()
+                for neighbors in machine.store.peek(adj_key).values()
             ),
             lambda a, b: a + b,
         )
@@ -254,7 +257,7 @@ class DistributedGraph:
         return reduce_scalar(
             self.sim,
             lambda machine: max(
-                (len(nbrs) for nbrs in machine.store[adj_key].values()),
+                (len(nbrs) for nbrs in machine.store.peek(adj_key).values()),
                 default=0,
             ),
             max,
@@ -281,8 +284,8 @@ class DistributedGraph:
         """
 
         def send_flags(machine: Machine) -> List[Message]:
-            adj = machine.store[adj_key]
-            flagged: Set[int] = set(machine.store[flag_key])
+            adj = machine.store.peek(adj_key)
+            flagged: Set[int] = set(machine.store.peek(flag_key))
             owner_of = self.owner_map.owner_of
             out = []
             for v in flagged:
@@ -295,8 +298,8 @@ class DistributedGraph:
         self.sim.communicate(send_flags)
 
         def send_subgraph(machine: Machine) -> List[Message]:
-            adj = machine.store[adj_key]
-            flagged: Set[int] = set(machine.store[flag_key])
+            adj = machine.store.peek(adj_key)
+            flagged: Set[int] = set(machine.store.peek(flag_key))
             flagged_neighbors: Dict[int, Set[int]] = {}
             for u, v in machine.inbox:
                 flagged_neighbors.setdefault(u, set()).add(v)

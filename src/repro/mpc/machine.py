@@ -10,7 +10,12 @@ raises instead of under-counting.
 The simulator audits every machine after every superstep, but the audit
 is incremental: the store caches each key's price and re-prices only the
 keys a superstep could have changed (see :class:`Store`), so a round
-that touches two scratch keys does not re-walk the adjacency.  The inbox
+that touches two scratch keys does not re-walk the adjacency.  A store
+is accessed three ways: a write (``store[k] = v``, ``pop``, ...) drops
+the key's price; a read (``store[k]``, ``get``) drops it too when the
+value is mutable, since the caller may mutate it; and a *peek*
+(:meth:`Store.peek`) keeps it, for callbacks that only read — the
+sends, counts and scans that read the adjacency every round.  The inbox
 is not walked either: the router already summed its payload lengths and
 hands that count over with it (:meth:`Machine.deliver`).
 """
@@ -172,13 +177,19 @@ class Store(dict):
       Whether a value is mutable is decided once, when it is priced, so a
       read of a priced frozen value costs one set lookup.
 
+    :meth:`peek` is the third kind of access: a plain ``dict.get`` that
+    keeps the price, for a callback that only reads the value.  A send
+    or count that reads the adjacency through ``peek`` leaves it priced,
+    so the next audit does not walk it again.
+
     **The one rule.**  A callback must not mutate a stored container
     through a reference it took in an *earlier* superstep without reading
-    it through the store again: the audit after that earlier superstep
-    re-priced the key, and nothing tells the store the value changed
-    since.  For the same reason one mutable container must not be stored
-    under two keys.  The test suite's audit oracle compares every
-    :meth:`Machine.memory_words` with the full walk and catches both.
+    it through the store again, nor one it took with :meth:`peek` in any
+    superstep: the store was not told the value could change, and the
+    audit keeps its old price.  For the same reason one mutable container
+    must not be stored under two keys.  The test suite's audit oracle
+    compares every :meth:`Machine.memory_words` with the full walk and
+    catches all three.
 
     Pickling keeps the cache: a store pickles as its items plus its
     prices, and unpickles as a :class:`Store`.
@@ -237,6 +248,10 @@ class Store(dict):
     def get(self, key: Any, default: Any = None) -> Any:
         if key in self._mutable:
             self._drop(key)
+        return dict.get(self, key, default)
+
+    def peek(self, key: Any, default: Any = None) -> Any:
+        """``get`` that keeps the key's price: the caller must not mutate it."""
         return dict.get(self, key, default)
 
     def items(self):

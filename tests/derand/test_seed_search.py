@@ -5,13 +5,13 @@ import pytest
 from repro.derand.conditional import choose_seed
 from repro.derand.estimator import ThresholdEstimator
 from repro.derand.seed_search import (
-    BoundedCache,
     distributed_choose_seed,
     distributed_scan_seeds,
     flat_term_estimator,
 )
-from repro.errors import DerandomizationError, MPCConfigError
+from repro.errors import DerandomizationError
 from repro.mpc.config import MPCConfig
+from repro.mpc.shard import ShardBackend
 from repro.mpc.simulator import Simulator
 from repro.util.rng import SplitMix64
 
@@ -165,8 +165,8 @@ class TestDistributedScanSeeds:
             assert m.store["_derand_seed"] == (seed.a, seed.b)
 
 
-class TestMaxABatchExhaustion:
-    """Stage 1 must fail loudly when the batch allowance runs out.
+class TestMultiplierScan:
+    """Stage 1 scans multipliers batch by batch until one is acceptable.
 
     The planted instance is a single pair term over GF(11) whose
     acceptance set starts at multiplier a=4: with x1=0, T1=2, x2=3,
@@ -176,54 +176,49 @@ class TestMaxABatchExhaustion:
     two {3, 4} accepts.
     """
 
-    def plant(self, sim):
+    def test_second_batch_accepts(self):
+        sim = sim_with(k=3)
         sim.machines[0].store["vt"] = []
         sim.machines[0].store["pt"] = [(0, 2, 3, 2, 1)]
         for machine in sim.machines[1:]:
             machine.store["vt"] = []
             machine.store["pt"] = []
-
-    def test_exhaustion_raises(self):
-        sim = sim_with(k=3)
-        self.plant(sim)
-        with pytest.raises(DerandomizationError, match="batches"):
-            distributed_choose_seed(
-                sim,
-                11,
-                flat_term_estimator(11, "vt", "pt"),
-                chunk_bits=1,
-                max_a_batches=1,
-            )
-
-    def test_one_more_batch_succeeds(self):
-        sim = sim_with(k=3)
-        self.plant(sim)
         seed, stats = distributed_choose_seed(
-            sim,
-            11,
-            flat_term_estimator(11, "vt", "pt"),
-            chunk_bits=1,
-            max_a_batches=2,
+            sim, 11, flat_term_estimator(11, "vt", "pt"), chunk_bits=1
         )
         assert stats.batches == 2
+        assert stats.candidates_scanned == 4
         assert seed.a == 4
 
 
 class TestEstimatorCaching:
     def test_cache_on_off_bit_identical(self):
-        """Caching may only skip rebuild work, never change the run."""
-        outcomes = []
-        for cached in (True, False):
-            sim = sim_with()
-            plant_random_terms(sim, 31, seed=4)
-            seed, stats = distributed_choose_seed(
-                sim,
-                31,
-                flat_term_estimator(31, "vt", "pt"),
-                cache_estimators=cached,
-            )
-            outcomes.append((seed, stats, sim.metrics.summary()))
+        """The memo may only skip rebuild work, never change the run.
+
+        The serial backend memoizes each machine's estimator; the shard
+        backend, which keeps only one shard resident, rebuilds it per
+        reduction.  Both must pick the same seed at the same cost.
+        """
+        outcomes, builds = [], []
+        for backend in (None, ShardBackend(num_shards=2)):
+            calls = []
+            flat = flat_term_estimator(31, "vt", "pt")
+
+            def builder(machine, calls=calls, flat=flat):
+                calls.append(machine.mid)
+                return flat(machine)
+
+            cfg = MPCConfig(num_machines=5, memory_words=4096)
+            with Simulator(cfg, backend=backend) as sim:
+                plant_random_terms(sim, 31, seed=4)
+                sim.local(lambda m: None)  # attach: shards now spill
+                seed, stats = distributed_choose_seed(sim, 31, builder)
+                sim.settle()
+                outcomes.append((seed, stats, sim.metrics.summary()))
+            builds.append(len(calls))
         assert outcomes[0] == outcomes[1]
+        assert builds[0] == 5  # memoized: one build per machine
+        assert builds[1] > builds[0]  # one build per machine per reduction
 
     def test_memoized_builder_builds_once_per_machine(self):
         from repro.derand.seed_search import MemoizedEstimatorBuilder
@@ -240,36 +235,3 @@ class TestEstimatorCaching:
             for machine in sim.machines:
                 memo(machine)
         assert sorted(calls) == [0, 1, 2]
-
-
-class TestBoundedCache:
-    def test_unbounded_by_default(self):
-        cache = BoundedCache(None)
-        for i in range(100):
-            cache.put(i, i * 2)
-        assert len(cache) == 100
-        assert cache.get(0) == 0
-
-    def test_lru_eviction(self):
-        cache = BoundedCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh a: b is now oldest
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert len(cache) == 2
-
-    def test_put_refreshes_recency(self):
-        cache = BoundedCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 10
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(MPCConfigError):
-            BoundedCache(0)

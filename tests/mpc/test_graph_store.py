@@ -6,6 +6,7 @@ from repro.errors import MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import ADJ, DistributedGraph
+from repro.mpc.machine import Machine
 from repro.mpc.ownermap import HashOwnerMap, ModOwnerMap
 from repro.mpc.simulator import Simulator
 
@@ -109,6 +110,66 @@ class TestDeactivate:
         sim.local(lambda m: m.store.__setitem__("rm", set(m.store[ADJ])))
         dg.deactivate("rm")
         assert dg.count_active() == 0
+
+
+class TestAdjacencyKeepsItsPrice:
+    """Operations that only read the adjacency leave its price cached.
+
+    A read through ``store[ADJ]`` would drop the price, and the next
+    audit would walk the whole adjacency again.  These tests record which
+    machines' audits find ``g_adj`` dirty.
+    """
+
+    @staticmethod
+    def record_dirty_adjacency(monkeypatch) -> set:
+        dirty = set()
+        audited = Machine.memory_words
+
+        def recording(machine: Machine) -> int:
+            if ADJ in machine.store._dirty:
+                dirty.add(machine.mid)
+            return audited(machine)
+
+        monkeypatch.setattr(Machine, "memory_words", recording)
+        return dirty
+
+    def test_reads_leave_it_clean(self, monkeypatch, small_er):
+        dg, sim = load(small_er)
+        dirty = self.record_dirty_adjacency(monkeypatch)
+        sim.local(
+            lambda m: m.store.__setitem__(
+                "vals", {v: v % 7 for v in m.store.peek(ADJ)}
+            )
+        )
+        sim.local(
+            lambda m: m.store.__setitem__(
+                "flags", sorted(v for v in m.store.peek(ADJ) if v % 5 == 0)
+            )
+        )
+        dg.push_values("vals")
+        dg.push_flags("flags", "hit")
+        assert dg.count_active() == small_er.num_vertices
+        assert dg.count_active_edges() == small_er.num_edges
+        assert dg.max_active_degree() == small_er.max_degree()
+        dg.gather_flagged_to_zero("flags", "gv", "ge")
+        assert dirty == set()
+
+    def test_deactivate_dirties_only_changed_machines(self, monkeypatch):
+        graph = gen.path_graph(24)
+        dg, sim = load(graph)  # six machines, four consecutive ids each
+        before = [dict(m.store.peek(ADJ)) for m in sim.machines]
+        dirty = self.record_dirty_adjacency(monkeypatch)
+        sim.local(
+            lambda m: m.store.__setitem__(
+                "rm", {v for v in m.store.peek(ADJ) if v == 8}
+            )
+        )
+        dg.deactivate("rm")
+        changed = {
+            m.mid for m in sim.machines if m.store.peek(ADJ) != before[m.mid]
+        }
+        assert changed == {1, 2}  # vertex 8 and its neighbours 7 and 9
+        assert dirty == changed
 
 
 class TestGather:

@@ -133,6 +133,32 @@ class TestReadBarrier:
         assert ("v" in cached(store)) is frozen
 
 
+class TestPeek:
+    def test_returns_the_value_or_the_default(self):
+        store = priced_store()
+        assert store.peek("adj") is dict.__getitem__(store, "adj")
+        assert store.peek("count") == 3
+        assert store.peek("missing") is None
+        assert store.peek("missing", ()) == ()
+
+    def test_keeps_every_price(self):
+        store = priced_store()
+        before = store.words()
+        for key in list(dict.keys(store)) + ["missing"]:
+            store.peek(key)
+        assert cached(store) == set(store)
+        assert not store._dirty
+        assert store.words() == before == full_walk(store)
+
+    def test_mutating_a_peeked_value_fails_the_oracle(self):
+        machine = Machine(0)
+        machine.store["adj"] = {1: (2,)}
+        assert machine.memory_words() == 3
+        machine.store.peek("adj")[3] = (4, 5)  # broken rule: no write
+        with pytest.raises(AssertionError, match="incremental audit"):
+            machine.memory_words()
+
+
 class TestPickle:
     def test_round_trip_keeps_contents_and_prices(self):
         store = priced_store()
