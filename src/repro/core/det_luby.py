@@ -74,15 +74,15 @@ def _luby_estimator(
     """
 
     def build(machine: Machine) -> ThresholdEstimator:
-        est = ThresholdEstimator(p, kernel=kernel)
-        own = {}
-        for v, t_v, d_v in machine.store.get(VTERMS, ()):
-            est.add_vertex_term(v, t_v, d_v)
-            own[v] = (t_v, d_v)
-        for v, u, t_u in machine.store.get(PTERMS, ()):
+        vterms = machine.store.peek(VTERMS, ())
+        own = {v: (t_v, d_v) for v, t_v, d_v in vterms}
+        pterms = []
+        for v, u, t_u in machine.store.peek(PTERMS, ()):
             t_v, d_v = own[v]
-            est.add_pair_term(v, t_v, u, t_u, -d_v)
-        return est
+            pterms.append((v, t_v, u, t_u, -d_v))
+        return ThresholdEstimator.from_flat_terms(
+            p, vterms, pterms, kernel=kernel
+        )
 
     return build
 

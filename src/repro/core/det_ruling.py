@@ -85,13 +85,15 @@ def scanning_chooser(batch: int = 32, max_batches: int = 512) -> SamplingChooser
         n_high: int,
     ) -> Tuple[Seed, int]:
         def local_stats(machine: Machine, seed: Seed) -> Tuple[int, int]:
+            # ``seed.hash`` inlined: this is the scan's per-vertex loop.
+            a, b = seed.a, seed.b
             sampled = 0
             uncovered_high = 0
             for v, neighbors in machine.store.peek(adj_key).items():
-                if seed.hash(v) < threshold:
+                if (a * v + b) % p < threshold:
                     sampled += 1
                 if len(neighbors) >= high_degree and not any(
-                    seed.hash(u) < threshold for u in neighbors
+                    (a * u + b) % p < threshold for u in neighbors
                 ):
                     uncovered_high += 1
             return (sampled, uncovered_high)

@@ -101,7 +101,7 @@ def gather_and_greedy(
 
     sim.local(record)
     return reduce_scalar(
-        sim, lambda m: len(m.store[members_key]), lambda a, b: a + b
+        sim, lambda m: len(m.store.peek(members_key)), lambda a, b: a + b
     )
 
 
@@ -301,7 +301,7 @@ def sparsify_gather_program(
             ctx.counters[luby_solves] += 1
             ctx.counters["seed_candidates"] += sub["seed_candidates"]
             members = reduce_scalar(
-                sim, lambda m: len(m.store[iter_key]), lambda a, b: a + b
+                sim, lambda m: len(m.store.peek(iter_key)), lambda a, b: a + b
             )
         if members == 0:
             raise AlgorithmError(

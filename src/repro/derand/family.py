@@ -16,7 +16,6 @@ The modulus must exceed every hashed id; the deterministic algorithms use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import DerandomizationError
 from repro.util.prime import is_prime, next_prime
@@ -96,11 +95,6 @@ class AffineFamily:
         index %= self.size
         a, b = divmod(index, self.p)
         return Seed(a=(a + 1) % self.p, b=b, p=self.p)
-
-    def enumerate_seeds(self) -> Iterator[Seed]:
-        """Yield every member in canonical scan order (tests only)."""
-        for index in range(self.size):
-            yield self.seed_by_index(index)
 
     def scan_seed(self, index: int) -> Seed:
         """The ``index``-th member of the *well-spread* scan order.

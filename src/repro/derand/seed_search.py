@@ -65,8 +65,8 @@ def flat_term_estimator(
     def build(machine: Machine) -> ThresholdEstimator:
         return ThresholdEstimator.from_flat_terms(
             p,
-            machine.store.get(vkey, ()),
-            machine.store.get(pkey, ()),
+            machine.store.peek(vkey, ()),
+            machine.store.peek(pkey, ()),
             kernel=kernel,
         )
 

@@ -364,7 +364,7 @@ class DistributedGraph:
         """Union of per-machine vertex sets stored under ``key`` (readout)."""
         marked: List[int] = []
         for chunk in self.sim.harvest(
-            lambda machine: list(machine.store.get(key, ()))
+            lambda machine: list(machine.store.peek(key, ()))
         ):
             marked.extend(chunk)
         return sorted(set(marked))

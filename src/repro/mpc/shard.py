@@ -460,9 +460,10 @@ class ShardBackend(SuperstepBackend):
             raise
 
     def resident_machines_hint(self) -> Optional[int]:
-        if not self._shards:
-            return None
-        return max(len(rng) for rng in self._shards)
+        # Never None, not even before the first superstep attaches the
+        # shards: no machine is resident then, and a driver-side cache
+        # built at that point would outlive the attach.
+        return max((len(rng) for rng in self._shards), default=0)
 
     # -- supersteps -----------------------------------------------------
     def run_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:

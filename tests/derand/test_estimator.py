@@ -267,3 +267,183 @@ class TestQueryCaching:
         assert est.cond_ab_range_many(3, []) == []
         assert est.value(Seed(3, 4, 7)) == 0
 
+
+
+def brute_cond_a(est, a):
+    """``p * E[Phi | a]`` by brute force."""
+    return sum(brute_row(est, a))
+
+
+def multiplier_batches(draw, p):
+    """Batches of every shape the scoring kernels branch on."""
+    a0 = draw(st.integers(-2 * p, 2 * p))
+    step = draw(st.integers(1, 2 * p))
+    count = draw(st.integers(2, 2 * p + 2))
+    return [
+        [],
+        [a0],
+        list(range(a0, a0 + count)),              # the seed search's shape
+        [a0 + i * step for i in range(count)],    # step > 1, may pass p
+        [(a0 + i * step) % p for i in range(count)],  # arithmetic mod p only
+        draw(st.lists(st.integers(-p, 3 * p), max_size=2 * p)),  # anything
+        [a0, a0, a0 + 1],                         # duplicates, not arithmetic
+        [a0] * count,                             # step 0
+    ]
+
+
+def chained_ranges(p, lo, width, step):
+    """The offset stage's ranges: ``2^step`` chained, clipped at ``p``."""
+    sub = width >> step
+    return [
+        (min(lo + j * sub, p), min(lo + (j + 1) * sub, p))
+        for j in range(1 << step)
+    ]
+
+
+class TestKernelShapes:
+    """The batch shapes the scoring fast paths special-case, vs brute force."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_multiplier_batches(self, p, data):
+        batches = multiplier_batches(data.draw, p)
+        for est in random_estimators(data.draw, p):
+            for batch in batches:
+                got = est.cond_a_x_p_many(batch)
+                assert got == [brute_cond_a(est, a % p) for a in batch]
+                assert all(type(v) is int for v in got)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(PRIMES), st.data())
+    def test_range_batches(self, p, data):
+        a = data.draw(st.integers(0, p - 1))
+        bits = p.bit_length()
+        step = data.draw(st.integers(1, bits))
+        chained = chained_ranges(p, 0, 1 << bits, step)
+        some = data.draw(st.lists(st.sampled_from(all_ranges(p)), max_size=8))
+        batches = [
+            chained,                          # shared endpoints, clipped
+            chained[::-1],                    # unsorted, no endpoint reuse
+            chained + chained,                # every range repeated
+            [(b, b) for b in range(p + 1)],   # degenerate only
+            [(0, p), (0, p), (1, 1), (0, p)],
+            some,
+        ]
+        for est in random_estimators(data.draw, p):
+            row = brute_row(est, a)
+            for batch in batches:
+                got = est.cond_ab_range_many(a, batch)
+                assert got == [sum(row[lo:hi]) for lo, hi in batch]
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    @pytest.mark.parametrize(
+        "vterms, pterms",
+        [
+            ([], []),                                   # empty
+            ([(3, 5, 2), (9, 13, -1)], []),             # vertex-only
+            ([], [(1, 7, 4, 9, 3), (-2, 13, 6, 4, -2)]),  # pair-only
+            ([(3, 5, 0)], [(1, 7, 4, 9, 0)]),           # zero weights only
+            ([(3, 5, 0), (4, 6, 2)], [(1, 7, 4, 9, 0), (2, 8, 5, 3, -4)]),
+        ],
+    )
+    def test_term_mixes(self, kernel, vterms, pterms):
+        p = 13
+        est = ThresholdEstimator.from_flat_terms(p, vterms, pterms, kernel)
+        assert est.expectation_x_p2() == sum(
+            brute_cond_a(est, a) for a in range(p)
+        )
+        assert est.cond_a_x_p_many(range(1, p + 1)) == [
+            brute_cond_a(est, a % p) for a in range(1, p + 1)
+        ]
+        for a in range(p):
+            row = brute_row(est, a)
+            assert est.cond_a_x_p(a) == sum(row)
+            for step in (1, 2, 4):
+                ranges = chained_ranges(p, 0, 16, step)
+                assert est.cond_ab_range_many(a, ranges) == [
+                    sum(row[lo:hi]) for lo, hi in ranges
+                ]
+            assert [est.value(Seed(a, b, p)) for b in range(p)] == row
+
+
+class TestOnePassBuild:
+    """``from_flat_terms`` checks like the one-term adds, and atomically."""
+
+    BAD = [
+        ([(0, 8, 1)], []),                    # vertex threshold above p
+        ([(0, -1, 1)], []),                   # vertex threshold below 0
+        ([], [(0, 3, 1, -1, 1)]),             # second pair threshold
+        ([], [(0, 9, 1, 3, 1)]),              # first pair threshold
+        ([], [(1, 2, 8, 2, 1)]),              # equal points mod p
+        ([], [(3, 9, 3, 2, 1)]),              # equal points and bad t1
+    ]
+
+    @pytest.mark.parametrize("vterms, pterms", BAD)
+    def test_same_error_as_one_term_adds(self, vterms, pterms):
+        with pytest.raises(DerandomizationError) as one:
+            est = ThresholdEstimator(7)
+            for term in vterms:
+                est.add_vertex_term(*term)
+            for term in pterms:
+                est.add_pair_term(*term)
+        with pytest.raises(DerandomizationError) as batch:
+            ThresholdEstimator.from_flat_terms(7, vterms, pterms)
+        assert type(batch.value) is type(one.value)
+        assert str(batch.value) == str(one.value)
+
+    def test_first_bad_term_in_order_raises(self):
+        # Vertex terms are checked before pair terms, each in order.
+        with pytest.raises(DerandomizationError, match="threshold 9 out"):
+            ThresholdEstimator.from_flat_terms(
+                7, [(0, 3, 1), (1, 9, 1)], [(2, 2, 2, 2, 1)]
+            )
+        with pytest.raises(DerandomizationError, match="got 2, 9"):
+            ThresholdEstimator.from_flat_terms(
+                7, [], [(0, 3, 1, 3, 1), (2, 3, 9, 8, 1), (1, 8, 1, 3, 1)]
+            )
+
+    @pytest.mark.parametrize("vterms, pterms", BAD)
+    def test_failed_extend_adds_nothing(self, vterms, pterms):
+        for kernel in available_kernels():
+            est = ThresholdEstimator(7, kernel=kernel)
+            est.add_vertex_term(2, 3, 4)
+            est.add_pair_term(1, 4, 5, 6, -2)
+            before = (
+                est.to_flat_terms(),
+                est.expectation_x_p2(),
+                est.cond_a_x_p_many([1, 2, 3]),
+                est.cond_ab_range_many(3, [(0, 4), (4, 7)]),
+            )
+            good_v, good_p = [(6, 5, 3)], [(0, 2, 3, 4, 1)]
+            with pytest.raises(DerandomizationError):
+                est._extend(good_v + vterms, good_p + pterms)
+            assert (
+                est.to_flat_terms(),
+                est.expectation_x_p2(),
+                est.cond_a_x_p_many([1, 2, 3]),
+                est.cond_ab_range_many(3, [(0, 4), (4, 7)]),
+            ) == before
+
+    def test_matches_one_term_adds(self):
+        vterms = [(3, 5, 2), (-4, 0, 7), (20, 13, -1)]
+        pterms = [(1, 7, 4, 9, 3), (-2, 13, 6, 4, -2), (8, 0, 9, 5, 4)]
+        one = ThresholdEstimator(13)
+        for term in vterms:
+            one.add_vertex_term(*term)
+        for term in pterms:
+            one.add_pair_term(*term)
+        # Generators are accepted like the stored tuples.
+        batch = ThresholdEstimator.from_flat_terms(
+            13, iter(vterms), (t for t in pterms)
+        )
+        assert batch.to_flat_terms() == one.to_flat_terms()
+        assert batch.expectation_x_p2() == one.expectation_x_p2()
+        assert batch._max_abs_weight == one._max_abs_weight == 7
+        for a in range(13):
+            assert batch.cond_a_x_p(a) == one.cond_a_x_p(a)
+
+    def test_wrong_term_width_raises(self):
+        with pytest.raises(ValueError):
+            ThresholdEstimator.from_flat_terms(7, [(1, 2)], [])
+        with pytest.raises(ValueError):
+            ThresholdEstimator.from_flat_terms(7, [], [(1, 2, 3, 4)])

@@ -38,8 +38,10 @@ class TestFamily:
 
     def test_enumeration_covers_family(self):
         fam = AffineFamily(5)
-        seeds = {(s.a, s.b) for s in fam.enumerate_seeds()}
-        assert seeds == {(a, b) for a in range(5) for b in range(5)}
+        seeds = [fam.seed_by_index(i) for i in range(fam.size)]
+        assert {(s.a, s.b) for s in seeds} == {
+            (a, b) for a in range(5) for b in range(5)
+        }
 
     def test_enumeration_injective_first(self):
         fam = AffineFamily(5)
@@ -52,7 +54,7 @@ class TestFamily:
         fam = AffineFamily(p)
         x, y = 2, 5
         counts = {}
-        for seed in fam.enumerate_seeds():
+        for seed in (fam.seed_by_index(i) for i in range(fam.size)):
             pair = (seed.hash(x), seed.hash(y))
             counts[pair] = counts.get(pair, 0) + 1
         assert len(counts) == p * p

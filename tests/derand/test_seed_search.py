@@ -220,6 +220,25 @@ class TestEstimatorCaching:
         assert builds[0] == 5  # memoized: one build per machine
         assert builds[1] > builds[0]  # one build per machine per reduction
 
+    @pytest.mark.parametrize("attach_first", [True, False])
+    def test_shard_backend_never_memoizes(self, attach_first):
+        # A selection that is a fresh shard simulator's first superstep
+        # rebuilds per reduction, like one that runs after attach.
+        calls = []
+        flat = flat_term_estimator(31, "vt", "pt")
+
+        def builder(machine):
+            calls.append(machine.mid)
+            return flat(machine)
+
+        cfg = MPCConfig(num_machines=5, memory_words=4096)
+        with Simulator(cfg, backend=ShardBackend(num_shards=2)) as sim:
+            plant_random_terms(sim, 31, seed=4)
+            if attach_first:
+                sim.local(lambda m: None)
+            distributed_choose_seed(sim, 31, builder)
+        assert len(calls) == 20  # 5 machines x 4 reductions
+
     def test_memoized_builder_builds_once_per_machine(self):
         from repro.derand.seed_search import MemoizedEstimatorBuilder
 

@@ -865,7 +865,7 @@ class TestWiring:
         cfg = MPCConfig(num_machines=10, memory_words=1024)
         backend = ShardBackend(num_shards=4)
         with Simulator(cfg, backend=backend) as sim:
-            assert sim.backend.resident_machines_hint() is None
+            assert sim.backend.resident_machines_hint() == 0  # unattached
             sim.local(lambda m: None)
             assert sim.backend.resident_machines_hint() == 3
 
