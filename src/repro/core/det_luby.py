@@ -57,6 +57,10 @@ VTERMS = "luby_vterms"
 PTERMS = "luby_pterms"
 IN_SET = "luby_in_set"
 
+#: Luby iterations before the engine gives up with an
+#: :class:`~repro.errors.AlgorithmError` (a safety net, not a bound).
+MAX_PHASES = 10_000
+
 # A seed chooser returns (seed, candidates_scanned); the deterministic
 # chooser runs the distributed method of conditional expectations.
 SeedChooser = Callable[["object", int], Tuple[Seed, int]]
@@ -111,7 +115,6 @@ def luby_program(
     adj_key: str = ADJ,
     in_set_key: str = IN_SET,
     chooser: Optional[SeedChooser] = None,
-    max_phases: int = 10_000,
     allow_stalls: int = 0,
     trace: Optional[List[Tuple[int, int, int]]] = None,
 ) -> SuperstepProgram:
@@ -293,9 +296,9 @@ def luby_program(
                         keys=("_luby_winners", "_luby_removed"),
                     ),
                 ),
-                limit=lambda ctx: max_phases,
+                limit=lambda ctx: MAX_PHASES,
                 exhausted=lambda ctx: AlgorithmError(
-                    f"Luby MIS did not finish in {max_phases} phases"
+                    f"Luby MIS did not finish in {MAX_PHASES} phases"
                 ),
             ),
         ),

@@ -37,9 +37,9 @@ from repro.core.program import (
 )
 from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
+from repro.mpc.backends import Outbox
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 from repro.mpc.ownermap import RangeOwnerMap
 from repro.mpc.primitives.prefix import exclusive_prefix_counts
 
@@ -143,18 +143,18 @@ def build_distributed_line_graph(dg: DistributedGraph) -> DistributedGraph:
     line_owner = RangeOwnerMap(tuple(bounds))
 
     # --- endpoints learn their incident edges (1 round) ----------------
-    def announce(machine: Machine) -> List[Message]:
+    def announce(machine: Machine) -> Outbox:
         owner_of = dg.owner_map.owner_of
         out = []
         for edge_id, (u, v) in machine.store[EDGE_TABLE].items():
-            out.append(Message(owner_of(u), (u, edge_id)))
-            out.append(Message(owner_of(v), (v, edge_id)))
+            out.append((owner_of(u), (u, edge_id)))
+            out.append((owner_of(v), (v, edge_id)))
         return out
 
     sim.communicate(announce)
 
     # --- vertex owners return full incidence lists (1 round) -----------
-    def reflect(machine: Machine) -> List[Message]:
+    def reflect(machine: Machine) -> Outbox:
         incident: Dict[int, List[int]] = {}
         for vertex, edge_id in machine.inbox:
             incident.setdefault(vertex, []).append(edge_id)
@@ -165,7 +165,7 @@ def build_distributed_line_graph(dg: DistributedGraph) -> DistributedGraph:
             edge_ids.sort()
             for edge_id in edge_ids:
                 out.append(
-                    Message(line_owner_of(edge_id), (edge_id,) + tuple(edge_ids))
+                    (line_owner_of(edge_id), (edge_id,) + tuple(edge_ids))
                 )
         return out
 

@@ -17,7 +17,7 @@ pins ``peak_memory_words`` across these helpers' callers.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.det_luby import luby_program, modulus_for
 from repro.core.greedy import greedy_mis_on_edges
@@ -31,9 +31,9 @@ from repro.core.program import (
     run_program,
 )
 from repro.errors import AlgorithmError
+from repro.mpc.backends import Outbox
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 from repro.mpc.primitives.aggregate import reduce_scalar, reduce_vector
 
 
@@ -82,7 +82,7 @@ def gather_and_greedy(
         "_rs_gather_flag", "_rs_gv", "_rs_ge", adj_key=adj_key
     )
 
-    def solve_and_scatter(machine: Machine) -> List[Message]:
+    def solve_and_scatter(machine: Machine) -> Outbox:
         machine.store.pop("_rs_gather_flag")
         if machine.mid != 0:
             return []
@@ -90,7 +90,7 @@ def gather_and_greedy(
         edges = machine.store.pop("_rs_ge")
         members = greedy_mis_on_edges(vertices, edges)
         owner_of = dg.owner_map.owner_of
-        return [Message(owner_of(v), (v,)) for v in members]
+        return [(owner_of(v), (v,)) for v in members]
 
     sim.communicate(solve_and_scatter)
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.errors import AlgorithmError
+from repro.mpc.backends import Outbox
 from repro.mpc.graph_store import ADJ, DistributedGraph
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 
 BALLS = "exp_balls"
 
@@ -86,19 +86,19 @@ def _double(dg: DistributedGraph, balls_key: str) -> None:
     sim = dg.sim
 
     # Round 1: each vertex requests the ball of every member.
-    def request(machine: Machine) -> List[Message]:
+    def request(machine: Machine) -> Outbox:
         owner_of = dg.owner_map.owner_of
         out = []
         for v, ball in machine.store[balls_key].items():
             for u in ball:
                 if u != v:
-                    out.append(Message(owner_of(u), (u, v)))
+                    out.append((owner_of(u), (u, v)))
         return out
 
     sim.communicate(request)
 
     # Round 2: owners answer with the requested (pre-merge) balls.
-    def respond(machine: Machine) -> List[Message]:
+    def respond(machine: Machine) -> Outbox:
         balls = machine.store[balls_key]
         requests: Dict[int, List[int]] = {}
         for u, v in machine.inbox:
@@ -109,7 +109,7 @@ def _double(dg: DistributedGraph, balls_key: str) -> None:
         for u, requesters in requests.items():
             ball = balls[u]
             for v in requesters:
-                out.append(Message(owner_of(v), (v,) + ball))
+                out.append((owner_of(v), (v,) + ball))
         return out
 
     sim.communicate(respond)
@@ -119,13 +119,13 @@ def _double(dg: DistributedGraph, balls_key: str) -> None:
 def _expand_one(dg: DistributedGraph, balls_key: str, adj_key: str) -> None:
     """Grow every ball by one hop (one push round + union)."""
 
-    def send(machine: Machine) -> List[Message]:
+    def send(machine: Machine) -> Outbox:
         adj = machine.store[adj_key]
         owner_of = dg.owner_map.owner_of
         out = []
         for v, ball in machine.store[balls_key].items():
             for u in adj[v]:
-                out.append(Message(owner_of(u), (u,) + ball))
+                out.append((owner_of(u), (u,) + ball))
         return out
 
     dg.sim.communicate(send)

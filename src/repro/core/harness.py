@@ -159,7 +159,6 @@ def fuzz_verify(
     seed: int = 0,
     solver_seeds: Sequence[int] = (0,),
     families: Optional[Iterable[str]] = None,
-    problems: Optional[Iterable[str]] = None,
     algorithms: Optional[Iterable[str]] = None,
     graphs: Optional[Sequence[Tuple[str, Graph]]] = None,
 ) -> FuzzReport:
@@ -174,9 +173,9 @@ def fuzz_verify(
         Seeds tried per cell.  Seedless algorithms run only the first
         seed (their output is seed-independent by contract — pinned
         elsewhere — so extra seeds would only re-measure the same run).
-    families / problems / algorithms:
+    families / algorithms:
         Optional filters over the registry sweep (family names,
-        problem kinds, canonical algorithm names).  ``None`` = all.
+        canonical algorithm names).  ``None`` = all.
     graphs:
         Explicit ``(name, graph)`` cells to sweep instead of the
         hostile suite — the unit tests' hook for planted-failure cases.
@@ -185,7 +184,6 @@ def fuzz_verify(
     cell — faults are captured as ``FAIL`` cells with the error text.
     """
     family_filter = set(families) if families is not None else None
-    problem_filter = set(problems) if problems is not None else None
     name_filter = set(algorithms) if algorithms is not None else None
     suite = (
         list(graphs) if graphs is not None
@@ -195,7 +193,6 @@ def fuzz_verify(
         spec
         for spec in registry.algorithm_specs()
         if (family_filter is None or spec.family in family_filter)
-        and (problem_filter is None or spec.problem in problem_filter)
         and (name_filter is None or spec.name in name_filter)
     ]
     report = FuzzReport()

@@ -109,11 +109,6 @@ class ProgramContext:
         """
         self._levels.append(store_key)
 
-    @property
-    def level_keys(self) -> Tuple[str, ...]:
-        """The currently registered (not yet released) layers."""
-        return tuple(self._levels)
-
     def release_levels(self) -> None:
         """Drop every registered layer from every machine, in one step."""
         keys = tuple(self._levels)

@@ -10,6 +10,9 @@ a single-process, cycle-accurate simulator of the MPC model.
   counter.  Both enforce the model's budgets — exceeding per-machine memory
   or per-round I/O raises :class:`repro.errors.MPCViolationError` rather
   than silently continuing, so a completed run certifies model compliance.
+* A message is a plain ``(dst, payload)`` pair: destination machine id
+  and a flat tuple of int words, priced by its length.  The router
+  (:class:`~repro.mpc.backends.Router`) is the one place it is checked.
 * :class:`RunMetrics` records rounds, words, message counts, and peak
   memory — the paper's quantities — plus per-round / per-phase
   wall-clock so simulator performance work is measurable.
@@ -27,7 +30,6 @@ from repro.mpc.backends import SerialBackend, SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.machine import Machine, words_of
-from repro.mpc.message import Message
 from repro.mpc.metrics import RunMetrics
 from repro.mpc.simulator import Simulator
 from repro.mpc.trace import TraceRecorder
@@ -36,7 +38,6 @@ __all__ = [
     "MPCConfig",
     "Machine",
     "words_of",
-    "Message",
     "RunMetrics",
     "Simulator",
     "TraceRecorder",

@@ -42,13 +42,17 @@ arrives, so tails complete in issue order on every backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 
 MachineFn = Callable[[Machine], object]
+
+#: What a communicate callback returns: ``(dst, payload)`` pairs, each
+#: payload a flat tuple of int words (:class:`Router` checks them).
+Outbox = List[Tuple[int, Tuple[int, ...]]]
 
 #: A finished superstep's report: every machine's words in id order, or
 #: the exception a deferred local step raised (re-raised by the tail).
@@ -99,14 +103,21 @@ class Router:
     A backend feeds :meth:`route` each sender's outbox in sender id
     order, then calls :meth:`finish`.  Each payload is priced by its
     length and appended to its destination's list in :attr:`inboxes`,
-    so arrival order is sender id ascending, then send order.  The
-    first nonexistent destination or overrun of the send ``budget``
-    (None: unenforced) is held, and routing stops there; :meth:`finish`
-    raises it once every callback of the round has run, so a callback's
-    own exception outranks it, as serially (callbacks, then routing).
+    so arrival order is sender id ascending, then send order.
+
+    This is the one place a message is checked.  An outbox item must
+    unpack to a pair ``(dst, payload)``: ``dst`` an int (not a bool)
+    naming a machine ``0 <= dst < k``, ``payload`` a tuple of int
+    words (not bools); int subclasses pass.  Flat int payloads keep the
+    pricing honest: no unbounded object crosses the network as "one
+    word", so a payload's length is its size.  The first malformed
+    message, nonexistent destination or overrun of the send ``budget``
+    is held, and routing stops there; :meth:`finish` raises it once
+    every callback of the round has run, so a callback's own exception
+    outranks it, as serially (callbacks, then routing).
     """
 
-    def __init__(self, k: int, budget: Optional[int], want_sent: bool):
+    def __init__(self, k: int, budget: int, want_sent: bool):
         self.budget = budget
         self.want_sent = want_sent
         #: Per destination machine, its routed payloads in arrival order.
@@ -117,7 +128,7 @@ class Router:
         self.received_words = [0] * k
         self.fault: Optional[Exception] = None
 
-    def route(self, sender: int, outbox: Optional[Iterable[Message]]) -> None:
+    def route(self, sender: int, outbox: Optional[Iterable]) -> None:
         """Route machine ``sender``'s outbox (None sends nothing)."""
         if not outbox or self.fault is not None:
             return
@@ -127,24 +138,41 @@ class Router:
         k = len(inboxes)
         received_words = self.received_words
         sent_words = 0
-        for message in outbox:
-            dst = message.dst
-            # Both bounds matter: a negative dst would silently wrap
-            # via Python list indexing and deliver to machine k+dst.
-            if not 0 <= dst < k:
-                self.fault = MPCRoutingError(
-                    f"machine {sender} sent to nonexistent machine "
-                    f"{dst} (k={k})"
-                )
+        payloads = []
+        # Plain ints and tuples take the fast path; anything else sends
+        # the whole outbox through the exact check once, which holds its
+        # first fault or clears it (int and tuple subclasses).  Both dst
+        # bounds matter: a negative dst would silently wrap via list
+        # indexing and deliver to machine k+dst.
+        checked = False
+        try:
+            for dst, payload in outbox:
+                if (
+                    type(dst) is not int
+                    or type(payload) is not tuple
+                    or not 0 <= dst < k
+                ) and not checked:
+                    self.fault = _first_fault(sender, outbox, k)
+                    if self.fault is not None:
+                        return
+                    checked = True
+                w = len(payload)
+                sent_words += w
+                received_words[dst] += w
+                inboxes[dst].append(payload)
+                payloads.append(payload)
+        except (TypeError, ValueError):  # an item that is not a pair
+            self.fault = _first_fault(sender, outbox, k)
+            return
+        if not checked and not _PLAIN_WORDS.issuperset(
+            map(type, chain.from_iterable(payloads))
+        ):
+            self.fault = _first_fault(sender, outbox, k)
+            if self.fault is not None:
                 return
-            payload = message.payload
-            w = len(payload)
-            sent_words += w
-            received_words[dst] += w
-            inboxes[dst].append(payload)
         self.messages += len(outbox)
         self.sent_words[sender] = sent_words
-        if self.budget is not None and sent_words > self.budget:
+        if sent_words > self.budget:
             self.fault = MPCViolationError(
                 f"machine {sender} sent {sent_words} words in one round, "
                 f"budget S={self.budget}"
@@ -157,13 +185,12 @@ class Router:
             raise self.fault
         sent_words = self.sent_words
         received_words = self.received_words
-        if self.budget is not None:
-            for mid, words in enumerate(received_words):
-                if words > self.budget:
-                    raise MPCViolationError(
-                        f"machine {mid} received {words} words in one "
-                        f"round, budget S={self.budget}"
-                    )
+        for mid, words in enumerate(received_words):
+            if words > self.budget:
+                raise MPCViolationError(
+                    f"machine {mid} received {words} words in one "
+                    f"round, budget S={self.budget}"
+                )
         return ExchangeStats(
             total_messages=self.messages,
             total_words=sum(sent_words),
@@ -172,6 +199,51 @@ class Router:
             received_per_machine=received_words,
             sent_per_machine=sent_words if self.want_sent else None,
         )
+
+
+_PLAIN_WORDS = frozenset((int,))
+
+
+def _is_word(value: object) -> bool:
+    """Whether ``value`` is an int machine word (subclasses too, bools not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _first_fault(sender: int, outbox: Sequence, k: int) -> Optional[Exception]:
+    """The exception for ``outbox``'s first malformed message, or None.
+
+    Checks run per message in send order: the pair shape, the
+    destination's type, a negative destination, the payload's type, its
+    words, and last a destination ``>= k``.
+    """
+    for item in outbox:
+        try:
+            dst, payload = item
+        except (TypeError, ValueError):
+            return TypeError(
+                f"machine {sender} sent {item!r}, not a (dst, payload) pair"
+            )
+        if not _is_word(dst):
+            return TypeError(f"destination must be a plain int, got {dst!r}")
+        if dst < 0:
+            return _nonexistent(sender, dst, k)
+        if not isinstance(payload, tuple):
+            kind = type(payload).__name__
+            return TypeError(f"payload must be a tuple of ints, got {kind}")
+        for word in payload:
+            if not _is_word(word):
+                return TypeError(
+                    f"payload words must be plain ints, got {word!r}"
+                )
+        if dst >= k:
+            return _nonexistent(sender, dst, k)
+    return None
+
+
+def _nonexistent(sender: int, dst: int, k: int) -> MPCRoutingError:
+    return MPCRoutingError(
+        f"machine {sender} sent to nonexistent machine {dst} (k={k})"
+    )
 
 
 class SuperstepBackend:
@@ -213,22 +285,22 @@ class SuperstepBackend:
         fn: MachineFn,
         *,
         memory_words: int,
-        enforce: bool = True,
         want_sent_per_machine: bool = False,
     ) -> ExchangeStats:
         """Run ``fn`` on every machine, then route, check and deliver.
 
-        ``fn`` returns the messages a machine sends (or None).  Every
-        outbox goes through one :class:`Router` in sender order; budget
-        faults are enforced against ``memory_words`` when ``enforce``.
-        Errors are :class:`~repro.errors.MPCRoutingError` for a
-        nonexistent destination and
+        ``fn`` returns the ``(dst, payload)`` pairs a machine sends (or
+        None).  Every outbox goes through one :class:`Router` in sender
+        order, which checks each message and enforces the send and
+        receive budget ``memory_words``.  Errors are :class:`TypeError`
+        for a malformed message, :class:`~repro.errors.MPCRoutingError`
+        for a nonexistent destination and
         :class:`~repro.errors.MPCViolationError` for a send or receive
         budget overflow.  An exception from any callback outranks
-        them, even a later machine's; then the router's first routing
-        or send fault; then its first receive fault.  Payloads are
-        delivered in arrival order: sender id ascending, then send
-        order within a sender.
+        them, even a later machine's; then the router's first malformed
+        message, nonexistent destination or send fault; then its first
+        receive fault.  Payloads are delivered in arrival order: sender
+        id ascending, then send order within a sender.
 
         Every earlier local step has reported by the time it returns or
         raises, and the exchange reports its own words before returning.
@@ -307,10 +379,10 @@ class SerialBackend(SuperstepBackend):
 
     def run_communicate(
         self, machines: Sequence[Machine], fn: MachineFn
-    ) -> List[List[Message]]:
+    ) -> List[list]:
         """Apply ``fn`` to every machine; return outboxes in id order."""
         self._stats["communicate_steps"] += 1
-        outboxes: List[List[Message]] = []
+        outboxes: List[list] = []
         for machine in machines:
             sent = fn(machine)
             outboxes.append(list(sent) if sent is not None else [])
@@ -322,12 +394,10 @@ class SerialBackend(SuperstepBackend):
         fn: MachineFn,
         *,
         memory_words: int,
-        enforce: bool = True,
         want_sent_per_machine: bool = False,
     ) -> ExchangeStats:
         outboxes = self.run_communicate(machines, fn)
-        budget = memory_words if enforce else None
-        router = Router(len(machines), budget, want_sent_per_machine)
+        router = Router(len(machines), memory_words, want_sent_per_machine)
         for sender, outbox in enumerate(outboxes):
             router.route(sender, outbox)
         stats = router.finish()

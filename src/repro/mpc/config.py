@@ -117,9 +117,9 @@ class MPCConfig:
         """Copy of this config using a different compute kernel."""
         return replace(self, kernel=kernel)
 
-    def with_trace(self, enabled: bool = True) -> "MPCConfig":
-        """Copy of this config with tracing toggled (observer only)."""
-        return replace(self, trace=enabled)
+    def with_trace(self) -> "MPCConfig":
+        """Copy of this config with tracing on (observer only)."""
+        return replace(self, trace=True)
 
     @property
     def total_memory(self) -> int:

@@ -30,8 +30,8 @@ from typing import Dict, List, Set, Tuple
 
 from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
+from repro.mpc.backends import Outbox
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 from repro.mpc.ownermap import balanced_range_map
 from repro.mpc.primitives.aggregate import reduce_scalar
 from repro.mpc.simulator import Simulator
@@ -127,7 +127,7 @@ class DistributedGraph:
         received from its neighbours ``v``.
         """
 
-        def send(machine: Machine) -> List[Message]:
+        def send(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             values = machine.store.peek(values_key)
             owner_of = self.owner_map.owner_of
@@ -138,7 +138,7 @@ class DistributedGraph:
                     tuple(value) if isinstance(value, tuple) else (int(value),)
                 )
                 for u in neighbors:
-                    out.append(Message(owner_of(u), (u, v) + payload_tail))
+                    out.append((owner_of(u), (u, v) + payload_tail))
             return out
 
         self.sim.communicate(send)
@@ -170,13 +170,13 @@ class DistributedGraph:
         that received at least one ping.
         """
 
-        def send(machine: Machine) -> List[Message]:
+        def send(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             owner_of = self.owner_map.owner_of
             out = []
             for v in machine.store.peek(flag_key, ()):
                 for u in adj.get(v, ()):
-                    out.append(Message(owner_of(u), (u,)))
+                    out.append((owner_of(u), (u,)))
             return out
 
         self.sim.communicate(send)
@@ -200,7 +200,7 @@ class DistributedGraph:
         vertices to remove.  The key is consumed.
         """
 
-        def announce(machine: Machine) -> List[Message]:
+        def announce(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             removed: Set[int] = set(machine.store.pop(removed_key, ()))
             owner_of = self.owner_map.owner_of
@@ -209,7 +209,7 @@ class DistributedGraph:
                 if v not in adj:
                     continue
                 for u in adj[v]:
-                    out.append(Message(owner_of(u), (u, v)))
+                    out.append((owner_of(u), (u, v)))
             machine.store["_g_removing"] = sorted(removed)
             return out
 
@@ -283,7 +283,7 @@ class DistributedGraph:
         faults otherwise, which is the model-honest behaviour.
         """
 
-        def send_flags(machine: Machine) -> List[Message]:
+        def send_flags(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             flagged: Set[int] = set(machine.store.peek(flag_key))
             owner_of = self.owner_map.owner_of
@@ -292,12 +292,12 @@ class DistributedGraph:
                 if v not in adj:
                     continue
                 for u in adj[v]:
-                    out.append(Message(owner_of(u), (u, v)))
+                    out.append((owner_of(u), (u, v)))
             return out
 
         self.sim.communicate(send_flags)
 
-        def send_subgraph(machine: Machine) -> List[Message]:
+        def send_subgraph(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             flagged: Set[int] = set(machine.store.peek(flag_key))
             flagged_neighbors: Dict[int, Set[int]] = {}
@@ -308,10 +308,10 @@ class DistributedGraph:
             for v in sorted(flagged):
                 if v not in adj:
                     continue
-                out.append(Message(0, (v,)))
+                out.append((0, (v,)))
                 for u in flagged_neighbors.get(v, ()):
                     if v < u:
-                        out.append(Message(0, (v, u)))
+                        out.append((0, (v, u)))
             return out
 
         self.sim.communicate(send_subgraph)

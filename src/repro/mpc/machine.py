@@ -383,8 +383,8 @@ class Machine:
     def deliver(self, inbox: List[Tuple[int, ...]], words: int) -> None:
         """Install a routed ``inbox`` whose payloads total ``words`` words.
 
-        Payloads are flat int tuples (:class:`~repro.mpc.message.Message`
-        admits nothing else), so ``words`` — the router's received count
+        Payloads are flat int tuples (:class:`~repro.mpc.backends.Router`
+        routes nothing else), so ``words`` — the router's received count
         — is exactly ``words_of(inbox)``, and the audit uses it as is.
         """
         self.inbox = inbox

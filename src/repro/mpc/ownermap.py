@@ -16,9 +16,7 @@ machines as plain integer tuples.
 
 Edges are addressed by a symmetric 64-bit id — ``edge_id(u, v) ==
 edge_id(v, u)`` — so both endpoints' owners agree on the name of a shared
-edge without coordination.  ``edge_owner_of`` hashes that id onto a
-machine, giving edge-sharded layouts the same computable-ownership
-discipline as vertices.
+edge without coordination.
 """
 
 from __future__ import annotations
@@ -67,13 +65,6 @@ def edge_id(u: int, v: int) -> int:
     if lo < 0:
         raise MPCConfigError(f"vertex {lo} out of range")
     return splitmix64(splitmix64(lo) ^ ((hi * _GOLDEN) & ((1 << 64) - 1)))
-
-
-def edge_owner_of(eid: int, num_machines: int) -> int:
-    """Hash a symmetric edge id onto one of ``num_machines`` machines."""
-    if num_machines < 1:
-        raise MPCConfigError(f"num_machines must be >= 1, got {num_machines}")
-    return splitmix64(eid) % num_machines
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ but unspecified.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
 
-from repro.mpc.message import Message
+from repro.mpc.backends import Outbox
 from repro.mpc.simulator import Simulator
 
 _PARTIAL = "_prim_partial"
@@ -57,7 +57,7 @@ def reduce_vector(
     while stride < k:
         level_stride = stride
 
-        def send_level(machine) -> List[Message]:
+        def send_level(machine) -> Outbox:
             mid = machine.mid
             if mid % level_stride != 0:
                 return []
@@ -65,7 +65,7 @@ def reduce_vector(
                 return []
             leader = mid - (mid % (level_stride * fanout))
             payload = machine.store.pop(_PARTIAL)
-            return [Message(leader, tuple(payload))]
+            return [(leader, tuple(payload))]
 
         sim.communicate(send_level)
 

@@ -8,9 +8,9 @@ send budget ``S``, the fanout is ``f = max(2, S // L)`` and the cost is
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.mpc.message import Message
+from repro.mpc.backends import Outbox
 from repro.mpc.simulator import Simulator
 
 
@@ -40,7 +40,7 @@ def broadcast_value(
     while covered < k:
         level_covered = covered
 
-        def send_level(machine) -> List[Message]:
+        def send_level(machine) -> Outbox:
             mid = machine.mid
             if mid >= level_covered:
                 return []
@@ -51,7 +51,7 @@ def broadcast_value(
                 if level_covered <= 0:
                     break
                 if target < min(k, level_covered * fanout):
-                    out.append(Message(target, tuple(payload)))
+                    out.append((target, tuple(payload)))
             return out
 
         sim.communicate(send_level)

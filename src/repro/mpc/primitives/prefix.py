@@ -9,10 +9,10 @@ I/O budget if not.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable
 
+from repro.mpc.backends import Outbox
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 from repro.mpc.simulator import Simulator
 
 _COUNT = "_prim_count"
@@ -29,14 +29,14 @@ def exclusive_prefix_counts(
     over all lower-id machines; the grand total is returned.
     """
 
-    def send_count(machine) -> List[Message]:
+    def send_count(machine) -> Outbox:
         count = int(count_fn(machine))
         machine.store[_COUNT] = count
-        return [Message(0, (machine.mid, count))]
+        return [(0, (machine.mid, count))]
 
     sim.communicate(send_count)
 
-    def scatter(machine) -> List[Message]:
+    def scatter(machine) -> Outbox:
         if machine.mid != 0:
             return []
         counts = [0] * sim.num_machines
@@ -46,7 +46,7 @@ def exclusive_prefix_counts(
         out = []
         running = 0
         for mid, count in enumerate(counts):
-            out.append(Message(mid, (running,)))
+            out.append((mid, (running,)))
             running += count
         machine.store["_prim_total"] = running
         return out

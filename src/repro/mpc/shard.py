@@ -35,13 +35,13 @@ Determinism is preserved by construction, not by luck:
   it.  The settle points — :meth:`ShardBackend.settle` and
   :meth:`~ShardBackend.run_local` — replay every queued local step at
   once.
-* Budget violations and routing errors come from that same router, so
-  their types and texts are the serial ones; the router holds a
-  routing or send fault until every callback of the exchange has run,
-  so the order is the serial one too.  When anything raises during a
-  visit, the earlier queued work is first replayed on the remaining
-  shards, so the simulator can raise the earliest failure in serial
-  order.
+* Malformed messages, budget violations and routing errors come from
+  that same router, so their types and texts are the serial ones; the
+  router holds a routing or send fault until every callback of the
+  exchange has run, so the order is the serial one too.  When anything
+  raises during a visit, the earlier queued work is first replayed on
+  the remaining shards, so the simulator can raise the earliest failure
+  in serial order.
 
 Driver-side code must not touch ``machines[i].store`` directly while this
 backend owns state (the resident copy is usually a cleared husk); reads
@@ -487,13 +487,11 @@ class ShardBackend(SuperstepBackend):
         fn: MachineFn,
         *,
         memory_words: int,
-        enforce: bool = True,
         want_sent_per_machine: bool = False,
     ) -> ExchangeStats:
         self._attach(machines)
         self._stats["exchange_steps"] += 1
-        budget = memory_words if enforce else None
-        router = Router(len(machines), budget, want_sent_per_machine)
+        router = Router(len(machines), memory_words, want_sent_per_machine)
 
         # Run senders shard by shard (ascending mid = serial order),
         # routing each outbox right after its callback.  Visiting a

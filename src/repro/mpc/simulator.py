@@ -9,9 +9,10 @@ An algorithm drives the simulator through two verbs:
     ``fn`` at each shard's next visit instead of now (see below).
 
 ``communicate(fn)``
-    Run ``fn(machine) -> iterable[Message]`` on every machine, route the
-    messages, enforce the per-machine send/receive budget ``S``, deliver
-    inboxes, and advance the round counter.
+    Run ``fn(machine)`` on every machine; it returns the messages it
+    sends as ``(dst, payload)`` pairs, each payload a flat tuple of int
+    words.  Route and check them, enforce the per-machine send/receive
+    budget ``S``, deliver inboxes, and advance the round counter.
 
 Determinism: machines are processed in id order and each inbox is sorted by
 ``(sender id, arrival index)``, so a simulated run is a pure function of
@@ -41,11 +42,10 @@ tail.  Deferred work counts toward wall-clock where it runs: inside a
 later superstep's time, or in no superstep when a harvest or settle
 replays it.
 
-Budget enforcement is strict by default: a machine exceeding its memory
+Budget enforcement is always on: a machine exceeding its memory
 budget, or sending/receiving more than ``S`` words in one superstep, aborts
-the run with :class:`~repro.errors.MPCViolationError`.  Benchmarks run
-strict, certifying that measured round counts come from model-legal
-executions.
+the run with :class:`~repro.errors.MPCViolationError`, so every measured
+round count comes from a model-legal execution.
 
 When tracing is enabled (``MPCConfig.trace`` or an injected
 :class:`~repro.mpc.trace.TraceRecorder`), each superstep additionally
@@ -68,11 +68,10 @@ from repro.errors import MPCViolationError
 from repro.mpc.backends import SuperstepBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 from repro.mpc.metrics import RunMetrics
 from repro.mpc.trace import TraceRecorder
 
-MachineFn = Callable[[Machine], Optional[Iterable[Message]]]
+MachineFn = Callable[[Machine], Optional[Iterable[Tuple[int, Tuple[int, ...]]]]]
 
 #: A superstep tail waiting in the FIFO: whether it takes a report, and
 #: the bookkeeping that runs on it (a phase mark takes none).
@@ -91,12 +90,10 @@ class Simulator:
     def __init__(
         self,
         config: MPCConfig,
-        enforce: bool = True,
         backend: Optional[SuperstepBackend] = None,
         trace: Optional[TraceRecorder] = None,
     ):
         self.config = config
-        self.enforce = enforce
         self.machines: List[Machine] = [
             Machine(mid) for mid in range(config.num_machines)
         ]
@@ -158,7 +155,6 @@ class Simulator:
             self.machines,
             fn,
             memory_words=self.config.memory_words,
-            enforce=self.enforce,
             want_sent_per_machine=self.trace is not None,
         )
         phase = self.metrics.current_phase()
@@ -306,7 +302,7 @@ class Simulator:
             self.metrics.record_memory(words)
             if self.trace is not None:
                 self.trace.record_memory(mid, words, round_index)
-            if self.enforce and words > self.config.memory_words:
+            if words > self.config.memory_words:
                 raise MPCViolationError(
                     f"machine {mid} holds {words} words, budget "
                     f"S={self.config.memory_words}"

@@ -137,12 +137,7 @@ class TraceRecorder:
         backend_stats: Dict[str, int],
     ) -> None:
         """Record one communication superstep and audit its budgets."""
-        budget = self.config.memory_words
-        # Headroom is clamped at zero: a round past budget (possible
-        # when the simulator runs with enforcement off, e.g. trace-only
-        # probes) is *flagged* with its overshoot rather than silently
-        # reported as negative headroom no auditor ever warns on.
-        raw_headroom = budget - max(max_sent, max_received)
+        headroom = self.config.memory_words - max(max_sent, max_received)
         event = {
             "type": "round",
             "phase": phase,
@@ -152,14 +147,11 @@ class TraceRecorder:
             "words": words,
             "max_sent": max_sent,
             "max_received": max_received,
-            "headroom_words": max(0, raw_headroom),
+            "headroom_words": headroom,
             "sent_per_machine": list(sent_per_machine),
             "received_per_machine": list(received_per_machine),
             "backend": dict(backend_stats),
         }
-        if raw_headroom < 0:
-            event["over_budget_words"] = -raw_headroom
-            self._warn_over_budget(round_index, -raw_headroom, budget)
         self.events.append(event)
         for mid, sent in enumerate(sent_per_machine):
             self._audit("sent", mid, round_index, sent)
@@ -186,19 +178,13 @@ class TraceRecorder:
     def min_headroom_words(self) -> int:
         """Worst per-round headroom seen (``S`` when no round ran).
 
-        Never negative: rounds past budget report zero headroom and are
-        counted by :meth:`over_budget_rounds` instead.
+        Never negative: the simulator faults a round past budget before
+        it is recorded.
         """
         rounds = self.round_events()
         if not rounds:
             return self.config.memory_words
         return min(ev["headroom_words"] for ev in rounds)
-
-    def over_budget_rounds(self) -> int:
-        """How many recorded rounds exceeded the per-round budget."""
-        return sum(
-            1 for ev in self.round_events() if "over_budget_words" in ev
-        )
 
     # ------------------------------------------------------------------
     # Export
@@ -218,7 +204,6 @@ class TraceRecorder:
             "rounds": len(self.round_events()),
             "total_words": self.total_words(),
             "min_headroom_words": self.min_headroom_words(),
-            "over_budget_rounds": self.over_budget_rounds(),
             "peak_memory_words": max(
                 self.machine_peak_words.values(), default=0
             ),
@@ -337,26 +322,6 @@ class TraceRecorder:
         }
         self._clock_us = round(self._clock_us + dur_us, 3)
         return slot
-
-    def _warn_over_budget(
-        self, round_index: int, overshoot: int, budget: int
-    ) -> None:
-        """Warn that a whole round ran past S (enforcement was off)."""
-        key = ("round-over-budget", -1, round_index)
-        if key in self._warned:
-            return
-        self._warned.add(key)
-        self.warnings.append(
-            {
-                "type": "budget_warning",
-                "kind": "round-over-budget",
-                "machine": -1,
-                "round": round_index,
-                "words": budget + overshoot,
-                "budget": budget,
-                "utilization": round((budget + overshoot) / budget, 4),
-            }
-        )
 
     def _audit(self, kind: str, mid: int, round_index: int, words: int) -> None:
         budget = self.config.memory_words

@@ -124,13 +124,12 @@ class TestTraceCommand:
 
         from repro.cli import _write_trace
         from repro.mpc.config import MPCConfig
-        from repro.mpc.message import Message
         from repro.mpc.simulator import Simulator
 
         # 8 of S = 8 words: at the 90% threshold, inside the budget.
         sim = Simulator(MPCConfig(num_machines=2, memory_words=8).with_trace())
         sim.communicate(
-            lambda m: [Message(1, tuple(range(8)))] if m.mid == 0 else []
+            lambda m: [(1, tuple(range(8)))] if m.mid == 0 else []
         )
         run = SimpleNamespace(trace=sim.trace, algorithm="det-luby")
         report = _write_trace(run, str(tmp_path / "t.jsonl"))

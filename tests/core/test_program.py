@@ -13,6 +13,8 @@ Two layers of coverage:
   serial and the shard backend.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.pipeline import solve_ruling_set
@@ -36,12 +38,14 @@ class FakeSim:
     def __init__(self):
         self.phases = []
         self.local_calls = 0
+        self.last_local = None
 
     def begin_phase(self, name):
         self.phases.append(name)
 
     def local(self, fn):
         self.local_calls += 1
+        self.last_local = fn
 
 
 class FakeDG:
@@ -221,10 +225,16 @@ class TestLevels:
         ctx = make_ctx()
         ctx.push_level("lvl0")
         ctx.push_level("lvl1")
-        assert ctx.level_keys == ("lvl0", "lvl1")
         ctx.release_levels()
-        assert ctx.level_keys == ()
         assert ctx.sim.local_calls == 1
+        machine = SimpleNamespace(store={"lvl0": 0, "lvl1": 1, "keep": 2})
+        ctx.sim.last_local(machine)
+        assert machine.store == {"keep": 2}
+        # Released layers are forgotten: the next teardown drops nothing.
+        ctx.release_levels()
+        machine.store["lvl0"] = 0
+        ctx.sim.last_local(machine)
+        assert machine.store == {"keep": 2, "lvl0": 0}
 
     def test_release_explicit_keys(self):
         ctx = make_ctx()

@@ -5,7 +5,6 @@ import pytest
 from repro.mpc import machine as machine_module
 from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine, words_of
-from repro.mpc.message import Message
 from repro.mpc.simulator import Simulator
 
 
@@ -95,7 +94,7 @@ class TestInboxPricing:
         sim.local(lambda m: m.store.__setitem__("x", (m.mid, 1)))
         walked = self._count_walks(monkeypatch)
         sim.communicate(
-            lambda m: [Message((m.mid + j) % 4, (m.mid, j)) for j in range(3)]
+            lambda m: [((m.mid + j) % 4, (m.mid, j)) for j in range(3)]
         )
         for m in sim.machines:
             assert m.memory_words() == (

@@ -19,7 +19,6 @@ from repro.mpc.ownermap import (
     balanced_range_map,
     deserialize_owner_map,
     edge_id,
-    edge_owner_of,
 )
 
 sizes = st.tuples(st.integers(0, 200), st.integers(1, 40))
@@ -142,15 +141,6 @@ class TestEdgeIds:
     def test_negative_endpoint_rejected(self):
         with pytest.raises(MPCConfigError, match="out of range"):
             edge_id(-1, 3)
-
-    @settings(max_examples=50)
-    @given(st.integers(0, 2**64 - 1), st.integers(1, 64))
-    def test_edge_owner_in_range(self, eid, k):
-        assert 0 <= edge_owner_of(eid, k) < k
-
-    def test_edge_owner_rejects_zero_machines(self):
-        with pytest.raises(MPCConfigError):
-            edge_owner_of(123, 0)
 
 
 class TestHostilePayloads:

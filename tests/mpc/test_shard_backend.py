@@ -25,7 +25,6 @@ from repro.mpc.backends import resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.machine import Machine, words_of
-from repro.mpc.message import Message
 from repro.mpc.ownermap import ModOwnerMap
 from repro.mpc.shard import ShardBackend
 from repro.mpc.simulator import Simulator
@@ -91,7 +90,7 @@ class TestParity:
         with Simulator(cfg, backend=ShardBackend(num_shards=2)) as sim:
             sim.communicate(
                 lambda m: [
-                    Message((m.mid * j) % 5, tuple(range(j)))
+                    ((m.mid * j) % 5, tuple(range(j)))
                     for j in range(1, 5)
                 ]
             )
@@ -132,8 +131,8 @@ def _ring(m):
     m.store["seen"] = m.store.get("seen", ()) + seen
     k = 6
     return [
-        Message((m.mid + 1) % k, (m.mid,) + seen[:3]),
-        Message((m.mid * 5 + 2) % k, (m.mid, len(seen))),
+        ((m.mid + 1) % k, (m.mid,) + seen[:3]),
+        ((m.mid * 5 + 2) % k, (m.mid, len(seen))),
     ]
 
 
@@ -188,10 +187,10 @@ class TestLazyDelivery:
         # with fewer chunks: the held spool file must be cut to the new
         # length, or its delivery reads the first exchange's tail too.
         def heavy(m):
-            return [Message((m.mid + 1) % 6, (m.mid, i)) for i in range(4)]
+            return [((m.mid + 1) % 6, (m.mid, i)) for i in range(4)]
 
         def light(m):
-            return [Message((m.mid + 1) % 6, (m.mid,))]
+            return [((m.mid + 1) % 6, (m.mid,))]
 
         steps = [
             lambda sim, trail: sim.communicate(heavy),
@@ -208,7 +207,7 @@ class TestLazyDelivery:
         # clears, so its shard's peak exists only between the exchange
         # and that step — when the inbox sits unloaded in the spool.
         def fan_in(m):
-            return [Message(3, tuple(range(40)))]
+            return [(3, tuple(range(40)))]
 
         def steps(sim):
             sim.local(lambda m: m.store.__setitem__("x", (m.mid,) * 3))
@@ -249,7 +248,7 @@ class TestLazyDelivery:
 
 
 def _send_next(m):
-    return [Message((m.mid + 1) % len(_EIGHT), (m.mid,))]
+    return [((m.mid + 1) % len(_EIGHT), (m.mid,))]
 
 
 _EIGHT = range(8)
@@ -414,7 +413,7 @@ class TestErrorOrder:
                 )
             )
             sim.communicate(
-                lambda m: [Message(1, tuple(range(20)))] if m.mid == 0 else []
+                lambda m: [(1, tuple(range(20)))] if m.mid == 0 else []
             )
 
         kind, text = self._compare(script, tmp_path)
@@ -440,8 +439,8 @@ class TestErrorOrder:
     @pytest.mark.parametrize(
         "outbox",
         [
-            [Message(99, (1,))],  # nonexistent destination
-            [Message(1, tuple(range(20)))],  # 20 words over S=16
+            [(99, (1,))],  # nonexistent destination
+            [(1, tuple(range(20)))],  # 20 words over S=16
         ],
         ids=["nonexistent-dst", "send-overrun"],
     )
@@ -483,7 +482,7 @@ class TestErrorOrder:
                 )
             )
             sim.communicate(
-                lambda m: [Message(1, tuple(range(20)))] if m.mid == 0 else []
+                lambda m: [(1, tuple(range(20)))] if m.mid == 0 else []
             )
 
         backend = ShardBackend(num_shards=4, spill_dir=str(tmp_path))
@@ -635,8 +634,8 @@ class TestFileHandles:
         # ``offender`` overruns its send budget mid-exchange.
         def sends(m):
             if m.mid == offender:
-                return [Message(0, tuple(range(16)))]
-            return [Message(5 - m.mid, (m.mid,))]
+                return [(0, tuple(range(16)))]
+            return [(5 - m.mid, (m.mid,))]
 
         cfg = MPCConfig(num_machines=6, memory_words=8)
         backend = ShardBackend(num_shards=3)
@@ -653,7 +652,7 @@ class TestFileHandles:
                 with Simulator(
                     cfg, backend=ShardBackend(num_shards=2)
                 ) as sim:
-                    sim.communicate(lambda m: [Message(0, (1, 2, 3))])
+                    sim.communicate(lambda m: [(0, (1, 2, 3))])
 
 
 class TestOpenFailure:
@@ -787,7 +786,7 @@ class TestErrors:
         with Simulator(cfg, backend=backend) as sim:
             with pytest.raises(MPCViolationError) as err:
                 sim.communicate(
-                    lambda m: [Message(0, tuple(range(16)))]
+                    lambda m: [(0, tuple(range(16)))]
                     if m.mid == 1
                     else []
                 )
@@ -800,7 +799,7 @@ class TestErrors:
 
     def test_received_violation_text_matches_serial(self):
         def fan_in(m):
-            return [Message(0, (1, 2, 3, 4, 5, 6))]
+            return [(0, (1, 2, 3, 4, 5, 6))]
 
         texts = []
         for backend in (None, ShardBackend(num_shards=2)):
@@ -819,7 +818,7 @@ class TestErrors:
             with Simulator(cfg, backend=backend) as sim:
                 with pytest.raises(MPCRoutingError) as err:
                     sim.communicate(
-                        lambda m: [Message(7, (1,))] if m.mid == 2 else []
+                        lambda m: [(7, (1,))] if m.mid == 2 else []
                     )
             texts.append(str(err.value))
         assert texts[0] == texts[1]

@@ -2,12 +2,14 @@
 
 import json
 
+import pytest
+
 from repro.core.det_luby import conditional_expectation_chooser, luby_program
 from repro.core.program import run_program
+from repro.errors import MPCViolationError
 from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
-from repro.mpc.message import Message
 from repro.mpc.simulator import Simulator
 from repro.mpc.trace import WARN_UTILIZATION, TraceRecorder
 
@@ -162,7 +164,7 @@ class TestBudgetAuditor:
         cfg = MPCConfig(num_machines=2, memory_words=8).with_trace()
         sim = Simulator(cfg)
         sim.communicate(
-            lambda m: [Message(1, tuple(range(8)))] if m.mid == 0 else []
+            lambda m: [(1, tuple(range(8)))] if m.mid == 0 else []
         )
         sim.machine(1).clear_inbox()
         kinds = {(w["kind"], w["machine"]) for w in sim.trace.warnings}
@@ -176,59 +178,29 @@ class TestBudgetAuditor:
         cfg = MPCConfig(num_machines=2, memory_words=256).with_trace()
         sim = Simulator(cfg)
         sim.communicate(
-            lambda m: [Message(1, (1,))] if m.mid == 0 else []
+            lambda m: [(1, (1,))] if m.mid == 0 else []
         )
         assert sim.trace.warnings == []
+
+    def test_over_budget_round_never_reaches_trace(self):
+        # The router faults a round past S before the simulator records
+        # it, so every recorded headroom is non-negative.
+        cfg = MPCConfig(num_machines=2, memory_words=8).with_trace()
+        sim = Simulator(cfg)
+        with pytest.raises(MPCViolationError):
+            sim.communicate(
+                lambda m: [(1, tuple(range(12)))] if m.mid == 0 else []
+            )
+        assert sim.trace.round_events() == []
+        assert sim.trace.min_headroom_words() == 8
 
     def test_format_warnings_human_readable(self):
         cfg = MPCConfig(num_machines=2, memory_words=8).with_trace()
         sim = Simulator(cfg)
         sim.communicate(
-            lambda m: [Message(1, tuple(range(8)))] if m.mid == 0 else []
+            lambda m: [(1, tuple(range(8)))] if m.mid == 0 else []
         )
         lines = sim.trace.format_warnings()
         assert lines and all("words" in line for line in lines)
 
 
-class TestOverBudgetClamp:
-    """Satellite regression: a round past budget (enforcement off, trace
-    on) must clamp headroom at zero and flag the overshoot — never
-    report negative headroom no auditor warns on."""
-
-    def run_past_budget(self):
-        # 12 words into an S=8 budget: only possible with enforcement
-        # lifted, which is exactly the trace-only probe configuration.
-        cfg = MPCConfig(num_machines=2, memory_words=8).with_trace()
-        sim = Simulator(cfg, enforce=False)
-        sim.communicate(
-            lambda m: [Message(1, tuple(range(12)))] if m.mid == 0 else []
-        )
-        sim.machine(1).clear_inbox()
-        return sim.trace
-
-    def test_headroom_clamped_and_overshoot_flagged(self):
-        trace = self.run_past_budget()
-        (event,) = trace.round_events()
-        assert event["max_sent"] == 12
-        assert event["headroom_words"] == 0  # clamped, not -4
-        assert event["over_budget_words"] == 4
-
-    def test_min_headroom_never_negative(self):
-        trace = self.run_past_budget()
-        assert trace.min_headroom_words() == 0
-        assert trace.over_budget_rounds() == 1
-
-    def test_round_over_budget_warning_emitted(self):
-        trace = self.run_past_budget()
-        over = [
-            w for w in trace.warnings if w["kind"] == "round-over-budget"
-        ]
-        assert len(over) == 1
-        assert over[0]["words"] == 12 and over[0]["budget"] == 8
-        assert over[0]["utilization"] == 1.5
-
-    def test_summary_counts_over_budget_rounds(self):
-        trace = self.run_past_budget()
-        summary = json.loads(trace.jsonl_lines()[-1])
-        assert summary["over_budget_rounds"] == 1
-        assert summary["min_headroom_words"] == 0
