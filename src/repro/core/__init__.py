@@ -8,7 +8,7 @@ Public surface:
   source of algorithm names for the drivers, CLI, sweeps, and benches.
 * :class:`~repro.core.session.SolverSession` — the one MPC lifecycle
   (regime sizing, backend/trace wiring, simulator context, collection,
-  metrics assembly) every registered algorithm runs through.
+  the result object) every registered algorithm runs through.
 * :func:`repro.core.pipeline.solve_ruling_set` /
   :func:`repro.core.det_matching.solve_matching` — one-call drivers:
   thin registry lookups over the session, plus ground-truth

@@ -35,6 +35,7 @@ from repro.core.program import (
     SuperstepProgram,
     run_program,
 )
+from repro.core.spec import MatchingResult
 from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
 from repro.mpc.backends import Outbox
@@ -262,7 +263,7 @@ def solve_matching(
     num_shards: int = 0,
     kernel: Optional[str] = None,
     trace: bool = False,
-) -> "MatchingResult":
+) -> MatchingResult:
     """One-call driver: build the regime, run, verify, return the matching.
 
     A thin registry lookup over :class:`~repro.core.session.SolverSession`
@@ -282,34 +283,18 @@ def solve_matching(
     """
     from repro.core import registry
     from repro.core.session import SolverSession
-    from repro.core.spec import MatchingResult
 
     if algorithm is None:
         algorithm = registry.DET_MATCHING
-    spec = registry.get_algorithm(algorithm)
-    if spec.problem != registry.MATCHING:
-        raise AlgorithmError(
-            f"{algorithm!r} solves {spec.problem!r}, not "
-            f"{registry.MATCHING!r}; matching algorithms: "
-            + ", ".join(registry.algorithm_names(problem=registry.MATCHING))
-        )
-    if graph.num_vertices == 0:
-        return MatchingResult(
-            matching=[], algorithm=algorithm, metrics={"rounds": 0}
-        )
-    session = SolverSession(
+    spec = registry.solver_spec(algorithm, registry.MATCHING)
+    result = SolverSession(
         graph, spec, regime=regime, alpha_mem=alpha_mem, config=config,
         seed=seed, backend=backend, num_shards=num_shards, kernel=kernel,
         trace=trace,
-    )
-    run = session.run()
+    ).run()
     if verify:
-        verify_maximal_matching(graph, run.payload.matching)
-    return MatchingResult(
-        matching=run.payload.matching,
-        algorithm=algorithm,
-        **run.stats.result_kwargs(),
-    )
+        verify_maximal_matching(graph, result.matching)
+    return result
 
 
 def verify_maximal_matching(

@@ -12,8 +12,8 @@ against the **independent** sequential validators in
 Three checks per (graph, algorithm) cell:
 
 1. **Validity** — ruling-set outputs must pass
-   :func:`~repro.core.verify.verify_ruling_set` at the radius the spec
-   *claims* (``spec.claimed_beta``); matchings must pass
+   :func:`~repro.core.verify.verify_ruling_set` at the α and β the
+   result *claims* (the spec's ``claimed_beta``); matchings must pass
    :func:`~repro.core.verify.verify_maximal_matching`.
 2. **Determinism and backend parity** — replays with identical
    parameters must return bit-identical members/matching, rounds and
@@ -117,20 +117,17 @@ def _check_cell(
         verify_maximal_matching(graph, result.matching)
     else:
         output = "members"
-        alpha, beta = 2, 2
 
         def solve(backend: Optional[str]):
             return solve_ruling_set(
-                graph, algorithm=spec.name, alpha=alpha, beta=beta,
+                graph, algorithm=spec.name, alpha=2, beta=2,
                 seed=seed, verify=False, backend=backend,
             )
 
         result = solve(None)
-        claimed = (
-            spec.claimed_beta(graph, alpha, beta)
-            if spec.claimed_beta is not None else beta
+        verify_ruling_set(
+            graph, result.members, alpha=result.alpha, beta=result.beta
         )
-        verify_ruling_set(graph, result.members, alpha=alpha, beta=claimed)
     backends = (
         sorted(BACKENDS) if spec.family == registry.MPC_FAMILY else [None]
     )

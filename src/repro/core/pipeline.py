@@ -1,13 +1,14 @@
 """One-call drivers: graph in, verified ruling set + metrics out.
 
-:func:`solve_ruling_set` is a thin dispatch layer: it looks the
-requested algorithm up in :mod:`repro.core.registry`, hands the run to
-:class:`repro.core.session.SolverSession` (which owns the whole MPC
-lifecycle — regime sizing, backend/trace wiring, simulator entry/exit,
-collection, metrics assembly), and verifies the output against the
-sequential ground truth.  This is the function the examples and
-benchmarks call; using it guarantees that every number a benchmark
-reports comes from a budget-enforced, verified run.
+:func:`solve_ruling_set` is validate → session → verify: it looks the
+requested algorithm up with :func:`repro.core.registry.solver_spec`,
+checks its parameters, runs a :class:`repro.core.session.SolverSession`
+(which owns the whole MPC lifecycle — regime sizing, backend/trace
+wiring, simulator entry/exit, collection, and the result itself), and
+verifies the output against the sequential ground truth.  This is the
+function the examples and benchmarks call; using it guarantees that
+every number a benchmark reports comes from a budget-enforced, verified
+run.
 :func:`solve_ruling_set_stream` is the same call with an edge-list file
 as the session's source.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core import registry
-from repro.core.registry import LOCAL_FAMILY, MPC_FAMILY, RULING_SET
+from repro.core.registry import MPC_FAMILY, RULING_SET
 from repro.core.session import (
     EdgeListSource,
     SolverSession,
@@ -111,34 +112,16 @@ def solve_ruling_set(
         algorithm = registry.DET_RULING
     if alpha < 2:
         raise AlgorithmError(f"alpha must be >= 2, got {alpha}")
-    spec = registry.get_algorithm(algorithm)
-    if spec.problem != RULING_SET:
-        raise AlgorithmError(
-            f"{algorithm!r} solves {spec.problem!r}, not {RULING_SET!r}; "
-            f"ruling-set algorithms: "
-            + ", ".join(registry.algorithm_names(problem=RULING_SET))
-        )
+    spec = registry.solver_spec(algorithm, RULING_SET)
     if alpha > 2 and not spec.supports_alpha_gt2:
         raise AlgorithmError(f"alpha > 2 is not supported by {algorithm!r}")
 
-    session = SolverSession(
+    result = SolverSession(
         graph, spec, beta=beta, alpha=alpha, regime=regime,
         alpha_mem=alpha_mem, config=config, seed=seed,
         backend=backend, num_shards=num_shards, kernel=kernel,
         trace=trace,
-    )
-    run = session.run()
-    claimed_beta = spec.claimed_beta(graph, alpha, beta)
-    # The LOCAL baselines only ever claim plain independence.
-    result_alpha = 2 if spec.family == LOCAL_FAMILY else alpha
-    result = RulingSetResult(
-        members=run.payload.members,
-        alpha=result_alpha,
-        beta=claimed_beta,
-        algorithm=algorithm,
-        **run.stats.result_kwargs(),
-    )
-
+    ).run()
     if verify:
         verify_ruling_set(
             graph, result.members, alpha=result.alpha, beta=result.beta
@@ -188,29 +171,12 @@ def solve_ruling_set_stream(
     """
     if algorithm is None:
         algorithm = registry.DET_RULING
-    spec = registry.get_algorithm(algorithm)
-    if spec.problem != RULING_SET or spec.family != MPC_FAMILY:
-        raise AlgorithmError(
-            f"streaming solve requires an MPC ruling-set algorithm, "
-            f"got {algorithm!r}; choose one of: "
-            + ", ".join(
-                registry.algorithm_names(family=MPC_FAMILY, problem=RULING_SET)
-            )
-        )
-
+    spec = registry.solver_spec(algorithm, RULING_SET, MPC_FAMILY)
     source = EdgeListSource(path, num_shards=num_shards, spill_dir=spill_dir)
-    session = SolverSession(
+    result = SolverSession(
         source, spec, beta=beta, regime=regime, alpha_mem=alpha_mem,
         seed=seed, kernel=kernel,
-    )
-    run = session.run()
-    result = RulingSetResult(
-        members=run.payload.members,
-        alpha=2,
-        beta=spec.claimed_beta(None, 2, beta),
-        algorithm=algorithm,
-        **run.stats.result_kwargs(),
-    )
+    ).run()
     if verify:
         from repro.graph.io import read_edge_list
 

@@ -125,14 +125,12 @@ class RunContext:
 
 @dataclass
 class RunPayload:
-    """What one run hands back to the session.
+    """What a ``local`` / ``sequential`` runner hands back to the session.
 
-    ``members`` is left ``None`` by MPC ruling-set programs — the session
-    collects marked vertices from the distributed graph itself, so every
-    algorithm shares one collection path.
+    MPC programs report through their
+    :class:`~repro.core.program.ProgramContext` instead.
     """
 
-    counters: Dict[str, int] = field(default_factory=dict)
     members: Optional[List[int]] = None
     matching: Optional[List[Tuple[int, int]]] = None
     local_rounds: Optional[int] = None
@@ -181,8 +179,9 @@ class AlgorithmSpec:
         The ``local`` / ``sequential`` dispatch (see the module docstring
         contract); ``None`` for ``mpc`` specs.
     claimed_beta:
-        Claimed domination radius as a function of the run parameters
-        (``None`` for problems where β is meaningless, e.g. matching).
+        Claimed domination radius as a function of the run parameters;
+        required for ruling-set specs (``None`` for problems where β is
+        meaningless, e.g. matching).
     supports_alpha_gt2:
         Whether the algorithm accepts an independence radius α > 2
         (via power-graph reduction or native support).
@@ -230,9 +229,10 @@ _REGISTRY: Dict[str, AlgorithmSpec] = {}
 def register(spec: AlgorithmSpec) -> AlgorithmSpec:
     """Add ``spec`` to the registry.
 
-    Rejects bad enums, duplicates, and a dispatch that does not match
-    the family: one ``program_factory`` for ``mpc``, one ``runner`` for
-    ``local`` / ``sequential``.
+    Rejects bad enums, duplicates, a dispatch that does not match the
+    family (one ``program_factory`` for ``mpc``, one ``runner`` for
+    ``local`` / ``sequential``), and a ruling-set spec without a
+    ``claimed_beta``.
     """
     if spec.family not in FAMILIES:
         raise AlgorithmError(
@@ -255,6 +255,11 @@ def register(spec: AlgorithmSpec) -> AlgorithmSpec:
             f"{spec.family} algorithm {spec.name!r} must dispatch through "
             "a runner and carry no program_factory"
         )
+    if spec.problem == RULING_SET and spec.claimed_beta is None:
+        raise AlgorithmError(
+            f"ruling-set algorithm {spec.name!r} must carry a claimed_beta "
+            "(its result reports, and is verified against, that radius)"
+        )
     if spec.name in _REGISTRY:
         raise AlgorithmError(f"algorithm {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
@@ -274,6 +279,26 @@ def get_algorithm(name: str) -> AlgorithmSpec:
             f"unknown algorithm {name!r}; registered algorithms: "
             + ", ".join(_REGISTRY)
         ) from None
+
+
+def solver_spec(
+    name: str, problem: str, family: Optional[str] = None
+) -> AlgorithmSpec:
+    """Look up ``name`` for a driver that solves ``problem``.
+
+    ``family`` further restricts the model (stream mode needs an MPC
+    algorithm).  A mismatch raises :class:`AlgorithmError` listing the
+    algorithms the driver accepts.
+    """
+    spec = get_algorithm(name)
+    if spec.problem != problem or family not in (None, spec.family):
+        wanted = problem if family is None else f"{family.upper()} {problem}"
+        raise AlgorithmError(
+            f"{name!r} solves {spec.problem!r} in the {spec.family!r} "
+            f"family; {wanted} algorithms: "
+            + ", ".join(algorithm_names(family=family, problem=problem))
+        )
+    return spec
 
 
 def is_registered(name: str) -> bool:

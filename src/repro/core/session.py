@@ -26,11 +26,12 @@ owns that lifecycle once, for every registered algorithm and problem:
    program, run by :func:`~repro.core.program.run_program` (the only
    MPC dispatch).
 5. **Collection & assembly** — members are collected from the
-   distributed graph under one key, and rounds / metrics / phase
-   attribution / wall-clock / trace are assembled into one shared
-   :class:`SessionStats`, which the problem-specific result types
-   (:class:`~repro.core.spec.RulingSetResult`,
-   :class:`~repro.core.spec.MatchingResult`) embed verbatim.
+   distributed graph under one key, and :meth:`SolverSession.run`
+   returns the problem's result type
+   (:class:`~repro.core.spec.RulingSetResult` with the spec's claimed
+   α / β, or :class:`~repro.core.spec.MatchingResult`), its
+   :class:`~repro.core.spec.RunResult` tail (rounds / metrics / phase
+   attribution / wall-clock / trace) filled from the simulator.
 
 The input is a *source*: an in-memory :class:`Graph`, or an
 :class:`EdgeListSource` naming an edge-list file.  Stream mode differs
@@ -40,26 +41,28 @@ adds ``ingest_*`` / ``shard_*`` metrics; members and model metrics are
 bit-identical to an in-memory run under the same ``ModOwnerMap``.
 
 ``local`` / ``sequential`` algorithms never touch the simulator: the
-session runs their runner directly and returns empty MPC stats (0
-rounds; LOCAL round counts travel in ``metrics["local_rounds"]``),
-exactly as the hand-written drivers did.
+session runs their runner directly and returns an empty MPC tail (0
+rounds; LOCAL round counts travel in ``metrics["local_rounds"]``).
+An empty input returns an empty result the same way, for every
+algorithm, so the drivers validate their parameters first.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.program import run_program
 from repro.core.registry import (
     AlgorithmSpec,
     LOCAL_FAMILY,
+    MATCHING,
     MPC_FAMILY,
     RULING_SET,
     RunContext,
-    RunPayload,
 )
+from repro.core.spec import MatchingResult, RulingSetResult, RunResult
 from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
@@ -111,43 +114,6 @@ def make_config(
     else:
         counts = (graph.num_vertices, graph.declared_edges, graph.max_degree)
     return make_config_from_stats(*counts, regime, alpha)
-
-
-@dataclass
-class SessionStats:
-    """The shared MPC-run slice of every result type.
-
-    Model quantities (``rounds`` / ``metrics`` / ``phase_rounds``) are
-    deterministic and participate in bit-identity comparisons; the
-    wall-clock fields and the trace deliberately ride outside them.
-    """
-
-    rounds: int = 0
-    metrics: Dict[str, object] = field(default_factory=dict)
-    phase_rounds: Dict[str, int] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    time_per_phase: Dict[str, float] = field(default_factory=dict)
-    trace: Optional[object] = None
-
-    def result_kwargs(self) -> Dict[str, object]:
-        """Keyword arguments for the result dataclasses' shared tail."""
-        return {
-            "rounds": self.rounds,
-            "metrics": self.metrics,
-            "phase_rounds": self.phase_rounds,
-            "wall_time_s": self.wall_time_s,
-            "time_per_phase": self.time_per_phase,
-            "trace": self.trace,
-        }
-
-
-@dataclass
-class SessionRun:
-    """One completed session: the run's payload plus shared stats."""
-
-    payload: RunPayload
-    stats: SessionStats
-    config: Optional[MPCConfig] = None
 
 
 @dataclass(frozen=True)
@@ -295,20 +261,32 @@ class SolverSession:
 
     # -- execution -------------------------------------------------------
 
-    def run(self) -> SessionRun:
-        """Execute the algorithm and assemble the shared stats.
+    def run(self) -> RunResult:
+        """Execute the algorithm and return the problem's result.
 
-        An empty input yields an empty run (no members, 0 rounds)
+        An empty input yields an empty result (no members, 0 rounds)
         without sizing a regime or touching the simulator.
         """
         if self.num_vertices == 0:
-            return SessionRun(
-                payload=RunPayload(members=[], matching=[]),
-                stats=SessionStats(),
-            )
+            return self._result([], [])
         if self.spec.family != MPC_FAMILY:
             return self._run_direct()
         return self._run_mpc()
+
+    def _result(
+        self,
+        members: Optional[List[int]],
+        matching: Optional[List[Tuple[int, int]]],
+        **tail: object,
+    ) -> RunResult:
+        """The spec's result type: its problem fields, then the run tail."""
+        spec = self.spec
+        if spec.problem == MATCHING:
+            return MatchingResult(matching, spec.name, **tail)
+        # The LOCAL baselines only ever claim plain independence.
+        alpha = 2 if spec.family == LOCAL_FAMILY else self.alpha
+        beta = spec.claimed_beta(self.graph, self.alpha, self.beta)
+        return RulingSetResult(members, alpha, beta, spec.name, **tail)
 
     def _context(self) -> RunContext:
         return RunContext(
@@ -316,15 +294,14 @@ class SolverSession:
             seed=self.seed, power_adjacency=self.power_adjacency(),
         )
 
-    def _run_direct(self) -> SessionRun:
+    def _run_direct(self) -> RunResult:
         """LOCAL / sequential run: no simulator, 0 MPC rounds."""
         payload = self.spec.runner(self._context())
         metrics: Dict[str, object] = {}
         if self.spec.family == LOCAL_FAMILY:
             metrics["local_rounds"] = payload.local_rounds
         metrics.update(payload.extra_metrics)
-        return SessionRun(payload=payload, stats=SessionStats(metrics=metrics))
-
+        return self._result(payload.members, payload.matching, metrics=metrics)
     @contextmanager
     def _loaded(
         self, cfg: MPCConfig
@@ -373,22 +350,17 @@ class SolverSession:
                     }
                 )
 
-    def _run_mpc(self) -> SessionRun:
+    def _run_mpc(self) -> RunResult:
         cfg = self.resolve_config()
         with self._loaded(cfg) as (sim, dg, source_metrics):
             ctx = self._context()
             pctx = run_program(dg, self.spec.program_factory(ctx))
-            payload = RunPayload(
-                counters=pctx.counters,
-                members=pctx.members,
-                matching=pctx.matching,
-                extra_metrics=pctx.extra_metrics,
-            )
-            if payload.members is None and self.spec.problem == RULING_SET:
-                payload.members = dg.collect_marked(ctx.in_set_key)
+            members = pctx.members
+            if members is None and self.spec.problem == RULING_SET:
+                members = dg.collect_marked(ctx.in_set_key)
         metrics: Dict[str, object] = dict(sim.metrics.summary())
         metrics.update(
-            {f"alg_{key}": value for key, value in payload.counters.items()}
+            {f"alg_{key}": value for key, value in pctx.counters.items()}
         )
         metrics["num_machines"] = cfg.num_machines
         metrics["memory_words"] = cfg.memory_words
@@ -397,8 +369,10 @@ class SolverSession:
             # Price the α > 2 densification without rebuilding G^{α-1}
             # downstream (E9 reads this instead of its own power_graph).
             metrics["power_edges"] = self._power.num_edges
-        metrics.update(payload.extra_metrics)
-        stats = SessionStats(
+        metrics.update(pctx.extra_metrics)
+        return self._result(
+            members,
+            pctx.matching,
             rounds=sim.metrics.rounds,
             metrics=metrics,
             phase_rounds=sim.metrics.phase_rounds(),
@@ -409,4 +383,3 @@ class SolverSession:
             },
             trace=sim.trace,
         )
-        return SessionRun(payload=payload, stats=stats, config=cfg)

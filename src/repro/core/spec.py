@@ -8,7 +8,13 @@ An ``(α, β)``-ruling set of ``G``:
 
 An MIS is a (2, 1)-ruling set; "β-ruling set" abbreviates (2, β).
 Maximal matching (an MIS on the line graph) gets the matching-shaped
-result type with the same shared MPC-run tail.
+result type.
+
+Both result types extend :class:`RunResult`, the one declaration of the
+MPC-run tail (``rounds`` / ``metrics`` / ``phase_rounds`` / timing /
+``trace``).  :meth:`repro.core.session.SolverSession.run` builds them,
+and the serve cache derives the tail part of its payloads from
+:class:`RunResult`'s fields, so a new tail field is declared here once.
 """
 
 from __future__ import annotations
@@ -20,21 +26,15 @@ if TYPE_CHECKING:  # import kept type-only: spec stays simulator-agnostic
     from repro.mpc.trace import TraceRecorder
 
 
-@dataclass(frozen=True)
-class RulingSetResult:
-    """The outcome of one ruling-set computation.
+@dataclass(frozen=True, kw_only=True)
+class RunResult:
+    """The MPC-run tail shared by every result type (keyword-only).
 
     Attributes
     ----------
-    members:
-        Sorted member vertex ids.
-    alpha / beta:
-        The guarantee the algorithm *claims* (verification measures the
-        actual values; ``measured_beta <= beta`` must hold).
-    algorithm:
-        Human-readable algorithm label.
     rounds:
-        MPC rounds consumed (0 for sequential oracles).
+        MPC rounds consumed (0 for sequential / LOCAL runs and empty
+        inputs).
     metrics:
         Flat metric dict from :class:`repro.mpc.RunMetrics.summary`, plus
         algorithm-specific counters (phases, seeds scanned, ...).  Model
@@ -52,18 +52,35 @@ class RulingSetResult:
         wall clock, and identical runs must compare equal.
     """
 
-    members: List[int]
-    alpha: int
-    beta: int
-    algorithm: str
     rounds: int = 0
-    metrics: Dict[str, int] = field(default_factory=dict)
+    metrics: Dict[str, object] = field(default_factory=dict)
     phase_rounds: Dict[str, int] = field(default_factory=dict)
     wall_time_s: float = 0.0
     time_per_phase: Dict[str, float] = field(default_factory=dict)
     trace: Optional["TraceRecorder"] = field(
         default=None, compare=False, repr=False
     )
+
+
+@dataclass(frozen=True)
+class RulingSetResult(RunResult):
+    """The outcome of one ruling-set computation.
+
+    Attributes
+    ----------
+    members:
+        Sorted member vertex ids.
+    alpha / beta:
+        The guarantee the algorithm *claims* (verification measures the
+        actual values; ``measured_beta <= beta`` must hold).
+    algorithm:
+        Human-readable algorithm label.
+    """
+
+    members: List[int]
+    alpha: int
+    beta: int
+    algorithm: str
 
     @property
     def size(self) -> int:
@@ -85,15 +102,8 @@ class RulingSetResult:
 
 
 @dataclass(frozen=True)
-class MatchingResult:
+class MatchingResult(RunResult):
     """The outcome of one maximal-matching computation.
-
-    Shares the MPC-run tail (``rounds`` / ``metrics`` / ``phase_rounds``
-    / timing / ``trace``) with :class:`RulingSetResult` — both are
-    assembled from the same
-    :class:`~repro.core.session.SessionStats`, with identical
-    determinism contracts (model quantities compare, wall clock and
-    trace do not).
 
     Iterating yields ``(matching, metrics)``, so the historical
     ``matching, metrics = solve_matching(graph)`` unpacking keeps
@@ -102,14 +112,6 @@ class MatchingResult:
 
     matching: List[Tuple[int, int]]
     algorithm: str
-    rounds: int = 0
-    metrics: Dict[str, int] = field(default_factory=dict)
-    phase_rounds: Dict[str, int] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    time_per_phase: Dict[str, float] = field(default_factory=dict)
-    trace: Optional["TraceRecorder"] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def size(self) -> int:

@@ -6,7 +6,8 @@ stay in the simulator.  Two backends ship:
 
 ``SerialBackend``
     Runs every callback in machine-id order in the calling process and
-    routes the round's messages in memory — the default.
+    routes each outbox in memory as soon as its callback returns — the
+    default.
 
 ``ShardBackend`` (:mod:`repro.mpc.shard`)
     Out-of-core: machine state is spilled to disk with one shard
@@ -114,7 +115,7 @@ class Router:
     message, nonexistent destination or overrun of the send ``budget``
     is held, and routing stops there; :meth:`finish` raises it once
     every callback of the round has run, so a callback's own exception
-    outranks it, as serially (callbacks, then routing).
+    outranks it, as if every callback ran before any routing.
     """
 
     def __init__(self, k: int, budget: int, want_sent: bool):
@@ -378,15 +379,14 @@ class SerialBackend(SuperstepBackend):
         self._reports.append([machine.memory_words() for machine in machines])
 
     def run_communicate(
-        self, machines: Sequence[Machine], fn: MachineFn
-    ) -> List[list]:
-        """Apply ``fn`` to every machine; return outboxes in id order."""
+        self, machines: Sequence[Machine], fn: MachineFn, router: Router
+    ) -> None:
+        """Apply ``fn`` to every machine in id order, routing each
+        outbox as soon as its callback returns (no round-wide buffer)."""
         self._stats["communicate_steps"] += 1
-        outboxes: List[list] = []
-        for machine in machines:
-            sent = fn(machine)
-            outboxes.append(list(sent) if sent is not None else [])
-        return outboxes
+        route = router.route
+        for mid, machine in enumerate(machines):
+            route(mid, fn(machine))
 
     def run_exchange(
         self,
@@ -396,10 +396,8 @@ class SerialBackend(SuperstepBackend):
         memory_words: int,
         want_sent_per_machine: bool = False,
     ) -> ExchangeStats:
-        outboxes = self.run_communicate(machines, fn)
         router = Router(len(machines), memory_words, want_sent_per_machine)
-        for sender, outbox in enumerate(outboxes):
-            router.route(sender, outbox)
+        self.run_communicate(machines, fn, router)
         stats = router.finish()
         # Each inbox's price is its received count, so the audit never
         # walks it.

@@ -29,6 +29,11 @@ Two tiers share that key space:
 Entries are stored as canonical JSON text in *both* tiers, so a memory
 hit and a disk hit return byte-identical payloads and callers can never
 mutate cached state in place.
+
+The codec (:func:`result_to_payload` / :func:`payload_to_result`)
+spells out only each problem's own fields; the shared run tail is
+derived from :class:`~repro.core.spec.RunResult`'s fields (all but
+``trace``), so a tail field added there is cached without an edit here.
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.core.registry import MATCHING, RULING_SET
-from repro.core.spec import MatchingResult, RulingSetResult
+from repro.core.spec import MatchingResult, RulingSetResult, RunResult
 from repro.errors import ServeError
 
 __all__ = [
@@ -67,43 +73,50 @@ def cache_key(graph_fingerprint: str, params: Dict[str, object]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: The run-tail fields a payload carries: every :class:`RunResult`
+#: field but ``trace`` (a pure observer holding wall clock).
+_TAIL_FIELDS = tuple(
+    spec.name for spec in fields(RunResult) if spec.name != "trace"
+)
+
+
+def _copy(value: object) -> object:
+    return dict(value) if isinstance(value, dict) else value
+
+
 def result_to_payload(
     result: Union[RulingSetResult, MatchingResult]
 ) -> Dict[str, object]:
     """Serialise a result dataclass to a JSON-safe payload dict.
 
-    The payload keeps the wall-clock fields: a cache hit reconstructs
-    the *original* run's result object, equal (``==``) to what the
-    solve returned — the frozen dataclasses include ``wall_time_s`` in
-    equality, so dropping timing here would break the bit-identity
-    acceptance test.
+    The problem fields come first, then the run tail, derived from
+    :class:`~repro.core.spec.RunResult`'s fields.  The payload keeps the
+    wall-clock fields: a cache hit reconstructs the *original* run's
+    result object, equal (``==``) to what the solve returned — the
+    frozen dataclasses include ``wall_time_s`` in equality, so dropping
+    timing here would break the bit-identity acceptance test.
     """
-    if not isinstance(result, (RulingSetResult, MatchingResult)):
-        raise ServeError(
-            f"cannot cache a {type(result).__name__}; expected "
-            "RulingSetResult or MatchingResult"
-        )
-    shared = {
-        "algorithm": result.algorithm,
-        "rounds": result.rounds,
-        "metrics": dict(result.metrics),
-        "phase_rounds": dict(result.phase_rounds),
-        "wall_time_s": result.wall_time_s,
-        "time_per_phase": dict(result.time_per_phase),
-    }
     if isinstance(result, RulingSetResult):
-        return {
+        payload: Dict[str, object] = {
             "problem": RULING_SET,
             "members": list(result.members),
             "alpha": result.alpha,
             "beta": result.beta,
-            **shared,
         }
-    return {
-        "problem": MATCHING,
-        "matching": [list(edge) for edge in result.matching],
-        **shared,
-    }
+    elif isinstance(result, MatchingResult):
+        payload = {
+            "problem": MATCHING,
+            "matching": [list(edge) for edge in result.matching],
+        }
+    else:
+        raise ServeError(
+            f"cannot cache a {type(result).__name__}; expected "
+            "RulingSetResult or MatchingResult"
+        )
+    payload["algorithm"] = result.algorithm
+    for name in _TAIL_FIELDS:
+        payload[name] = _copy(getattr(result, name))
+    return payload
 
 
 def payload_to_result(
@@ -120,24 +133,19 @@ def payload_to_result(
         raise ServeError(
             f"unknown problem kind in cached payload: {problem!r}"
         )
-    shared = {
-        "algorithm": payload["algorithm"],
-        "rounds": payload["rounds"],
-        "metrics": dict(payload["metrics"]),
-        "phase_rounds": dict(payload["phase_rounds"]),
-        "wall_time_s": payload["wall_time_s"],
-        "time_per_phase": dict(payload["time_per_phase"]),
-    }
+    tail = {name: _copy(payload[name]) for name in _TAIL_FIELDS}
     if problem == RULING_SET:
         return RulingSetResult(
             members=list(payload["members"]),
             alpha=payload["alpha"],
             beta=payload["beta"],
-            **shared,
+            algorithm=payload["algorithm"],
+            **tail,
         )
     return MatchingResult(
         matching=[tuple(edge) for edge in payload["matching"]],
-        **shared,
+        algorithm=payload["algorithm"],
+        **tail,
     )
 
 

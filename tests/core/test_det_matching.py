@@ -150,8 +150,9 @@ class TestSolveMatching:
     def test_empty_graph(self):
         from repro.core.det_matching import solve_matching
 
-        matching, metrics = solve_matching(Graph.empty(0))
-        assert matching == [] and metrics["rounds"] == 0
+        result = solve_matching(Graph.empty(0))
+        assert result.matching == []
+        assert result.rounds == 0 and result.metrics == {}
 
 
 class TestSolveMatchingParity:

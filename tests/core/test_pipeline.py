@@ -1,8 +1,12 @@
 """Tests for the one-call driver."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.det_matching import solve_matching
 from repro.core.pipeline import make_config, solve_ruling_set
+from repro.core.spec import RunResult
 from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
 
@@ -62,6 +66,19 @@ class TestSolve:
         )
         full = solve_ruling_set(small_er, algorithm="det-luby", beta=5)
         assert empty.beta == full.beta == 1
+
+    def test_empty_graph_tails_match_across_problems(self):
+        # One empty path in the session: an empty ruling set and an
+        # empty matching carry the same run tail.
+        def tail(result):
+            return {
+                field.name: getattr(result, field.name)
+                for field in dataclasses.fields(RunResult)
+            }
+
+        ruling = tail(solve_ruling_set(Graph.empty(0)))
+        assert ruling == tail(solve_matching(Graph.empty(0)))
+        assert ruling == tail(RunResult())
 
     def test_mpc_metrics_present(self, small_er):
         result = solve_ruling_set(

@@ -179,6 +179,16 @@ class TestRegistration:
             ))
         assert not registry.is_registered("bogus-direct-alg")
 
+    def test_ruling_set_spec_without_claimed_beta_rejected(self):
+        # Without a claim the driver would have no beta to report or
+        # verify against.
+        spec = registry.get_algorithm(registry.GREEDY_MIS)
+        with pytest.raises(AlgorithmError, match="claimed_beta"):
+            registry.register(dataclasses.replace(
+                spec, name="bogus-unclaimed", claimed_beta=None,
+            ))
+        assert not registry.is_registered("bogus-unclaimed")
+
     def test_bad_problem_rejected(self):
         with pytest.raises(AlgorithmError, match="problem"):
             registry.register(AlgorithmSpec(

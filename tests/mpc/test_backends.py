@@ -6,7 +6,7 @@ from repro.core.det_luby import conditional_expectation_chooser, luby_program
 from repro.core.program import run_program
 from repro.errors import MPCConfigError, MPCRoutingError
 from repro.graph import generators as gen
-from repro.mpc.backends import BACKENDS, SerialBackend, resolve_backend
+from repro.mpc.backends import BACKENDS, Router, SerialBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.shard import ShardBackend, _chunk_ranges
@@ -91,6 +91,33 @@ class TestBackendEquivalence:
         # The serial backend reports step counters (the trace layer
         # snapshots them for attribution) and nothing else.
         assert backend.stats() == {"local_steps": 1, "communicate_steps": 0}
+
+    def test_serial_routes_each_outbox_before_the_next_callback(
+        self, monkeypatch
+    ):
+        # No round-wide outbox buffer: machine i's outbox is routed
+        # before machine i + 1's callback runs, and delivery still waits
+        # for the whole round.
+        events = []
+        route = Router.route
+
+        def logged(self, sender, outbox):
+            events.append(("route", sender))
+            return route(self, sender, outbox)
+
+        def send(machine):
+            events.append(("callback", machine.mid))
+            assert not machine.inbox
+            return [((machine.mid + 1) % 3, (machine.mid,))]
+
+        monkeypatch.setattr(Router, "route", logged)
+        cfg = MPCConfig(num_machines=3, memory_words=256)
+        with Simulator(cfg, backend=SerialBackend()) as sim:
+            sim.communicate(send)
+            assert [m.inbox for m in sim.machines] == [[(2,)], [(0,)], [(1,)]]
+        assert events == [
+            (kind, mid) for mid in range(3) for kind in ("callback", "route")
+        ]
 
 
 class TestHarvestContract:

@@ -1,5 +1,7 @@
 """ResultCache: tiers, eviction accounting, and bit-identical round-trips."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import registry
@@ -45,6 +47,16 @@ class TestRoundTrip:
         ResultCache(disk_dir=tmp_path).put("k", result_to_payload(result))
         fresh = ResultCache(disk_dir=tmp_path)  # simulates a new process
         assert payload_to_result(fresh.get("k")) == result
+
+    @pytest.mark.parametrize("solve", [solve_ruling_set, solve_matching])
+    def test_payload_keys_follow_the_result_fields(self, solve):
+        # Every field but the trace is cached, plus the problem kind, so
+        # a run-tail field added to RunResult cannot be dropped silently.
+        result = solve(gen.cycle_graph(12))
+        expected = {
+            field.name for field in dataclasses.fields(result)
+        } - {"trace"} | {"problem"}
+        assert set(result_to_payload(result)) == expected
 
     def test_unknown_payload_rejected(self):
         with pytest.raises(ServeError):
