@@ -43,11 +43,6 @@ from repro.graph.io import read_edge_list, write_edge_list
 from repro.mpc.backends import BACKENDS
 from repro.mpc.trace import WARN_UTILIZATION
 
-SHARDS_HELP = (
-    "shard count for the shard backend and --stream (0 = default); "
-    "an error on any other backend"
-)
-
 def _load_or_build(args) -> Graph:
     if args.input:
         return read_edge_list(args.input)
@@ -66,6 +61,33 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
         help="family parameter (expected degree / degree / columns)",
     )
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_execution_options(parser: argparse.ArgumentParser) -> None:
+    """The flags ``solve`` and ``match`` share for how a run executes."""
+    parser.add_argument(
+        "--backend", default=None, choices=sorted(BACKENDS),
+        help="superstep execution backend (results are bit-identical; "
+        "'shard' spills machine state to disk and keeps one shard "
+        "resident — graphs bigger than RAM)",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=0,
+        help="shard count for the shard backend and solve --stream "
+        "(0 = default); an error on any other backend",
+    )
+    parser.add_argument(
+        "--kernel", default=None, choices=("python", "numpy"),
+        help="seed-search scoring kernel (results are bit-identical; "
+        "'numpy' batches the estimator queries and is an error when "
+        "NumPy is not installed; default: $REPRO_KERNEL or 'python')",
+    )
+    parser.add_argument(
+        "--trace-out", default=None,
+        help="enable the superstep trace, write its JSONL here, and "
+        "print the budget audit (headroom, warnings at "
+        f"{100 * WARN_UTILIZATION:.0f}%% of S)",
+    )
 
 
 def cmd_generate(args) -> int:
@@ -128,27 +150,15 @@ def _write_trace(
     return report
 
 
-def cmd_solve(args) -> int:
-    if args.stream:
-        return _cmd_solve_stream(args)
-    if args.stream_verify:
-        raise ReproError("--stream-verify needs --stream")
-    if args.chrome_out is not None and args.trace_out is None:
-        raise ReproError("--chrome-out needs --trace-out")
-    _check_shards(args)
-    graph = _load_or_build(args)
-    result = solve_ruling_set(
-        graph,
-        algorithm=args.algorithm,
-        beta=args.beta,
-        alpha=args.alpha,
-        regime=args.regime,
-        seed=args.seed,
-        backend=args.backend,
-        num_shards=args.shards,
-        kernel=args.kernel,
-        trace=args.trace_out is not None,
-    )
+def _print_result(args, result, header, key: str, value) -> int:
+    """Print a ``solve`` / ``match`` run: ``--json`` or the text report.
+
+    ``key`` / ``value`` (the members or the matching) join the JSON
+    record; ``header`` is the text report's ``(label, value)`` lines
+    naming the input and the problem.  Everything after the header —
+    rounds, metrics, wall clock per phase, the trace audit — is the
+    same for every command and input mode.
+    """
     report = (
         _write_trace(result, args.trace_out, args.chrome_out)
         if args.trace_out is not None
@@ -156,7 +166,7 @@ def cmd_solve(args) -> int:
     )
     if args.json:
         payload = result.summary_row()
-        payload["members"] = result.members
+        payload[key] = value
         payload.update(
             {
                 f"time_{phase}_s": seconds
@@ -165,13 +175,10 @@ def cmd_solve(args) -> int:
         )
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(f"graph:      n={graph.num_vertices} m={graph.num_edges}")
-    print(f"algorithm:  {result.algorithm}")
-    print(f"guarantee:  ({result.alpha}, {result.beta})-ruling set")
-    print(f"size:       {result.size}")
-    print(f"rounds:     {result.rounds}")
-    for key in sorted(result.metrics):
-        print(f"  {key} = {result.metrics[key]}")
+    for label, text in [*header, ("rounds", result.rounds)]:
+        print(f"{label + ':':<11} {text}")
+    for name in sorted(result.metrics):
+        print(f"  {name} = {result.metrics[name]}")
     if result.wall_time_s:
         print(f"wall clock: {result.wall_time_s:.3f}s (simulator, not cluster)")
         for phase in sorted(result.time_per_phase):
@@ -181,7 +188,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_solve_stream(args) -> int:
+def _check_stream(args) -> None:
+    """Refuse the flags a ``--stream`` solve cannot honour."""
     if not args.input:
         raise ReproError("--stream requires --input (an edge-list file)")
     if args.alpha != 2:
@@ -201,35 +209,55 @@ def _cmd_solve_stream(args) -> int:
             raise ReproError(
                 f"--stream records no superstep trace; {flag} cannot apply"
             )
-    result = solve_ruling_set_stream(
-        args.input,
-        algorithm=args.algorithm,
-        beta=args.beta,
-        regime=args.regime,
-        seed=args.seed,
-        verify=args.stream_verify,
-        num_shards=args.shards,
-        kernel=args.kernel,
-    )
-    if args.json:
-        payload = result.summary_row()
-        payload["members"] = result.members
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"input:      {args.input} (streamed)")
-    print(
-        f"ingest:     m={result.metrics['ingest_edges']} "
-        f"max_degree={result.metrics['ingest_max_degree']}"
-    )
-    print(f"algorithm:  {result.algorithm}")
-    print(f"guarantee:  ({result.alpha}, {result.beta})-ruling set")
-    print(f"size:       {result.size}")
-    print(f"rounds:     {result.rounds}")
-    for key in sorted(result.metrics):
-        print(f"  {key} = {result.metrics[key]}")
-    if result.wall_time_s:
-        print(f"wall clock: {result.wall_time_s:.3f}s (simulator, not cluster)")
-    return 0
+
+
+def cmd_solve(args) -> int:
+    if args.stream:
+        _check_stream(args)
+        result = solve_ruling_set_stream(
+            args.input,
+            algorithm=args.algorithm,
+            beta=args.beta,
+            regime=args.regime,
+            seed=args.seed,
+            verify=args.stream_verify,
+            num_shards=args.shards,
+            kernel=args.kernel,
+        )
+        header = [
+            ("input", f"{args.input} (streamed)"),
+            (
+                "ingest",
+                f"m={result.metrics['ingest_edges']} "
+                f"max_degree={result.metrics['ingest_max_degree']}",
+            ),
+        ]
+    else:
+        if args.stream_verify:
+            raise ReproError("--stream-verify needs --stream")
+        if args.chrome_out is not None and args.trace_out is None:
+            raise ReproError("--chrome-out needs --trace-out")
+        _check_shards(args)
+        graph = _load_or_build(args)
+        result = solve_ruling_set(
+            graph,
+            algorithm=args.algorithm,
+            beta=args.beta,
+            alpha=args.alpha,
+            regime=args.regime,
+            seed=args.seed,
+            backend=args.backend,
+            num_shards=args.shards,
+            kernel=args.kernel,
+            trace=args.trace_out is not None,
+        )
+        header = [("graph", f"n={graph.num_vertices} m={graph.num_edges}")]
+    header += [
+        ("algorithm", result.algorithm),
+        ("guarantee", f"({result.alpha}, {result.beta})-ruling set"),
+        ("size", result.size),
+    ]
+    return _print_result(args, result, header, "members", result.members)
 
 
 def cmd_match(args) -> int:
@@ -246,23 +274,13 @@ def cmd_match(args) -> int:
         kernel=args.kernel,
         trace=args.trace_out is not None,
     )
-    report = (
-        [] if args.trace_out is None else _write_trace(result, args.trace_out)
-    )
-    if args.json:
-        payload = result.summary_row()
-        payload["matching"] = [list(edge) for edge in result.matching]
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    print(f"graph:         n={graph.num_vertices} m={graph.num_edges}")
-    print(f"algorithm:     {result.algorithm}")
-    print(f"matching size: {result.size}")
-    print(f"MPC rounds:    {result.rounds}")
-    for key in sorted(result.metrics):
-        print(f"  {key} = {result.metrics[key]}")
-    for line in report:
-        print(line)
-    return 0
+    header = [
+        ("graph", f"n={graph.num_vertices} m={graph.num_edges}"),
+        ("algorithm", result.algorithm),
+        ("matching size", result.size),
+    ]
+    matching = [list(edge) for edge in result.matching]
+    return _print_result(args, result, header, "matching", matching)
 
 
 def cmd_verify(args) -> int:
@@ -540,25 +558,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--regime", default="sublinear",
         choices=("sublinear", "near-linear", "single"),
     )
-    p_solve.add_argument(
-        "--backend", default=None, choices=sorted(BACKENDS),
-        help="superstep execution backend (results are bit-identical; "
-        "'shard' spills machine state to disk and keeps one shard "
-        "resident — graphs bigger than RAM)",
-    )
-    p_solve.add_argument("--shards", type=int, default=0, help=SHARDS_HELP)
-    p_solve.add_argument(
-        "--kernel", default=None, choices=("python", "numpy"),
-        help="seed-search scoring kernel (results are bit-identical; "
-        "'numpy' batches the estimator queries and is an error when "
-        "NumPy is not installed; default: $REPRO_KERNEL or 'python')",
-    )
-    p_solve.add_argument(
-        "--trace-out", default=None,
-        help="enable the superstep trace, write its JSONL here, and "
-        "print the budget audit (headroom, warnings at "
-        f"{100 * WARN_UTILIZATION:.0f}%% of S)",
-    )
+    _add_execution_options(p_solve)
     p_solve.add_argument(
         "--chrome-out", default=None,
         help="with --trace-out: also write Chrome trace format "
@@ -589,22 +589,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--algorithm", default=registry.DET_MATCHING,
         help=registry.help_text(problem=registry.MATCHING, rounds=True),
     )
-    p_match.add_argument(
-        "--backend", default=None, choices=sorted(BACKENDS),
-        help="superstep execution backend (results are bit-identical)",
-    )
-    p_match.add_argument("--shards", type=int, default=0, help=SHARDS_HELP)
-    p_match.add_argument(
-        "--kernel", default=None, choices=("python", "numpy"),
-        help="seed-search scoring kernel (results are bit-identical)",
-    )
-    p_match.add_argument(
-        "--trace-out", default=None,
-        help="enable the superstep trace, write its JSONL here, and "
-        "print the budget audit",
-    )
+    _add_execution_options(p_match)
     p_match.add_argument("--json", action="store_true")
-    p_match.set_defaults(func=cmd_match)
+    # match has no Chrome export.
+    p_match.set_defaults(func=cmd_match, chrome_out=None)
 
     p_verify = sub.add_parser("verify", help="check a claimed ruling set")
     p_verify.add_argument("--input", required=True)
@@ -705,6 +693,8 @@ def make_parser() -> argparse.ArgumentParser:
             "--cache-memory", type=int, default=256,
             help="in-memory LRU tier size in entries (0 disables it)",
         )
+
+    def _add_fanout_options(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(
             "--jobs", type=int, default=1,
             help="worker processes for cache misses (hits never execute; "
@@ -734,6 +724,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="output JSONL path (default: records on stdout)",
     )
     _add_cache_options(p_batch)
+    _add_fanout_options(p_batch)
     p_batch.add_argument(
         "--max-requests", type=int, default=10_000,
         help="backpressure bound: refuse larger batches up front",
@@ -754,14 +745,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--socket", default=None,
         help="unix socket path (omit to serve on stdin/stdout)",
     )
-    p_serve.add_argument(
-        "--cache-dir", default=None,
-        help="on-disk result-cache directory (omit for memory-only)",
-    )
-    p_serve.add_argument(
-        "--cache-memory", type=int, default=256,
-        help="in-memory LRU tier size in entries (0 disables it)",
-    )
+    _add_cache_options(p_serve)
     p_serve.add_argument(
         "--workers", type=int, default=1,
         help="worker threads executing solves (default 1)",
@@ -803,6 +787,7 @@ def make_parser() -> argparse.ArgumentParser:
         "result; warm: run --requests purely to populate the cache",
     )
     _add_cache_options(p_cache)
+    _add_fanout_options(p_cache)
     p_cache.add_argument(
         "--requests", default=None,
         help="JSONL request file for the warm action",

@@ -161,7 +161,7 @@ def solve_ruling_set_stream(
     defaulting off: it reintroduces exactly the O(n + m) footprint this
     path exists to avoid.
 
-    ``num_shards`` / ``spill_dir`` are the
+    ``num_shards`` (the session's shard count) / ``spill_dir`` are the
     :class:`~repro.mpc.shard.ShardBackend` knobs (its spool chunk size
     is the module constant :data:`~repro.mpc.shard.CHUNK_MESSAGES`);
     ingest stats
@@ -172,10 +172,9 @@ def solve_ruling_set_stream(
     if algorithm is None:
         algorithm = registry.DET_RULING
     spec = registry.solver_spec(algorithm, RULING_SET, MPC_FAMILY)
-    source = EdgeListSource(path, num_shards=num_shards, spill_dir=spill_dir)
     result = SolverSession(
-        source, spec, beta=beta, regime=regime, alpha_mem=alpha_mem,
-        seed=seed, kernel=kernel,
+        EdgeListSource(path, spill_dir), spec, beta=beta, regime=regime,
+        alpha_mem=alpha_mem, seed=seed, num_shards=num_shards, kernel=kernel,
     ).run()
     if verify:
         from repro.graph.io import read_edge_list

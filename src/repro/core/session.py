@@ -14,10 +14,13 @@ owns that lifecycle once, for every registered algorithm and problem:
    for sizing, and handed to the program factory through the
    :class:`~repro.core.registry.RunContext` — execution does not
    rebuild it.
-2. **Backend / trace wiring** — ``backend`` / ``num_shards``
-   (``"serial"`` or ``"shard"``, and the shard backend's shard count)
-   and ``trace`` are applied uniformly, so every algorithm (matching
-   included) gets execution backends and the superstep trace for free.
+2. **Backend / trace wiring** — the session builds the execution
+   backend once, from ``backend`` / ``num_shards`` (``"serial"`` or
+   ``"shard"``, and the shard backend's shard count), and the
+   :class:`~repro.mpc.trace.TraceRecorder` when ``trace`` is set, and
+   hands both to the simulator; the :class:`MPCConfig` holds only the
+   regime.  Every algorithm (matching included) gets execution backends
+   and the superstep trace for free.
 3. **Simulator lifecycle** — the simulator is always entered as a
    context manager: a solve that raises still releases backend
    resources such as shard spill directories (the contract
@@ -36,7 +39,8 @@ owns that lifecycle once, for every registered algorithm and problem:
 The input is a *source*: an in-memory :class:`Graph`, or an
 :class:`EdgeListSource` naming an edge-list file.  Stream mode differs
 only in how the input reaches the machines — sized from a pass-1 scan,
-sharded by a pass-2 ingest, run on the out-of-core shard backend — and
+sharded by a pass-2 ingest, run on the out-of-core shard backend with
+the session's ``num_shards`` — and
 adds ``ingest_*`` / ``shard_*`` metrics; members and model metrics are
 bit-identical to an in-memory run under the same ``ModOwnerMap``.
 
@@ -65,9 +69,11 @@ from repro.core.registry import (
 from repro.core.spec import MatchingResult, RulingSetResult, RunResult
 from repro.errors import AlgorithmError
 from repro.graph.graph import Graph
+from repro.mpc.backends import SerialBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.graph_store import DistributedGraph
 from repro.mpc.simulator import Simulator
+from repro.mpc.trace import TraceRecorder
 
 
 def make_config_from_stats(
@@ -126,12 +132,11 @@ class EdgeListSource:
     (:func:`~repro.graph.stream.shard_edge_list`) shards the edges per
     machine under a :class:`~repro.mpc.ownermap.ModOwnerMap`, and the
     run executes on the :class:`~repro.mpc.shard.ShardBackend`.
-    ``num_shards`` / ``spill_dir`` are that backend's knobs
-    (``spill_dir`` also hosts the ingest shards).
+    ``spill_dir`` roots that backend's spill files and the ingest
+    shards; the shard count is the session's ``num_shards``.
     """
 
     path: object
-    num_shards: int = 0
     spill_dir: Optional[str] = None
 
 
@@ -144,10 +149,13 @@ class SolverSession:
     :class:`EdgeListSource` (out-of-core stream mode).  The session is
     single-use.
 
-    ``backend`` is ``"serial"`` or ``"shard"`` (``None`` keeps the
-    config's), and ``num_shards`` is the shard backend's shard count.  Stream mode
-    always runs on the shard backend, configured by its
-    :class:`EdgeListSource`.
+    ``backend`` is ``"serial"`` (the default, ``None``) or ``"shard"``,
+    and ``num_shards`` is the shard backend's shard count (0 = its
+    default; negative is refused on every backend).  Stream mode always
+    runs on a :class:`~repro.mpc.shard.ShardBackend` with ``num_shards``
+    shards under the source's ``spill_dir``.  ``trace`` records the
+    superstep trace onto the result's ``trace``.  The
+    :class:`MPCConfig` carries none of these three.
     """
 
     def __init__(
@@ -176,7 +184,7 @@ class SolverSession:
         self.backend = backend
         self.num_shards = num_shards
         self.kernel = kernel
-        self.trace_enabled = trace
+        self.trace = trace
         if isinstance(source, EdgeListSource):
             # Resolved at call time, like the pass-2 ingest below, so
             # wrappers installed on the stream module see both passes.
@@ -185,7 +193,6 @@ class SolverSession:
             self.graph: Optional[Graph] = None
             self.stream: Optional[EdgeListSource] = source
             self.stream_stats = scan_edge_list_stats(source.path)
-            self.backend = "shard"
             self.num_vertices = self.stream_stats.num_vertices
         else:
             self.graph = source
@@ -220,7 +227,7 @@ class SolverSession:
         }
 
     def base_config(self) -> MPCConfig:
-        """The regime config before backend / kernel / trace wiring.
+        """The regime config before the kernel override.
 
         The spec's ``config_factory`` (when present) owns
         problem-specific sizing (e.g. the matching line-graph
@@ -237,20 +244,15 @@ class SolverSession:
     def resolve_config(self) -> MPCConfig:
         """The fully wired :class:`MPCConfig` for this run.
 
-        Explicit config wins over the named regime.  Backend, kernel,
-        and trace settings are applied here so every MPC algorithm
-        shares them; stream mode always runs on the shard backend.
+        Explicit config wins over the named regime; the kernel
+        override is applied here so every MPC algorithm shares it.
         """
         if self.explicit_config is not None:
             cfg = self.explicit_config
         else:
             cfg = self.base_config()
-        if self.backend is not None:
-            cfg = cfg.with_backend(self.backend, self.num_shards)
         if self.kernel is not None:
             cfg = cfg.with_kernel(self.kernel)
-        if self.trace_enabled and not cfg.trace:
-            cfg = cfg.with_trace()
         if self.stream is None:
             sized = self.sizing_graph
             counts = (sized.num_vertices, sized.num_edges)
@@ -315,23 +317,25 @@ class SolverSession:
         (e.g. ``MPCViolationError``) must still release the backend's
         resources, or every failed shard run leaks its spill directory.
         """
+        trace = TraceRecorder(cfg) if self.trace else None
         if self.stream is None:
-            with Simulator(cfg) as sim:
+            backend = resolve_backend(
+                self.backend or SerialBackend.name, self.num_shards
+            )
+            with Simulator(cfg, backend, trace) as sim:
                 yield sim, DistributedGraph.load(sim, self.graph), {}
             return
         from repro.graph.stream import shard_edge_list
         from repro.mpc.ownermap import ModOwnerMap
         from repro.mpc.shard import ShardBackend
 
-        source = self.stream
-        backend = ShardBackend(
-            num_shards=source.num_shards, spill_dir=source.spill_dir
-        )
+        spill_dir = self.stream.spill_dir
+        backend = ShardBackend(self.num_shards, spill_dir)
         owner_map = ModOwnerMap(self.num_vertices, cfg.num_machines)
         with shard_edge_list(
-            source.path, owner_map, spill_dir=source.spill_dir
+            self.stream.path, owner_map, spill_dir=spill_dir
         ) as sharded:
-            with Simulator(cfg, backend=backend) as sim:
+            with Simulator(cfg, backend, trace) as sim:
                 source_metrics: Dict[str, object] = {}
                 yield (
                     sim, DistributedGraph.load_sharded(sim, sharded),

@@ -132,7 +132,7 @@ def distributed_choose_seed(
     """
     if chunk_bits < 1:
         raise DerandomizationError("chunk_bits must be >= 1")
-    if sim.backend.resident_machines_hint() is None:
+    if sim.backend.all_resident:
         local_estimator = MemoizedEstimatorBuilder(local_estimator)
     # Keep reduction vectors within the I/O budget: a tree node receives
     # up to (fanout - 1) * width words, so cap the width at S / 4.

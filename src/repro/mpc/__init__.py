@@ -14,13 +14,14 @@ a single-process, cycle-accurate simulator of the MPC model.
   and a flat tuple of int words, priced by its length.  The router
   (:class:`~repro.mpc.backends.Router`) is the one place it is checked.
 * :class:`RunMetrics` records rounds, words, message counts, and peak
-  memory — the paper's quantities — plus per-round / per-phase
+  memory — the paper's quantities — plus total and per-phase
   wall-clock so simulator performance work is measurable.
 * :mod:`repro.mpc.backends` supplies pluggable superstep execution:
-  :class:`SerialBackend` (default, in-memory) and the out-of-core
+  :class:`SerialBackend` (in-memory, what a simulator built without a
+  backend runs) and the out-of-core
   :class:`~repro.mpc.shard.ShardBackend` (one shard of machines
   resident at a time), with bit-identical results.
-* :class:`TraceRecorder` (opt-in via ``MPCConfig.trace``) captures
+* :class:`TraceRecorder` (opt-in: hand one to the simulator) captures
   per-superstep, per-machine observability events — words, memory
   high-water, budget headroom vs ``S`` — with JSONL and Chrome-trace
   export plus a budget auditor that warns before the hard fault.

@@ -260,6 +260,13 @@ class SuperstepBackend:
 
     name = "abstract"
 
+    #: Whether every machine stays resident in the driver.  Driver-side
+    #: per-machine caches (the seed search's memoized estimators) exist
+    #: only when it is true: holding entries for machines whose state is
+    #: spilled to disk would rebuild the O(full graph) driver footprint
+    #: an out-of-core backend exists to avoid.
+    all_resident = True
+
     def __init__(self) -> None:
         self._reports: List[Report] = []
 
@@ -335,16 +342,6 @@ class SuperstepBackend:
 
     def settle(self) -> None:
         """Run every deferred local step now, so every step has reported."""
-
-    def resident_machines_hint(self) -> Optional[int]:
-        """How many machines are resident at once, or None for "all".
-
-        Driver-side per-machine caches (the seed search's memoized
-        estimators) exist only under None: holding entries for machines
-        whose state is spilled to disk would rebuild the O(full graph)
-        driver footprint the backend exists to avoid.
-        """
-        return None
 
     def shutdown(self) -> None:
         """Release backend resources such as spill files (idempotent).
@@ -430,9 +427,14 @@ BACKENDS = {
 def resolve_backend(name: str, num_shards: int = 0) -> SuperstepBackend:
     """Instantiate a backend by registry name.
 
+    A negative ``num_shards`` is refused on every backend, the serial
+    one (which reads no shard count) included.
+
     >>> resolve_backend("serial").name
     'serial'
     """
+    if num_shards < 0:
+        raise MPCConfigError(f"num_shards must be >= 0, got {num_shards}")
     if name not in BACKENDS:
         raise MPCConfigError(
             f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"

@@ -59,32 +59,22 @@ class MPCConfig:
     information-theoretic minimum when the config was derived (kept for
     reporting); ``label`` names the regime in benchmark output.
 
-    ``backend`` selects how the simulator *executes* supersteps
-    (``"serial"`` or ``"shard"``; see :mod:`repro.mpc.backends`) —
-    execution strategy only, never semantics: every backend produces
-    bit-identical runs.  ``num_shards`` is the shard count for the
-    shard backend (0 = its default); the serial backend takes none.
-
-    ``trace`` enables the structured observability layer
-    (:mod:`repro.mpc.trace`): per-superstep events, per-machine budget
-    utilization, and JSONL / Chrome-trace export.  Pure observer — a
-    traced run is bit-identical to an untraced one.
+    The execution backend and the trace recorder are not part of the
+    regime: they are handed to :class:`~repro.mpc.simulator.Simulator`
+    (a :class:`~repro.core.session.SolverSession` builds both).
 
     ``kernel`` selects how the seed search's estimators score candidate
     seeds (``"python"`` reference or ``"numpy"`` batched arrays; see
     :mod:`repro.mpc.state_layout`).  ``None`` defers to the
     ``REPRO_KERNEL`` environment variable, then the reference kernel.
-    Like ``backend``, this is an execution strategy, never semantics:
-    both kernels are bit-identical by contract.
+    An execution strategy, never semantics: both kernels are
+    bit-identical by contract.
     """
 
     num_machines: int
     memory_words: int
     label: str = "explicit"
     slack: int = 1
-    backend: str = "serial"
-    num_shards: int = 0
-    trace: bool = False
     kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -96,10 +86,6 @@ class MPCConfig:
             raise MPCConfigError(
                 f"memory_words must be at least 4, got {self.memory_words}"
             )
-        if self.num_shards < 0:
-            raise MPCConfigError(
-                f"num_shards must be >= 0, got {self.num_shards}"
-            )
         if self.kernel is not None:
             from repro.mpc.state_layout import KERNELS
 
@@ -109,17 +95,9 @@ class MPCConfig:
                     f"{KERNELS} (or None for the environment default)"
                 )
 
-    def with_backend(self, backend: str, num_shards: int = 0) -> "MPCConfig":
-        """Copy of this config running on a different execution backend."""
-        return replace(self, backend=backend, num_shards=num_shards)
-
     def with_kernel(self, kernel: Optional[str]) -> "MPCConfig":
         """Copy of this config using a different compute kernel."""
         return replace(self, kernel=kernel)
-
-    def with_trace(self) -> "MPCConfig":
-        """Copy of this config with tracing on (observer only)."""
-        return replace(self, trace=True)
 
     @property
     def total_memory(self) -> int:

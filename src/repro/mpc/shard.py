@@ -160,6 +160,9 @@ class ShardBackend(SuperstepBackend):
     """
 
     name = "shard"
+    # False even before the first superstep attaches the shards: a
+    # driver-side cache built then would outlive the attach.
+    all_resident = False
 
     def __init__(
         self,
@@ -458,12 +461,6 @@ class ShardBackend(SuperstepBackend):
         except BaseException:
             self._recover()
             raise
-
-    def resident_machines_hint(self) -> Optional[int]:
-        # Never None, not even before the first superstep attaches the
-        # shards: no machine is resident then, and a driver-side cache
-        # built at that point would outlive the attach.
-        return max((len(rng) for rng in self._shards), default=0)
 
     # -- supersteps -----------------------------------------------------
     def run_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:

@@ -21,14 +21,15 @@ Determinism: machines are processed in id order and each inbox is sorted by
 *Execution* of a superstep is delegated to a pluggable
 :class:`~repro.mpc.backends.SuperstepBackend`: ``queue_local`` for a
 local step, ``run_exchange`` (callbacks, routing, budget checks,
-delivery) for a communicate step.  Serial is the default; the
-out-of-core shard backend keeps one shard of machines resident.
+delivery) for a communicate step.  Serial runs when no backend is
+given; the out-of-core shard backend keeps one shard of machines
+resident.
 Backends change wall-clock only: machines are visited and messages
 delivered in the same order, so every backend yields the identical run.  The simulator
 keeps one superstep tail for all of them — round metrics, memory
 audit, trace.  Each superstep's wall-clock, memory audit
 included, is recorded into :class:`~repro.mpc.metrics.RunMetrics` (per
-round and per phase) so simulator performance is measured, never
+phase) so simulator performance is measured, never
 asserted.
 
 Late reports: a backend reports each superstep's per-machine words
@@ -47,14 +48,13 @@ budget, or sending/receiving more than ``S`` words in one superstep, aborts
 the run with :class:`~repro.errors.MPCViolationError`, so every measured
 round count comes from a model-legal execution.
 
-When tracing is enabled (``MPCConfig.trace`` or an injected
-:class:`~repro.mpc.trace.TraceRecorder`), each superstep additionally
-emits a structured event — per-machine words sent/received, memory
-high-water, budget headroom, active phase, backend counters — and the
-budget auditor warns when utilization crosses 90% of ``S`` *before* the
-hard fault would fire.  Tracing is a pure observer:
-every hook is gated on ``self.trace is not None`` (zero cost when
-disabled) and nothing recorded ever feeds back into routing,
+When a :class:`~repro.mpc.trace.TraceRecorder` is given, each
+superstep additionally emits a structured event — per-machine words
+sent/received, memory high-water, budget headroom, active phase,
+backend counters — and the budget auditor warns when utilization
+crosses 90% of ``S`` *before* the hard fault would fire.  Tracing is a
+pure observer: every hook is gated on ``self.trace is not None`` (zero
+cost when disabled) and nothing recorded ever feeds back into routing,
 enforcement, or algorithm state, so traced runs stay bit-identical.
 """
 
@@ -65,7 +65,7 @@ from collections import deque
 from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import MPCViolationError
-from repro.mpc.backends import SuperstepBackend, resolve_backend
+from repro.mpc.backends import SerialBackend, SuperstepBackend
 from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine
 from repro.mpc.metrics import RunMetrics
@@ -80,11 +80,11 @@ _Tail = Tuple[bool, Callable[[Optional[List[int]]], None]]
 class Simulator:
     """Executes MPC supersteps under a fixed :class:`MPCConfig`.
 
-    ``backend`` overrides the execution backend named by
-    ``config.backend`` (useful for injecting a pre-built or instrumented
-    backend in tests); both select *how* callbacks run, never what they
-    compute.  ``trace`` likewise overrides ``config.trace``: pass a
-    :class:`TraceRecorder` to observe a run regardless of config.
+    ``backend`` is the execution backend (a
+    :class:`~repro.mpc.backends.SerialBackend` when None); it selects
+    *how* callbacks run, never what they compute.  ``trace`` is the
+    recorder that observes the run (none when None); the simulator
+    stamps it with the backend's name.
     """
 
     def __init__(
@@ -98,16 +98,12 @@ class Simulator:
             Machine(mid) for mid in range(config.num_machines)
         ]
         self.metrics = RunMetrics()
-        if backend is not None:
-            self.backend: SuperstepBackend = backend
-        else:
-            self.backend = resolve_backend(config.backend, config.num_shards)
+        self.backend: SuperstepBackend = (
+            backend if backend is not None else SerialBackend()
+        )
+        self.trace: Optional[TraceRecorder] = trace
         if trace is not None:
-            self.trace: Optional[TraceRecorder] = trace
-        elif config.trace:
-            self.trace = TraceRecorder(config)
-        else:
-            self.trace = None
+            trace.backend = self.backend.name
         # Tails waiting for their reports, oldest first.
         self._tails: Deque[_Tail] = deque()
 
@@ -167,7 +163,7 @@ class Simulator:
                 max_received=stats.max_received,
             )
             elapsed = time.perf_counter() - started
-            self.metrics.record_elapsed(elapsed, is_round=True)
+            self.metrics.record_elapsed(elapsed)
             if self.trace is not None:
                 self.trace.record_round(
                     round_index=self.metrics.rounds,

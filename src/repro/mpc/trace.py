@@ -28,7 +28,7 @@ per-round receive, or post-superstep memory reaches
 hard :class:`~repro.errors.MPCViolationError` fault would fire.
 
 Tracing is strictly an observer: the recorder is only consulted when
-enabled (``MPCConfig.trace`` / an injected recorder), never feeds a
+one is handed to the simulator, never feeds a
 value back into the simulator or an algorithm, and stores wall-clock
 only in trace events — so traced and untraced runs are bit-identical in
 members, rounds, and words (pinned by test).
@@ -62,11 +62,14 @@ class TraceRecorder:
 
     The simulator calls the ``record_*`` hooks; everything else is
     read-side (export / inspection).  ``config`` is the run's
-    :class:`~repro.mpc.config.MPCConfig` (only ``memory_words``,
-    ``num_machines``, and ``backend`` are read).
+    :class:`~repro.mpc.config.MPCConfig` (only ``memory_words`` and
+    ``num_machines`` are read).
 
     Attributes
     ----------
+    backend:
+        Name of the execution backend the run executes on, for the
+        JSONL meta; the simulator sets it when handed the recorder.
     events:
         Superstep / phase events in emission order.  Every event dict
         carries ``type`` (``"phase"``, ``"local"``, or ``"round"``),
@@ -82,6 +85,7 @@ class TraceRecorder:
 
     def __init__(self, config: Any):
         self.config = config
+        self.backend = "serial"
         self.events: List[Dict[str, Any]] = []
         self.warnings: List[Dict[str, Any]] = []
         self.machine_peak_words: Dict[int, int] = {}
@@ -196,7 +200,7 @@ class TraceRecorder:
             "schema": SCHEMA_VERSION,
             "num_machines": self.config.num_machines,
             "memory_words": self.config.memory_words,
-            "backend": self.config.backend,
+            "backend": self.backend,
             "warn_utilization": WARN_UTILIZATION,
         }
         summary = {

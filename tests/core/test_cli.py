@@ -125,9 +125,11 @@ class TestTraceCommand:
         from repro.cli import _write_trace
         from repro.mpc.config import MPCConfig
         from repro.mpc.simulator import Simulator
+        from repro.mpc.trace import TraceRecorder
 
         # 8 of S = 8 words: at the 90% threshold, inside the budget.
-        sim = Simulator(MPCConfig(num_machines=2, memory_words=8).with_trace())
+        cfg = MPCConfig(num_machines=2, memory_words=8)
+        sim = Simulator(cfg, trace=TraceRecorder(cfg))
         sim.communicate(
             lambda m: [(1, tuple(range(8)))] if m.mid == 0 else []
         )

@@ -7,13 +7,20 @@ criterion names: streamed runs must be bit-identical to in-memory serial
 runs of the same algorithm under the same owner map.
 """
 
+import json
+
 import pytest
 
 from repro.core import registry
 from repro.core.pipeline import solve_ruling_set_stream
 from repro.core.program import run_program
 from repro.core.registry import RunContext
-from repro.core.session import make_config, make_config_from_stats
+from repro.core.session import (
+    EdgeListSource,
+    SolverSession,
+    make_config,
+    make_config_from_stats,
+)
 from repro.core.verify import verify_ruling_set
 from repro.errors import AlgorithmError
 from repro.graph import generators as gen
@@ -119,6 +126,29 @@ class TestStreamSolveParity:
         write_edge_list(gen.cycle_graph(6), path)
         with pytest.raises(AlgorithmError, match="MPC ruling-set"):
             solve_ruling_set_stream(path, algorithm=registry.GREEDY_MIS)
+
+
+class TestStreamSession:
+    """A streamed session takes its execution choices from the session."""
+
+    def test_runs_on_the_session_shard_count(self, tmp_path, small_er):
+        path = tmp_path / "g.txt"
+        write_edge_list(small_er, path)
+        spec = registry.get_algorithm(registry.DET_RULING)
+        result = SolverSession(EdgeListSource(path), spec, num_shards=3).run()
+        assert result.metrics["shard_num_shards"] == 3
+
+    def test_traced_run_names_the_shard_backend(self, tmp_path, small_er):
+        path = tmp_path / "g.txt"
+        write_edge_list(small_er, path)
+        spec = registry.get_algorithm(registry.DET_RULING)
+        traced = SolverSession(EdgeListSource(path), spec, trace=True).run()
+        meta = json.loads(traced.trace.jsonl_lines()[0])
+        assert meta["backend"] == "shard"
+        assert traced.trace.total_words() == traced.metrics["total_words"]
+        plain = solve_ruling_set_stream(path)
+        assert traced.members == plain.members
+        assert traced.metrics == plain.metrics
 
 
 class TestConfigFromStats:

@@ -17,8 +17,8 @@ def run_det_luby(backend_name, num_shards=0):
     graph = gen.gnp_random_graph(96, 8, 96, seed=7)
     cfg = MPCConfig.sublinear(
         graph.num_vertices, graph.num_edges, max_degree=graph.max_degree()
-    ).with_backend(backend_name, num_shards)
-    with Simulator(cfg) as sim:
+    )
+    with Simulator(cfg, backend=resolve_backend(backend_name, num_shards)) as sim:
         dg = DistributedGraph.load(sim, graph)
         run_program(dg, luby_program(
             in_set_key="mis",
@@ -38,25 +38,24 @@ class TestResolveBackend:
 
     def test_process_backend_is_gone(self):
         # No silent fallback to serial: the removed name is an error,
-        # whether asked for directly or through the config.
+        # whether asked for directly or through a solver session.
+        from repro.core.pipeline import solve_ruling_set
+
         with pytest.raises(MPCConfigError, match=r"\['serial', 'shard'\]"):
             resolve_backend("process")
-        cfg = MPCConfig(num_machines=2, memory_words=256)
+        graph = gen.gnp_random_graph(32, 4, 32, seed=1)
         with pytest.raises(MPCConfigError, match=r"\['serial', 'shard'\]"):
-            Simulator(cfg.with_backend("process"))
+            solve_ruling_set(graph, backend="process")
 
     def test_negative_shard_count_rejected(self):
-        with pytest.raises(MPCConfigError):
+        # The same refusal on every backend name, the serial one (which
+        # reads no shard count) included.
+        text = r"^num_shards must be >= 0, got -1$"
+        with pytest.raises(MPCConfigError, match=text):
             ShardBackend(num_shards=-1)
-        with pytest.raises(MPCConfigError):
-            MPCConfig(num_machines=2, memory_words=256, num_shards=-1)
-
-    def test_config_carries_backend(self):
-        cfg = MPCConfig(num_machines=2, memory_words=256)
-        assert cfg.backend == "serial"
-        forked = cfg.with_backend("shard", num_shards=3)
-        assert (forked.backend, forked.num_shards) == ("shard", 3)
-        assert cfg.backend == "serial"  # frozen original untouched
+        for name in sorted(BACKENDS):
+            with pytest.raises(MPCConfigError, match=text):
+                resolve_backend(name, -1)
 
 
 class TestChunkRanges:
@@ -124,10 +123,8 @@ class TestHarvestContract:
     """Every backend applies a harvest alike: ids once each, in id order."""
 
     def _sim(self, name):
-        cfg = MPCConfig(num_machines=4, memory_words=256).with_backend(
-            name, 2
-        )
-        sim = Simulator(cfg)
+        cfg = MPCConfig(num_machines=4, memory_words=256)
+        sim = Simulator(cfg, backend=resolve_backend(name, 2))
         sim.local(lambda m: m.store.__setitem__("x", m.mid * 10))
         return sim
 

@@ -1,4 +1,4 @@
-"""Wall-clock timing metrics: per-phase and per-round attribution."""
+"""Wall-clock timing metrics: per-phase attribution."""
 
 import time
 
@@ -8,6 +8,7 @@ from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine
 from repro.mpc.metrics import RunMetrics
 from repro.mpc.simulator import Simulator
+from repro.mpc.trace import TraceRecorder
 
 
 class TestRecordElapsed:
@@ -32,18 +33,11 @@ class TestRecordElapsed:
         metrics.record_elapsed(4.0)
         assert metrics.time_per_phase == {"sparsify": 5.0, "gather": 2.0}
 
-    def test_round_flag_appends_per_round(self):
-        metrics = RunMetrics()
-        metrics.record_elapsed(0.1)
-        metrics.record_elapsed(0.2, is_round=True)
-        metrics.record_elapsed(0.3, is_round=True)
-        assert metrics.time_per_round == [0.2, 0.3]
-
     def test_summary_excludes_timing(self):
         # test_determinism compares summary() between identical runs;
         # wall clock would make equal runs compare unequal.
         metrics = RunMetrics()
-        metrics.record_elapsed(1.0, is_round=True)
+        metrics.record_elapsed(1.0)
         assert all("time" not in key for key in metrics.summary())
 
     def test_timing_summary_keys(self):
@@ -61,8 +55,11 @@ class TestSimulatorTiming:
         sim.local(lambda m: None)
         sim.communicate(lambda m: [])
         sim.communicate(lambda m: [])
-        assert len(sim.metrics.time_per_round) == sim.metrics.rounds == 2
-        assert sim.metrics.wall_time_s >= sum(sim.metrics.time_per_round)
+        assert sim.metrics.rounds == 2
+        assert sim.metrics.wall_time_s > 0
+        assert sim.metrics.time_per_phase == {
+            RunMetrics.UNPHASED: sim.metrics.wall_time_s
+        }
 
     def test_clock_covers_the_memory_audit(self, monkeypatch):
         # Regression: the superstep clock used to stop before the audit,
@@ -75,13 +72,12 @@ class TestSimulatorTiming:
             return audit(machine)
 
         monkeypatch.setattr(Machine, "memory_words", slow_audit)
-        cfg = MPCConfig(num_machines=3, memory_words=256).with_trace()
-        sim = Simulator(cfg)
+        cfg = MPCConfig(num_machines=3, memory_words=256)
+        sim = Simulator(cfg, trace=TraceRecorder(cfg))
         sim.local(lambda m: None)
         sim.communicate(lambda m: [])
         # Two supersteps, three machines audited after each.
         assert sim.metrics.wall_time_s >= 6 * pause
-        assert sim.metrics.time_per_round[0] >= 3 * pause
         durations = [
             ev["dur_us"] for ev in sim.trace.events
             if ev["type"] in ("local", "round")
