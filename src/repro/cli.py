@@ -41,7 +41,7 @@ from repro.graph.generators import FAMILIES, build_graph
 from repro.graph.graph import Graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.mpc.backends import BACKENDS
-from repro.mpc.trace import WARN_UTILIZATION
+from repro.mpc.trace import WARN_UTILIZATION, DaemonTrace
 
 def _load_or_build(args) -> Graph:
     if args.input:
@@ -459,7 +459,11 @@ def cmd_serve(args) -> int:
     # The daemon's per-request path always solves in process;
     # concurrency comes from the daemon's worker threads, not run_cells
     # fan-out (so no --jobs / --timeout / --retries here).
-    engine = BatchEngine(cache, graph_pool=args.graph_pool)
+    # A daemon keeps counters and recent latencies only (DaemonTrace),
+    # so its trace stays bounded however long it serves.
+    engine = BatchEngine(
+        cache, graph_pool=args.graph_pool, trace=DaemonTrace()
+    )
     daemon = ServeDaemon(
         engine,
         policy=AdmissionPolicy(
@@ -773,8 +777,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--trace-out", default=None,
-        help="write the service trace (events + per-request latency) "
-        "as JSONL here on exit",
+        help="write the service trace (event counters + the latest "
+        "per-request latencies) as JSONL here on exit",
     )
     p_serve.set_defaults(func=cmd_serve)
 

@@ -67,7 +67,7 @@ from repro.core.registry import (
     RunContext,
 )
 from repro.core.spec import MatchingResult, RulingSetResult, RunResult
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, MPCConfigError
 from repro.graph.graph import Graph
 from repro.mpc.backends import SerialBackend, resolve_backend
 from repro.mpc.config import MPCConfig
@@ -153,7 +153,8 @@ class SolverSession:
     and ``num_shards`` is the shard backend's shard count (0 = its
     default; negative is refused on every backend).  Stream mode always
     runs on a :class:`~repro.mpc.shard.ShardBackend` with ``num_shards``
-    shards under the source's ``spill_dir``.  ``trace`` records the
+    shards under the source's ``spill_dir``, and refuses any other
+    ``backend`` with :class:`~repro.errors.MPCConfigError`.  ``trace`` records the
     superstep trace onto the result's ``trace``.  The
     :class:`MPCConfig` carries none of these three.
     """
@@ -186,6 +187,11 @@ class SolverSession:
         self.kernel = kernel
         self.trace = trace
         if isinstance(source, EdgeListSource):
+            if backend not in (None, "shard"):
+                raise MPCConfigError(
+                    f"stream mode runs on the shard backend; backend "
+                    f"{backend!r} cannot apply (pass None or 'shard')"
+                )
             # Resolved at call time, like the pass-2 ingest below, so
             # wrappers installed on the stream module see both passes.
             from repro.graph.stream import scan_edge_list_stats

@@ -31,20 +31,35 @@ order exist once.  The order is the serial one: a callback's exception
 first, then the first nonexistent destination or send overrun in
 sender order, then the first receive overrun in machine order.
 
+Participants: ``run_local``, ``queue_local`` and ``run_exchange`` take
+an optional ``only``, the ascending machine ids that act in the step
+(None: every machine).  A backend calls ``fn`` on participants only; in
+an exchange every other machine sends nothing and gets an empty inbox.
+A primitive passes the machines its stride arithmetic says can act, so
+the rest cost no callback.
+
 Late reports: every superstep reports its machines' words after it, in
-issue order, through :meth:`~SuperstepBackend.take_reports`.  The serial
-backend reports at once; a backend that defers local steps reports one
-when its last shard has replayed it, and :meth:`~SuperstepBackend.settle`
-forces every outstanding report.  The simulator holds each superstep's
-tail (metrics, trace, budget check) until its report
-arrives, so tails complete in issue order on every backend.
+issue order, through :meth:`~SuperstepBackend.take_reports`.  A report
+re-prices (through :meth:`Machine.memory_words`) only the machines the
+step touched: participants, receivers, machines whose non-empty inbox
+was cleared, and machines a harvest touched since the last report.
+Every other machine is unchanged since its last report, so the
+simulator keeps its last words.  The serial backend reports at once; a
+backend that defers local steps reports one when its last shard has
+replayed it, and :meth:`~SuperstepBackend.settle` forces every
+outstanding report.  The simulator holds each superstep's tail
+(metrics, trace, budget check) until its report arrives, so tails
+complete in issue order on every backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain, compress
+from operator import attrgetter
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.errors import MPCConfigError, MPCRoutingError, MPCViolationError
 from repro.mpc.machine import Machine
@@ -55,9 +70,38 @@ MachineFn = Callable[[Machine], object]
 #: payload a flat tuple of int words (:class:`Router` checks them).
 Outbox = List[Tuple[int, Tuple[int, ...]]]
 
-#: A finished superstep's report: every machine's words in id order, or
-#: the exception a deferred local step raised (re-raised by the tail).
-Report = Union[List[int], BaseException]
+#: A finished superstep's report: every machine's words in id order (a
+#: list), the words of the machines it touched keyed by id in ascending
+#: order (a dict), or the exception a deferred local step raised
+#: (re-raised by the tail).
+Report = Union[List[int], Dict[int, int], BaseException]
+
+_INBOX = attrgetter("inbox")
+
+
+def step_participants(
+    k: int, only: Optional[Iterable[int]]
+) -> Optional[Sequence[int]]:
+    """The ascending machine ids a superstep runs on, validated.
+
+    None (every machine) stays None, and so does a set naming every
+    machine, so that step takes the all-machine path.  An id outside
+    ``0..k-1`` or named twice raises
+    :class:`~repro.errors.MPCRoutingError`.
+    """
+    if only is None:
+        return None
+    # A forward range is ascending and distinct already.
+    forward = type(only) is range and only.step > 0
+    ids: Sequence[int] = only if forward else sorted(only)
+    if ids and (ids[0] < 0 or ids[-1] >= k):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise MPCRoutingError(
+            f"superstep names nonexistent machine {bad} (k={k})"
+        )
+    if not forward and len(set(ids)) != len(ids):
+        raise MPCRoutingError(f"superstep names a machine twice: {ids}")
+    return None if len(ids) == k else ids
 
 
 def harvest_targets(k: int, only: Optional[Sequence[int]]) -> List[int]:
@@ -186,17 +230,20 @@ class Router:
             raise self.fault
         sent_words = self.sent_words
         received_words = self.received_words
-        for mid, words in enumerate(received_words):
-            if words > self.budget:
-                raise MPCViolationError(
-                    f"machine {mid} received {words} words in one "
-                    f"round, budget S={self.budget}"
-                )
+        max_received = max(received_words, default=0)
+        if max_received > self.budget:
+            # Only an overrun pays the id-order scan for the first one.
+            for mid, words in enumerate(received_words):
+                if words > self.budget:
+                    raise MPCViolationError(
+                        f"machine {mid} received {words} words in one "
+                        f"round, budget S={self.budget}"
+                    )
         return ExchangeStats(
             total_messages=self.messages,
             total_words=sum(sent_words),
             max_sent=max(sent_words, default=0),
-            max_received=max(received_words, default=0),
+            max_received=max_received,
             received_per_machine=received_words,
             sent_per_machine=sent_words if self.want_sent else None,
         )
@@ -269,23 +316,39 @@ class SuperstepBackend:
 
     def __init__(self) -> None:
         self._reports: List[Report] = []
+        # Machines a harvest touched since the last report.
+        self._harvested: Set[int] = set()
 
-    def run_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:
-        """Apply ``fn`` to every machine now, and report the step."""
+    def run_local(
+        self,
+        machines: Sequence[Machine],
+        fn: MachineFn,
+        only: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Apply ``fn`` to the participants now, and report the step.
+
+        ``only`` is the ascending participant ids (every machine when
+        None), as :func:`step_participants` returns them.
+        """
         raise NotImplementedError
 
-    def queue_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:
-        """Apply ``fn`` to every machine, now or at its shard's next visit.
+    def queue_local(
+        self,
+        machines: Sequence[Machine],
+        fn: MachineFn,
+        only: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Apply ``fn`` to the participants, now or at a shard's next visit.
 
         This is how the simulator issues a local step; by default it is
         :meth:`run_local`.  A backend that defers overrides it, so a
         deferred callback runs inside a later call (an exchange, a
         harvest or :meth:`settle`), never inside a ``run_local`` that
         has already returned.  A deferred step reports when every
-        machine has run it; an exception it raises then becomes its
+        participant has run it; an exception it raises then becomes its
         report.
         """
-        self.run_local(machines, fn)
+        self.run_local(machines, fn, only)
 
     def run_exchange(
         self,
@@ -294,13 +357,16 @@ class SuperstepBackend:
         *,
         memory_words: int,
         want_sent_per_machine: bool = False,
+        only: Optional[Sequence[int]] = None,
     ) -> ExchangeStats:
-        """Run ``fn`` on every machine, then route, check and deliver.
+        """Run ``fn`` on the participants, then route, check and deliver.
 
-        ``fn`` returns the ``(dst, payload)`` pairs a machine sends (or
-        None).  Every outbox goes through one :class:`Router` in sender
-        order, which checks each message and enforces the send and
-        receive budget ``memory_words``.  Errors are :class:`TypeError`
+        ``only`` is the ascending participant ids (every machine when
+        None); every other machine sends nothing.  ``fn`` returns the
+        ``(dst, payload)`` pairs a machine sends (or None).  Every
+        outbox goes through one :class:`Router` in sender order, which
+        checks each message and enforces the send and receive budget
+        ``memory_words``.  Errors are :class:`TypeError`
         for a malformed message, :class:`~repro.errors.MPCRoutingError`
         for a nonexistent destination and
         :class:`~repro.errors.MPCViolationError` for a send or receive
@@ -308,7 +374,8 @@ class SuperstepBackend:
         them, even a later machine's; then the router's first malformed
         message, nonexistent destination or send fault; then its first
         receive fault.  Payloads are delivered in arrival order: sender
-        id ascending, then send order within a sender.
+        id ascending, then send order within a sender; a machine nothing
+        reached ends with an empty inbox.
 
         Every earlier local step has reported by the time it returns or
         raises, and the exchange reports its own words before returning.
@@ -333,6 +400,7 @@ class SuperstepBackend:
         """
         targets = harvest_targets(len(machines), only)
         results = {mid: fn(machines[mid]) for mid in sorted(targets)}
+        self._harvested.update(targets)
         return [results[mid] for mid in targets]
 
     def take_reports(self) -> List[Report]:
@@ -369,21 +437,38 @@ class SerialBackend(SuperstepBackend):
         super().__init__()
         self._stats = {"local_steps": 0, "communicate_steps": 0}
 
-    def run_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:
+    def run_local(
+        self,
+        machines: Sequence[Machine],
+        fn: MachineFn,
+        only: Optional[Sequence[int]] = None,
+    ) -> None:
         self._stats["local_steps"] += 1
-        for machine in machines:
-            fn(machine)
-        self._reports.append([machine.memory_words() for machine in machines])
+        if only is None:
+            for machine in machines:
+                fn(machine)
+        else:
+            for mid in only:
+                fn(machines[mid])
+        self._report(machines, only)
 
     def run_communicate(
-        self, machines: Sequence[Machine], fn: MachineFn, router: Router
+        self,
+        machines: Sequence[Machine],
+        fn: MachineFn,
+        router: Router,
+        only: Optional[Sequence[int]] = None,
     ) -> None:
-        """Apply ``fn`` to every machine in id order, routing each
+        """Apply ``fn`` to the participants in id order, routing each
         outbox as soon as its callback returns (no round-wide buffer)."""
         self._stats["communicate_steps"] += 1
         route = router.route
-        for mid, machine in enumerate(machines):
-            route(mid, fn(machine))
+        if only is None:
+            for mid, machine in enumerate(machines):
+                route(mid, fn(machine))
+        else:
+            for mid in only:
+                route(mid, fn(machines[mid]))
 
     def run_exchange(
         self,
@@ -392,18 +477,43 @@ class SerialBackend(SuperstepBackend):
         *,
         memory_words: int,
         want_sent_per_machine: bool = False,
+        only: Optional[Sequence[int]] = None,
     ) -> ExchangeStats:
         router = Router(len(machines), memory_words, want_sent_per_machine)
-        self.run_communicate(machines, fn, router)
+        self.run_communicate(machines, fn, router, only)
         stats = router.finish()
         # Each inbox's price is its received count, so the audit never
         # walks it.
-        for machine, inbox, words in zip(
-            machines, router.inboxes, router.received_words
-        ):
-            machine.deliver(inbox, words)
-        self._reports.append([machine.memory_words() for machine in machines])
+        inboxes = router.inboxes
+        received_words = router.received_words
+        if only is None:
+            for machine, inbox, words in zip(machines, inboxes, received_words):
+                machine.deliver(inbox, words)
+            self._report(machines, None)
+            return stats
+        # Receivers, and machines whose old inbox must be emptied; every
+        # other machine's inbox is empty already and stays as it is.
+        ids = range(len(machines))
+        delivered = set(compress(ids, inboxes))
+        delivered.update(compress(ids, map(_INBOX, machines)))
+        for mid in delivered:
+            machines[mid].deliver(inboxes[mid], received_words[mid])
+        self._report(machines, delivered.union(only))
         return stats
+
+    def _report(
+        self, machines: Sequence[Machine], touched: Optional[Iterable[int]]
+    ) -> None:
+        """Report every machine's words (``touched`` None), or those of
+        ``touched`` and of the machines harvested since the last report."""
+        if touched is None:
+            self._reports.append([machine.memory_words() for machine in machines])
+        else:
+            ids = sorted(self._harvested.union(touched))
+            self._reports.append(
+                {mid: machines[mid].memory_words() for mid in ids}
+            )
+        self._harvested.clear()
 
     def stats(self) -> Dict[str, int]:
         return dict(self._stats)

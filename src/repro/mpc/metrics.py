@@ -14,7 +14,8 @@ simulator therefore records:
 
 Alongside the model quantities the accumulator keeps **wall-clock
 timing**: ``wall_time_s`` and ``time_per_phase`` (seconds attributed
-to the phase active when the work ran, local steps included); per-round
+to the phase each superstep was issued in, its memory audit and local
+steps included); per-round
 words and seconds are in the optional trace (:mod:`repro.mpc.trace`).
 Wall-clock measures the *simulator*, not a cluster — it exists so
 performance work on the simulator's hot paths (estimator caching,
@@ -26,7 +27,7 @@ deterministic in members/rounds/words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -75,10 +76,13 @@ class RunMetrics:
         self.max_words_sent = max(self.max_words_sent, max_sent)
         self.max_words_received = max(self.max_words_received, max_received)
 
-    def record_elapsed(self, seconds: float) -> None:
-        """Attribute ``seconds`` of wall clock to the current phase."""
+    def record_elapsed(self, seconds: float, phase: Optional[str] = None) -> None:
+        """Attribute ``seconds`` of wall clock to ``phase`` (default: the
+        current phase; a late superstep tail passes the phase it was
+        issued in)."""
         self.wall_time_s += seconds
-        phase = self.current_phase()
+        if phase is None:
+            phase = self.current_phase()
         self.time_per_phase[phase] = (
             self.time_per_phase.get(phase, 0.0) + seconds
         )

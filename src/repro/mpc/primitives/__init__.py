@@ -1,7 +1,9 @@
 """Deterministic MPC building blocks.
 
 Each primitive is expressed as supersteps on a :class:`repro.mpc.Simulator`
-and costs the round count its docstring states.  They are the vocabulary
+and costs the round count its docstring states.  Each step names its
+participants (``only=``), the machines its stride arithmetic says can
+act, so the rest cost no callback and no audit.  They are the vocabulary
 the ruling-set algorithms are written in:
 
 * ``aggregate`` — converge-cast reduction trees (scalar and fixed-width

@@ -9,6 +9,12 @@ and the reduction costs exactly one round; in general
 The reduction operator must be associative and commutative (sums, min,
 max, elementwise tuple sums); partial combination order is deterministic
 but unspecified.
+
+Each level runs on its participants only: the machines at multiples of
+the level's stride send, and the leaders at multiples of ``stride * f``
+merge.  Every other machine's callback would be idle, and the callbacks
+keep their idle guards, so running a level on every machine gives the
+same stores, inboxes and metrics.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def reduce_vector(
             payload = machine.store.pop(_PARTIAL)
             return [(leader, tuple(payload))]
 
-        sim.communicate(send_level)
+        sim.communicate(send_level, only=range(0, k, level_stride))
 
         def merge(machine) -> None:
             if _PARTIAL not in machine.store:
@@ -79,7 +85,7 @@ def reduce_vector(
             machine.store[_PARTIAL] = value
             machine.clear_inbox()
 
-        sim.local(merge)
+        sim.local(merge, only=range(0, k, level_stride * fanout))
         stride *= fanout
 
     def read_root(machine):

@@ -4,6 +4,10 @@ After ``broadcast_value(sim, value, key)`` every machine holds ``value``
 (a tuple of words) under ``store[key]``.  With per-value width ``L`` and
 send budget ``S``, the fanout is ``f = max(2, S // L)`` and the cost is
 ``ceil(log_f k)`` rounds — one round in the common case ``S >= k * L``.
+
+Each level runs on its participants only: the covered machines send,
+and the machines they reach install.  The callbacks keep their idle
+guards, so running a level on every machine gives the same result.
 """
 
 from __future__ import annotations
@@ -54,12 +58,13 @@ def broadcast_value(
                     out.append((target, tuple(payload)))
             return out
 
-        sim.communicate(send_level)
+        sim.communicate(send_level, only=range(min(k, level_covered)))
 
         def install(machine) -> None:
             if machine.inbox:
                 machine.store[store_key] = tuple(machine.inbox[0])
                 machine.clear_inbox()
 
-        sim.local(install)
-        covered = min(k, covered * fanout)
+        next_covered = min(k, covered * fanout)
+        sim.local(install, only=range(covered, next_covered))
+        covered = next_covered

@@ -4,7 +4,7 @@ Used to assign globally unique, dense ranks to distributed items: machine
 ``i`` learns the total item count on machines ``0..i-1``.  Costs two
 rounds (gather counts at machine 0, scatter offsets), assuming ``k <= S/2``
 — true in every supported configuration and enforced by the simulator's
-I/O budget if not.
+I/O budget if not.  The scatter runs on machine 0 alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def exclusive_prefix_counts(
         machine.store["_prim_total"] = running
         return out
 
-    sim.communicate(scatter)
+    sim.communicate(scatter, only=(0,))
 
     def install(machine) -> None:
         machine.store[store_key] = machine.inbox[0][0]

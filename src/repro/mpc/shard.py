@@ -24,17 +24,23 @@ Determinism is preserved by construction, not by luck:
   reproduces the serial arrival order (sender id ascending, then send
   order) bit-for-bit.  No process ever buffers a full round's traffic.
 * Work waits for the next visit: each shard keeps one ordered queue of
-  pending work — the exchange deliveries it has not loaded yet and the
+  pending work — the exchange delivery it has not loaded yet and the
   local steps issued since — and the shard's next load (from an
   exchange, a harvest or a settle) replays that queue in order.  So
-  ``queue_local`` loads nothing, and an exchange loads and spills every
-  shard once, fusing every local step issued before it.  An exchange's
-  memory is charged at its end (store words plus received count, as the
-  serial backend prices it); a local step's is priced machine by
-  machine as it replays and reported once its last shard has replayed
-  it.  The settle points — :meth:`ShardBackend.settle` and
-  :meth:`~ShardBackend.run_local` — replay every queued local step at
-  once.
+  ``queue_local`` loads nothing.  A step touches only the shards that
+  hold its participants: a local step is queued on those alone, and an
+  exchange loads and spills those plus every shard that still owes a
+  local step (fusing it), so every earlier step has reported when the
+  exchange does.  A shard the exchange skips keeps one pending delivery:
+  the new one replaces the old, since each replaces every inbox of the
+  shard and nothing read the old inboxes in between.  An exchange's
+  memory is charged at its end for every machine (store words plus
+  received count, as the serial backend prices it); a local step's
+  participants are priced machine by machine as it replays, and the
+  step is reported once its last shard has replayed it and every
+  earlier step has reported.  The settle points —
+  :meth:`ShardBackend.settle` and :meth:`~ShardBackend.run_local` —
+  replay every queued local step at once.
 * Malformed messages, budget violations and routing errors come from
   that same router, so their types and texts are the serial ones; the
   router holds a routing or send fault until every callback of the
@@ -58,6 +64,7 @@ import pickle
 import shutil
 import tempfile
 from collections import deque
+from operator import add
 from typing import (
     BinaryIO,
     Deque,
@@ -120,15 +127,28 @@ _State = Tuple[Store, list, Optional[int]]
 
 
 class _Step:
-    """A local step queued on every shard until each has replayed it."""
+    """A local step queued on each shard holding participants, until
+    each has replayed it.
 
-    __slots__ = ("seq", "fn", "words", "shards_left", "failure")
+    ``mids`` maps each such shard to its participants, ascending;
+    ``words`` collects the report — every machine's words (a list) for
+    an all-machine step, else the touched machines' words by id.
+    """
 
-    def __init__(self, seq: int, fn: MachineFn, k: int, num_shards: int):
+    __slots__ = ("seq", "fn", "mids", "words", "shards_left", "failure")
+
+    def __init__(
+        self,
+        seq: int,
+        fn: MachineFn,
+        mids: Dict[int, Sequence[int]],
+        words: Union[List[int], Dict[int, int]],
+    ):
         self.seq = seq
         self.fn = fn
-        self.words = [0] * k
-        self.shards_left = num_shards
+        self.mids = mids
+        self.words = words
+        self.shards_left = len(mids)
         # (rank, exception): rank (0, mid) for a callback, (1, mid) for
         # pricing — the serial order in which they would have raised.
         self.failure: Optional[Tuple[Tuple[int, int], BaseException]] = None
@@ -188,8 +208,8 @@ class ShardBackend(SuperstepBackend):
         self._queues: List[Deque[_Work]] = []
         # Issue order of queued work (locals and exchanges share it).
         self._seq = 0
-        # Local steps issued but not yet reported.
-        self._open_steps = 0
+        # Local steps issued but not yet reported, oldest first.
+        self._open_steps: Deque[_Step] = deque()
         # Seq of the earliest local step that raised, and the latest
         # exception a local step raised.
         self._failed_seq: Optional[int] = None
@@ -291,27 +311,30 @@ class ShardBackend(SuperstepBackend):
                 self._deliver(sid, work)
 
     def _replay(self, sid: int, step: _Step) -> None:
-        """Run a queued local step on a loaded shard and price it.
+        """Run a queued local step on a loaded shard's participants and
+        price them.
 
         Pricing here, machine by machine, is what the serial backend's
-        audit sees after the step; the shard's sum is a residency
-        high-water candidate as if the step had spilled.
+        audit sees after the step; the shard's sum (every other machine
+        at its known words) is a residency high-water candidate as if
+        the step had spilled.
         """
         machines = self._machines
         rng = self._shards[sid]
+        mids = step.mids[sid]
         fn = step.fn
         words = step.words
+        known = self._words
         stage = 0
         mid = rng.start
         try:
-            for mid in rng:
+            for mid in mids:
                 fn(machines[mid])
             stage = 1
-            resident = 0
-            for mid in rng:
+            for mid in mids:
                 w = machines[mid].memory_words()
                 words[mid] = w
-                resident += w
+                known[mid] = w
         except BaseException as exc:
             step.fail((stage, mid), exc)
             if self._failed_seq is None or step.seq < self._failed_seq:
@@ -319,20 +342,47 @@ class ShardBackend(SuperstepBackend):
             self._last_failure = exc
             self._finish(step)
             raise
-        self._note_resident(resident, len(rng))
+        self._note_resident(sum(known[rng.start:rng.stop]), len(rng))
         self._finish(step)
 
     def _finish(self, step: _Step) -> None:
-        """Count one shard's replay; report the step once all are done.
+        """Count one shard's replay of ``step``, then report every step
+        that has finished, in issue order.
 
-        Every shard replays its queue in issue order, so steps finish
-        in issue order too.
+        Steps on different shards can finish out of issue order (a
+        harvest replays one shard's queue), so a finished step waits for
+        every earlier one.
         """
         step.shards_left -= 1
-        if step.shards_left == 0:
-            self._open_steps -= 1
-            failure = step.failure
-            self._reports.append(step.words if failure is None else failure[1])
+        self._report_finished()
+
+    def _report_finished(self) -> None:
+        """Report the finished steps at the head of the issue order."""
+        open_steps = self._open_steps
+        while open_steps and open_steps[0].shards_left == 0:
+            step = open_steps.popleft()
+            if step.failure is not None:
+                self._reports.append(step.failure[1])
+            elif type(step.words) is list:
+                self._reports.append(step.words)
+            else:
+                words = step.words
+                self._reports.append({mid: words[mid] for mid in sorted(words)})
+
+    def _split(self, ids: Sequence[int]) -> Dict[int, List[int]]:
+        """Group ascending machine ids by the shard holding them."""
+        shards = self._shards
+        parts: Dict[int, List[int]] = {}
+        sid = 0
+        for mid in ids:
+            while mid >= shards[sid].stop:
+                sid += 1
+            parts.setdefault(sid, []).append(mid)
+        return parts
+
+    def _owes_step(self, sid: int) -> bool:
+        """Whether shard ``sid``'s queue holds a local step."""
+        return any(type(work) is _Step for work in self._queues[sid])
 
     def _deliver(self, sid: int, delivery: _Delivery) -> None:
         """Replace a loaded shard's inboxes with an exchange's spool.
@@ -440,7 +490,8 @@ class ShardBackend(SuperstepBackend):
             self._store_words = []
             self._machines = ()
             self._queues = []
-            self._open_steps = 0
+            self._open_steps = deque()
+            self._harvested = set()
             self._failed_seq = None
             self._last_failure = None
 
@@ -454,8 +505,8 @@ class ShardBackend(SuperstepBackend):
         if not self._open_steps:
             return
         try:
-            for sid, queue in enumerate(self._queues):
-                if any(isinstance(work, _Step) for work in queue):
+            for sid in range(len(self._queues)):
+                if self._owes_step(sid):
                     self._visit(sid)
                     self._spill(sid)
         except BaseException:
@@ -463,20 +514,43 @@ class ShardBackend(SuperstepBackend):
             raise
 
     # -- supersteps -----------------------------------------------------
-    def run_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:
-        """Run ``fn`` on every machine before returning: queue, then settle."""
-        self.queue_local(machines, fn)
+    def run_local(
+        self,
+        machines: Sequence[Machine],
+        fn: MachineFn,
+        only: Optional[Sequence[int]] = None,
+    ) -> None:
+        """Run ``fn`` on the participants before returning: queue, then
+        settle."""
+        self.queue_local(machines, fn, only)
         self.settle()
 
-    def queue_local(self, machines: Sequence[Machine], fn: MachineFn) -> None:
+    def queue_local(
+        self,
+        machines: Sequence[Machine],
+        fn: MachineFn,
+        only: Optional[Sequence[int]] = None,
+    ) -> None:
         self._attach(machines)
         self._stats["local_steps"] += 1
+        mids: Dict[int, Sequence[int]]
+        words: Union[List[int], Dict[int, int]]
+        if only is None:
+            mids = dict(enumerate(self._shards))
+            words = [0] * len(machines)
+        else:
+            mids = self._split(only)
+            # A harvested machine's words are known from its spill.
+            words = {mid: self._words[mid] for mid in self._harvested}
+        self._harvested.clear()
         # Queued as is: the step keeps the very callable it was given.
-        step = _Step(self._seq, fn, len(machines), len(self._shards))
+        step = _Step(self._seq, fn, mids, words)
         self._seq += 1
-        self._open_steps += 1
-        for queue in self._queues:
-            queue.append(step)
+        self._open_steps.append(step)
+        for sid in mids:
+            self._queues[sid].append(step)
+        if not mids:
+            self._report_finished()
 
     def run_exchange(
         self,
@@ -485,19 +559,24 @@ class ShardBackend(SuperstepBackend):
         *,
         memory_words: int,
         want_sent_per_machine: bool = False,
+        only: Optional[Sequence[int]] = None,
     ) -> ExchangeStats:
         self._attach(machines)
         self._stats["exchange_steps"] += 1
         router = Router(len(machines), memory_words, want_sent_per_machine)
+        senders: Dict[int, Sequence[int]] = (
+            dict(enumerate(self._shards)) if only is None else self._split(only)
+        )
 
         # Run senders shard by shard (ascending mid = serial order),
         # routing each outbox right after its callback.  Visiting a
         # sender shard first replays its queue — the previous exchange's
         # spool and the local steps issued since — so this exchange
-        # writes the other parity's spool files.  Once ``CHUNK_MESSAGES``
-        # payloads are pending, every destination shard's per-machine
-        # lists go to its spool, so the driver never holds the full
-        # round.
+        # writes the other parity's spool files.  A shard with no sender
+        # is visited only when it owes a local step.  Once
+        # ``CHUNK_MESSAGES`` payloads are pending, every destination
+        # shard's per-machine lists go to its spool, so the driver never
+        # holds the full round.
         seq = self._seq
         self._seq += 1
         parity = self._parity
@@ -524,9 +603,12 @@ class ShardBackend(SuperstepBackend):
                 inboxes[rng.start:rng.stop] = [[] for _ in rng]
 
         try:
-            for sid, rng in enumerate(self._shards):
+            for sid in range(len(self._shards)):
+                mids = senders.get(sid, ())
+                if not mids and not self._owes_step(sid):
+                    continue
                 self._visit(sid)
-                for sender in rng:
+                for sender in mids:
                     router.route(sender, fn(machines[sender]))
                     if router.messages - spooled >= CHUNK_MESSAGES:
                         _spool()
@@ -538,23 +620,22 @@ class ShardBackend(SuperstepBackend):
             raise
 
         # Leave every shard's delivery to its next load.  The accounting
-        # does not wait: each machine now holds its store as spilled
-        # above plus its received words, and each shard's total is a
+        # does not wait: each machine now holds its store as last
+        # spilled plus its received words, and each shard's total is a
         # residency high-water candidate, as if delivered right here.
         received_words = stats.received_per_machine
-        store_words = self._store_words
+        words = self._words = list(map(add, self._store_words, received_words))
         for sid, rng in enumerate(self._shards):
-            resident = 0
-            for mid in rng:
-                words = store_words[mid] + received_words[mid]
-                self._words[mid] = words
-                resident += words
-            self._note_resident(resident, len(rng))
-            self._queues[sid].append(
-                _Delivery(seq, spools[sid], received_words)
-            )
+            self._note_resident(sum(words[rng.start:rng.stop]), len(rng))
+            queue = self._queues[sid]
+            if queue and type(queue[-1]) is _Delivery:
+                # A skipped shard's pending delivery: this one replaces
+                # every inbox it would have filled, unread.
+                queue.pop()
+            queue.append(_Delivery(seq, spools[sid], received_words))
         self._parity = 1 - parity
-        self._reports.append(list(self._words))
+        self._harvested.clear()
+        self._reports.append(list(words))
         return stats
 
     # -- driver access --------------------------------------------------
@@ -567,6 +648,7 @@ class ShardBackend(SuperstepBackend):
         target_ids = harvest_targets(len(machines), only)
         self._attach(machines)
         self._stats["harvests"] += 1
+        self._harvested.update(target_ids)
         wanted = sorted(target_ids)
         results: Dict[int, object] = {}
         try:

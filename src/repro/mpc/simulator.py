@@ -2,17 +2,23 @@
 
 An algorithm drives the simulator through two verbs:
 
-``local(fn)``
+``local(fn, only=None)``
     Run ``fn(machine)`` on every machine.  Free (no round consumed) —
     in the MPC model local computation within a round is unbounded — but
     memory budgets are still enforced afterwards.  A backend may run
     ``fn`` at each shard's next visit instead of now (see below).
 
-``communicate(fn)``
+``communicate(fn, only=None)``
     Run ``fn(machine)`` on every machine; it returns the messages it
     sends as ``(dst, payload)`` pairs, each payload a flat tuple of int
     words.  Route and check them, enforce the per-machine send/receive
     budget ``S``, deliver inboxes, and advance the round counter.
+
+``only`` names the step's participants, the machines that can act in
+it; ``fn`` runs on them alone, and in an exchange every other machine
+sends nothing and gets an empty inbox.  A step whose callback is idle
+on most machines (a reduction level, a broadcast level) thus costs
+what its participants do.  None means every machine.
 
 Determinism: machines are processed in id order and each inbox is sorted by
 ``(sender id, arrival index)``, so a simulated run is a pure function of
@@ -46,13 +52,19 @@ replays it.
 Budget enforcement is always on: a machine exceeding its memory
 budget, or sending/receiving more than ``S`` words in one superstep, aborts
 the run with :class:`~repro.errors.MPCViolationError`, so every measured
-round count comes from a model-legal execution.
+round count comes from a model-legal execution.  The memory audit
+checks only the machines a step touched (the backend's report); every
+other machine keeps its last reported words, which were within budget
+then and have not changed since.  So the peak and the first
+over-budget machine in id order are those a full audit would find.
 
 When a :class:`~repro.mpc.trace.TraceRecorder` is given, each
 superstep additionally emits a structured event — per-machine words
 sent/received, memory high-water, budget headroom, active phase,
 backend counters — and the budget auditor warns when utilization
-crosses 90% of ``S`` *before* the hard fault would fire.  Tracing is a
+crosses 90% of ``S`` *before* the hard fault would fire.  The recorder
+gets every machine's words after each superstep, read from the
+last-reported words without re-pricing.  Tracing is a
 pure observer: every hook is gated on ``self.trace is not None`` (zero
 cost when disabled) and nothing recorded ever feeds back into routing,
 enforcement, or algorithm state, so traced runs stay bit-identical.
@@ -65,7 +77,12 @@ from collections import deque
 from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import MPCViolationError
-from repro.mpc.backends import SerialBackend, SuperstepBackend
+from repro.mpc.backends import (
+    Report,
+    SerialBackend,
+    SuperstepBackend,
+    step_participants,
+)
 from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine
 from repro.mpc.metrics import RunMetrics
@@ -106,25 +123,38 @@ class Simulator:
             trace.backend = self.backend.name
         # Tails waiting for their reports, oldest first.
         self._tails: Deque[_Tail] = deque()
+        # Every machine's words at its last report.
+        self._words: List[int] = [0] * config.num_machines
 
     # ------------------------------------------------------------------
     # Supersteps
     # ------------------------------------------------------------------
-    def local(self, fn: Callable[[Machine], None]) -> None:
-        """Apply a local computation to every machine (no round cost).
+    def local(
+        self,
+        fn: Callable[[Machine], None],
+        only: Optional[Iterable[int]] = None,
+    ) -> None:
+        """Apply a local computation to the participants (no round cost).
 
-        The backend may run ``fn`` at each shard's next visit; the
-        step's audit and trace event then complete when it reports,
-        still in issue order.
+        ``only`` selects distinct machine ids (every machine when None);
+        ``fn`` runs on them in id order.  The backend may run ``fn`` at
+        each shard's next visit; the step's audit and trace event then
+        complete when it reports, still in issue order.
         """
         started = time.perf_counter()
-        self._call(self.backend.queue_local, self.machines, fn)
-        elapsed = time.perf_counter() - started
-        self.metrics.record_elapsed(elapsed)
+        participants = step_participants(self.num_machines, only)
+        self._call(
+            self.backend.queue_local, self.machines, fn, only=participants
+        )
+        issue_s = time.perf_counter() - started
         round_index = self.metrics.rounds
         phase = self.metrics.current_phase()
 
-        def finish(memory: List[int]) -> None:
+        def finish(report: Report) -> None:
+            audit_started = time.perf_counter()
+            fault = self._check_memory(report)
+            elapsed = issue_s + time.perf_counter() - audit_started
+            self.metrics.record_elapsed(elapsed, phase)
             if self.trace is not None:
                 self.trace.record_local(
                     round_index=round_index,
@@ -132,38 +162,46 @@ class Simulator:
                     elapsed_s=elapsed,
                     backend_stats=self.backend.stats(),
                 )
-            self._check_memory(memory, round_index)
+            self._finish_audit(fault, round_index)
 
         self._tails.append((True, finish))
         self._drain()
 
-    def communicate(self, fn: MachineFn) -> None:
+    def communicate(
+        self, fn: MachineFn, only: Optional[Iterable[int]] = None
+    ) -> None:
         """One communication superstep.
 
-        ``fn`` runs on each machine and returns the messages it sends this
-        round (or None).  The backend routes all messages simultaneously —
-        synchronous semantics: nothing sent this round is visible until the
-        round completes — and reports the round's aggregates.
+        ``fn`` runs on each participant (every machine when ``only`` is
+        None) and returns the messages it sends this round (or None).
+        The backend routes all messages simultaneously — synchronous
+        semantics: nothing sent this round is visible until the round
+        completes — and reports the round's aggregates.
         """
         started = time.perf_counter()
+        participants = step_participants(self.num_machines, only)
         stats = self._call(
             self.backend.run_exchange,
             self.machines,
             fn,
             memory_words=self.config.memory_words,
             want_sent_per_machine=self.trace is not None,
+            only=participants,
         )
+        exchange_s = time.perf_counter() - started
         phase = self.metrics.current_phase()
 
-        def finish(memory: List[int]) -> None:
+        def finish(report: Report) -> None:
             self.metrics.record_round(
                 messages=stats.total_messages,
                 words=stats.total_words,
                 max_sent=stats.max_sent,
                 max_received=stats.max_received,
             )
-            elapsed = time.perf_counter() - started
-            self.metrics.record_elapsed(elapsed)
+            audit_started = time.perf_counter()
+            fault = self._check_memory(report)
+            elapsed = exchange_s + time.perf_counter() - audit_started
+            self.metrics.record_elapsed(elapsed, phase)
             if self.trace is not None:
                 self.trace.record_round(
                     round_index=self.metrics.rounds,
@@ -177,7 +215,7 @@ class Simulator:
                     received_per_machine=stats.received_per_machine,
                     backend_stats=self.backend.stats(),
                 )
-            self._check_memory(memory, self.metrics.rounds)
+            self._finish_audit(fault, self.metrics.rounds)
 
         self._tails.append((True, finish))
         self._drain()
@@ -293,13 +331,48 @@ class Simulator:
                 raise report
             finish(report)
 
-    def _check_memory(self, memory: List[int], round_index: int) -> None:
-        for mid, words in enumerate(memory):
-            self.metrics.record_memory(words)
-            if self.trace is not None:
-                self.trace.record_memory(mid, words, round_index)
-            if words > self.config.memory_words:
-                raise MPCViolationError(
-                    f"machine {mid} holds {words} words, budget "
-                    f"S={self.config.memory_words}"
-                )
+    def _check_memory(self, report: Report) -> Optional[int]:
+        """Audit a superstep's report; return the first over-budget id.
+
+        The report's words become the machines' last-known words.  Only
+        the machines it names are checked: any other machine was within
+        budget at its last report and has not changed since.  The peak
+        takes the machines up to the first over-budget one in id order,
+        as a full scan that stops there would.
+        """
+        budget = self.config.memory_words
+        if type(report) is list:
+            self._words = report
+            items: Iterable[Tuple[int, int]] = enumerate(report)
+            top = max(report, default=0)
+        else:
+            words = self._words
+            for mid, w in report.items():
+                words[mid] = w
+            items = report.items()
+            top = max(report.values(), default=0)
+        if top <= budget:
+            self.metrics.record_memory(top)
+            return None
+        # Only an overrun pays the id-order scan for the first one.  Every
+        # machine before it is within budget, so its words are the peak.
+        fault = next(mid for mid, w in items if w > budget)
+        self.metrics.record_memory(self._words[fault])
+        return fault
+
+    def _finish_audit(self, fault: Optional[int], round_index: int) -> None:
+        """Feed the trace every machine's words, then raise ``fault``.
+
+        On a fault the trace sees the machines up to the faulting one,
+        as the id-order audit met them.
+        """
+        words = self._words
+        if self.trace is not None:
+            last = len(words) if fault is None else fault + 1
+            for mid in range(last):
+                self.trace.record_memory(mid, words[mid], round_index)
+        if fault is not None:
+            raise MPCViolationError(
+                f"machine {fault} holds {words[fault]} words, budget "
+                f"S={self.config.memory_words}"
+            )

@@ -38,12 +38,16 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from typing import Any, Dict, List, Optional, Sequence
 
 SCHEMA_VERSION = 1
 
 #: Fraction of the budget ``S`` at which the auditor starts warning.
 WARN_UTILIZATION = 0.9
+
+#: Latency records a :class:`DaemonTrace` keeps: the most recent ones.
+LATENCY_WINDOW = 1024
 
 
 def _nearest_rank(sorted_values: List[float], quantile: float) -> float:
@@ -460,7 +464,7 @@ class ServiceTrace:
 
     def summary(self) -> Dict[str, Any]:
         """The closing summary record (also useful without an export)."""
-        summary = {"type": "summary", "events": len(self.events),
+        summary = {"type": "summary", "events": self._seq,
                    **dict(sorted(self.counters.items()))}
         if self.latencies:
             summary["latency_ms"] = self.latency_summary()
@@ -476,3 +480,24 @@ class ServiceTrace:
         """Write the JSONL export to ``path``."""
         with open(path, "w") as handle:
             handle.write("\n".join(self.jsonl_lines()) + "\n")
+
+
+class DaemonTrace(ServiceTrace):
+    """The :class:`ServiceTrace` of a long-running serve daemon.
+
+    The daemon reads only the counters and :meth:`latency_summary`, so
+    this trace keeps the counters exact, only the latest
+    :data:`LATENCY_WINDOW` latency records (the percentiles cover
+    those), and no events: its memory stays bounded however long the
+    daemon serves.  Its JSONL export is the meta header, the retained
+    latency records and the summary, which still counts every event.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.latencies = deque(maxlen=LATENCY_WINDOW)
+
+    def record(self, kind: str, **fields: Any) -> None:
+        """Count one service event without keeping it."""
+        self._seq += 1
+        self.counters[kind] = self.counters.get(kind, 0) + 1

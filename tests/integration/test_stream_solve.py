@@ -22,7 +22,7 @@ from repro.core.session import (
     make_config_from_stats,
 )
 from repro.core.verify import verify_ruling_set
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, MPCConfigError
 from repro.graph import generators as gen
 from repro.graph.io import write_edge_list
 from repro.mpc import shard as shard_module
@@ -149,6 +149,20 @@ class TestStreamSession:
         plain = solve_ruling_set_stream(path)
         assert traced.members == plain.members
         assert traced.metrics == plain.metrics
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_refuses_a_backend_it_will_not_use(
+        self, tmp_path, small_er, backend
+    ):
+        # Stream mode always runs on the shard backend, so any other
+        # backend is refused rather than silently replaced.
+        path = tmp_path / "g.txt"
+        write_edge_list(small_er, path)
+        spec = registry.get_algorithm(registry.DET_RULING)
+        with pytest.raises(MPCConfigError, match="runs on the shard backend"):
+            SolverSession(EdgeListSource(path), spec, backend=backend).run()
+        shard = SolverSession(EdgeListSource(path), spec, backend="shard")
+        assert shard.run().metrics["shard_num_shards"] == 4
 
 
 class TestConfigFromStats:

@@ -331,7 +331,7 @@ class TestFusedVisits:
             assert backend.stats()["shard_loads"] == 0
             backend.run_local(sim.machines, lambda m: None)
             assert backend.stats()["shard_loads"] == 4
-            assert backend._open_steps == 0
+            assert not backend._open_steps
 
     def test_callbacks_run_inside_the_call_that_received_them(
         self, monkeypatch

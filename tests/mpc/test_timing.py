@@ -7,6 +7,7 @@ from repro.graph import generators as gen
 from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine
 from repro.mpc.metrics import RunMetrics
+from repro.mpc.shard import ShardBackend
 from repro.mpc.simulator import Simulator
 from repro.mpc.trace import TraceRecorder
 
@@ -63,27 +64,57 @@ class TestSimulatorTiming:
 
     def test_clock_covers_the_memory_audit(self, monkeypatch):
         # Regression: the superstep clock used to stop before the audit,
-        # so wall_time_s and the trace left out every memory_words call.
+        # so wall_time_s and the trace left out every memory_words call
+        # and the budget check itself.
         audit = Machine.memory_words
+        check = Simulator._check_memory
         pause = 0.01
 
         def slow_audit(machine):
             time.sleep(pause)
             return audit(machine)
 
+        def slow_check(sim, report):
+            time.sleep(pause)
+            return check(sim, report)
+
         monkeypatch.setattr(Machine, "memory_words", slow_audit)
+        monkeypatch.setattr(Simulator, "_check_memory", slow_check)
         cfg = MPCConfig(num_machines=3, memory_words=256)
         sim = Simulator(cfg, trace=TraceRecorder(cfg))
+        sim.begin_phase("work")
         sim.local(lambda m: None)
         sim.communicate(lambda m: [])
-        # Two supersteps, three machines audited after each.
-        assert sim.metrics.wall_time_s >= 6 * pause
+        # Two supersteps, each pricing three machines and then checking.
+        assert sim.metrics.wall_time_s >= 8 * pause
+        assert sim.metrics.time_per_phase["work"] >= 8 * pause
         durations = [
             ev["dur_us"] for ev in sim.trace.events
             if ev["type"] in ("local", "round")
         ]
         assert len(durations) == 2
-        assert all(dur >= 3 * pause * 1e6 for dur in durations)
+        assert all(dur >= 4 * pause * 1e6 for dur in durations)
+
+    def test_a_late_local_tail_keeps_its_phase(self, monkeypatch):
+        # A deferred local step's audit runs when it reports, after the
+        # next phase began; its seconds still go to the phase it was
+        # issued in.
+        check = Simulator._check_memory
+        pause = 0.02
+
+        def slow_check(sim, report):
+            time.sleep(pause)
+            return check(sim, report)
+
+        monkeypatch.setattr(Simulator, "_check_memory", slow_check)
+        cfg = MPCConfig(num_machines=4, memory_words=256)
+        with Simulator(cfg, backend=ShardBackend(num_shards=2)) as sim:
+            sim.begin_phase("issued")
+            sim.local(lambda m: None)
+            sim.begin_phase("later")
+            sim.settle()
+        assert sim.metrics.time_per_phase["issued"] >= pause
+        assert sim.metrics.time_per_phase.get("later", 0.0) < pause
 
     def test_phase_attribution_follows_begin_phase(self):
         sim = Simulator(MPCConfig(num_machines=2, memory_words=256))

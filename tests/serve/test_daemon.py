@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.mpc.config import MPCConfig
+from repro.mpc.trace import LATENCY_WINDOW, DaemonTrace
 from repro.serve import (
     AdmissionPolicy,
     BatchEngine,
@@ -598,3 +599,47 @@ class TestUnpriceableAdmission:
     def test_negative_default_rejected(self):
         with pytest.raises(ServeError, match="default_request_words"):
             AdmissionPolicy(default_request_words=-1)
+
+
+class TestDaemonTrace:
+    """A long-running daemon's trace keeps counters and recent
+    latencies only, so its memory stays bounded."""
+
+    def test_retention_is_bounded(self):
+        trace = DaemonTrace()
+        for i in range(10_000):
+            trace.record("cache_hit", id=f"r{i}", key="0" * 64)
+            trace.record_latency(
+                id=f"r{i}", outcome="ok",
+                queue_s=0.0, execute_s=0.001, total_s=0.001,
+            )
+        assert len(trace.events) == 0
+        assert len(trace.latencies) <= LATENCY_WINDOW
+        assert trace.latencies[-1]["id"] == "r9999"
+        assert trace.counters["cache_hit"] == 10_000
+        assert trace.summary()["events"] == 10_000
+        assert trace.latency_summary()["count"] == len(trace.latencies)
+
+    def test_serve_command_runs_on_a_daemon_trace(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        lines = [
+            json.dumps(_request("a")),
+            json.dumps(_request("b")),  # same solve: a cache hit
+            json.dumps({"op": "shutdown"}),
+        ]
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO("".join(line + "\n" for line in lines))
+        )
+        trace_path = tmp_path / "serve.jsonl"
+        assert main(["serve", "--trace-out", str(trace_path)]) == 0
+        capsys.readouterr()
+        records = [json.loads(l) for l in trace_path.read_text().splitlines()]
+        assert [r["type"] for r in records] == [
+            "meta", "latency", "latency", "summary",
+        ]
+        summary = records[-1]
+        assert summary["executed"] == 1 and summary["cache_hit"] == 1
+        assert summary["events"] > 0
