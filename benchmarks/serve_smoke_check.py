@@ -16,7 +16,11 @@ points rather than in-process calls:
    account for every request, and each served record's deterministic
    part is **byte-identical** to the batch path's record for the same
    id once the ``_serve`` side channel is stripped — the daemon must
-   only add queueing, never change an answer.
+   only add queueing, never change an answer;
+5. replay the trace a second time on the same daemon: every request is
+   then a cache hit on a pooled graph, so every response must be
+   answered at admission (the ``hits_at_admission`` stats counter) and
+   still be byte-identical to the batch record.
 
 Exit code 0 on success, 1 on any violation.  Usage::
 
@@ -152,6 +156,8 @@ def main(argv: List[str] = None) -> int:
         ping = talk([{"op": "ping"}], 1)[0]
         served = talk(trace_requests, len(trace_requests))
         stats = talk([{"op": "stats"}], 1)[0]
+        again = talk(trace_requests, len(trace_requests))
+        stats_again = talk([{"op": "stats"}], 1)[0]
         down = talk([{"op": "shutdown"}], 1)[0]
         _, err = proc.communicate(timeout=60)
         code = proc.returncode
@@ -214,6 +220,23 @@ def main(argv: List[str] = None) -> int:
             "served records bit-identical to repro-mpc batch "
             "(modulo _serve)",
             {r["id"]: strip_serve(r) for r in served} == batch,
+        )
+        at_admission = (
+            stats_again["stats"]["hits_at_admission"]
+            - stats["stats"]["hits_at_admission"]
+        )
+        ok &= check(
+            f"second pass answered at admission ({at_admission}/"
+            f"{len(trace_requests)} hits_at_admission)",
+            at_admission == len(trace_requests)
+            and all(
+                r.get("_serve", {}).get("cache") == "hit" for r in again
+            ),
+        )
+        ok &= check(
+            "second-pass records bit-identical to repro-mpc batch "
+            "(modulo _serve)",
+            {r["id"]: strip_serve(r) for r in again} == batch,
         )
         ok &= check(
             "latency attribution recorded for every served request",

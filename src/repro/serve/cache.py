@@ -30,6 +30,12 @@ Entries are stored as canonical JSON text in *both* tiers, so a memory
 hit and a disk hit return byte-identical payloads and callers can never
 mutate cached state in place.
 
+Every key also hashes :data:`CACHE_FORMAT`, the payload format version.
+It is bumped whenever a payload's fields or their meaning change, so a
+disk tier written by an older build is never served as the answer of a
+newer one: its entries are simply misses, re-solved and stored under
+the new keys.
+
 The codec (:func:`result_to_payload` / :func:`payload_to_result`)
 spells out only each problem's own fields; the shared run tail is
 derived from :class:`~repro.core.spec.RunResult`'s fields (all but
@@ -50,11 +56,17 @@ from repro.core.spec import MatchingResult, RulingSetResult, RunResult
 from repro.errors import ServeError
 
 __all__ = [
+    "CACHE_FORMAT",
     "ResultCache",
     "cache_key",
     "payload_to_result",
     "result_to_payload",
 ]
+
+
+#: The payload format version hashed into every key; bump it whenever
+#: a payload's fields or their meaning change.
+CACHE_FORMAT = 1
 
 
 def cache_key(graph_fingerprint: str, params: Dict[str, object]) -> str:
@@ -63,10 +75,15 @@ def cache_key(graph_fingerprint: str, params: Dict[str, object]) -> str:
     ``params`` must already be canonical (use
     :func:`repro.core.registry.canonical_cache_params`); this function
     only fixes the serialization (sorted keys, tight separators) so the
-    digest is reproducible across processes.
+    digest is reproducible across processes.  :data:`CACHE_FORMAT` is
+    hashed in too, so entries of another payload format never match.
     """
     blob = json.dumps(
-        {"graph": graph_fingerprint, "params": params},
+        {
+            "format": CACHE_FORMAT,
+            "graph": graph_fingerprint,
+            "params": params,
+        },
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -190,6 +207,16 @@ class ResultCache:
         }
 
     # -- lookup ----------------------------------------------------------
+
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` is cached in either tier.
+
+        Neither counted nor an LRU touch: a caller that goes on to
+        :meth:`get` the entry counts the request once, there.
+        """
+        if key in self._memory:
+            return True
+        return self._disk is not None and self._object_path(key).exists()
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The cached payload for ``key``, or ``None`` on a miss."""

@@ -11,17 +11,24 @@ to a long-lived front end:
   (:meth:`ServeDaemon.running`).  One request per line in, one
   response record per line out; responses carry the request's ``id``,
   so clients may pipeline.
+* **Hits at admission.**  A request whose graph is already in the
+  engine's pool and whose cache key is cached is answered on the spot
+  (:meth:`BatchEngine.answer_if_cached`): it never queues, never waits
+  behind a solve, and is never refused by the queue bounds — only by
+  shutdown.  Admission never loads a graph and never solves; anything
+  else is queued for the workers.
 * **Admission control.**  A bounded request queue
   (:class:`AdmissionPolicy`).  Once queue depth reaches ``max_queue``
   — or the estimated words of admitted-but-unfinished work would
   exceed ``max_inflight_words`` — new requests are *refused
   immediately* with a structured ``status: "refused"`` record naming
   the limit hit.  Refusal is always explicit: the daemon never drops a
-  request silently.
-* **Fairness.**  Requests queue per tenant (the optional ``tenant``
-  field, stripped before the engine sees the request); a round-robin
-  ring serves one request per tenant per turn, so a tenant flooding
-  the queue cannot starve the others — pinned by test.
+  request silently.  Hits answered at admission do not count toward
+  either bound.
+* **Fairness.**  Queued requests wait per tenant (the optional
+  ``tenant`` field, stripped before the engine sees the request); a
+  round-robin ring serves one request per tenant per turn, so a tenant
+  flooding the queue cannot starve the others — pinned by test.
 * **Warm pools.**  All requests share one :class:`BatchEngine`: its
   graph pool and :class:`~repro.serve.cache.ResultCache` stay warm
   across requests, and the cache is the first hop before any solve
@@ -203,8 +210,10 @@ class ServeDaemon:
 
     Single-threaded control plane: queues, the tenant ring, and the
     admission counters are only touched from the event loop, so they
-    need no locks.  Solves run on ``workers`` executor threads through
-    ``BatchEngine.serve_request``, which locks its own shared state.
+    need no locks.  Cache hits on pooled graphs are answered on the
+    loop itself; everything else runs on ``workers`` executor threads
+    through ``BatchEngine.serve_request``.  Both lock the engine's
+    shared state.
     """
 
     def __init__(
@@ -225,6 +234,7 @@ class ServeDaemon:
         self._inflight_words = 0
         self._index = 0
         self._served = 0
+        self._hits_at_admission = 0
         self._refused = 0
         # Largest priced estimate so far: prices unpriceable requests
         # when the policy opts in via default_request_words.
@@ -243,12 +253,13 @@ class ServeDaemon:
         self,
         data: Dict[str, Any],
         tenant: str,
+        index: int,
         reason: str,
         est_words: int,
     ) -> Dict[str, Any]:
         """A structured refusal record (never a silent drop)."""
         self._refused += 1
-        rid = str(data.get("id", f"req-{self._index}"))
+        rid = str(data.get("id", f"req-{index}"))
         self.engine.trace.record(
             "refused", id=rid, tenant=tenant, reason=reason
         )
@@ -275,7 +286,24 @@ class ServeDaemon:
         request *in arrival order* before reading the next line, so a
         later control op (e.g. ``shutdown``) can never leapfrog
         requests that were already on the wire ahead of it.
+
+        A cache hit on a pooled graph comes back as an already resolved
+        future, without queueing.  Every request consumes an admission
+        index — refused, answered here or queued — so default ids
+        (``req-{index}``) never repeat.
         """
+        index = self._index
+        self._index += 1
+        loop = asyncio.get_running_loop()
+        if not self._shutdown.is_set():
+            arrived = time.monotonic()
+            record = self.engine.answer_if_cached(data, index=index)
+            if record is not None:
+                self._hits_at_admission += 1
+                self._settle(record, tenant, arrived, arrived)
+                future = loop.create_future()
+                future.set_result(record)
+                return None, future
         est_words = estimate_request_words(data)
         policy = self.policy
         if est_words > 0:
@@ -310,17 +338,15 @@ class ServeDaemon:
         else:
             reason = None
         if reason is not None:
-            return self._refusal(data, tenant, reason, est_words), None
-        loop = asyncio.get_running_loop()
+            return self._refusal(data, tenant, index, reason, est_words), None
         pending = _Pending(
             data=data,
             tenant=tenant,
-            index=self._index,
+            index=index,
             est_words=est_words,
             future=loop.create_future(),
             enqueued_at=time.monotonic(),
         )
-        self._index += 1
         self._depth += 1
         self._inflight_words += est_words
         queue = self._queues.setdefault(tenant, deque())
@@ -337,7 +363,9 @@ class ServeDaemon:
 
         Returns a refusal record *immediately* (without enqueueing)
         when admission control rejects it or the daemon is shutting
-        down; otherwise blocks until a worker has served the request.
+        down, and a cache hit on a pooled graph as soon as it is
+        admitted; otherwise blocks until a worker has served the
+        request.
         """
         refusal, future = self.admit(data, tenant=tenant)
         if refusal is not None:
@@ -393,23 +421,33 @@ class ServeDaemon:
                     "error": str(exc),
                     "_serve": {},
                 }
-            finished = time.monotonic()
             self._depth -= 1
             self._inflight_words -= pending.est_words
-            self._served += 1
-            serve = record.setdefault("_serve", {})
-            if isinstance(serve, dict):
-                serve["tenant"] = pending.tenant
-            self.engine.trace.record_latency(
-                id=record.get("id"),
-                outcome=str(record.get("status", "ok")),
-                queue_s=started - pending.enqueued_at,
-                execute_s=finished - started,
-                total_s=finished - pending.enqueued_at,
-                tenant=pending.tenant,
-            )
+            self._settle(record, pending.tenant, pending.enqueued_at, started)
             if not pending.future.done():
                 pending.future.set_result(record)
+
+    def _settle(
+        self,
+        record: Dict[str, Any],
+        tenant: str,
+        admitted: float,
+        started: float,
+    ) -> None:
+        """Count one served record, tag its tenant, attribute its latency."""
+        finished = time.monotonic()
+        self._served += 1
+        serve = record.setdefault("_serve", {})
+        if isinstance(serve, dict):
+            serve["tenant"] = tenant
+        self.engine.trace.record_latency(
+            id=record.get("id"),
+            outcome=str(record.get("status", "ok")),
+            queue_s=started - admitted,
+            execute_s=finished - started,
+            total_s=finished - admitted,
+            tenant=tenant,
+        )
 
     # -- control plane ---------------------------------------------------
 
@@ -419,6 +457,7 @@ class ServeDaemon:
             "queue_depth": self._depth,
             "inflight_words": self._inflight_words,
             "served": self._served,
+            "hits_at_admission": self._hits_at_admission,
             "refused": self._refused,
             "tenants": sorted(
                 tenant
@@ -524,8 +563,8 @@ class ServeDaemon:
                 continue
             tenant = str(data.pop("tenant", DEFAULT_TENANT))
             refusal, future = self.admit(data, tenant=tenant)
-            if refusal is not None:
-                await respond(refusal)
+            if refusal is not None or future.done():
+                await respond(refusal or future.result())
                 continue
             job = asyncio.create_task(respond_when_done(future))
             inflight.add(job)

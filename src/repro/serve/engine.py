@@ -12,7 +12,9 @@ work at most once per *distinct* solve:
    (:func:`repro.serve.cache.cache_key` over the graph fingerprint and
    the registry's canonical parameters) is derived, and the
    :class:`ResultCache` is consulted.  A hit is served from the stored
-   payload with **zero MPC rounds executed**.
+   payload with **zero MPC rounds executed**; the daemon answers hits
+   on pooled graphs at admission (:meth:`BatchEngine.answer_if_cached`),
+   before they would queue.
 2. **Dedup.**  Within a batch, only the first request per key reaches
    the cache — the rest are *deduplicated* onto its outcome, failures
    included.
@@ -361,8 +363,12 @@ class BatchEngine:
     # -- one request's lifecycle ------------------------------------------
 
     def _lookup(
-        self, request: Dict[str, object], seen: Set[str]
-    ) -> Dict[str, object]:
+        self,
+        request: Dict[str, object],
+        seen: Set[str],
+        *,
+        hits_only: bool = False,
+    ) -> Optional[Dict[str, object]]:
         """Plan one request: ``failed``, ``dedup``, ``hit`` or ``miss``.
 
         Warms the request's graph through the pool (an unloadable
@@ -372,18 +378,32 @@ class BatchEngine:
         ``seen`` is a ``dedup`` of an earlier request in the same
         batch and never reaches the cache.  A ``miss`` plan carries
         its ``graph`` for execution.  Call under the engine lock.
+
+        ``hits_only`` plans a hit or nothing: the graph is read from
+        the pool, never loaded, and ``None`` (with nothing counted or
+        traced) stands for an unpooled source, a failing key or a key
+        the cache does not hold.
         """
         plan: Dict[str, object] = {
             "request": request, "key": None, "payload": None,
             "error": None, "serve": {}, "kind": "failed",
         }
-        try:
-            graph = self._get_graph(request)
-        except Exception as exc:  # unloadable source → failure record
-            error = (type(exc).__name__, str(exc))
-        else:
+        if hits_only:
+            graph = self._graphs.get(str(request["source_key"]))
+            if graph is None:
+                return None
             key, error = self._request_key(request, graph)
+            if error is not None or key not in self.cache:
+                return None
             plan["key"] = key
+        else:
+            try:
+                graph = self._get_graph(request)
+            except Exception as exc:  # unloadable source → failure record
+                error = (type(exc).__name__, str(exc))
+            else:
+                key, error = self._request_key(request, graph)
+                plan["key"] = key
         if error is not None:
             plan["error"] = error
             self.trace.record("failed", id=request["id"], error_type=error[0])
@@ -533,6 +553,32 @@ class BatchEngine:
                 payload, error = dict(record.fields), None
             with self._lock:
                 self._outcome(plan, payload, error)
+        return self._output_record(plan)
+
+    def answer_if_cached(
+        self, data: Dict[str, object], *, index: int = 0
+    ) -> Optional[Dict[str, object]]:
+        """The record of a request the cache answers as it stands, else None.
+
+        The serve daemon's admission hop: the same normalise, lookup
+        and record steps as :meth:`serve_request`, but it never loads a
+        graph and never solves, so it is cheap enough to run on the
+        event loop.  ``None`` — for an unpooled source, a key the cache
+        does not hold, or a request :meth:`_normalize` rejects — leaves
+        the request to :meth:`serve_request`, and nothing was counted
+        or traced for it here: each request still makes one counted
+        cache lookup.
+        """
+        try:
+            request = self._normalize(data, index)
+        except Exception:
+            # Never raise into the daemon's read loop: the worker's
+            # serve_request reports the rejection.
+            return None
+        with self._lock:
+            plan = self._lookup(request, set(), hits_only=True)
+        if plan is None or plan["kind"] != "hit":
+            return None
         return self._output_record(plan)
 
     def _output_record(self, plan: Dict[str, object]) -> Dict[str, object]:

@@ -101,6 +101,16 @@ class TestMemoryTier:
         with pytest.raises(ServeError):
             ResultCache(memory_entries=-1)
 
+    def test_membership_is_neither_counted_nor_an_lru_touch(self):
+        cache = ResultCache(memory_entries=2)
+        cache.put("a", _payload(1))
+        cache.put("b", _payload(2))
+        assert "a" in cache and "absent" not in cache
+        stats = cache.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 0
+        cache.put("c", _payload(3))  # "a" is still least recently used
+        assert "a" not in cache and "b" in cache
+
     def test_get_returns_fresh_copies(self):
         cache = ResultCache()
         cache.put("k", {"nested": {"x": 1}})
@@ -118,6 +128,13 @@ class TestDiskTier:
         assert cache.stats()["memory_hits"] == 1
         # Promotion is not a store: the entry was already persistent.
         assert cache.stats()["stores"] == 0
+
+    def test_membership_sees_the_disk_tier(self, tmp_path):
+        ResultCache(disk_dir=tmp_path).put("k", _payload(1))
+        cache = ResultCache(disk_dir=tmp_path)
+        assert "k" in cache and "other" not in cache
+        assert cache.stats()["hits"] == 0
+        assert cache.stats()["memory_entries"] == 0  # not promoted
 
     def test_clear_drops_both_tiers(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)

@@ -13,6 +13,7 @@ import asyncio
 import io
 import json
 import sys
+import threading
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.serve import (
     estimate_request_words,
     replay_requests,
 )
+from repro.serve import engine as engine_module
 
 
 def _engine(**kwargs):
@@ -209,6 +211,179 @@ class TestAdmissionControl:
         assert queued["status"] == "ok"
         assert late["status"] == "refused"
         assert "shutting down" in late["error"]
+
+
+class TestAdmissionIndex:
+    def test_refused_and_served_default_ids_differ(self):
+        # Every request that reaches admission consumes an index, so a
+        # refusal's default id is never handed out again.
+        daemon = ServeDaemon(
+            _engine(), policy=AdmissionPolicy(max_queue=1)
+        )
+        anonymous = {"graph": {"family": "gnp", "n": 48, "param": 6}}
+
+        async def scenario():
+            refusal, first = daemon.admit(dict(anonymous, seed=1))
+            assert refusal is None
+            refused = await daemon.submit(dict(anonymous, seed=2))
+            worker = asyncio.create_task(daemon._worker())
+            first = await first
+            later = await daemon.submit(dict(anonymous, seed=3))
+            daemon.request_stop()
+            await worker
+            return first, refused, later
+
+        first, refused, later = asyncio.run(scenario())
+        assert refused["status"] == "refused"
+        assert [first["id"], refused["id"], later["id"]] == [
+            "req-0", "req-1", "req-2",
+        ]
+
+
+def _warm(daemon, request):
+    """Pool ``request``'s graph and cache its answer, off the daemon."""
+    record = daemon.engine.serve_request(dict(request))
+    assert record["status"] == "ok"
+    return record
+
+
+class TestHitsAtAdmission:
+    """A cache hit on a pooled graph is answered inside ``admit``: it
+    never queues, so it never waits behind a solve or a queue bound."""
+
+    def test_hit_answered_while_the_worker_is_inside_a_miss(
+        self, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        real = engine_module._execute_request
+
+        def gated(graph, params):
+            if params["id"] == "slow":
+                entered.set()
+                assert release.wait(timeout=60)
+            return real(graph, params)
+
+        monkeypatch.setattr(engine_module, "_execute_request", gated)
+        daemon = ServeDaemon(_engine(), workers=1)
+
+        async def body():
+            warm = await daemon.submit(_request("warm"))
+            _, slow = daemon.admit(_request("slow", beta=3))
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, 60)
+            refusal, hit = daemon.admit(_request("hit"))
+            answered = refusal is None and hit.done()
+            release.set()
+            return warm, answered, hit.result(), await slow
+
+        warm, answered, hit, slow = asyncio.run(_with_workers(daemon, body))
+        assert answered
+        assert hit["_serve"]["cache"] == "hit"
+        assert slow["_serve"]["cache"] == "miss"
+        assert _strip_serve(hit) == dict(_strip_serve(warm), id="hit")
+        assert daemon.stats()["hits_at_admission"] == 1
+
+    def test_unpooled_source_is_queued_and_loaded_on_a_worker(
+        self, monkeypatch
+    ):
+        threads = []
+        real = engine_module._load_graph
+
+        def recording(source):
+            threads.append(threading.current_thread().name)
+            return real(source)
+
+        monkeypatch.setattr(engine_module, "_load_graph", recording)
+        daemon = ServeDaemon(_engine(), workers=1)
+
+        async def body():
+            _, cold = daemon.admit(_request("cold"))
+            queued = not cold.done()
+            first = await cold
+            _, warm = daemon.admit(_request("warm"))
+            return queued, first, warm.done(), warm.result()
+
+        queued, first, answered, second = asyncio.run(
+            _with_workers(daemon, body)
+        )
+        assert queued and answered
+        assert first["_serve"]["cache"] == "miss"
+        assert second["_serve"]["cache"] == "hit"
+        assert len(threads) == 1
+        assert threads[0].startswith("repro-serve")
+
+    def test_hit_answered_while_the_queue_is_full(self):
+        daemon = ServeDaemon(
+            _engine(), policy=AdmissionPolicy(max_queue=1)
+        )
+        _warm(daemon, _request("warm"))
+
+        async def scenario():
+            # No workers: the queued miss holds the only slot.
+            refusal, held = daemon.admit(_request("held", beta=3))
+            assert refusal is None and not held.done()
+            spilled, _ = daemon.admit(_request("spill", beta=4))
+            refusal, hit = daemon.admit(_request("hit"))
+            assert refusal is None and hit.done()
+            return spilled, hit.result()
+
+        spilled, hit = asyncio.run(scenario())
+        assert spilled["status"] == "refused"
+        assert "max_queue=1" in spilled["error"]
+        assert hit["status"] == "ok"
+        assert hit["_serve"]["cache"] == "hit"
+        assert hit["_serve"]["tenant"] == "default"
+        stats = daemon.stats()
+        assert stats["queue_depth"] == 1 and stats["refused"] == 1
+        (latency,) = daemon.engine.trace.latencies
+        assert latency["id"] == "hit" and latency["queue_s"] == 0.0
+
+    def test_hit_after_stop_is_refused(self):
+        daemon = ServeDaemon(_engine())
+        _warm(daemon, _request("warm"))
+
+        async def scenario():
+            daemon.request_stop()
+            return await daemon.submit(_request("late"))
+
+        late = asyncio.run(scenario())
+        assert late["status"] == "refused"
+        assert late["error"] == "daemon is shutting down"
+        assert daemon.stats()["hits_at_admission"] == 0
+
+    def test_mixed_replay_counts_one_lookup_per_request(self):
+        requests = [
+            _request("a0"),
+            _request("b0", n=32, param=4),
+            _request("a1"),
+            _request("a2", beta=3),
+            _request("b1", n=32, param=4),
+            _request("a3"),
+            _request("a4", beta=3),
+        ]
+        daemon = ServeDaemon(_engine())
+
+        async def body():
+            return await replay_requests(
+                daemon, [dict(r) for r in requests]
+            )
+
+        served = asyncio.run(_with_workers(daemon, body))
+        cache = daemon.engine.cache.stats()
+        counters = daemon.engine.trace.counters
+        assert cache["hits"] + cache["misses"] == len(requests)
+        assert counters["cache_hit"] + counters["cache_miss"] == len(
+            requests
+        )
+        assert counters["cache_hit"] == 4 and counters["executed"] == 3
+        assert daemon.stats()["hits_at_admission"] == 4
+        assert [r["_serve"]["cache"] for r in served] == [
+            "miss", "miss", "hit", "miss", "hit", "hit", "hit",
+        ]
+        batch = _engine().run([dict(r) for r in requests])
+        assert [_strip_serve(r) for r in served] == [
+            _strip_serve(r) for r in batch
+        ]
 
 
 class TestFairness:

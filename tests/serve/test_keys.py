@@ -3,7 +3,8 @@
 from repro.core import registry
 from repro.core.registry import canonical_cache_params
 from repro.graph import generators as gen
-from repro.serve import cache_key
+from repro.serve import BatchEngine, ResultCache, cache_key
+from repro.serve import cache as cache_module
 
 DET = registry.get_algorithm(registry.DET_RULING)
 RAND = registry.get_algorithm(registry.RAND_RULING)
@@ -80,3 +81,41 @@ class TestCacheKey:
         assert cache_key("fp", {"a": 1, "b": 2}) == cache_key(
             "fp", {"b": 2, "a": 1}
         )
+
+
+class TestCacheFormat:
+    def test_format_is_part_of_the_key(self, monkeypatch):
+        params = canonical_cache_params(DET)
+        current = cache_key("fp", params)
+        monkeypatch.setattr(
+            cache_module, "CACHE_FORMAT", cache_module.CACHE_FORMAT + 1
+        )
+        assert cache_key("fp", params) != current
+
+    def test_entry_of_another_format_is_a_miss_and_re_solved(
+        self, tmp_path, monkeypatch
+    ):
+        request = {
+            "id": "r",
+            "graph": {"family": "gnp", "n": 48, "param": 6},
+            "algorithm": registry.DET_RULING,
+        }
+        monkeypatch.setattr(
+            cache_module, "CACHE_FORMAT", cache_module.CACHE_FORMAT - 1
+        )
+        old = BatchEngine(ResultCache(disk_dir=tmp_path))
+        (stale,) = old.run([dict(request)])
+        assert stale["_serve"]["cache"] == "miss"
+        assert old.cache.stats()["disk_entries"] == 1
+        monkeypatch.undo()
+
+        engine = BatchEngine(ResultCache(disk_dir=tmp_path))
+        (fresh,) = engine.run([dict(request)])
+        assert fresh["_serve"]["cache"] == "miss"
+        assert fresh["key"] != stale["key"]
+        assert engine.trace.counters["executed"] == 1
+        assert engine.cache.stats()["disk_entries"] == 2
+        strip = ("key", "_serve")
+        assert {k: v for k, v in fresh.items() if k not in strip} == {
+            k: v for k, v in stale.items() if k not in strip
+        }
