@@ -11,13 +11,16 @@ The simulator audits every machine after every superstep, but the audit
 is incremental: the store caches each key's price and re-prices only the
 keys a superstep could have changed (see :class:`Store`), so a round
 that touches two scratch keys does not re-walk the adjacency.  A store
-is accessed three ways: a write (``store[k] = v``, ``pop``, ...) drops
-the key's price; a read (``store[k]``, ``get``) drops it too when the
-value is mutable, since the caller may mutate it; and a *peek*
-(:meth:`Store.peek`) keeps it, for callbacks that only read — the
-sends, counts and scans that read the adjacency every round.  The inbox
-is not walked either: the router already summed its payload lengths and
-hands that count over with it (:meth:`Machine.deliver`).
+is accessed four ways: a write (``store[k] = v``, ``update``, ...)
+prices a frozen value — an int or a flat tuple of scalars under an int
+or string key — on the spot and drops the price of anything else; a
+delete (``del``, ``pop``, ``popitem``) forgets the key and its price; a
+read (``store[k]``, ``get``) drops the price when the value is mutable,
+since the caller may mutate it; and a *peek* (:meth:`Store.peek`) keeps
+it, for callbacks that only read — the sends, counts and scans that
+read the adjacency every round.  The inbox is not walked either: the
+router already summed its payload lengths and hands that count over
+with it (:meth:`Machine.deliver`).
 """
 
 from __future__ import annotations
@@ -35,9 +38,6 @@ _TUPLE_ONLY = frozenset((tuple,))
 #: Value types that are deeply immutable on their own.
 _ATOMS = frozenset((int, bool, float, str, type(None)))
 
-#: Marks a dirty key that has since been deleted.
-_ABSENT = object()
-
 
 def words_of(obj: Any) -> int:
     """Return the size of ``obj`` in machine words.
@@ -50,11 +50,12 @@ def words_of(obj: Any) -> int:
 
     A dict's price is the sum over its items of key price plus value
     price, which is what lets :class:`Store` price one key at a time and
-    keep a running total.  What is still priced in full on every audit is
-    every store key a superstep wrote or read mutably, and an inbox that
-    was assigned directly instead of delivered with its count.  The
-    dominant shapes — flat containers of plain ints, and adjacency dicts
-    mapping int keys to int tuples — are priced
+    keep a running total.  What an audit still prices in full is every
+    store key a superstep wrote with a value other than an int or a flat
+    scalar tuple (those are priced at the write) or read mutably, and an
+    inbox that was assigned directly instead of delivered with its
+    count.  The dominant shapes — flat containers of plain ints, and
+    adjacency dicts mapping int keys to int tuples — are priced
     *batched*: one C-level type sweep (``set(map(type, ...))``) decides
     whether the whole container can be charged by length, replacing the
     per-element Python loop.  Anything the sweep cannot prove flat falls
@@ -163,16 +164,26 @@ class Store(dict):
     Each key's price (``words_of(key) + words_of(value)``) is cached
     together with a running total, and :meth:`words` re-prices only the
     keys whose cached price was dropped (the *dirty* keys).  Prices are
-    dropped by two barriers, so callbacks keep using the store as a
+    kept exact by two barriers, so callbacks keep using the store as a
     plain dict:
 
-    * *Write barrier.*  Every mutator drops the key it touches:
-      ``store[k] = v``, ``del store[k]``, ``pop``, ``popitem``,
-      ``setdefault``, ``update``, ``|=`` and ``clear``.
+    * *Write barrier.*  Every write takes one rule, whichever mutator
+      makes it (``store[k] = v``, ``update``, ``|=``, and ``setdefault``
+      on a missing key).  An int or str key written with a frozen value
+      that is cheap to price — an int, or a flat tuple of ints, bools
+      and floats (the counters and O(1)-word partials of a seed search)
+      — is priced on the spot: its price and the running total are
+      updated and the key is left clean, since nothing can change the
+      value's price.  Any other write drops the key's price, because a
+      callback may still mutate a mutable value later in the same
+      superstep.  Deletes (``del store[k]``, ``pop``, ``popitem``)
+      forget the key: its price leaves the total and nothing is left
+      dirty.  ``clear`` forgets everything.
     * *Read barrier.*  ``store[k]`` and ``get`` drop the key's price when
       its value is mutable (anything but ints, strings, ``None`` and
       tuples / frozensets of those), because the caller may mutate the
       value in place — ``store[ADJ].pop(v)``, ``store["removed"].add(v)``.
+      ``setdefault`` on a present key is such a read.
       ``items()``, ``values()`` and ``copy()`` drop every mutable key.
       Whether a value is mutable is decided once, when it is priced, so a
       read of a priced frozen value costs one set lookup.
@@ -191,8 +202,10 @@ class Store(dict):
     compares every :meth:`Machine.memory_words` with the full walk and
     catches all three.
 
-    Pickling keeps the cache: a store pickles as its items plus its
-    prices, and unpickles as a :class:`Store`.
+    A key is dirty exactly when it is present and has no price, and
+    only a priced key can be in ``_mutable``; the barriers below lean on
+    both facts.  Pickling keeps the cache: a store pickles as its items
+    plus its prices, and unpickles as a :class:`Store`.
     """
 
     __slots__ = ("_prices", "_mutable", "_dirty", "_total")
@@ -211,9 +224,7 @@ class Store(dict):
         dirty = self._dirty
         while dirty:
             key = dirty.pop()
-            value = dict.get(self, key, _ABSENT)
-            if value is _ABSENT:
-                continue  # deleted since it was dropped
+            value = dict.__getitem__(self, key)
             try:
                 price = words_of(key) + words_of(value)
             except TypeError:
@@ -229,6 +240,42 @@ class Store(dict):
         self._dirty.add(key)
         price = self._prices.pop(key, None)
         if price is not None:
+            self._total -= price
+            self._mutable.discard(key)
+
+    def _write(self, key: Any, value: Any) -> None:
+        """The write barrier: price a cheap frozen write, drop any other."""
+        t = type(value)
+        if t in _SCALARS:
+            price = 1
+        elif t is tuple and set(map(type, value)) <= _SCALARS:
+            price = len(value)
+        else:
+            self._drop(key)
+            return
+        t = type(key)
+        if t is int:
+            price += 1
+        elif t is str:
+            price += (len(key) + 7) // 8
+        else:
+            self._drop(key)
+            return
+        old = self._prices.get(key)
+        self._prices[key] = price
+        if old is None:
+            self._total += price
+            self._dirty.discard(key)
+        else:
+            self._total += price - old
+            self._mutable.discard(key)
+
+    def _forget(self, key: Any) -> None:
+        """The delete barrier: ``key`` is gone, and so is its price."""
+        price = self._prices.pop(key, None)
+        if price is None:
+            self._dirty.discard(key)
+        else:
             self._total -= price
             self._mutable.discard(key)
 
@@ -270,30 +317,33 @@ class Store(dict):
 
     def __setitem__(self, key: Any, value: Any) -> None:
         dict.__setitem__(self, key, value)
-        self._drop(key)
+        self._write(key, value)
 
     def __delitem__(self, key: Any) -> None:
         dict.__delitem__(self, key)
-        self._drop(key)
+        self._forget(key)
 
     def pop(self, key: Any, *default: Any) -> Any:
-        self._drop(key)
-        return dict.pop(self, key, *default)
+        value = dict.pop(self, key, *default)
+        self._forget(key)
+        return value
 
     def popitem(self) -> Tuple[Any, Any]:
         item = dict.popitem(self)
-        self._drop(item[0])
+        self._forget(item[0])
         return item
 
     def setdefault(self, key: Any, default: Any = None) -> Any:
-        self._drop(key)
-        return dict.setdefault(self, key, default)
+        if key in self:
+            return self[key]
+        self[key] = default
+        return default
 
     def update(self, *args: Any, **kwargs: Any) -> None:
         changes = dict(*args, **kwargs)
         dict.update(self, changes)
-        for key in changes:
-            self._drop(key)
+        for key, value in changes.items():
+            self._write(key, value)
 
     def __ior__(self, other: Any) -> "Store":
         self.update(other)

@@ -45,9 +45,39 @@ MUTATORS = {
     "pop-default": lambda s: s.pop("adj", None),
     "setdefault": lambda s: s.setdefault("adj", {}),
     "update": lambda s: s.update({"adj": {0: (1,)}}),
-    "update-kwargs": lambda s: s.update(adj=(1, 2)),
+    "update-kwargs": lambda s: s.update(adj=[1, 2]),
     "ior": lambda s: s.__ior__({"adj": [1, 2, 3]}),
 }
+
+#: Every way to write one key, each taking the same write barrier.
+WRITERS = {
+    "setitem": lambda s, k, v: s.__setitem__(k, v),
+    "update": lambda s, k, v: s.update({k: v}),
+    "update-kwargs": lambda s, k, v: s.update(**{k: v}),
+    "ior": lambda s, k, v: s.__ior__({k: v}),
+    "setdefault": lambda s, k, v: s.setdefault(k, v),
+}
+
+#: Every way to delete one key.
+DELETERS = {
+    "delitem": lambda s, k: s.__delitem__(k),
+    "pop": lambda s, k: s.pop(k),
+    "pop-default": lambda s, k: s.pop(k, None),
+    "popitem": lambda s, k: s.popitem(),
+}
+
+
+def assert_priced_on_the_spot(store: Store, key) -> None:
+    """``key`` is priced exactly and nothing waits for an audit.
+
+    Called before any ``words()``, so only the write barrier can have
+    priced the key.
+    """
+    value = dict.__getitem__(store, key)
+    assert store._prices[key] == words_of(key) + words_of(value)
+    assert store._total == full_walk(store)
+    assert not store._dirty
+    assert key not in store._mutable
 
 
 class TestWriteBarrier:
@@ -59,10 +89,125 @@ class TestWriteBarrier:
         assert cached(store) == set(store) - {"adj"}
         assert store.words() == full_walk(store)
 
-    def test_setitem_on_frozen_key_drops_it(self):
+    @pytest.mark.parametrize(
+        "name,key",
+        [(name, key) for name in sorted(WRITERS)
+         for key in ("adj", "count", "fresh")
+         if name != "setdefault" or key == "fresh"],  # it writes only new keys
+    )
+    def test_frozen_write_prices_the_key(self, name, key):
         store = priced_store()
-        store["count"] = (1, 2, 3, 4)
-        assert "count" not in cached(store)
+        WRITERS[name](store, key, (7, True, 2.5))
+        assert dict.__getitem__(store, key) == (7, True, 2.5)
+        assert_priced_on_the_spot(store, key)
+
+    @pytest.mark.parametrize("name", sorted(set(WRITERS) - {"setdefault"}))
+    def test_frozen_write_cleans_a_dirty_key(self, name):
+        store = priced_store()
+        store["adj"]  # a mutable read: "adj" is dirty
+        assert store._dirty == {"adj"}
+        WRITERS[name](store, "adj", 5)
+        assert_priced_on_the_spot(store, "adj")
+
+    def test_frozen_write_cleans_a_never_priced_key(self):
+        store = Store(a=[1, 2], b={3})  # every key dirty until an audit
+        store["a"] = 9
+        assert store._prices == {"a": 2}
+        assert store._dirty == {"b"}
+        assert store.words() == full_walk(store) == 2 + 2
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("count", 2**70),
+            ("count", False),
+            ("count", -0.5),
+            ("count", ()),
+            ("a-key-of-seventeen", (1, 2)),
+            (12, 3),
+            (-4, (1.5, 2, False)),
+        ],
+    )
+    def test_frozen_shapes_priced_at_the_write(self, key, value):
+        store = priced_store()
+        store[key] = value
+        assert_priced_on_the_spot(store, key)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("count", "a label"),
+            ("count", None),
+            ("count", ((1, 2), (3,))),
+            ("count", frozenset({1, 2})),
+            ("count", (1, "x")),
+            ((1, 2), 3),
+            (None, 3),
+            (True, 3),
+        ],
+    )
+    def test_other_frozen_writes_wait_for_the_audit(self, key, value):
+        store = priced_store()
+        store[key] = value
+        assert store._dirty == {key}
+        assert key not in cached(store)
+        assert store.words() == full_walk(store)
+        assert key in cached(store) and key not in store._mutable
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_mutable_write_still_drops(self, name):
+        store = priced_store()
+        held = [1, 2]
+        key = "fresh" if name == "setdefault" else "count"
+        WRITERS[name](store, key, held)
+        assert store._dirty == {key}
+        assert key not in cached(store)
+        # A callback may still mutate what it wrote, in the same superstep.
+        held.extend((3, 4, 5))
+        assert store.words() == full_walk(store)
+        assert store._prices[key] == words_of(key) + 5
+        assert key in store._mutable
+
+    @pytest.mark.parametrize("name", sorted(DELETERS))
+    @pytest.mark.parametrize(
+        "state", ["priced-mutable", "priced-frozen", "dirty"]
+    )
+    def test_delete_forgets_the_key(self, name, state):
+        store = priced_store()
+        key = {"priced-mutable": "adj", "priced-frozen": "count",
+               "dirty": "fresh"}[state]
+        if state == "dirty":
+            store[key] = [1, 2]
+        if name == "popitem":
+            # popitem takes the last key inserted: put ``key`` last.
+            value = dict.pop(store, key)
+            dict.__setitem__(store, key, value)
+        DELETERS[name](store, key)
+        assert key not in store
+        assert key not in cached(store)
+        assert key not in store._mutable
+        assert not store._dirty
+        assert store._total == full_walk(store)
+
+    def test_deleting_a_missing_key_changes_nothing(self):
+        store = priced_store()
+        before = (dict(store._prices), set(store._mutable), store._total)
+        assert store.pop("missing", 0) == 0
+        with pytest.raises(KeyError):
+            store.pop("missing")
+        with pytest.raises(KeyError):
+            del store["missing"]
+        assert (store._prices, store._mutable, store._total) == before
+        assert not store._dirty
+
+    def test_setdefault_on_a_present_key_is_a_read(self):
+        store = priced_store()
+        adj = dict.__getitem__(store, "adj")
+        assert store.setdefault("adj", {}) is adj
+        assert store._dirty == {"adj"}  # mutable: the caller may mutate it
+        assert store.setdefault("count", 9) == 3
+        assert "count" in cached(store)  # frozen: keeps its price
+        adj[50] = (51,)
         assert store.words() == full_walk(store)
 
     def test_popitem_drops_the_popped_key(self):
