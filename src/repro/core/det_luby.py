@@ -172,11 +172,14 @@ def luby_program(
 
         # --- isolated vertices join immediately -----------------------
         def absorb_isolated(machine: Machine) -> None:
-            adj = machine.store[adj_key]
+            adj = machine.store.peek(adj_key)
             isolated = sorted(v for v, nbrs in adj.items() if not nbrs)
-            for v in isolated:
-                machine.store[in_set_key].add(v)
-                del adj[v]
+            if isolated:
+                # Only a machine that drops rows gives up the price.
+                adj = machine.store[adj_key]
+                for v in isolated:
+                    machine.store[in_set_key].add(v)
+                    del adj[v]
             machine.store["_luby_isolated"] = len(isolated)
 
         sim.local(absorb_isolated)

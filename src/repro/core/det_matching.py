@@ -145,11 +145,11 @@ def build_distributed_line_graph(dg: DistributedGraph) -> DistributedGraph:
 
     # --- endpoints learn their incident edges (1 round) ----------------
     def announce(machine: Machine) -> Outbox:
-        owner_of = dg.owner_map.owner_of
+        owners = dg.owner_map.owners
         out = []
         for edge_id, (u, v) in machine.store[EDGE_TABLE].items():
-            out.append((owner_of(u), (u, edge_id)))
-            out.append((owner_of(v), (v, edge_id)))
+            out.append((owners[u], (u, edge_id)))
+            out.append((owners[v], (v, edge_id)))
         return out
 
     sim.communicate(announce)
@@ -160,13 +160,13 @@ def build_distributed_line_graph(dg: DistributedGraph) -> DistributedGraph:
         for vertex, edge_id in machine.inbox:
             incident.setdefault(vertex, []).append(edge_id)
         machine.clear_inbox()
-        line_owner_of = line_owner.owner_of
+        line_owners = line_owner.owners
         out = []
         for vertex, edge_ids in incident.items():
             edge_ids.sort()
             for edge_id in edge_ids:
                 out.append(
-                    (line_owner_of(edge_id), (edge_id,) + tuple(edge_ids))
+                    (line_owners[edge_id], (edge_id,) + tuple(edge_ids))
                 )
         return out
 

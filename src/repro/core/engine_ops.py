@@ -89,8 +89,8 @@ def gather_and_greedy(
         vertices = machine.store.pop("_rs_gv")
         edges = machine.store.pop("_rs_ge")
         members = greedy_mis_on_edges(vertices, edges)
-        owner_of = dg.owner_map.owner_of
-        return [(owner_of(v), (v,)) for v in members]
+        owners = dg.owner_map.owners
+        return [(owners[v], (v,)) for v in members]
 
     sim.communicate(solve_and_scatter)
 

@@ -87,12 +87,12 @@ def _double(dg: DistributedGraph, balls_key: str) -> None:
 
     # Round 1: each vertex requests the ball of every member.
     def request(machine: Machine) -> Outbox:
-        owner_of = dg.owner_map.owner_of
+        owners = dg.owner_map.owners
         out = []
         for v, ball in machine.store[balls_key].items():
             for u in ball:
                 if u != v:
-                    out.append((owner_of(u), (u, v)))
+                    out.append((owners[u], (u, v)))
         return out
 
     sim.communicate(request)
@@ -104,12 +104,12 @@ def _double(dg: DistributedGraph, balls_key: str) -> None:
         for u, v in machine.inbox:
             requests.setdefault(u, []).append(v)
         machine.clear_inbox()
-        owner_of = dg.owner_map.owner_of
+        owners = dg.owner_map.owners
         out = []
         for u, requesters in requests.items():
             ball = balls[u]
             for v in requesters:
-                out.append((owner_of(v), (v,) + ball))
+                out.append((owners[v], (v,) + ball))
         return out
 
     sim.communicate(respond)
@@ -121,11 +121,11 @@ def _expand_one(dg: DistributedGraph, balls_key: str, adj_key: str) -> None:
 
     def send(machine: Machine) -> Outbox:
         adj = machine.store[adj_key]
-        owner_of = dg.owner_map.owner_of
+        owners = dg.owner_map.owners
         out = []
         for v, ball in machine.store[balls_key].items():
             for u in adj[v]:
-                out.append((owner_of(u), (u,) + ball))
+                out.append((owners[u], (u,) + ball))
         return out
 
     dg.sim.communicate(send)

@@ -144,13 +144,11 @@ def gp_program(in_set_key: str = GP_IN_SET) -> SuperstepProgram:
                 # a vertex stays uncovered when neither it nor any
                 # neighbour hashes below the threshold.
                 t = threshold
+                hash_v, any_below = seed.hash, seed.any_below
                 still = 0
                 for v, nbrs in machine.store.peek("_gp_uncov").items():
-                    if seed.hash(v) < t:
-                        continue
-                    if any(seed.hash(u) < t for u in nbrs):
-                        continue
-                    still += 1
+                    if hash_v(v) >= t and not any_below(nbrs, t):
+                        still += 1
                 return (still,)
 
             def accept(stats: Tuple[int, ...]) -> bool:
@@ -175,8 +173,7 @@ def gp_program(in_set_key: str = GP_IN_SET) -> SuperstepProgram:
                 machine.store["_gp_uncov"] = {
                     v: nbrs
                     for v, nbrs in machine.store["_gp_uncov"].items()
-                    if s.hash(v) >= t
-                    and not any(s.hash(u) < t for u in nbrs)
+                    if s.hash(v) >= t and not s.any_below(nbrs, t)
                 }
 
             sim.local(drop_covered)
@@ -187,15 +184,15 @@ def gp_program(in_set_key: str = GP_IN_SET) -> SuperstepProgram:
         # committed seed list — the induced adjacency needs no rounds.
         def build_sample(machine: Machine) -> None:
             t = threshold
-
-            def sampled(v: int) -> bool:
-                return any(s.hash(v) < t for s in committed)
-
             adj = machine.store.peek(ADJ)
+            ids = set(adj).union(*adj.values())
+            sample = set()
+            for s in committed:
+                sample.update(s.below(ids, t))
             machine.store[SAMPLE_ADJ] = {
-                v: tuple(u for u in nbrs if sampled(u))
+                v: tuple(u for u in nbrs if u in sample)
                 for v, nbrs in adj.items()
-                if sampled(v)
+                if v in sample
             }
 
         sim.local(build_sample)

@@ -16,6 +16,7 @@ The modulus must exceed every hashed id; the deterministic algorithms use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, List
 
 from repro.errors import DerandomizationError
 from repro.util.prime import is_prime, next_prime
@@ -44,6 +45,33 @@ class Seed:
         6
         """
         return (self.a * x + self.b) % self.p
+
+    def any_below(self, xs: Iterable[int], t: int) -> bool:
+        """Whether ``hash(x) < t`` for some ``x`` in ``xs``.
+
+        Equal to ``any(self.hash(x) < t for x in xs)``, evaluated in one
+        call per neighbourhood: samplers test whole adjacency rows, and
+        a method call per id dominated their scans.
+
+        >>> Seed(2, 3, 7).any_below((5, 1), 6)
+        True
+        >>> Seed(2, 3, 7).any_below((), 7)
+        False
+        """
+        a, b, p = self.a, self.b, self.p
+        for x in xs:
+            if (a * x + b) % p < t:
+                return True
+        return False
+
+    def below(self, xs: Iterable[int], t: int) -> List[int]:
+        """The ``x`` in ``xs`` with ``hash(x) < t``, in order.
+
+        >>> Seed(2, 3, 7).below((0, 1, 5), 6)
+        [0, 1]
+        """
+        a, b, p = self.a, self.b, self.p
+        return [x for x in xs if (a * x + b) % p < t]
 
     def index(self) -> int:
         """Rank of this seed in the canonical enumeration ``a * p + b``."""

@@ -130,7 +130,7 @@ class DistributedGraph:
         def send(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             values = machine.store.peek(values_key)
-            owner_of = self.owner_map.owner_of
+            owners = self.owner_map.owners
             out = []
             for v, neighbors in adj.items():
                 value = values[v]
@@ -138,7 +138,7 @@ class DistributedGraph:
                     tuple(value) if isinstance(value, tuple) else (int(value),)
                 )
                 for u in neighbors:
-                    out.append((owner_of(u), (u, v) + payload_tail))
+                    out.append((owners[u], (u, v) + payload_tail))
             return out
 
         self.sim.communicate(send)
@@ -172,11 +172,11 @@ class DistributedGraph:
 
         def send(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
-            owner_of = self.owner_map.owner_of
+            owners = self.owner_map.owners
             out = []
             for v in machine.store.peek(flag_key, ()):
                 for u in adj.get(v, ()):
-                    out.append((owner_of(u), (u,)))
+                    out.append((owners[u], (u,)))
             return out
 
         self.sim.communicate(send)
@@ -203,13 +203,13 @@ class DistributedGraph:
         def announce(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             removed: Set[int] = set(machine.store.pop(removed_key, ()))
-            owner_of = self.owner_map.owner_of
+            owners = self.owner_map.owners
             out = []
             for v in removed:
                 if v not in adj:
                     continue
                 for u in adj[v]:
-                    out.append((owner_of(u), (u, v)))
+                    out.append((owners[u], (u, v)))
             machine.store["_g_removing"] = sorted(removed)
             return out
 
@@ -286,13 +286,13 @@ class DistributedGraph:
         def send_flags(machine: Machine) -> Outbox:
             adj = machine.store.peek(adj_key)
             flagged: Set[int] = set(machine.store.peek(flag_key))
-            owner_of = self.owner_map.owner_of
+            owners = self.owner_map.owners
             out = []
             for v in flagged:
                 if v not in adj:
                     continue
                 for u in adj[v]:
-                    out.append((owner_of(u), (u, v)))
+                    out.append((owners[u], (u, v)))
             return out
 
         self.sim.communicate(send_flags)

@@ -2,7 +2,12 @@
 
 A low-space machine cannot store the full ``owner[v]`` table (that is
 ``n`` words).  Ownership must instead be *computable* from O(k) words of
-shared metadata.  Three implementations:
+shared metadata.  Each map's ``owners`` property is that table, but as a
+simulation memo, not machine state: the driver builds it once from the
+map's own metadata (a pure function of the priced ``serialize()``
+tuple), send callbacks index it instead of calling ``owner_of`` per
+message, and it is never stored on a machine, sent or priced.  Three
+implementations:
 
 * :class:`RangeOwnerMap` — contiguous vertex ranges given by ``k + 1``
   boundary values (produced from a balanced edge partition);
@@ -10,9 +15,10 @@ shared metadata.  Three implementations:
 * :class:`HashOwnerMap` — SplitMix64 of the id (O(1) words), used to check
   partition-independence of algorithms.
 
-Every map exposes ``owner_of(v)``, its metadata footprint in words, and a
-``serialize()/deserialize()`` pair so the metadata can be shipped to
-machines as plain integer tuples.
+Every map exposes ``owner_of(v)`` (range-checked), the ``owners`` memo
+(unchecked: callers index it only with adjacency ids, which are in range
+by construction), and a ``serialize()/deserialize()`` pair so the
+metadata can be shipped to machines as plain integer tuples.
 
 Edges are addressed by a symmetric 64-bit id — ``edge_id(u, v) ==
 edge_id(v, u)`` — so both endpoints' owners agree on the name of a shared
@@ -23,6 +29,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Tuple
 
 from repro.errors import MPCConfigError
@@ -94,11 +102,19 @@ class RangeOwnerMap:
         >>> RangeOwnerMap((0, 2, 5)).owner_of(3)
         1
         """
+        _check_vertex(v, self.num_vertices)
+        return bisect_right(self.bounds, v) - 1
+
+    @cached_property
+    def owners(self) -> Tuple[int, ...]:
+        """``owners[v] == owner_of(v)``: each machine id over its range."""
         bounds = self.bounds
-        # _check_vertex inlined: this runs once per routed message.
-        if not 0 <= v < bounds[-1]:
-            raise MPCConfigError(f"vertex {v} out of range")
-        return bisect_right(bounds, v) - 1
+        return tuple(
+            chain.from_iterable(
+                repeat(m, bounds[m + 1] - bounds[m])
+                for m in range(self.num_machines)
+            )
+        )
 
     def owned_by(self, machine: int) -> range:
         """Vertices owned by ``machine``."""
@@ -122,6 +138,12 @@ class ModOwnerMap:
         _check_vertex(v, self.num_vertices)
         return v % self.num_machines
 
+    @cached_property
+    def owners(self) -> Tuple[int, ...]:
+        """``owners[v] == owner_of(v)``."""
+        k = self.num_machines
+        return tuple(v % k for v in range(self.num_vertices))
+
     def owned_by(self, machine: int) -> range:
         return range(machine, self.num_vertices, self.num_machines)
 
@@ -144,10 +166,14 @@ class HashOwnerMap:
         _check_vertex(v, self.num_vertices)
         return splitmix64(v ^ (self.seed * _GOLDEN)) % self.num_machines
 
+    @cached_property
+    def owners(self) -> Tuple[int, ...]:
+        """``owners[v] == owner_of(v)``."""
+        mix, k = self.seed * _GOLDEN, self.num_machines
+        return tuple(splitmix64(v ^ mix) % k for v in range(self.num_vertices))
+
     def owned_by(self, machine: int) -> list:
-        return [
-            v for v in range(self.num_vertices) if self.owner_of(v) == machine
-        ]
+        return [v for v, m in enumerate(self.owners) if m == machine]
 
     def serialize(self) -> Tuple[int, ...]:
         return (_KIND_HASH, self.num_vertices, self.num_machines, self.seed)

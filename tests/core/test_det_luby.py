@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.det_luby import luby_program, modulus_for
-from repro.core.program import run_program
+from repro.core.program import ProgramContext, run_program
 from repro.core.verify import verify_ruling_set
 from repro.graph import generators as gen
 from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
-from repro.mpc.graph_store import DistributedGraph
+from repro.mpc.graph_store import ADJ, DistributedGraph
+from repro.mpc.machine import Machine
 from repro.mpc.simulator import Simulator
 from repro.util.prime import is_prime
 
@@ -80,3 +81,50 @@ class TestDetLuby:
         graph = gen.gnp_random_graph(60, 1, 6, seed=7)
         members, counters, _ = run_det_luby(graph)
         verify_ruling_set(graph, members, alpha=2, beta=1)
+
+
+class TestAbsorbIsolatedKeepsThePrice:
+    """The isolated-vertex step reads the adjacency without dropping its
+    price, and takes the mutable read only on a machine that drops a row.
+
+    Each test runs the program's first ``luby-phase`` and records which
+    machines' audits find ``g_adj`` dirty (unpriced).
+    """
+
+    @staticmethod
+    def first_luby_phase(graph, monkeypatch):
+        sim = Simulator(MPCConfig(num_machines=6, memory_words=8192))
+        dg = DistributedGraph.load(sim, graph)
+        program = luby_program(in_set_key="mis")
+        setup, measure, mark = program.phases()[:3]
+        assert mark.name == "luby-phase"
+        ctx = ProgramContext(dg)
+        ctx.counters.update(dict.fromkeys(program.counters, 0))
+        setup.run(ctx)
+        measure.run(ctx)
+        dirty = set()
+        audited = Machine.memory_words
+
+        def recording(machine: Machine) -> int:
+            if ADJ in machine.store._dirty:
+                dirty.add(machine.mid)
+            return audited(machine)
+
+        monkeypatch.setattr(Machine, "memory_words", recording)
+        mark.run(ctx)
+        return dg, dirty, ctx.counters["isolated_joins"]
+
+    def test_no_isolated_vertex_leaves_it_priced(self, monkeypatch):
+        dg, dirty, joins = self.first_luby_phase(
+            gen.cycle_graph(24), monkeypatch
+        )
+        assert joins == 0
+        assert dirty == set()
+        assert all(ADJ not in m.store._dirty for m in dg.sim.machines)
+
+    def test_isolated_vertex_dirties_only_its_owner(self, monkeypatch):
+        graph = Graph.from_edges(24, [(v, v + 1) for v in range(22)])
+        dg, dirty, joins = self.first_luby_phase(graph, monkeypatch)
+        assert joins == 1
+        assert dirty == {dg.owner_of(23)}
+        assert 23 in dg.sim.machine(dg.owner_of(23)).store.peek("mis")

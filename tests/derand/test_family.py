@@ -1,7 +1,7 @@
 """Tests for the affine hash family, including exact pairwise independence."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.derand.family import AffineFamily, Seed, threshold_for_rate
 from repro.errors import DerandomizationError
@@ -19,6 +19,46 @@ class TestSeed:
 
     def test_index(self):
         assert Seed(2, 3, 7).index() == 17
+
+
+@st.composite
+def seed_ids_threshold(draw):
+    """A seed, ids that may sit near ``p``, and a threshold in ``[0, p]``."""
+    p = draw(st.sampled_from([2, 7, 101, 65_537, 1_000_003]))
+    seed = Seed(draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1)), p)
+    xs = draw(
+        st.lists(
+            st.one_of(st.integers(0, 4 * p), st.integers(p - 3, p + 3)),
+            max_size=12,
+        )
+    )
+    t = draw(st.one_of(st.just(0), st.just(p), st.integers(0, p)))
+    return seed, xs, t
+
+
+class TestNeighbourhoodHash:
+    """``any_below`` / ``below`` agree with per-id ``hash`` calls."""
+
+    @given(seed_ids_threshold())
+    @example((Seed(3, 4, 7), [], 7))
+    @example((Seed(3, 4, 7), [0, 1, 6, 7, 8], 0))
+    @example((Seed(3, 4, 7), [5, 6, 7, 8], 7))
+    @example((Seed(0, 0, 2), [1, 2, 3], 1))
+    def test_any_below_matches_hash(self, case):
+        seed, xs, t = case
+        assert seed.any_below(xs, t) == any(seed.hash(x) < t for x in xs)
+
+    @given(seed_ids_threshold())
+    @example((Seed(3, 4, 7), [], 7))
+    @example((Seed(3, 4, 7), [6, 7, 6], 0))
+    def test_below_matches_hash(self, case):
+        seed, xs, t = case
+        assert seed.below(xs, t) == [x for x in xs if seed.hash(x) < t]
+
+    def test_takes_any_iterable(self):
+        seed = Seed(2, 3, 7)
+        assert seed.any_below(iter((5,)), 7)
+        assert seed.below({5}, 7) == [5]
 
 
 class TestFamily:

@@ -6,8 +6,10 @@ every size, and malformed payloads must raise :class:`MPCConfigError` —
 never ``IndexError``/``TypeError`` escaping from the parser.
 """
 
+from itertools import accumulate
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import MPCConfigError
 from repro.graph.generators import star_graph
@@ -69,6 +71,72 @@ class TestRoundTrip:
             assert owned == list(range(n))
             for v in range(n):
                 assert 0 <= owner_map.owner_of(v) < k
+
+
+def range_maps():
+    """Range maps with repeated bounds (empty machines) and n = 0."""
+    return st.lists(st.integers(0, 50), min_size=1, max_size=8).map(
+        lambda steps: RangeOwnerMap(tuple(accumulate(steps, initial=0)))
+    )
+
+
+def all_maps():
+    """Every map kind, at sizes including n = 0, k = 1 and k > n."""
+    return st.one_of(
+        range_maps(),
+        sizes.map(lambda nk: ModOwnerMap(*nk)),
+        st.tuples(sizes, st.integers(0, 2**32)).map(
+            lambda t: HashOwnerMap(*t[0], seed=t[1])
+        ),
+    )
+
+
+class TestOwnerTable:
+    """``owners`` is a driver-side memo of ``owner_of``, not metadata."""
+
+    @settings(max_examples=80)
+    @given(all_maps())
+    @example(RangeOwnerMap((0, 0, 0)))
+    @example(RangeOwnerMap((0, 3, 3, 3, 7)))
+    @example(ModOwnerMap(0, 3))
+    @example(HashOwnerMap(0, 1))
+    @example(ModOwnerMap(3, 50))
+    @example(HashOwnerMap(3, 50, seed=9))
+    def test_table_equals_owner_of(self, owner_map):
+        owners = owner_map.owners
+        assert len(owners) == owner_map.num_vertices
+        assert list(owners) == [
+            owner_map.owner_of(v) for v in range(owner_map.num_vertices)
+        ]
+        for machine in range(owner_map.num_machines):
+            assert [v for v, m in enumerate(owners) if m == machine] == list(
+                owner_map.owned_by(machine)
+            )
+
+    @settings(max_examples=60)
+    @given(all_maps())
+    def test_table_leaves_the_metadata_alone(self, owner_map):
+        serialized = owner_map.serialize()
+        key = hash(owner_map)
+        owner_map.owners
+        assert owner_map.serialize() == serialized
+        assert hash(owner_map) == key
+        restored = deserialize_owner_map(serialized)
+        assert restored == owner_map
+        assert restored.owners == owner_map.owners
+
+    @settings(max_examples=30)
+    @given(all_maps())
+    def test_built_once(self, owner_map):
+        assert owner_map.owners is owner_map.owners
+
+    @settings(max_examples=60)
+    @given(all_maps())
+    def test_owner_of_still_checks_its_range(self, owner_map):
+        owner_map.owners
+        for v in (-1, owner_map.num_vertices):
+            with pytest.raises(MPCConfigError, match="out of range"):
+                owner_map.owner_of(v)
 
 
 class TestDegenerateSizes:
