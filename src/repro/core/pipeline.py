@@ -167,7 +167,9 @@ def solve_ruling_set_stream(
     ingest stats
     (``ingest_edges``, ``ingest_max_degree``, ``ingest_checksum``) and
     the backend's residency stats (``shard_max_resident_words`` …) land
-    in ``result.metrics``.
+    in ``result.metrics``; ``shard_shard_loads`` / ``shard_shard_spills``
+    count state-file reads and writes, and the last shard visited is
+    written only when another shard loads.
     """
     if algorithm is None:
         algorithm = registry.DET_RULING

@@ -4,11 +4,12 @@ The serial backend keeps all ``k`` simulated machines resident in the
 driver process, so the "low-space" MPC regimes are simulated with O(full
 graph) real memory.  :class:`ShardBackend` honours the memory constraint
 at the *simulator* level: machines are grouped into contiguous id-ordered
-shards, each shard's ``(store, inbox)`` state lives pickled in a spill
-file, and only **one shard is resident at a time**.  Each shard's spill
-file and its two spool files are opened once and held; every spill
-still writes the shard's whole state out of the process before the next
-shard is loaded.
+shards, each shard's ``(store, inbox)`` state lives pickled in a state
+file, and only **one shard is resident at a time**.  Each shard's state
+file and its two spool files are opened once and held.  The last shard
+visited stays resident between supersteps: it is written out — its
+whole state leaves the process — only when another shard must load,
+and a visit to the resident shard loads nothing.
 
 Determinism is preserved by construction, not by luck:
 
@@ -24,13 +25,13 @@ Determinism is preserved by construction, not by luck:
   reproduces the serial arrival order (sender id ascending, then send
   order) bit-for-bit.  No process ever buffers a full round's traffic.
 * Work waits for the next visit: each shard keeps one ordered queue of
-  pending work — the exchange delivery it has not loaded yet and the
-  local steps issued since — and the shard's next load (from an
+  pending work — the exchange delivery it has not received yet and the
+  local steps issued since — and the shard's next visit (from an
   exchange, a harvest or a settle) replays that queue in order.  So
   ``queue_local`` loads nothing.  A step touches only the shards that
   hold its participants: a local step is queued on those alone, and an
-  exchange loads and spills those plus every shard that still owes a
-  local step (fusing it), so every earlier step has reported when the
+  exchange visits those plus every shard that still owes a local step
+  (fusing it), so every earlier step has reported when the
   exchange does.  A shard the exchange skips keeps one pending delivery:
   the new one replaces the old, since each replaces every inbox of the
   shard and nothing read the old inboxes in between.  An exchange's
@@ -50,9 +51,10 @@ Determinism is preserved by construction, not by luck:
   in serial order.
 
 Driver-side code must not touch ``machines[i].store`` directly while this
-backend owns state (the resident copy is usually a cleared husk); reads
-and plants go through :meth:`run_harvest`, which the simulator exposes as
-:meth:`~repro.mpc.simulator.Simulator.harvest`.
+backend owns state (outside the resident shard the in-driver copy is a
+cleared husk, and the resident shard is written out as soon as another
+shard loads); reads and plants go through :meth:`run_harvest`, which
+the simulator exposes as :meth:`~repro.mpc.simulator.Simulator.harvest`.
 
 Knob: ``REPRO_SHARD_DIR`` overrides the spill directory.
 """
@@ -121,7 +123,7 @@ def _chunk_ranges(count: int, parts: int) -> List[range]:
     return ranges
 
 
-#: What a spill file holds per machine: store, inbox, and the inbox's
+#: What a state file holds per machine: store, inbox, and the inbox's
 #: delivered word count (None for an inbox that was never delivered).
 _State = Tuple[Store, list, Optional[int]]
 
@@ -204,7 +206,9 @@ class ShardBackend(SuperstepBackend):
         self._files: List[BinaryIO] = []
         # Per shard, one held spool file per parity, opened at attach.
         self._spools: List[List[BinaryIO]] = []
-        # Per shard: the work its next load replays, oldest first.
+        # The shard whose machines hold live state, if any.
+        self._resident: Optional[int] = None
+        # Per shard: the work its next visit replays, oldest first.
         self._queues: List[Deque[_Work]] = []
         # Issue order of queued work (locals and exchanges share it).
         self._seq = 0
@@ -241,12 +245,14 @@ class ShardBackend(SuperstepBackend):
         return self._dir
 
     def _attach(self, machines: Sequence[Machine]) -> None:
-        """First contact: partition machines into shards and spill them all.
+        """First contact: partition machines into shards and write them
+        all out.
 
         Whatever state the machines hold at this point (normally nothing;
         the graph is planted through ``local``) becomes shard 0..p-1 on
         disk, and the in-driver ``Machine`` objects are cleared — from
-        here on the spill files are the source of truth.
+        here on a shard's state file is the source of truth whenever the
+        shard is not resident, and nothing is resident yet.
         """
         if self._attached:
             return
@@ -274,7 +280,8 @@ class ShardBackend(SuperstepBackend):
         self._queues = [deque() for _ in range(num_shards)]
         self._machines = machines
         for sid in range(num_shards):
-            self._spill(sid)
+            self._price(sid)
+            self._write_out(sid)
         self._attached = True
 
     def _path(self, name: str) -> str:
@@ -292,16 +299,23 @@ class ShardBackend(SuperstepBackend):
                 machine.inbox = inbox
             else:
                 machine.deliver(inbox, words)
+        self._resident = sid
         self._stats["shard_loads"] += 1
 
     def _visit(self, sid: int, before: Optional[int] = None) -> None:
-        """Load shard ``sid`` and replay its queue, oldest first.
+        """Make shard ``sid`` resident and replay its queue, oldest first.
 
-        ``before`` stops at the first work issued at or after that
-        sequence number.  A local step that raises ends the replay; the
-        exception is recorded on the step and raised here.
+        Only a different shard's visit writes the resident one out, and
+        ``sid`` loads only when it is not resident already.  ``before``
+        stops at the first work issued at or after that sequence number.
+        A local step that raises ends the replay; the exception is
+        recorded on the step and raised here.
         """
-        self._load(sid)
+        resident = self._resident
+        if resident != sid:
+            if resident is not None:
+                self._write_out(resident)
+            self._load(sid)
         queue = self._queues[sid]
         while queue and (before is None or queue[0].seq < before):
             work = queue.popleft()
@@ -317,7 +331,7 @@ class ShardBackend(SuperstepBackend):
         Pricing here, machine by machine, is what the serial backend's
         audit sees after the step; the shard's sum (every other machine
         at its known words) is a residency high-water candidate as if
-        the step had spilled.
+        the visit had ended here.
         """
         machines = self._machines
         rng = self._shards[sid]
@@ -413,22 +427,35 @@ class ShardBackend(SuperstepBackend):
         for mid, inbox in zip(rng, inboxes):
             machines[mid].deliver(inbox, received_words[mid])
 
-    def _spill(self, sid: int) -> None:
+    def _price(self, sid: int) -> None:
+        """End-of-visit bookkeeping: price a visited shard's machines.
+
+        Called after every visit, so the stored and known words — and
+        the residency high-water mark — are what a write-out right here
+        would record.  Pricing also fills the stores' cached prices,
+        which ride along in the state file and survive the next load.
+        """
         machines = self._machines
         rng = self._shards[sid]
-        states: List[_State] = []
         resident = 0
         for mid in rng:
             machine = machines[mid]
-            # Priced before the dump, so the store's cached prices ride
-            # along in the spill file and survive the next load.
             words = machine.memory_words()
             self._store_words[mid] = machine.store.words()
+            self._words[mid] = words
+            resident += words
+        self._note_resident(resident, len(rng))
+
+    def _write_out(self, sid: int) -> None:
+        """Write a shard's state to its file and leave husks behind."""
+        machines = self._machines
+        rng = self._shards[sid]
+        states: List[_State] = []
+        for mid in rng:
+            machine = machines[mid]
             states.append(
                 (machine.store, machine.inbox, machine.delivered_words())
             )
-            self._words[mid] = words
-            resident += words
         handle = self._files[sid]
         handle.seek(0)
         pickle.dump(states, handle, protocol=pickle.HIGHEST_PROTOCOL)
@@ -437,8 +464,8 @@ class ShardBackend(SuperstepBackend):
         for mid in rng:
             machines[mid].store = Store()
             machines[mid].clear_inbox()
+        self._resident = None
         self._stats["shard_spills"] += 1
-        self._note_resident(resident, len(rng))
 
     def _recover(self) -> None:
         """After a failure, replay what it may be outranked by.
@@ -448,7 +475,9 @@ class ShardBackend(SuperstepBackend):
         of it when the failure is the current exchange's or harvest's
         own — so every earlier step reports and the simulator can raise
         the earliest failure in serial order.  Further callback failures
-        are recorded on their steps; any other error propagates.
+        are recorded on their steps; any other error propagates.  The
+        replays go through :meth:`_visit`, so at most one shard's
+        machines hold live state afterwards, as after any superstep.
         """
         try:
             for sid, queue in enumerate(self._queues):
@@ -485,6 +514,7 @@ class ShardBackend(SuperstepBackend):
             self._dir = None
             self._own_dir = False
             self._attached = False
+            self._resident = None
             self._shards = []
             self._words = []
             self._store_words = []
@@ -508,7 +538,7 @@ class ShardBackend(SuperstepBackend):
             for sid in range(len(self._queues)):
                 if self._owes_step(sid):
                     self._visit(sid)
-                    self._spill(sid)
+                    self._price(sid)
         except BaseException:
             self._recover()
             raise
@@ -540,7 +570,7 @@ class ShardBackend(SuperstepBackend):
             words = [0] * len(machines)
         else:
             mids = self._split(only)
-            # A harvested machine's words are known from its spill.
+            # A harvested machine's words are known from its visit.
             words = {mid: self._words[mid] for mid in self._harvested}
         self._harvested.clear()
         # Queued as is: the step keeps the very callable it was given.
@@ -612,16 +642,16 @@ class ShardBackend(SuperstepBackend):
                     router.route(sender, fn(machines[sender]))
                     if router.messages - spooled >= CHUNK_MESSAGES:
                         _spool()
-                self._spill(sid)
+                self._price(sid)
             stats = router.finish()
             _spool()
         except BaseException:
             self._recover()
             raise
 
-        # Leave every shard's delivery to its next load.  The accounting
+        # Leave every shard's delivery to its next visit.  The accounting
         # does not wait: each machine now holds its store as last
-        # spilled plus its received words, and each shard's total is a
+        # priced plus its received words, and each shard's total is a
         # residency high-water candidate, as if delivered right here.
         received_words = stats.received_per_machine
         words = self._words = list(map(add, self._store_words, received_words))
@@ -660,8 +690,8 @@ class ShardBackend(SuperstepBackend):
                 for mid in mids:
                     results[mid] = fn(machines[mid])
                 # fn may have mutated (popped a staging key, planted a
-                # value): the spill persists it.
-                self._spill(sid)
+                # value): the write-out before any other load persists it.
+                self._price(sid)
         except BaseException:
             self._recover()
             raise

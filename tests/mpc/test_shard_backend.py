@@ -96,9 +96,9 @@ class TestParity:
                     for j in range(1, 5)
                 ]
             )
-            # Delivery happens at each shard's next load.
+            # Delivery happens at each shard's next visit.
             sim.harvest(lambda m: None)
-        # clear_inbox delivers ([], 0) too: spills leave empty husks.
+        # clear_inbox delivers ([], 0) too: write-outs leave empty husks.
         assert all(words == walk for _, words, walk in delivered)
         assert [mid for mid, words, _ in delivered if words] == list(range(5))
         assert sum(words for _, words, _ in delivered) == 5 * (1 + 2 + 3 + 4)
@@ -237,16 +237,28 @@ class TestLazyDelivery:
 
     @pytest.mark.parametrize("num_shards", [1, 3, 4])
     def test_one_load_per_shard_per_exchange(self, num_shards):
+        # Attach writes every shard and leaves none resident.  Each
+        # exchange then visits the shards in id order; the last one
+        # stays resident until the next exchange loads shard 0, so the
+        # write-outs run one behind the loads — and a lone shard never
+        # reloads after its first visit.
         backend = ShardBackend(num_shards=num_shards)
         cfg = MPCConfig(num_machines=6, memory_words=256)
         with Simulator(cfg, backend=backend) as sim:
             sim.local(lambda m: None)
-            for _ in range(3):
-                before = backend.stats()
+            start = backend.stats()
+            for exchanges in range(1, 4):
                 sim.communicate(_ring)
                 after = backend.stats()
-                for key in ("shard_loads", "shard_spills"):
-                    assert after[key] - before[key] == num_shards
+                loads, spills = (
+                    after[key] - start[key]
+                    for key in ("shard_loads", "shard_spills")
+                )
+                if num_shards == 1:
+                    assert (loads, spills) == (1, 0)
+                else:
+                    assert loads == exchanges * num_shards
+                    assert spills == loads - 1
 
 
 def _send_next(m):
@@ -265,7 +277,7 @@ class TestFusedVisits:
             MPCConfig(num_machines=len(_EIGHT), memory_words=256),
             backend=backend,
         )
-        sim.harvest(lambda m: None)  # attach: spill once, visit once
+        sim.harvest(lambda m: None)  # attach: write once, visit once
         return sim, backend
 
     def _cost(self, backend, before):
@@ -307,6 +319,31 @@ class TestFusedVisits:
             sim.settle()
             assert loaded == [0, 1, 2, 3]
             assert not sim._tails
+
+    def test_back_to_back_work_on_one_shard_loads_it_once(self):
+        # Machines 0 and 1 make up shard 0.  Two harvests and an
+        # exchange on it in a row load it once and write nothing out;
+        # the next load of another shard writes it, harvest pop included.
+        def script(sim):
+            sim.local(lambda m: m.store.__setitem__("x", m.mid), only=(0, 1))
+            before = sim.backend.stats()
+            out = [sim.harvest(lambda m: m.store["x"], only=(0,))]
+            out.append(sim.harvest(lambda m: m.store.pop("x"), only=(1,)))
+            sim.communicate(
+                lambda m: [(m.mid + 1, (m.store.get("x", -1),))], only=(0, 1)
+            )
+            if isinstance(sim.backend, ShardBackend):
+                assert self._cost(sim.backend, before) == (1, 0)
+            out.append(sim.harvest(_state))
+            return out
+
+        cfg = MPCConfig(num_machines=len(_EIGHT), memory_words=256)
+        with Simulator(cfg) as sim:
+            serial = script(sim)
+        with Simulator(cfg, backend=ShardBackend(num_shards=4)) as sim:
+            assert script(sim) == serial
+        assert serial[:2] == [[0], [1]]
+        assert serial[2][:3] == [({"x": 0}, []), ({}, [(0,)]), ({}, [(-1,)])]
 
     def test_queue_keeps_the_callable_it_was_given(self):
         sim, backend = self._attached(num_shards=2)
@@ -386,11 +423,13 @@ class TestErrorOrder:
 
     def _compare(self, script, tmp_path):
         serial = self._outcome(script)
-        sharded = self._outcome(
-            script, ShardBackend(num_shards=4, spill_dir=str(tmp_path))
-        )
+        backend = ShardBackend(num_shards=4, spill_dir=str(tmp_path))
+        live = _count_live_shards_at_each_load(backend)
+        sharded = self._outcome(script, backend)
         assert sorted(tmp_path.glob("repro-shard-*")) == []
         assert sharded == serial
+        # Recovery too leaves at most the shard it visited last live.
+        assert max(live, default=0) <= 1
         return serial
 
     def test_local_memory_violation_outranks_next_send_violation(
@@ -460,6 +499,22 @@ class TestErrorOrder:
 
         assert self._compare(script, tmp_path) == (KeyError, "'machine 2'")
 
+    def test_recovery_replays_one_shard_at_a_time(self, tmp_path):
+        # The harvest's own shard raises; recovery then replays both
+        # steps on shards 0-2, each holding a planted store, one load
+        # after another (checked in _compare).
+        def step(m):
+            if m.mid == 7:
+                raise ValueError("callback fault on machine 7")
+
+        def script(sim):
+            sim.local(lambda m: m.store.__setitem__("x", m.mid))
+            sim.local(step)
+            sim.harvest(lambda m: None, only=(7,))
+
+        kind, text = self._compare(script, tmp_path)
+        assert (kind, text) == (ValueError, "callback fault on machine 7")
+
     def test_one_backend_keeps_serial_order_across_failed_scripts(
         self, tmp_path
     ):
@@ -498,6 +553,31 @@ class TestErrorOrder:
             assert str(err.value) == text
             sim.shutdown()
         assert sorted(tmp_path.glob("repro-shard-*")) == []
+
+
+def _live(machine):
+    """Whether ``machine`` holds state: it is not an empty husk."""
+    return bool(machine.store or machine.inbox)
+
+
+def _count_live_shards_at_each_load(backend):
+    """Record, after each of ``backend``'s shard loads, how many shards
+    hold a live machine."""
+    live = []
+    real_load = backend._load
+
+    def recording(sid):
+        real_load(sid)
+        machines = backend._machines
+        live.append(
+            sum(
+                any(_live(machines[mid]) for mid in rng)
+                for rng in backend._shards
+            )
+        )
+
+    backend._load = recording
+    return live
 
 
 def _scripted_trace(backend):
@@ -637,6 +717,35 @@ class TestFileHandles:
                 with Simulator(cfg, backend=backend) as sim:
                     sim.communicate(sends)
 
+    def test_failed_write_out_raises_and_leaks_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        # A shard's state is written out only when another shard loads;
+        # a full disk at that point must fail the superstep, not lose
+        # or skip the write.
+        backend = ShardBackend(num_shards=3, spill_dir=str(tmp_path))
+        real_dump = shard_module.pickle.dump
+        failed = []
+
+        def dump(obj, handle, *args, **kwargs):
+            if backend._attached and handle in backend._files:
+                failed.append(backend._files.index(handle))
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_dump(obj, handle, *args, **kwargs)
+
+        monkeypatch.setattr(shard_module.pickle, "dump", dump)
+        cfg = MPCConfig(num_machines=6, memory_words=256)
+        with _no_leaked_files():
+            with pytest.raises(OSError) as err:
+                with Simulator(cfg, backend=backend) as sim:
+                    sim.local(lambda m: m.store.__setitem__("x", m.mid))
+                    assert sim.harvest(lambda m: m.store["x"], only=(1,)) == [1]
+                    assert failed == []  # shard 0 stays resident: no write
+                    sim.communicate(_ring)  # shard 1's load writes shard 0
+        assert err.value.errno == errno.ENOSPC
+        assert failed and set(failed) == {0}
+        assert sorted(tmp_path.glob("repro-shard-*")) == []
+
     def test_no_descriptor_leaks_after_a_receive_violation(self):
         cfg = MPCConfig(num_machines=4, memory_words=8)
         with _no_leaked_files():
@@ -698,14 +807,32 @@ class TestResidency:
         assert peak_resident(4) < peak_resident(1)
 
     def test_spill_files_are_source_of_truth(self):
-        # After any superstep the in-driver Machine objects are husks.
+        # After any superstep every machine outside the resident shard
+        # is an empty husk, and the resident shard's state reaches its
+        # file before another shard loads.
         cfg = MPCConfig(num_machines=6, memory_words=4096)
         backend = ShardBackend(num_shards=3)
+
+        def live_ids():
+            return [m.mid for m in sim.machines if _live(m)]
+
+        def resident_ids():
+            if backend._resident is None:
+                return []
+            return list(backend._shards[backend._resident])
+
         with Simulator(cfg, backend=backend) as sim:
             sim.local(lambda m: m.store.__setitem__("x", m.mid))
-            assert all(m.store == {} for m in sim.machines)
+            assert live_ids() == resident_ids() == []  # all written at attach
+            # Machine 1 sits on shard 0, which stays resident.
+            sim.harvest(lambda m: m.store.__setitem__("x", -1), only=(1,))
+            assert live_ids() == resident_ids() == [0, 1]
+            # Loading shard 2 writes shard 0 out, plant included.
+            assert sim.harvest(lambda m: m.store["x"], only=(4,)) == [4]
+            assert live_ids() == resident_ids() == [4, 5]
             values = sim.harvest(lambda m: m.store["x"])
-        assert values == [0, 1, 2, 3, 4, 5]
+            assert live_ids() == resident_ids() == [4, 5]
+        assert values == [0, -1, 2, 3, 4, 5]
 
     def test_shutdown_removes_spill_dir(self):
         cfg = MPCConfig(num_machines=4, memory_words=1024)
